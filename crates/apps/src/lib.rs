@@ -31,6 +31,8 @@
 pub mod replace_input;
 pub mod tcas_input;
 
+use std::sync::OnceLock;
+
 use sympl_asm::{parse_program, Program};
 use sympl_detect::DetectorSet;
 use sympl_machine::{run_concrete, ExecLimits, MachineState};
@@ -171,20 +173,27 @@ pub fn spin() -> Workload {
     )
 }
 
-/// Every bundled workload, for sweep-style tests and benches.
+/// A bundled workload's report name and its constructor.
+type Bundled = (&'static str, fn() -> Workload);
+
+/// The bundled workloads.
+const BUNDLED: [Bundled; 9] = [
+    ("factorial", factorial),
+    ("factorial-det", factorial_with_detectors),
+    ("tcas", tcas),
+    ("replace", replace),
+    ("sum", sum),
+    ("bubble-sort", bubble_sort),
+    ("gcd", gcd),
+    ("matmul", matmul),
+    ("spin", spin),
+];
+
+/// Every bundled workload, freshly built, for sweep-style tests and
+/// benches.
 #[must_use]
 pub fn all_workloads() -> Vec<Workload> {
-    vec![
-        factorial(),
-        factorial_with_detectors(),
-        tcas(),
-        replace(),
-        sum(),
-        bubble_sort(),
-        gcd(),
-        matmul(),
-        spin(),
-    ]
+    BUNDLED.iter().map(|(_, build)| build()).collect()
 }
 
 /// Resolves a bundled workload by its report name (`"tcas"`,
@@ -192,9 +201,21 @@ pub fn all_workloads() -> Vec<Workload> {
 /// distributed-campaign program id, so `symplfied serve` and the campaign
 /// binaries' self-spawned workers can never resolve the same id to
 /// different programs.
+///
+/// Only the workload asked for is built, once per process, and its
+/// program is decoded before it is kept: every later resolve is a clone
+/// (a few reference counts) that shares the one parse and the one decode.
 #[must_use]
 pub fn resolve_workload(name: &str) -> Option<Workload> {
-    all_workloads().into_iter().find(|w| w.name == name)
+    static RESOLVED: [OnceLock<Workload>; BUNDLED.len()] =
+        [const { OnceLock::new() }; BUNDLED.len()];
+    let index = BUNDLED.iter().position(|(bundled, _)| *bundled == name)?;
+    let workload = RESOLVED[index].get_or_init(|| {
+        let workload = BUNDLED[index].1();
+        let _ = workload.program.decoded();
+        workload
+    });
+    Some(workload.clone())
 }
 
 fn parse_source(src: &str) -> Program {
@@ -352,6 +373,37 @@ mod tests {
         }
         let w = matmul().with_input(input);
         assert_eq!(golden(&w).output_ints(), expected);
+    }
+
+    #[test]
+    fn resolve_builds_once_and_matches_a_fresh_build() {
+        for (name, build) in BUNDLED {
+            assert_eq!(build().name, name, "the table's key is the report name");
+        }
+        assert!(resolve_workload("no-such-workload").is_none());
+
+        for fresh in [tcas(), replace()] {
+            let first = resolve_workload(fresh.name).unwrap();
+            let second = resolve_workload(fresh.name).unwrap();
+            // Same values as a fresh build…
+            assert_eq!(first.program.listing(), fresh.program.listing());
+            assert_eq!(first.detectors, fresh.detectors);
+            assert_eq!(
+                (&first.input, first.max_steps),
+                (&fresh.input, fresh.max_steps)
+            );
+            assert_eq!(second.program.listing(), first.program.listing());
+            // …and one decode shared by every resolve, while a fresh
+            // build still decodes for itself.
+            assert!(std::ptr::eq(
+                first.program.decoded(),
+                second.program.decoded()
+            ));
+            assert!(!std::ptr::eq(
+                first.program.decoded(),
+                fresh.program.decoded()
+            ));
+        }
     }
 
     #[test]

@@ -247,7 +247,7 @@ fn serve(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     eprintln!(
         "sympl-wire service: drained after serving {} client(s)",
-        stats.clients.len()
+        stats.clients.len() + stats.retired_clients
     );
     Ok(())
 }

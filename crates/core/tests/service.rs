@@ -140,3 +140,20 @@ fn two_concurrent_campaigns_share_a_fleet_and_reproduce_their_digests() {
     assert_verbatim(&tcas_dist, &tcas_local, "tcas");
     assert_verbatim(&replace_dist, &replace_local, "replace");
 }
+
+/// What makes the daemon's once-per-process resolve safe: the program it
+/// keeps for an id digests exactly like the fresh build a coordinator
+/// digests into its task frames.
+#[test]
+fn a_resolved_workload_digests_like_a_fresh_build() {
+    use symplfied::wire::program_digest;
+    for fresh in [symplfied::apps::tcas(), symplfied::apps::replace()] {
+        let resolved = symplfied::apps::resolve_workload(fresh.name).expect("a bundled workload");
+        assert_eq!(
+            program_digest(&resolved.program),
+            program_digest(&fresh.program),
+            "{}",
+            fresh.name
+        );
+    }
+}

@@ -12,10 +12,13 @@
 //! it is not a general network tool. The proxy serves exactly one
 //! downstream connection and then exits.
 
-use std::io::{self, BufRead as _, BufReader, Read, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+use crate::frame::{read_frame, read_preamble, write_frame, write_preamble};
+use crate::WireError;
 
 /// How the proxy should break the worker→coordinator stream.
 #[derive(Debug, Clone, Copy)]
@@ -82,29 +85,11 @@ impl ChaosProxy {
     }
 }
 
-/// Reads one LEB128 varint byte-at-a-time, appending the raw bytes to
-/// `raw` so they can be forwarded verbatim.
-fn read_varint_raw(r: &mut impl Read, raw: &mut Vec<u8>) -> io::Result<u64> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let mut b = [0u8; 1];
-        r.read_exact(&mut b)?;
-        raw.push(b[0]);
-        if shift >= 64 {
-            return Err(io::Error::other("varint overflow in proxied stream"));
-        }
-        v |= u64::from(b[0] & 0x7F) << shift;
-        if b[0] & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
 fn proxy_one(listener: &TcpListener, upstream: &str, mode: ChaosMode) -> io::Result<()> {
     let (down, _) = listener.accept()?;
     let up = TcpStream::connect(upstream)?;
+    down.set_nodelay(true)?;
+    up.set_nodelay(true)?;
 
     // Coordinator→worker is forwarded verbatim on its own thread; the
     // chaos is injected into the worker→coordinator direction only.
@@ -125,66 +110,49 @@ fn proxy_one(listener: &TcpListener, upstream: &str, mode: ChaosMode) -> io::Res
 }
 
 /// Forwards the worker preamble then frames downstream, applying `mode`.
+/// Frames are re-emitted through [`write_frame`], so the proxy adds no
+/// write-splitting stall of its own to the conversation under test.
 fn run_chaos_direction(up: &TcpStream, down: &TcpStream, mode: ChaosMode) -> io::Result<()> {
     let mut reader = BufReader::new(up.try_clone()?);
     let mut writer = down.try_clone()?;
 
-    // Preamble: 4 magic bytes + the varint protocol version.
-    let mut magic = [0u8; 4];
-    reader.read_exact(&mut magic)?;
-    writer.write_all(&magic)?;
-    let mut raw = Vec::new();
-    let _ = read_varint_raw(&mut reader, &mut raw)?;
-    writer.write_all(&raw)?;
-    writer.flush()?;
+    read_preamble(&mut reader).map_err(io::Error::other)?;
+    write_preamble(&mut writer).map_err(io::Error::other)?;
 
     let mut forwarded = 0usize;
     loop {
-        // End of upstream stream at a frame boundary: clean hang-up,
-        // forward the close by returning.
-        if reader.fill_buf()?.is_empty() {
-            return Ok(());
-        }
-        let mut prefix = Vec::with_capacity(5);
-        let len = read_varint_raw(&mut reader, &mut prefix)?;
-        let len = usize::try_from(len)
-            .ok()
-            .filter(|&l| l <= crate::frame::MAX_FRAME_LEN)
-            .ok_or_else(|| io::Error::other("oversized frame in proxied stream"))?;
-        let mut payload = vec![0u8; len];
-        reader.read_exact(&mut payload)?;
-
+        let payload = match read_frame(&mut reader) {
+            Ok(payload) => payload,
+            // End of the upstream stream at a frame boundary: a clean
+            // hang-up, forwarded by returning.
+            Err(WireError::Disconnected) => return Ok(()),
+            Err(e) => return Err(io::Error::other(e)),
+        };
         match mode {
             ChaosMode::DropAfterFrames(n) if forwarded >= n => {
                 // Drop the connection with this frame unsent.
                 return Ok(());
             }
-            ChaosMode::DuplicateFrame { frame } if forwarded == frame => {
-                // Deliver the frame twice, back to back, then keep
-                // forwarding normally.
-                writer.write_all(&prefix)?;
-                writer.write_all(&payload)?;
-                writer.write_all(&prefix)?;
-                writer.write_all(&payload)?;
-                writer.flush()?;
-                forwarded += 1;
-            }
             ChaosMode::StallMidFrame { after_frames, hold } if forwarded >= after_frames => {
                 // Send the prefix and half the payload, then go silent:
                 // the coordinator holds partial bytes it can never
                 // complete into a frame.
-                writer.write_all(&prefix)?;
-                writer.write_all(&payload[..len / 2])?;
+                let mut framed = Vec::new();
+                write_frame(&mut framed, &payload).map_err(io::Error::other)?;
+                let cut = framed.len() - payload.len().div_ceil(2);
+                writer.write_all(&framed[..cut])?;
                 writer.flush()?;
                 std::thread::sleep(hold);
                 return Ok(());
             }
-            _ => {
-                writer.write_all(&prefix)?;
-                writer.write_all(&payload)?;
-                writer.flush()?;
-                forwarded += 1;
+            ChaosMode::DuplicateFrame { frame } if forwarded == frame => {
+                // Deliver the frame twice, back to back, then keep
+                // forwarding normally.
+                write_frame(&mut writer, &payload).map_err(io::Error::other)?;
+                write_frame(&mut writer, &payload).map_err(io::Error::other)?;
             }
+            _ => write_frame(&mut writer, &payload).map_err(io::Error::other)?,
         }
+        forwarded += 1;
     }
 }

@@ -47,6 +47,12 @@ pub const PROTOCOL_VERSION: u64 = 4;
 /// a result frame bytes-per-solution-state).
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
+/// How much of a payload [`write_frame`] copies next to the length prefix
+/// so the two leave in one `write`. Everything the protocol sends in
+/// practice fits (so a frame is one segment train, never a lone prefix
+/// for Nagle to sit on); a larger payload's remainder follows uncopied.
+const COALESCE_LEN: usize = 64 << 10;
+
 fn read_byte(r: &mut impl Read) -> Result<u8, WireError> {
     let mut b = [0u8; 1];
     r.read_exact(&mut b)?;
@@ -71,14 +77,14 @@ fn read_varint(r: &mut impl Read) -> Result<u64, WireError> {
     }
 }
 
-/// Writes this side's preamble: [`MAGIC`] plus [`PROTOCOL_VERSION`].
+/// Writes this side's preamble — [`MAGIC`] plus [`PROTOCOL_VERSION`] —
+/// as a single `write`.
 ///
 /// # Errors
 ///
 /// Any socket error.
 pub fn write_preamble(w: &mut impl Write) -> Result<(), WireError> {
-    w.write_all(&MAGIC)?;
-    let mut buf = Vec::with_capacity(2);
+    let mut buf = MAGIC.to_vec();
     encode_u64(PROTOCOL_VERSION, &mut buf);
     w.write_all(&buf)?;
     w.flush()?;
@@ -121,7 +127,10 @@ pub fn handshake<S: Read + Write>(stream: &mut S) -> Result<(), WireError> {
     read_preamble(stream)
 }
 
-/// Writes one frame: a varint payload length, then the payload.
+/// Writes one frame: a varint payload length, then the payload. The
+/// prefix never travels alone — it and (up to the first 64 KiB of)
+/// the payload go out in one `write`, so on a socket a frame cannot stall
+/// between its two halves waiting for the peer's delayed ACK.
 ///
 /// # Errors
 ///
@@ -131,10 +140,12 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> 
     if payload.len() > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge(payload.len()));
     }
-    let mut prefix = Vec::with_capacity(5);
-    encode_u64(payload.len() as u64, &mut prefix);
-    w.write_all(&prefix)?;
-    w.write_all(payload)?;
+    let (head, tail) = payload.split_at(payload.len().min(COALESCE_LEN));
+    let mut buf = Vec::with_capacity(5 + head.len());
+    encode_u64(payload.len() as u64, &mut buf);
+    buf.extend_from_slice(head);
+    w.write_all(&buf)?;
+    w.write_all(tail)?;
     w.flush()?;
     Ok(())
 }
@@ -173,6 +184,56 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), b"");
         assert_eq!(read_frame(&mut r).unwrap(), vec![0x80; 300]);
         assert!(matches!(read_frame(&mut r), Err(WireError::Disconnected)));
+    }
+
+    /// A sink that records each `write` call separately.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_u64(payload.len() as u64, &mut bytes);
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    #[test]
+    fn a_frame_and_the_preamble_each_leave_in_one_write() {
+        let window = vec![7u8; COALESCE_LEN];
+        for payload in [&b""[..], b"hello", &[0x80; 300], &window] {
+            let mut log = WriteLog::default();
+            write_frame(&mut log, payload).unwrap();
+            assert_eq!(log.0.len(), 1, "{} byte payload", payload.len());
+            // The bytes are what they always were: varint(len) ‖ payload.
+            assert_eq!(log.0[0], framed(payload));
+        }
+
+        // Past the window the remainder follows uncopied, but the prefix
+        // still never travels without payload behind it.
+        let big = vec![0x5A; COALESCE_LEN + 1000];
+        let mut log = WriteLog::default();
+        write_frame(&mut log, &big).unwrap();
+        assert_eq!(log.0.len(), 2);
+        assert!(log.0[0].len() > COALESCE_LEN);
+        assert_eq!(log.0.concat(), framed(&big));
+
+        let mut log = WriteLog::default();
+        write_preamble(&mut log).unwrap();
+        assert_eq!(log.0.len(), 1);
+        let mut preamble = MAGIC.to_vec();
+        encode_u64(PROTOCOL_VERSION, &mut preamble);
+        assert_eq!(log.0[0], preamble);
     }
 
     #[test]

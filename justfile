@@ -25,6 +25,16 @@ bench:
 bench-json:
     cargo run --release -p sympl-bench --bin bench_json
 
+# The repo benchmark (BENCHMARK.json) as a smoke test: the standalone
+# harness under benchmark/ must build against the current crates, pass
+# its own unit tests, and reproduce every workload's pinned counts and
+# outcome digests in a quick untraced run (non-zero exit otherwise). The
+# CI benchmark job runs exactly this recipe. For numbers, run
+# `benchmark/run.sh` (and `benchmark/run.sh compare A.json B.json`).
+bench-smoke:
+    cd benchmark && cargo test --offline
+    benchmark/run.sh --quick --no-trace
+
 # Loopback distributed-campaign demo: a coordinator plus N self-spawned
 # worker processes on 127.0.0.1 run the quick tcas campaign over the
 # sympl_wire TCP protocol, then gate on the distributed report reproducing

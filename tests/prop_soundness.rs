@@ -1866,6 +1866,58 @@ mod service_fairness {
             }
         }
 
+        /// Clients hang up mid-round (the service drops their slot and
+        /// tells the scheduler which index went): the clients that stay,
+        /// still permanently backlogged, keep the same one-round bound at
+        /// every prefix — a leaver's unspent credits never land on a
+        /// neighbour, and nobody is skipped or served out of turn.
+        #[test]
+        fn the_bound_holds_for_clients_that_stay_when_others_leave(
+            stayers in prop::collection::vec(1u64..=4, 2..5),
+            leavers in prop::collection::vec((1u64..=4, 0usize..6, 0usize..40), 1..5),
+            picks in 16usize..160,
+        ) {
+            // Client = (id, priority, leaves after this many picks).
+            // Leavers are interleaved among the stayers by `slot`.
+            let mut clients: Vec<(usize, u64, Option<usize>)> = stayers
+                .iter()
+                .enumerate()
+                .map(|(id, &p)| (id, p, None))
+                .collect();
+            for (k, &(p, slot, after)) in leavers.iter().enumerate() {
+                let at = slot.min(clients.len());
+                clients.insert(at, (stayers.len() + k, p, Some(after)));
+            }
+            let mut sched = FairScheduler::new();
+            let mut served = vec![0u64; stayers.len()];
+            for pick in 0..picks {
+                while let Some(gone) = clients
+                    .iter()
+                    .position(|&(_, _, leaves)| leaves.is_some_and(|after| after <= pick))
+                {
+                    clients.remove(gone);
+                    sched.remove(gone);
+                }
+                let views: Vec<(u64, bool)> = clients.iter().map(|&(_, p, _)| (p, true)).collect();
+                let i = sched.pick(&views).expect("backlogged clients always schedule");
+                if let Some(count) = served.get_mut(clients[i].0) {
+                    *count += 1;
+                }
+                for (a, &pa) in stayers.iter().enumerate() {
+                    for (b, &pb) in stayers.iter().enumerate() {
+                        let ra = served[a] as f64 / pa as f64;
+                        let rb = served[b] as f64 / pb as f64;
+                        prop_assert!(
+                            (ra - rb).abs() <= 1.0 + f64::EPSILON,
+                            "after pick {pick}: stayers {a} (prio {pa}, served {}) and {b} \
+                             (prio {pb}, served {}) drifted more than one round apart",
+                            served[a], served[b],
+                        );
+                    }
+                }
+            }
+        }
+
         /// Two equal-priority clients with unequal task counts: the
         /// small client's whole queue is dispatched within the
         /// interleaving bound (2·m + 1 picks for m tasks), so a quick
