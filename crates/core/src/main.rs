@@ -67,7 +67,9 @@ accounting line (queued/completed per client, fairness ratio) at that
 cadence. With --join the direction flips: the worker dials a *running*
 campaign's join listener (the coordinator's --allow-join port),
 registers, and serves tasks from the live queue until the coordinator
-shuts it down. See docs/OPERATIONS.md for the full operator manual.";
+shuts it down; --listen, --max-clients and --status-interval do not
+apply to it and are refused. See docs/OPERATIONS.md for the full
+operator manual.";
 
 struct Opts {
     program_path: String,
@@ -199,16 +201,20 @@ fn serve(args: &[String]) -> Result<(), String> {
     let mut listen = String::from("127.0.0.1:0");
     let mut join: Option<String> = None;
     let mut opts = symplfied::wire::ServeOptions::default();
+    // The last listen-mode flag given, which `--join` refuses.
+    let mut listen_flag: Option<&str> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--listen" => {
+                listen_flag = Some("--listen");
                 listen = it.next().ok_or("--listen expects a value")?.clone();
             }
             "--join" => {
                 join = Some(it.next().ok_or("--join expects a value")?.clone());
             }
             "--max-clients" => {
+                listen_flag = Some("--max-clients");
                 opts.max_clients = it
                     .next()
                     .ok_or("--max-clients expects a value")?
@@ -219,6 +225,7 @@ fn serve(args: &[String]) -> Result<(), String> {
                 }
             }
             "--status-interval" => {
+                listen_flag = Some("--status-interval");
                 let secs: u64 = it
                     .next()
                     .ok_or("--status-interval expects a value")?
@@ -233,6 +240,12 @@ fn serve(args: &[String]) -> Result<(), String> {
         }
     }
     if let Some(addr) = join {
+        if let Some(flag) = listen_flag {
+            return Err(format!(
+                "--join cannot be combined with {flag}: a joined worker serves one \
+                 coordinator and does not listen"
+            ));
+        }
         // Elastic membership: dial a *running* campaign's join listener
         // and serve tasks until the coordinator hangs up.
         let label = format!("joiner-pid{}", std::process::id());

@@ -135,3 +135,23 @@ fn bad_usage_fails_with_message() {
         assert!(stderr.contains("usage:"), "{stderr}");
     }
 }
+
+#[test]
+fn serve_join_refuses_listen_mode_flags() {
+    // Refused before any connection is attempted, whichever order the
+    // flags come in.
+    for args in [
+        vec!["serve", "--join", "127.0.0.1:1", "--listen", "127.0.0.1:0"],
+        vec!["serve", "--max-clients", "4", "--join", "127.0.0.1:1"],
+        vec!["serve", "--join", "127.0.0.1:1", "--status-interval", "5"],
+    ] {
+        let out = cli().args(&args).output().unwrap();
+        assert!(!out.status.success(), "args {args:?} should fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--join cannot be combined with"),
+            "{stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
+}

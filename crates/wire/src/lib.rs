@@ -87,11 +87,13 @@ pub use frame::{
 };
 pub use proto::{decode_finding, decode_task_result, encode_finding, encode_task_result};
 pub use proto::{decode_message, encode_message, Message, TaskFrame};
-pub use service::{ClientStats, FairScheduler, ServeOptions, ServiceStats, DEFAULT_MAX_CLIENTS};
+pub use service::{
+    join_coordinator, ClientStats, FairScheduler, ServeOptions, ServiceStats, DEFAULT_MAX_CLIENTS,
+};
 pub use transport::{
-    backoff_delay, join_coordinator, liveness_deadline, run_distributed, run_distributed_with,
-    shutdown_worker, spawn_loopback_workers, CampaignJob, ChaosPlan, DistOptions, ProgramResolver,
-    SpawnedWorkers, WorkerServer, DEFAULT_HEARTBEAT_INTERVAL, LISTENING_PREFIX, MAX_SPLIT_DEPTH,
+    backoff_delay, liveness_deadline, run_distributed, run_distributed_with, shutdown_worker,
+    spawn_loopback_workers, CampaignJob, ChaosPlan, DistOptions, ProgramResolver, SpawnedWorkers,
+    WorkerServer, DEFAULT_HEARTBEAT_INTERVAL, LISTENING_PREFIX, MAX_SPLIT_DEPTH,
     MIN_HEARTBEAT_INTERVAL,
 };
 

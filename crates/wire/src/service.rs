@@ -13,6 +13,10 @@
 //! as [`ServiceStats`] (and, with [`ServeOptions::status_interval`], as
 //! a periodic stderr status line).
 //!
+//! A worker that dials a running campaign instead ([`join_coordinator`])
+//! is admitted by `Register`/`Welcome` rather than the hello, then runs
+//! the very same session on a private, single-tenant service.
+//!
 //! Nothing on the request path waits on a timer: a reply is written by
 //! whichever thread completes the job (through the session's outbox, in
 //! submission order), a session thread blocks in its read until a frame
@@ -388,9 +392,6 @@ struct Registry {
 struct Service<'a> {
     resolve: &'a ProgramResolver<'a>,
     opts: ServeOptions,
-    /// Where the last session of a draining service connects to wake the
-    /// accept loop: the listener's own address.
-    wake_addr: SocketAddr,
     clients: Mutex<Registry>,
     /// Every program id resolved so far. Only successes are kept, so the
     /// map is bounded by what the resolver knows, not by what clients ask.
@@ -413,23 +414,10 @@ struct Service<'a> {
 }
 
 impl<'a> Service<'a> {
-    fn new(
-        resolve: &'a ProgramResolver<'a>,
-        opts: ServeOptions,
-        mut wake_addr: SocketAddr,
-    ) -> Self {
-        // A wildcard bind is reached through loopback.
-        if wake_addr.ip().is_unspecified() {
-            wake_addr.set_ip(if wake_addr.is_ipv4() {
-                Ipv4Addr::LOCALHOST.into()
-            } else {
-                Ipv6Addr::LOCALHOST.into()
-            });
-        }
+    fn new(resolve: &'a ProgramResolver<'a>, opts: ServeOptions) -> Self {
         Service {
             resolve,
             opts,
-            wake_addr,
             clients: Mutex::default(),
             programs: Mutex::default(),
             sched: Mutex::new(FairScheduler::new()),
@@ -635,38 +623,59 @@ impl<'a> Service<'a> {
 
     /// One accepted connection, end to end. The session reservation is
     /// already held (see [`Self::try_admit`]) and is released here; the
-    /// last session out of a draining service wakes the accept loop with
-    /// a throwaway connection so `serve_with` can return.
-    fn session(&self, stream: TcpStream, peer: SocketAddr) -> Result<(), WireError> {
-        let result = self.admitted_session(stream, peer);
+    /// last session out of a draining service wakes the accept loop at
+    /// `wake_addr` with a throwaway connection so `serve_with` can return.
+    fn session(
+        &self,
+        stream: TcpStream,
+        peer: SocketAddr,
+        wake_addr: SocketAddr,
+    ) -> Result<(), WireError> {
+        let result = self.hello_session(stream, peer);
         if self.sessions.fetch_sub(1, Ordering::SeqCst) == 1 && self.draining.load(Ordering::SeqCst)
         {
-            if let Err(e) = TcpStream::connect(self.wake_addr) {
+            if let Err(e) = TcpStream::connect(wake_addr) {
                 eprintln!("sympl-wire service: cannot wake the accept loop to drain: {e}");
             }
         }
         result
     }
 
-    fn admitted_session(&self, stream: TcpStream, peer: SocketAddr) -> Result<(), WireError> {
+    /// A listened connection's admission: the first frame must be a
+    /// `ClientHello`. A bare `Shutdown` is honoured as a drain request —
+    /// the one-frame conversation fleet teardown scripts use.
+    fn hello_session(&self, stream: TcpStream, peer: SocketAddr) -> Result<(), WireError> {
         let mut conn = Conn::establish(stream)?;
-        // The hello exchange: the first frame must be a ClientHello. A
-        // bare Shutdown is honoured as a drain request — the one-frame
-        // conversation fleet teardown scripts use.
         conn.set_read_timeout(Some(Duration::from_secs(10)))?;
-        let (label, priority) = match conn.recv()? {
-            Message::ClientHello { client, priority } => (client, priority.max(1)),
+        match conn.recv()? {
+            Message::ClientHello { client, priority } => {
+                self.run_session(&mut conn, client, priority, &format!("from {peer}"), true)
+            }
             Message::Shutdown => {
                 self.draining.store(true, Ordering::SeqCst);
-                return Ok(());
+                Ok(())
             }
             _ => {
                 let _ = conn.send(&Message::Error(
                     "expected a ClientHello as the first frame".into(),
                 ));
-                return Err(WireError::UnexpectedMessage("client hello"));
+                Err(WireError::UnexpectedMessage("client hello"))
             }
-        };
+        }
+    }
+
+    /// An admitted session, whichever way it was admitted: registers the
+    /// client with the scheduler, answers a listened client's hello with
+    /// its `ClientAccept` (`accept`), serves frames until `Shutdown` or
+    /// hang-up, then retires the client.
+    fn run_session(
+        &self,
+        conn: &mut Conn,
+        label: String,
+        priority: u64,
+        origin: &str,
+        accept: bool,
+    ) -> Result<(), WireError> {
         let writer = conn.clone_writer()?;
         writer
             .set_write_timeout(Some(WRITE_STALL))
@@ -674,7 +683,7 @@ impl<'a> Service<'a> {
         let slot = Arc::new(ClientSlot {
             id: self.next_client_id.fetch_add(1, Ordering::SeqCst),
             label,
-            priority,
+            priority: priority.max(1),
             queue: Mutex::default(),
             outbox: Mutex::new(Outbox {
                 writer,
@@ -688,12 +697,16 @@ impl<'a> Service<'a> {
             let _sched = lock_recovering(&self.sched);
             lock_recovering(&self.clients).live.push(Arc::clone(&slot));
         }
-        conn.send(&Message::ClientAccept { client_id: slot.id })?;
         eprintln!(
-            "sympl-wire service: client #{} `{}` (priority {}) connected from {peer}",
+            "sympl-wire service: client #{} `{}` (priority {}) connected {origin}",
             slot.id, slot.label, slot.priority
         );
-        let served = self.serve_session(&mut conn, &slot);
+        let served = if accept {
+            conn.send(&Message::ClientAccept { client_id: slot.id })
+        } else {
+            Ok(())
+        }
+        .and_then(|()| self.serve_session(conn, &slot));
         let failed = self.retire(&slot);
         eprintln!(
             "sympl-wire service: client #{} `{}` disconnected ({} task(s) completed)",
@@ -878,8 +891,16 @@ impl WorkerServer {
         resolve: &ProgramResolver<'_>,
         opts: &ServeOptions,
     ) -> Result<ServiceStats, WireError> {
-        let wake_addr = self.listener.local_addr().map_err(WireError::Io)?;
-        let service = Service::new(resolve, opts.clone(), wake_addr);
+        let mut wake_addr = self.listener.local_addr().map_err(WireError::Io)?;
+        // A wildcard bind is reached through loopback.
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(if wake_addr.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
+        let service = Service::new(resolve, opts.clone());
         let result = std::thread::scope(|scope| {
             let service = &service;
             scope.spawn(move || service.executor());
@@ -898,7 +919,7 @@ impl WorkerServer {
                 }
                 if service.try_admit() {
                     scope.spawn(move || {
-                        if let Err(e) = service.session(stream, peer) {
+                        if let Err(e) = service.session(stream, peer, wake_addr) {
                             eprintln!("sympl-wire service: connection from {peer} failed: {e}");
                         }
                     });
@@ -936,6 +957,57 @@ impl WorkerServer {
         });
         result.map(|()| service.stats())
     }
+}
+
+/// Joins a *running* campaign as a worker: connects to the coordinator's
+/// join listener, sends `Register`, waits for the `Welcome` (pre-warming
+/// the announced program), then serves the connection as one session of
+/// a private service — the same session, executor and program cache a
+/// listening worker runs, so replies leave on completion, tasks may be
+/// pipelined and `Cancel` hits the oldest incomplete task. Exposed on the
+/// CLI as `symplfied serve --join <addr>`.
+///
+/// Returns once the campaign releases the worker — a `Shutdown` frame
+/// and a coordinator hang-up are both clean ends (the campaign is simply
+/// over).
+///
+/// # Errors
+///
+/// Connection/handshake failures, a coordinator that answers the
+/// `Register` with anything but `Welcome`, or a mid-conversation
+/// protocol or write error.
+pub fn join_coordinator(
+    addr: &str,
+    worker_label: &str,
+    resolve: &ProgramResolver<'_>,
+) -> Result<(), WireError> {
+    let stream = TcpStream::connect(addr).map_err(WireError::from)?;
+    let mut conn = Conn::establish(stream)?;
+    conn.send(&Message::Register {
+        worker: worker_label.to_owned(),
+    })?;
+    conn.set_read_timeout(Some(Duration::from_secs(30)))?;
+    let Message::Welcome { program_id, .. } = conn.recv()? else {
+        return Err(WireError::UnexpectedMessage("welcome"));
+    };
+    let service = Service::new(resolve, ServeOptions::default());
+    // Pre-warm: resolve, decode and digest the campaign's program before
+    // the first task frame arrives. Every task frame still carries the
+    // digest it is checked against.
+    let _ = service.resolve_once(&program_id);
+    std::thread::scope(|scope| {
+        let service = &service;
+        scope.spawn(move || service.executor());
+        let served = service.run_session(
+            &mut conn,
+            worker_label.to_owned(),
+            1,
+            &format!("to coordinator {addr}"),
+            false,
+        );
+        service.stop();
+        served
+    })
 }
 
 #[cfg(test)]
@@ -1730,6 +1802,146 @@ mod tests {
             .iter()
             .any(|c| c.label == format!("visitor-{}", sessions - 1)));
         assert!(!stats.clients.iter().any(|c| c.label == "visitor-0"));
+    }
+
+    #[test]
+    fn a_joined_worker_runs_the_service_session() {
+        // A hand-rolled coordinator: its own join listener, a joiner
+        // dialling it, and the Register/Welcome admission by hand.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let joiner = std::thread::spawn(move || join_coordinator(&addr, "joiner", &resolver));
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = Conn::establish(stream).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert!(matches!(conn.recv().unwrap(), Message::Register { .. }));
+        let quick = factorial();
+        conn.send(&Message::Welcome {
+            program_id: "factorial".into(),
+            program_digest: program_digest(&quick),
+        })
+        .unwrap();
+
+        // 1. A trivial task comes back on completion, not at a fraction
+        // of its 2 s heartbeat cadence.
+        let quick_shards =
+            sympl_cluster::shard_specs(&Campaign::new(&quick, ErrorClass::RegisterFile), 4);
+        let started = Instant::now();
+        conn.send(&task_frame(
+            "factorial",
+            &quick,
+            4,
+            &quick_shards[0],
+            step_limited(300),
+            Duration::from_secs(2),
+        ))
+        .unwrap();
+        assert!(matches!(conn.recv().unwrap(), Message::TaskDone { .. }));
+        assert!(
+            started.elapsed() < Duration::from_millis(250),
+            "a joined worker took {:?} to answer a millisecond task",
+            started.elapsed()
+        );
+
+        // 2. Pipelined tasks, one of them refused at enqueue, are answered
+        // in submission order.
+        let slow = slow_program();
+        let slow_shards =
+            sympl_cluster::shard_specs(&Campaign::new(&slow, ErrorClass::RegisterFile), 2);
+        let cadence = Duration::from_secs(10);
+        for frame in [
+            task_frame(
+                "slowprog",
+                &slow,
+                12,
+                &slow_shards[0],
+                state_capped(2_000),
+                cadence,
+            ),
+            task_frame(
+                "no-such-workload",
+                &quick,
+                4,
+                &quick_shards[1],
+                step_limited(300),
+                cadence,
+            ),
+            task_frame(
+                "factorial",
+                &quick,
+                4,
+                &quick_shards[2],
+                step_limited(300),
+                cadence,
+            ),
+        ] {
+            conn.send(&frame).unwrap();
+        }
+        match conn.recv().unwrap() {
+            Message::TaskDone { result, .. } => assert_eq!(result.id, slow_shards[0].id),
+            other => panic!("expected the slow task's result first, got {other:?}"),
+        }
+        match conn.recv().unwrap() {
+            Message::Error(why) => assert!(why.contains("unknown program"), "got `{why}`"),
+            other => panic!("expected the refusal second, got {other:?}"),
+        }
+        match conn.recv().unwrap() {
+            Message::TaskDone { result, .. } => assert_eq!(result.id, quick_shards[2].id),
+            other => panic!("expected the quick task's result third, got {other:?}"),
+        }
+
+        // 3. A long task heartbeats at its cadence, and a Cancel on it is
+        // acknowledged. The state cap is sized per build profile so the
+        // task runs for about a second, its points 100+ ms each: the
+        // Cancel goes out after three beats, long before it could finish.
+        let whole = sympl_cluster::shard_specs(&Campaign::new(&slow, ErrorClass::RegisterFile), 1);
+        let cadence = Duration::from_millis(50);
+        let search = state_capped(if cfg!(debug_assertions) {
+            40_000
+        } else {
+            250_000
+        });
+        conn.send(&task_frame(
+            "slowprog", &slow, 60, &whole[0], search, cadence,
+        ))
+        .unwrap();
+        let (mut heartbeats, mut widest_gap, mut last_frame) =
+            (0usize, Duration::ZERO, Instant::now());
+        let acknowledgement = loop {
+            let message = conn.recv().unwrap();
+            widest_gap = widest_gap.max(last_frame.elapsed());
+            last_frame = Instant::now();
+            match message {
+                Message::Heartbeat => {
+                    heartbeats += 1;
+                    if heartbeats == 3 {
+                        conn.send(&Message::Cancel).unwrap();
+                    }
+                }
+                other => break other,
+            }
+        };
+        assert!(heartbeats >= 3, "the long task must heartbeat");
+        assert!(
+            widest_gap <= crate::transport::liveness_deadline(cadence),
+            "frames {widest_gap:?} apart would have tripped the coordinator's liveness deadline"
+        );
+        match acknowledgement {
+            Message::Error(why) => assert_eq!(why, "task cancelled by the coordinator"),
+            other => panic!("expected the cancel acknowledgement, got {other:?}"),
+        }
+
+        // 4. Shutdown releases the joiner promptly and cleanly.
+        conn.send(&Message::Shutdown).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || done_tx.send(joiner.join()));
+        done_rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("the joiner must return promptly after Shutdown")
+            .unwrap()
+            .unwrap();
+        waiter.join().unwrap().unwrap();
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The TCP transport: a campaign coordinator and the worker agent.
+//! The TCP transport: the campaign coordinator and the worker's listener.
 //!
 //! The coordinator ([`run_distributed`] / [`run_distributed_with`])
 //! shards a campaign with the same [`sympl_cluster::shard_specs`]
@@ -15,12 +15,10 @@
 //! attached, every completed task is also persisted so a coordinator
 //! crash can resume instead of restarting.
 //!
-//! The worker ([`WorkerServer`]) accepts one coordinator at a time and
-//! runs each task frame through
-//! [`sympl_cluster::run_task_spec_with_cancel`] — the same engine the
-//! in-process pool's threads call — on a supervised thread, sending
-//! `Heartbeat` frames at the requested cadence and honouring `Cancel`
-//! frames between injection points.
+//! Also here: the [`WorkerServer`] listener, the connection type both
+//! sides share, and the loopback spawn helpers. The worker's side of the
+//! conversation — listened sessions and joined connections alike — is
+//! [`crate::service`].
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufRead as _, BufReader, Write as _};
@@ -35,9 +33,8 @@ use std::time::{Duration, Instant};
 use sympl_asm::Program;
 use sympl_check::Predicate;
 use sympl_cluster::{
-    merge_part_results, pool_results, run_task_spec_with_cancel, shard_specs,
-    split_preserves_outcome, split_spec, CampaignReport, ClusterConfig, Finding, TaskResult,
-    TaskSpec,
+    merge_part_results, pool_results, shard_specs, split_preserves_outcome, split_spec,
+    CampaignReport, ClusterConfig, Finding, TaskResult, TaskSpec,
 };
 use sympl_detect::DetectorSet;
 use sympl_inject::Campaign;
@@ -263,84 +260,6 @@ impl WorkerServer {
     }
 }
 
-/// The worker's half of an established coordinator conversation: task
-/// frames are served, `Shutdown` returns `Ok(true)`, a hang-up returns
-/// `Ok(false)`. Used by the outbound [`join_coordinator`] — a joiner's
-/// dialect is the single-conversation one (no session hello: admission
-/// happened through `Register`/`Welcome`, and the dialled coordinator is
-/// by construction this connection's only tenant). The listening
-/// [`WorkerServer`] instead serves sessions through [`crate::service`].
-fn serve_conversation(conn: &mut Conn, resolve: &ProgramResolver<'_>) -> Result<bool, WireError> {
-    loop {
-        // Idle: block indefinitely for the coordinator's next frame
-        // (clearing any poll timeout a previous task left behind).
-        conn.set_read_timeout(None)?;
-        let message = match conn.recv() {
-            Err(WireError::Disconnected) => return Ok(false),
-            other => other?,
-        };
-        match message {
-            Message::Task(task) => match serve_task(conn, &task, resolve) {
-                Ok(reply) => conn.send(&reply)?,
-                // The coordinator vanished mid-task; back to accept.
-                Err(WireError::Disconnected) => return Ok(false),
-                Err(e) => return Err(e),
-            },
-            Message::Shutdown => return Ok(true),
-            // A Cancel can race a task completion and arrive while
-            // the worker is idle again; there is nothing to cancel.
-            Message::Cancel => {}
-            Message::Heartbeat
-            | Message::TaskDone { .. }
-            | Message::Error(_)
-            | Message::Register { .. }
-            | Message::Welcome { .. }
-            | Message::ClientHello { .. }
-            | Message::ClientAccept { .. } => return Err(WireError::UnexpectedMessage("result")),
-        }
-    }
-}
-
-/// Joins a *running* campaign as a worker: connects to the coordinator's
-/// join listener, sends `Register`, waits for the `Welcome` (pre-warming
-/// the announced program), then serves tasks exactly like a pre-listed
-/// worker until the coordinator shuts the connection down. Exposed on
-/// the CLI as `symplfied serve --join <addr>`.
-///
-/// Returns once the campaign releases the worker — a `Shutdown` frame
-/// and a coordinator hang-up are both clean ends (the campaign is simply
-/// over).
-///
-/// # Errors
-///
-/// Connection/handshake failures, a coordinator that answers the
-/// `Register` with anything but `Welcome`, or a mid-conversation
-/// protocol error.
-pub fn join_coordinator(
-    addr: &str,
-    worker_label: &str,
-    resolve: &ProgramResolver<'_>,
-) -> Result<(), WireError> {
-    let stream = TcpStream::connect(addr).map_err(WireError::from)?;
-    let mut conn = Conn::establish(stream)?;
-    conn.send(&Message::Register {
-        worker: worker_label.to_owned(),
-    })?;
-    conn.set_read_timeout(Some(Duration::from_secs(30)))?;
-    match conn.recv()? {
-        Message::Welcome { program_id, .. } => {
-            // Pre-warm: resolve and decode the campaign's program before
-            // the first task frame arrives. Purely an optimisation — every
-            // task frame still carries the digest the worker verifies.
-            if let Some((program, _)) = resolve(&program_id) {
-                let _ = program.decoded();
-            }
-        }
-        _ => return Err(WireError::UnexpectedMessage("welcome")),
-    }
-    serve_conversation(&mut conn, resolve).map(|_shutdown| ())
-}
-
 /// Asks the worker service at `addr` to drain: connects, sends a bare
 /// `Shutdown` frame, and hangs up. The service stops admitting new
 /// clients immediately and exits once its last active session finishes —
@@ -356,113 +275,6 @@ pub fn shutdown_worker(addr: &str) -> Result<(), WireError> {
     let stream = TcpStream::connect(addr).map_err(WireError::from)?;
     let mut conn = Conn::establish(stream)?;
     conn.send(&Message::Shutdown)
-}
-
-/// Runs one task frame on a supervised thread, heartbeating the
-/// coordinator at the frame's cadence and honouring `Cancel` frames
-/// between injection points. Returns the reply to send; an `Err` means
-/// the connection itself failed.
-fn serve_task(
-    conn: &mut Conn,
-    task: &TaskFrame,
-    resolve: &ProgramResolver<'_>,
-) -> Result<Message, WireError> {
-    let Some((program, detectors)) = resolve(&task.program_id) else {
-        return Ok(Message::Error(format!(
-            "unknown program id `{}`",
-            task.program_id
-        )));
-    };
-    // Decode once per task frame: the whole task runs against this one
-    // cached IR, so resolve-then-decode is the only lowering that happens.
-    let _ = program.decoded();
-    let digest = program_digest(&program);
-    if digest != task.program_digest {
-        return Ok(Message::Error(format!(
-            "program digest mismatch for `{}`: this worker has a different revision",
-            task.program_id
-        )));
-    }
-    let config = ClusterConfig {
-        workers: 1,
-        tasks: 1,
-        search: task.search.clone(),
-        task_budget: task.task_budget,
-        max_findings_per_task: task.max_findings,
-        point_workers_hint: Some(task.point_workers.max(1)),
-    };
-    let interval = task.heartbeat_interval.max(MIN_HEARTBEAT_INTERVAL);
-
-    let cancel = AtomicBool::new(false);
-    let mut cancelled_by_frame = false;
-    let mut connection_error: Option<WireError> = None;
-    let outcome = std::thread::scope(|scope| {
-        let cancel = &cancel;
-        let handle = scope.spawn(|| {
-            catch_unwind(AssertUnwindSafe(|| {
-                // No memo store on the wire path yet: a worker process
-                // serves many campaigns, and the store is keyed per
-                // (program, detectors) — a per-worker cache would need
-                // lifecycle management the protocol does not carry.
-                run_task_spec_with_cancel(
-                    &program,
-                    &detectors,
-                    &task.input,
-                    &task.spec,
-                    &task.predicate,
-                    &config,
-                    cancel,
-                    None,
-                )
-            }))
-        });
-        let mut last_beat = Instant::now();
-        while !handle.is_finished() {
-            if last_beat.elapsed() >= interval {
-                if let Err(e) = conn.send(&Message::Heartbeat) {
-                    // The coordinator is gone; stop the task promptly
-                    // rather than burn the box on an unwanted search.
-                    cancel.store(true, Ordering::Relaxed);
-                    connection_error = Some(e);
-                    break;
-                }
-                last_beat = Instant::now();
-            }
-            match conn.poll_recv(Some(interval / 4), Duration::from_secs(5)) {
-                Ok(Some(Message::Cancel)) => {
-                    cancel.store(true, Ordering::Relaxed);
-                    cancelled_by_frame = true;
-                }
-                Ok(Some(_)) => {
-                    cancel.store(true, Ordering::Relaxed);
-                    connection_error = Some(WireError::UnexpectedMessage("mid-task frame"));
-                    break;
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    cancel.store(true, Ordering::Relaxed);
-                    connection_error = Some(e);
-                    break;
-                }
-            }
-        }
-        handle.join()
-    });
-    if let Some(e) = connection_error {
-        return Err(e);
-    }
-    match outcome {
-        Err(_) | Ok(Err(_)) => Ok(Message::Error(
-            "task panicked on the worker; the campaign can re-queue it elsewhere".into(),
-        )),
-        Ok(Ok((result, findings))) => {
-            if cancelled_by_frame && !result.completed {
-                Ok(Message::Error("task cancelled by the coordinator".into()))
-            } else {
-                Ok(Message::TaskDone { result, findings })
-            }
-        }
-    }
 }
 
 /// A campaign to distribute: the same inputs [`sympl_cluster::run_cluster`]
@@ -1508,6 +1320,7 @@ pub fn spawn_loopback_workers(exe: &Path, args: &[String], n: usize) -> io::Resu
 mod tests {
     use super::*;
     use crate::chaos::{ChaosMode, ChaosProxy};
+    use crate::service::join_coordinator;
     use sympl_asm::parse_program;
     use sympl_check::SearchLimits;
     use sympl_cluster::run_cluster;
