@@ -159,7 +159,7 @@ pub fn matmul() -> Workload {
 /// Auxiliary: a synthetic O(n²) nested counting loop (default n = 60)
 /// whose per-point symbolic searches take tens of milliseconds — long
 /// enough for elastic-membership events (late joins, shard splits) to
-/// land mid-campaign. The `elastic_campaign` demo binary and the
+/// land mid-campaign. `symplfied campaign --workload spin` and the
 /// `just elastic-demo` CI gate run on it; the paper workloads finish
 /// their searches too quickly to exercise network-scale timing.
 #[must_use]
@@ -198,8 +198,8 @@ pub fn all_workloads() -> Vec<Workload> {
 
 /// Resolves a bundled workload by its report name (`"tcas"`,
 /// `"replace"`, `"factorial"`, …) — the single lookup behind every
-/// distributed-campaign program id, so `symplfied serve` and the campaign
-/// binaries' self-spawned workers can never resolve the same id to
+/// distributed-campaign program id, so a `symplfied serve` worker and
+/// the `symplfied campaign` coordinator can never resolve the same id to
 /// different programs.
 ///
 /// Only the workload asked for is built, once per process, and its

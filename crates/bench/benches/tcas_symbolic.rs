@@ -7,9 +7,20 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use sympl_asm::{Instr, Reg};
-use sympl_bench::campaign_limits;
-use sympl_check::Predicate;
+use sympl_check::{Predicate, SearchLimits};
 use sympl_inject::{run_point, InjectTarget, InjectionPoint};
+use sympl_machine::ExecLimits;
+
+/// The per-point limits of the tcas campaign (`symplfied campaign`).
+fn limits(max_steps: u64) -> SearchLimits {
+    SearchLimits {
+        exec: ExecLimits::with_max_steps(max_steps),
+        max_states: 300_000,
+        max_solutions: 10,
+        max_time: Some(std::time::Duration::from_secs(60)),
+        ..SearchLimits::default()
+    }
+}
 
 fn ncbc_return(program: &sympl_asm::Program) -> usize {
     let epilogue = program.label_address("ncbc_done").expect("tcas label");
@@ -29,7 +40,7 @@ fn bench_catastrophic(c: &mut Criterion) {
                 &w.input,
                 black_box(&point),
                 &Predicate::ExactOutput { output: vec![2] },
-                &campaign_limits(w.max_steps),
+                &limits(w.max_steps),
             );
             assert!(out.found_errors());
             black_box(out.report.states_explored)
@@ -52,7 +63,7 @@ fn bench_data_register(c: &mut Criterion) {
                 &w.input,
                 black_box(&point),
                 &Predicate::WrongOutput { expected: vec![1] },
-                &campaign_limits(w.max_steps),
+                &limits(w.max_steps),
             );
             black_box(out.report.states_explored)
         });

@@ -3,16 +3,14 @@
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper (see DESIGN.md's experiment index); the Criterion benches under
 //! `benches/` measure the same workloads. This library holds the shared
-//! plumbing: ASCII table rendering, Table-2 outcome bucketing, and the
-//! standard campaign configurations.
+//! plumbing: ASCII table rendering and Table-2 outcome bucketing. The
+//! §6.2/§6.4 register-error campaigns run as `symplfied campaign`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
 
-use sympl_check::SearchLimits;
-use sympl_machine::ExecLimits;
 use sympl_ssim::{ConcreteOutcome, SsimReport};
 
 /// Renders an ASCII table with a header row.
@@ -147,483 +145,6 @@ pub fn render_table2(report: &SsimReport, caption: &str) -> String {
         report.total_runs(),
         render_table(&["Program Outcome", "Percentage"], &rows)
     )
-}
-
-/// Distributed-campaign plumbing shared by the campaign binaries:
-/// `--workers-at` / `--spawn-workers` / `--verify-local` parsing, the
-/// fault-tolerance flags (`--checkpoint` / `--resume` /
-/// `--heartbeat-interval` and the chaos-injection flags the
-/// `just chaos-demo` CI gate drives), the elastic-membership flags
-/// (`--allow-join` / `--join-late` / `--split-idle` / `--expect-split`
-/// behind `just elastic-demo`), the loopback self-spawn worker mode,
-/// and the gating digest comparison the `distributed-campaign` CI job
-/// (and `just cluster-demo`) rides on.
-pub mod net {
-    use std::net::TcpListener;
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    use sympl_apps::Workload;
-    use sympl_check::Predicate;
-    use sympl_cluster::{run_cluster, CampaignReport, ClusterConfig};
-    use sympl_inject::Campaign;
-    use sympl_wire::{
-        join_coordinator, run_distributed_with, spawn_loopback_workers, CampaignJob, ChaosPlan,
-        DistOptions, WireError, WorkerServer, DEFAULT_HEARTBEAT_INTERVAL,
-    };
-
-    /// The hidden flag that re-runs a campaign binary as a loopback
-    /// worker process (the self-spawn mode used by `--spawn-workers`).
-    pub const SERVE_FLAG: &str = "--serve-loopback";
-
-    /// The hidden flag that re-runs a campaign binary as an elastic
-    /// late joiner: it dials the coordinator's join listener (the next
-    /// argument), registers, and serves tasks from the live queue (the
-    /// self-spawn mode used by `--join-late`).
-    pub const JOIN_FLAG: &str = "--join-loopback";
-
-    /// If the process was invoked in a self-spawn worker mode, serve
-    /// distributed-campaign tasks until the coordinator's shutdown frame
-    /// (or hang-up), then exit the process. Campaign binaries call this
-    /// first thing in `main`. Two modes: [`SERVE_FLAG`] listens on a
-    /// loopback port for the coordinator to dial in; [`JOIN_FLAG`] dials
-    /// a running campaign's join listener instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the loopback socket cannot be bound or the serve loop
-    /// fails — a worker that cannot work should die loudly.
-    pub fn maybe_serve_loopback() {
-        let resolve = |id: &str| sympl_apps::resolve_workload(id).map(|w| (w.program, w.detectors));
-        let args: Vec<String> = std::env::args().collect();
-        if let Some(pos) = args.iter().position(|a| a == JOIN_FLAG) {
-            let addr = args
-                .get(pos + 1)
-                .expect("--join-loopback expects the coordinator's join address");
-            let label = format!("late-joiner-pid{}", std::process::id());
-            join_coordinator(addr, &label, &resolve).expect("join the running campaign");
-            std::process::exit(0);
-        }
-        if !args.iter().any(|a| a == SERVE_FLAG) {
-            return;
-        }
-        let server = WorkerServer::bind("127.0.0.1:0").expect("bind a loopback port");
-        server.announce().expect("announce the bound address");
-        server
-            .serve(&resolve)
-            .expect("serve distributed-campaign tasks");
-        std::process::exit(0);
-    }
-
-    /// Distribution options parsed from a campaign binary's arguments.
-    #[derive(Debug, Clone, Default)]
-    pub struct DistMode {
-        /// Remote worker addresses from `--workers-at host:port,…`.
-        pub workers_at: Vec<String>,
-        /// Loopback worker processes to self-spawn (`--spawn-workers N`).
-        pub spawn_workers: usize,
-        /// `--verify-local`: also run the campaign in-process and gate on
-        /// the two outcome digests matching.
-        pub verify_local: bool,
-        /// `--checkpoint <path>`: append every completed task to a
-        /// checkpoint file a crashed coordinator can `--resume` from.
-        pub checkpoint: Option<PathBuf>,
-        /// `--resume <path>`: seed completed tasks from a checkpoint and
-        /// re-queue only the missing shards.
-        pub resume: Option<PathBuf>,
-        /// `--heartbeat-interval <ms>`: worker heartbeat cadence (the
-        /// liveness deadline derives from it); default 500 ms.
-        pub heartbeat_interval: Option<Duration>,
-        /// `--chaos-kill-one`: SIGKILL the first self-spawned loopback
-        /// worker after the first pooled result — the
-        /// kill-a-worker-mid-campaign chaos leg (needs `--spawn-workers`
-        /// ≥ 2 so a survivor remains).
-        pub chaos_kill_one: bool,
-        /// `--chaos-abort-after <n>`: abort the coordinator (exit 0,
-        /// checkpoint retained) once `n` results have been pooled — the
-        /// kill-the-coordinator chaos leg a later `--resume` completes.
-        pub chaos_abort_after: Option<usize>,
-        /// `--allow-join`: open a join listener so freshly started
-        /// workers (`symplfied serve --join HOST:PORT`) can enter the
-        /// campaign while it runs.
-        pub allow_join: bool,
-        /// `--join-late <n>`: self-spawn `n` late-joiner processes
-        /// against the join listener once the first result is pooled —
-        /// the elastic-membership chaos leg (implies `--allow-join`).
-        pub join_late: usize,
-        /// `--split-idle`: let an idle worker steal half of the largest
-        /// in-flight shard (wire-level split), when the campaign-wide
-        /// exactness gate allows it.
-        pub split_idle: bool,
-        /// `--expect-split`: gate (exit 2) unless at least one shard
-        /// split actually happened — keeps the elastic CI leg honest.
-        pub expect_split: bool,
-        /// `--expect-join`: gate (exit 2) unless at least one worker
-        /// actually joined mid-campaign.
-        pub expect_join: bool,
-        /// `--client-label <name>`: the label this coordinator announces
-        /// in its `ClientHello` when its campaign shares a multi-tenant
-        /// worker service (shows up in the service's status lines).
-        /// Default: the workload name.
-        pub client_label: Option<String>,
-        /// `--client-priority <n>`: the scheduling weight (≥ 1) this
-        /// coordinator's tasks get on a shared service; default 1.
-        pub client_priority: Option<u64>,
-    }
-
-    impl DistMode {
-        /// Whether any distribution was requested.
-        #[must_use]
-        pub fn is_active(&self) -> bool {
-            !self.workers_at.is_empty() || self.spawn_workers > 0 || self.allow_join
-        }
-    }
-
-    /// Parses the distribution flags out of `args` (unknown arguments are
-    /// left for the binary's own parser).
-    #[must_use]
-    pub fn parse_dist_mode(args: &[String]) -> DistMode {
-        let mut mode = DistMode::default();
-        let mut it = args.iter().peekable();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--workers-at" => {
-                    if let Some(list) = it.next() {
-                        mode.workers_at
-                            .extend(list.split(',').filter(|s| !s.is_empty()).map(str::to_owned));
-                    }
-                }
-                "--spawn-workers" => {
-                    mode.spawn_workers = it
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--spawn-workers expects a count");
-                }
-                "--verify-local" => mode.verify_local = true,
-                "--checkpoint" => {
-                    mode.checkpoint = Some(PathBuf::from(
-                        it.next().expect("--checkpoint expects a path"),
-                    ));
-                }
-                "--resume" => {
-                    mode.resume = Some(PathBuf::from(it.next().expect("--resume expects a path")));
-                }
-                "--heartbeat-interval" => {
-                    mode.heartbeat_interval = Some(Duration::from_millis(
-                        it.next()
-                            .and_then(|s| s.parse().ok())
-                            .expect("--heartbeat-interval expects milliseconds"),
-                    ));
-                }
-                "--chaos-kill-one" => mode.chaos_kill_one = true,
-                "--chaos-abort-after" => {
-                    mode.chaos_abort_after = Some(
-                        it.next()
-                            .and_then(|s| s.parse().ok())
-                            .expect("--chaos-abort-after expects a count"),
-                    );
-                }
-                "--allow-join" => mode.allow_join = true,
-                "--join-late" => {
-                    mode.join_late = it
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--join-late expects a count");
-                    mode.allow_join = true;
-                }
-                "--split-idle" => mode.split_idle = true,
-                "--expect-split" => mode.expect_split = true,
-                "--expect-join" => mode.expect_join = true,
-                "--client-label" => {
-                    mode.client_label =
-                        Some(it.next().expect("--client-label expects a name").clone());
-                }
-                "--client-priority" => {
-                    mode.client_priority = Some(
-                        it.next()
-                            .and_then(|s| s.parse().ok())
-                            .expect("--client-priority expects a weight"),
-                    );
-                }
-                _ => {}
-            }
-        }
-        mode
-    }
-
-    /// Runs a campaign over the network per `mode`, and — under
-    /// `--verify-local` — re-runs it in-process and gates on the two
-    /// [`CampaignReport::outcome_digest`]s matching.
-    ///
-    /// Verification, checkpointing, resuming, and the chaos legs all
-    /// force the determinism contract (sequential point searches, no
-    /// task wall-clock budget) on every run involved, because a
-    /// time-budgeted or schedule-dependent truncation can legitimately
-    /// differ between runs — and a checkpoint's campaign key must match
-    /// between the run that wrote it and the run that resumes it.
-    /// Without any of those flags the config is used as given.
-    ///
-    /// # Panics
-    ///
-    /// Exits the process with a failure code when workers cannot be
-    /// spawned/reached or when the gating digest comparison fails. A
-    /// `--chaos-abort-after` abort exits 0 (the checkpoint is the
-    /// deliverable); any other campaign error exits 1.
-    #[must_use]
-    pub fn run_distributed_campaign(
-        workload: &Workload,
-        campaign: &Campaign,
-        predicate: &Predicate,
-        config: &ClusterConfig,
-        mode: &DistMode,
-    ) -> CampaignReport {
-        let mut config = config.clone();
-        let force_determinism = mode.verify_local
-            || mode.checkpoint.is_some()
-            || mode.resume.is_some()
-            || mode.chaos_kill_one
-            || mode.chaos_abort_after.is_some()
-            || mode.allow_join
-            || mode.split_idle;
-        if force_determinism {
-            config.point_workers_hint = Some(1);
-            config.task_budget = None;
-        }
-        if mode.split_idle {
-            // Splitting preserves exactness only when the per-task
-            // finding cap cannot bind; lift it campaign-wide. Both the
-            // distributed run and the verify-local re-run share this
-            // config, so the gate still compares like with like.
-            config.max_findings_per_task = config
-                .max_findings_per_task
-                .max(campaign.len().saturating_mul(config.search.max_solutions));
-        }
-
-        let mut addrs = mode.workers_at.clone();
-        let spawned = if mode.spawn_workers > 0 {
-            let exe = std::env::current_exe().expect("own executable path");
-            let spawned =
-                spawn_loopback_workers(&exe, &[SERVE_FLAG.to_owned()], mode.spawn_workers)
-                    .expect("spawn loopback workers");
-            addrs.extend(spawned.addrs.iter().cloned());
-            Some(spawned)
-        } else {
-            None
-        };
-
-        println!(
-            "distributed campaign: {} worker(s) at {addrs:?}",
-            addrs.len()
-        );
-        let job = CampaignJob {
-            program: &workload.program,
-            program_id: workload.name,
-            input: &workload.input,
-            campaign,
-            predicate,
-            config: &config,
-        };
-        // Shut workers down only when we spawned them; externally managed
-        // workers (--workers-at) keep serving for the next campaign.
-        let shutdown = spawned.is_some();
-
-        // The SIGKILL chaos leg reaches into the spawned-worker set from
-        // the coordinator's result callback, so the set lives behind a
-        // lock; the flag makes the kill fire exactly once.
-        let spawned = Mutex::new(spawned);
-        let killed = AtomicBool::new(false);
-        let kill_one_mid_campaign = |completed: usize| {
-            if completed >= 1 && !killed.swap(true, Ordering::SeqCst) {
-                let mut guard = spawned.lock().expect("spawned workers lock");
-                if let Some(workers) = guard.as_mut() {
-                    match workers.kill_one(0) {
-                        Ok(addr) => println!("chaos: SIGKILLed loopback worker at {addr}"),
-                        Err(e) => eprintln!("chaos: failed to kill worker: {e}"),
-                    }
-                }
-            }
-        };
-
-        // Elastic membership: open the join listener up front so its
-        // address exists before the campaign starts, and self-spawn the
-        // late joiners from the coordinator's delayed-join hook (fires
-        // once, after the first pooled result — genuinely mid-campaign).
-        let join_listener = (mode.allow_join).then(|| {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind the join listener");
-            let addr = listener.local_addr().expect("join listener address");
-            println!("elastic: join listener on {addr}");
-            (listener, addr)
-        });
-        let joiners: Mutex<Vec<std::process::Child>> = Mutex::new(Vec::new());
-        let spawn_late_joiners = || {
-            let exe = std::env::current_exe().expect("own executable path");
-            let (_, addr) = join_listener
-                .as_ref()
-                .expect("--join-late implies a join listener");
-            let mut guard = joiners.lock().expect("late joiners lock");
-            for _ in 0..mode.join_late {
-                let child = std::process::Command::new(&exe)
-                    .arg(JOIN_FLAG)
-                    .arg(addr.to_string())
-                    .spawn()
-                    .expect("spawn a late joiner");
-                guard.push(child);
-            }
-            println!(
-                "elastic: spawned {} late joiner(s) against {addr}",
-                mode.join_late
-            );
-        };
-        let reap_joiners = || {
-            let mut guard = joiners.lock().expect("late joiners lock");
-            for child in guard.iter_mut() {
-                // Joiners exit on the coordinator's shutdown frame or
-                // hang-up; give them a grace period, then insist.
-                let deadline = std::time::Instant::now() + Duration::from_secs(5);
-                loop {
-                    match child.try_wait() {
-                        Ok(Some(_)) => break,
-                        Ok(None) if std::time::Instant::now() < deadline => {
-                            std::thread::sleep(Duration::from_millis(20));
-                        }
-                        _ => {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            break;
-                        }
-                    }
-                }
-            }
-        };
-
-        let opts = DistOptions {
-            shutdown_workers: shutdown,
-            heartbeat_interval: mode
-                .heartbeat_interval
-                .unwrap_or(DEFAULT_HEARTBEAT_INTERVAL),
-            checkpoint: mode.checkpoint.as_deref(),
-            resume: mode.resume.as_deref(),
-            chaos: ChaosPlan {
-                abort_after_results: mode.chaos_abort_after,
-                on_result: mode
-                    .chaos_kill_one
-                    .then_some(&kill_one_mid_campaign as &(dyn Fn(usize) + Sync)),
-                delayed_join: (mode.join_late > 0)
-                    .then_some((1, &spawn_late_joiners as &(dyn Fn() + Sync))),
-            },
-            join_listener: join_listener.as_ref().map(|(listener, _)| listener),
-            split_idle: mode.split_idle,
-            client_label: Some(
-                mode.client_label
-                    .clone()
-                    .unwrap_or_else(|| workload.name.to_owned()),
-            ),
-            client_priority: mode.client_priority.unwrap_or(1),
-        };
-        let report = match run_distributed_with(&job, &addrs, &opts) {
-            Ok(report) => report,
-            Err(WireError::CoordinatorAborted { completed }) => {
-                println!(
-                    "chaos: coordinator aborted after {completed} completed task(s); \
-                     the checkpoint holds them for --resume"
-                );
-                // `exit` skips destructors; reap the spawned workers
-                // and any late joiners explicitly so none are orphaned.
-                reap_joiners();
-                drop(spawned.into_inner().expect("spawned workers lock"));
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("distributed campaign failed: {e}");
-                reap_joiners();
-                drop(spawned.into_inner().expect("spawned workers lock"));
-                std::process::exit(1);
-            }
-        };
-        reap_joiners();
-        if report.resumed_tasks > 0 {
-            println!(
-                "resumed {} task(s) from checkpoint; {} re-run",
-                report.resumed_tasks,
-                report.tasks.len() - report.resumed_tasks
-            );
-        }
-        if report.degraded {
-            println!(
-                "campaign finished DEGRADED: {} worker(s) lost, {} task(s) re-queued",
-                report.workers_lost, report.tasks_retried
-            );
-        }
-        if report.workers_joined > 0 || report.tasks_split > 0 {
-            println!(
-                "elastic: {} worker(s) joined mid-campaign, {} shard split(s)",
-                report.workers_joined, report.tasks_split
-            );
-        }
-        if mode.expect_split && report.tasks_split == 0 {
-            eprintln!(
-                "GATE FAILED: --expect-split was set but the campaign completed \
-                 without a single shard split"
-            );
-            drop(spawned.into_inner().expect("spawned workers lock"));
-            std::process::exit(2);
-        }
-        if mode.expect_join && report.workers_joined == 0 {
-            eprintln!(
-                "GATE FAILED: --expect-join was set but no worker was admitted \
-                 mid-campaign"
-            );
-            drop(spawned.into_inner().expect("spawned workers lock"));
-            std::process::exit(2);
-        }
-        if let Some(spawned) = spawned.into_inner().expect("spawned workers lock") {
-            spawned.join().expect("spawned workers exit cleanly");
-        }
-        println!(
-            "distributed outcome digest: {:#034x}",
-            report.outcome_digest()
-        );
-
-        if mode.verify_local {
-            let local = run_cluster(
-                &workload.program,
-                &workload.detectors,
-                &workload.input,
-                campaign,
-                predicate,
-                &config,
-            );
-            println!(
-                "in-process outcome digest:  {:#034x}",
-                local.outcome_digest()
-            );
-            if local.outcome_digest() != report.outcome_digest() {
-                eprintln!(
-                    "GATE FAILED: distributed campaign diverged from the in-process run\n\
-                     distributed: {}\n in-process: {}",
-                    report.summary(),
-                    local.summary()
-                );
-                std::process::exit(2);
-            }
-            println!("verify-local: distributed report reproduces the in-process run verbatim");
-        }
-        report
-    }
-}
-
-/// The standard per-point search limits used by the campaign binaries.
-#[must_use]
-pub fn campaign_limits(max_steps: u64) -> SearchLimits {
-    SearchLimits {
-        exec: ExecLimits::with_max_steps(max_steps),
-        max_states: 300_000,
-        max_solutions: 10,
-        max_time: Some(std::time::Duration::from_secs(60)),
-        ..SearchLimits::default()
-    }
 }
 
 #[cfg(test)]

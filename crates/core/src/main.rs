@@ -9,6 +9,7 @@
 //! symplfied ssim   <prog.sasm> [--mips] [--input …] [--random N] [--seed N]
 //! symplfied serve  [--listen HOST:PORT | --join HOST:PORT]
 //!                  [--max-clients N] [--status-interval SECS]
+//! symplfied campaign --workload tcas|replace|spin [--tasks N] [--quick] …
 //! ```
 
 use std::process::ExitCode;
@@ -19,9 +20,11 @@ use symplfied::machine::ExecLimits;
 use symplfied::prelude::*;
 use symplfied::ssim;
 
+mod campaign;
+
 fn main() -> ExitCode {
     match run(std::env::args().skip(1).collect()) {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(code) => code,
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!();
@@ -41,6 +44,13 @@ const USAGE: &str = "usage:
   symplfied ssim   <prog> [--mips] [--input 1,2,3] [--random N] [--seed N]
   symplfied serve  [--listen HOST:PORT | --join HOST:PORT]
                    [--max-clients N] [--status-interval SECS]
+  symplfied campaign --workload tcas|replace|spin [--tasks N] [--quick]
+                   [--workers-at HOST:PORT,...] [--spawn-workers N] [--allow-join]
+                   [--join-late N] [--verify-local] [--checkpoint PATH] [--resume PATH]
+                   [--heartbeat-interval MS] [--chaos-kill-one] [--chaos-abort-after N]
+                   [--split-idle] [--expect-split] [--expect-join] [--client-label NAME]
+                   [--client-priority N] [--memo-path FILE] [--expect-memo-warm]
+                   [--mutate-program] [--expect-stale-memo]
 
 --frontier picks the search's frontier policy (exhausted searches agree
 under every policy; see each policy's determinism contract in the docs);
@@ -54,7 +64,7 @@ exact program + detectors — after an edit the stale file is refused
 (delete it to start fresh).
 
 serve starts a distributed-campaign worker: it listens for campaign
-coordinators (tcas_campaign/replace_campaign --workers-at), announces
+coordinators (symplfied campaign --workers-at), announces
 its bound address as `sympl-wire listening on HOST:PORT`, resolves
 tasks' program ids against the bundled workloads, and exits when a
 coordinator sends a shutdown frame and the last session drains.
@@ -68,8 +78,16 @@ cadence. With --join the direction flips: the worker dials a *running*
 campaign's join listener (the coordinator's --allow-join port),
 registers, and serves tasks from the live queue until the coordinator
 shuts it down; --listen, --max-clients and --status-interval do not
-apply to it and are refused. See docs/OPERATIONS.md for the full
-operator manual.";
+apply to it and are refused.
+
+campaign runs the paper's register-error campaign on a bundled workload
+(tcas: §6.2, replace: §6.4, spin: a slow stressor for fleet events),
+in-process or, with --workers-at/--spawn-workers/--allow-join, as the
+coordinator of a fleet of serve workers. --verify-local re-runs it
+in-process and exits 2 unless both outcome digests match; the other
+--expect-* flags are gates that exit 2 the same way. --memo-path runs
+in-process against a memo store (see above). See docs/OPERATIONS.md for
+the full operator manual.";
 
 struct Opts {
     program_path: String,
@@ -265,17 +283,19 @@ fn serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn run(args: Vec<String>) -> Result<(), String> {
+fn run(args: Vec<String>) -> Result<ExitCode, String> {
     let Some((command, rest)) = args.split_first() else {
         return Err("missing command".into());
     };
-    if command == "serve" {
-        return serve(rest);
+    match command.as_str() {
+        "serve" => return serve(rest).map(|()| ExitCode::SUCCESS),
+        "campaign" => return campaign::run(rest),
+        _ => {}
     }
     let opts = parse_opts(rest)?;
     let program = load_program(&opts)?;
 
-    match command.as_str() {
+    let result = match command.as_str() {
         "run" => {
             let mut state = MachineState::with_input(opts.input.clone());
             run_concrete(
@@ -379,5 +399,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
             Ok(())
         }
         other => Err(format!("unknown command `{other}`")),
-    }
+    };
+    result.map(|()| ExitCode::SUCCESS)
 }

@@ -155,3 +155,130 @@ fn serve_join_refuses_listen_mode_flags() {
         assert!(stderr.contains("usage:"), "{stderr}");
     }
 }
+
+#[test]
+fn campaign_refuses_flags_that_would_check_nothing() {
+    // Each is refused before any worker is spawned or any search runs.
+    let fleet = "needs a worker fleet";
+    for (args, expected) in [
+        (vec![], "campaign needs --workload"),
+        (
+            vec!["--workload", "factorial"],
+            "unknown workload `factorial`",
+        ),
+        (
+            vec!["--workload", "spin", "--quick"],
+            "spin has no --quick preset",
+        ),
+        (
+            vec!["--workload", "tcas", "--verify-locl"],
+            "unknown argument `--verify-locl`",
+        ),
+        (
+            vec!["--workload", "tcas", "--tasks", "x"],
+            "bad --tasks `x`",
+        ),
+        (
+            vec!["--workload", "tcas", "--tasks"],
+            "--tasks expects a value",
+        ),
+        (
+            vec!["--workload", "tcas", "--spawn-workers", "two"],
+            "bad --spawn-workers `two`",
+        ),
+        (
+            vec!["--workload", "tcas", "--expect-memo-warm"],
+            "--expect-memo-warm needs --memo-path",
+        ),
+        (
+            vec!["--workload", "tcas", "--expect-stale-memo"],
+            "--expect-stale-memo needs --memo-path",
+        ),
+        (vec!["--workload", "tcas", "--verify-local"], fleet),
+        (vec!["--workload", "tcas", "--checkpoint", "c.sycp"], fleet),
+        (vec!["--workload", "tcas", "--resume", "c.sycp"], fleet),
+        (
+            vec!["--workload", "tcas", "--heartbeat-interval", "30"],
+            fleet,
+        ),
+        (vec!["--workload", "tcas", "--chaos-kill-one"], fleet),
+        (
+            vec!["--workload", "tcas", "--chaos-abort-after", "2"],
+            fleet,
+        ),
+        (vec!["--workload", "tcas", "--split-idle"], fleet),
+        (vec!["--workload", "tcas", "--expect-split"], fleet),
+        (vec!["--workload", "tcas", "--expect-join"], fleet),
+        (vec!["--workload", "tcas", "--client-label", "a"], fleet),
+        (vec!["--workload", "tcas", "--client-priority", "2"], fleet),
+        (
+            vec![
+                "--workload",
+                "tcas",
+                "--spawn-workers",
+                "1",
+                "--chaos-kill-one",
+            ],
+            "--chaos-kill-one needs --spawn-workers 2",
+        ),
+        (
+            vec![
+                "--workload",
+                "tcas",
+                "--workers-at",
+                "127.0.0.1:1",
+                "--chaos-kill-one",
+            ],
+            "--chaos-kill-one needs --spawn-workers 2",
+        ),
+        (
+            vec![
+                "--workload",
+                "tcas",
+                "--spawn-workers",
+                "2",
+                "--expect-join",
+            ],
+            "--expect-join needs --allow-join",
+        ),
+        (
+            vec![
+                "--workload",
+                "tcas",
+                "--memo-path",
+                "m.symo",
+                "--spawn-workers",
+                "2",
+            ],
+            "--memo-path runs in-process only",
+        ),
+    ] {
+        let out = cli().arg("campaign").args(&args).output().unwrap();
+        assert!(!out.status.success(), "args {args:?} should fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(expected), "args {args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
+}
+
+#[test]
+fn campaign_on_self_spawned_serve_workers_reproduces_the_local_run() {
+    let out = cli()
+        .args([
+            "campaign",
+            "--workload",
+            "tcas",
+            "--quick",
+            "--tasks",
+            "4",
+            "--spawn-workers",
+            "2",
+            "--verify-local",
+        ])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{out:?}");
+    assert!(stdout.contains("distributed outcome digest"), "{stdout}");
+    assert!(stdout.contains("verify-local:"), "{stdout}");
+}

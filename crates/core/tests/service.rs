@@ -2,7 +2,8 @@
 //! (tcas + replace) driven by separate coordinators through one shared
 //! fleet of real `symplfied serve` worker processes must each reproduce
 //! their in-process `CampaignReport` verbatim — the tenant-blindness half
-//! of the determinism contract the `service-demo` CI leg gates on.
+//! of the determinism contract. CI's "Service acceptance" step runs this
+//! test, and so does `just service-demo`.
 
 use std::path::Path;
 

@@ -36,12 +36,12 @@ bench-smoke:
     benchmark/run.sh --quick --no-trace
 
 # Loopback distributed-campaign demo: a coordinator plus N self-spawned
-# worker processes on 127.0.0.1 run the quick tcas campaign over the
-# sympl_wire TCP protocol, then gate on the distributed report reproducing
-# the in-process cluster's outcome digest verbatim. The CI
+# `symplfied serve` processes on 127.0.0.1 run the quick tcas campaign
+# over the sympl_wire TCP protocol, then gate on the distributed report
+# reproducing the in-process cluster's outcome digest verbatim. The CI
 # distributed-campaign job runs exactly this recipe.
 cluster-demo workers="2":
-    cargo run --release -p sympl-bench --bin tcas_campaign -- --quick --tasks 16 --spawn-workers {{workers}} --verify-local
+    cargo run --release -p symplfied -- campaign --workload tcas --quick --tasks 16 --spawn-workers {{workers}} --verify-local
 
 # Chaos demo: the fault-tolerance acceptance legs the distributed-campaign
 # CI job gates on. Leg 1 SIGKILLs one of three loopback workers after the
@@ -51,9 +51,9 @@ cluster-demo workers="2":
 # — re-running only the missing shards — and again gates on the
 # in-process digest.
 chaos-demo:
-    cargo run --release -p sympl-bench --bin tcas_campaign -- --quick --tasks 16 --spawn-workers 3 --chaos-kill-one --verify-local
-    cargo run --release -p sympl-bench --bin tcas_campaign -- --quick --tasks 16 --spawn-workers 2 --checkpoint target/chaos-demo.checkpoint --chaos-abort-after 5
-    cargo run --release -p sympl-bench --bin tcas_campaign -- --quick --tasks 16 --spawn-workers 2 --resume target/chaos-demo.checkpoint --verify-local
+    cargo run --release -p symplfied -- campaign --workload tcas --quick --tasks 16 --spawn-workers 3 --chaos-kill-one --verify-local
+    cargo run --release -p symplfied -- campaign --workload tcas --quick --tasks 16 --spawn-workers 2 --checkpoint target/chaos-demo.checkpoint --chaos-abort-after 5
+    cargo run --release -p symplfied -- campaign --workload tcas --quick --tasks 16 --spawn-workers 2 --resume target/chaos-demo.checkpoint --verify-local
 
 # Elastic demo: the dynamic-membership acceptance legs the
 # distributed-campaign CI job gates on, run on the slow `spin` workload
@@ -68,9 +68,9 @@ chaos-demo:
 # entirely different two-worker fleet resumes it to the same gated
 # digest.
 elastic-demo:
-    cargo run --release -p sympl-bench --bin elastic_campaign -- --tasks 3 --spawn-workers 2 --chaos-kill-one --join-late 2 --split-idle --expect-split --expect-join --heartbeat-interval 30 --verify-local
-    cargo run --release -p sympl-bench --bin elastic_campaign -- --tasks 6 --spawn-workers 3 --checkpoint target/elastic-demo.checkpoint --chaos-abort-after 2
-    cargo run --release -p sympl-bench --bin elastic_campaign -- --tasks 6 --spawn-workers 2 --resume target/elastic-demo.checkpoint --verify-local
+    cargo run --release -p symplfied -- campaign --workload spin --tasks 3 --spawn-workers 2 --chaos-kill-one --join-late 2 --split-idle --expect-split --expect-join --heartbeat-interval 30 --verify-local
+    cargo run --release -p symplfied -- campaign --workload spin --tasks 6 --spawn-workers 3 --checkpoint target/elastic-demo.checkpoint --chaos-abort-after 2
+    cargo run --release -p symplfied -- campaign --workload spin --tasks 6 --spawn-workers 2 --resume target/elastic-demo.checkpoint --verify-local
 
 # Memo demo: the cross-campaign memoization acceptance legs the
 # distributed-campaign CI job gates on. Leg 1 runs the quick tcas
@@ -83,18 +83,17 @@ elastic-demo:
 # incremental-recheck contract: one program edit invalidates the store.
 memo-demo:
     rm -f target/memo-demo.symo
-    cargo run --release -p sympl-bench --bin tcas_campaign -- --quick --tasks 16 --memo-path target/memo-demo.symo
-    cargo run --release -p sympl-bench --bin tcas_campaign -- --quick --tasks 16 --memo-path target/memo-demo.symo --expect-memo-warm
-    cargo run --release -p sympl-bench --bin tcas_campaign -- --quick --tasks 16 --memo-path target/memo-demo.symo --mutate-program --expect-stale-memo
+    cargo run --release -p symplfied -- campaign --workload tcas --quick --tasks 16 --memo-path target/memo-demo.symo
+    cargo run --release -p symplfied -- campaign --workload tcas --quick --tasks 16 --memo-path target/memo-demo.symo --expect-memo-warm
+    cargo run --release -p symplfied -- campaign --workload tcas --quick --tasks 16 --memo-path target/memo-demo.symo --mutate-program --expect-stale-memo
 
-# Service demo: the multi-tenant acceptance leg the distributed-campaign
-# CI job gates on. One shared fleet of multiplexed loopback workers
-# serves TWO campaigns (tcas + replace) run concurrently by separate
-# coordinators with distinct client labels and priorities; each campaign
-# gates (exit 2) on its distributed outcome digest reproducing its own
-# in-process run verbatim — the determinism contract is tenant-blind.
-service-demo workers="2":
-    cargo run --release -p sympl-bench --bin service_demo -- --workers {{workers}}
+# Service demo: the multi-tenant acceptance test. One shared fleet of two
+# `symplfied serve` processes runs TWO campaigns concurrently (tcas at
+# priority 1, replace at priority 2) from separate coordinators; each must
+# reproduce its in-process findings and outcome digest verbatim — the
+# determinism contract is tenant-blind.
+service-demo:
+    cargo test --release -p symplfied --test service
 
 # Regenerate the paper's tables and figures from the assembled workloads.
 repro-tables:
@@ -102,5 +101,5 @@ repro-tables:
     cargo run --release -p sympl-bench --bin table2 -- --quick
     cargo run --release -p sympl-bench --bin table3
     cargo run --release -p sympl-bench --bin fig2_fig3
-    cargo run --release -p sympl-bench --bin tcas_campaign -- --quick --tasks 16
-    cargo run --release -p sympl-bench --bin replace_campaign -- --quick --tasks 16
+    cargo run --release -p symplfied -- campaign --workload tcas --quick --tasks 16
+    cargo run --release -p symplfied -- campaign --workload replace --quick --tasks 16
