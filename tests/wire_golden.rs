@@ -305,3 +305,245 @@ fn session_frame_bytes_are_pinned() {
     };
     assert_eq!(client_id, 17);
 }
+
+// ---------------------------------------------------------------------
+// Record variants and persistence formats. The frame vectors above cover
+// one value per record; `campaign_key` and `probe_digest` hash the same
+// record bytes for every variant, so each variant gets pinned here too.
+// ---------------------------------------------------------------------
+
+use symplfied::check::codec::{
+    decode_policy, decode_predicate, decode_search_limits, encode_policy, encode_predicate,
+    encode_search_limits,
+};
+use symplfied::check::{MemoStore, OutcomeCounts, PriorityHeuristic, SubtreeSummary};
+use symplfied::inject::codec::{decode_point, encode_point};
+use symplfied::machine::codec::{decode_exec_limits, encode_exec_limits};
+use symplfied::wire::{parse_checkpoint, CheckpointWriter};
+
+fn fixture_policies() -> Vec<FrontierPolicy> {
+    vec![
+        FrontierPolicy::Bfs,
+        FrontierPolicy::Dfs,
+        FrontierPolicy::Priority(PriorityHeuristic::ConstraintMapSize),
+        FrontierPolicy::Priority(PriorityHeuristic::Depth),
+        FrontierPolicy::Priority(PriorityHeuristic::OutputLen),
+        FrontierPolicy::IterativeDeepening {
+            initial_depth: 7,
+            depth_step: 300,
+        },
+    ]
+}
+
+/// Every predicate that has a wire form (`Custom` is refused at encode).
+fn fixture_predicates() -> Vec<Predicate> {
+    vec![
+        Predicate::OutputContainsErr,
+        Predicate::WrongOutput {
+            expected: vec![1, -2, 300],
+        },
+        Predicate::ExactOutput {
+            output: vec![2, i64::MIN, i64::MAX],
+        },
+        Predicate::ExactOutput { output: vec![] },
+        Predicate::Crashed,
+        Predicate::Hung,
+        Predicate::Detected,
+        Predicate::Any,
+    ]
+}
+
+/// One injection point per target kind, with varied breakpoints and
+/// occurrences.
+fn fixture_points() -> Vec<InjectionPoint> {
+    [
+        InjectTarget::Register(Reg::r(31)),
+        InjectTarget::LoadedWord,
+        InjectTarget::Destination,
+        InjectTarget::ChangedTarget { wrong: Reg::r(5) },
+        InjectTarget::NopToTargeted { wrong: Reg::r(9) },
+        InjectTarget::TargetedToNop,
+        InjectTarget::ProgramCounter,
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, target)| InjectionPoint::new(100 * i + 3, target).at_occurrence(i as u32 * 70))
+    .collect()
+}
+
+fn fixture_exec_limits() -> Vec<ExecLimits> {
+    vec![
+        ExecLimits {
+            max_steps: 5_000,
+            fork_jump_targets: Some(3),
+            fork_mem_targets: None,
+            track_constraints: false,
+        },
+        ExecLimits {
+            max_steps: u64::MAX,
+            fork_jump_targets: None,
+            fork_mem_targets: Some(0),
+            track_constraints: true,
+        },
+    ]
+}
+
+fn fixture_search_limits() -> Vec<SearchLimits> {
+    let [exact, loose] = <[ExecLimits; 2]>::try_from(fixture_exec_limits()).unwrap();
+    vec![
+        SearchLimits {
+            exec: exact,
+            max_states: 0,
+            max_solutions: usize::MAX,
+            max_time: None,
+            policy: FrontierPolicy::Dfs,
+            max_frontier_bytes: None,
+        },
+        SearchLimits {
+            exec: loose,
+            max_states: 450_000,
+            max_solutions: 1,
+            max_time: Some(Duration::new(3, 999_999_999)),
+            policy: FrontierPolicy::IterativeDeepening {
+                initial_depth: 1,
+                depth_step: 1,
+            },
+            max_frontier_bytes: Some(16 << 20),
+        },
+    ]
+}
+
+#[test]
+fn record_variant_bytes_are_pinned_and_decode() {
+    let mut bytes = Vec::new();
+    for policy in fixture_policies() {
+        encode_policy(policy, &mut bytes);
+    }
+    for predicate in fixture_predicates() {
+        encode_predicate(&predicate, &mut bytes).expect("fixture predicates are encodable");
+    }
+    for point in fixture_points() {
+        encode_point(&point, &mut bytes);
+    }
+    for limits in fixture_exec_limits() {
+        encode_exec_limits(&limits, &mut bytes);
+    }
+    for limits in fixture_search_limits() {
+        encode_search_limits(&limits, &mut bytes);
+    }
+    check_golden("record_variants.bin", &bytes);
+
+    let golden = std::fs::read(golden_dir().join("record_variants.bin")).unwrap();
+    let pos = &mut 0;
+    for policy in fixture_policies() {
+        assert_eq!(decode_policy(&golden, pos).unwrap(), policy);
+    }
+    for predicate in fixture_predicates() {
+        let decoded = decode_predicate(&golden, pos).unwrap();
+        assert_eq!(format!("{decoded:?}"), format!("{predicate:?}"));
+    }
+    for point in fixture_points() {
+        assert_eq!(decode_point(&golden, pos).unwrap(), point);
+    }
+    for limits in fixture_exec_limits() {
+        assert_eq!(decode_exec_limits(&golden, pos).unwrap(), limits);
+    }
+    for limits in fixture_search_limits() {
+        let decoded = decode_search_limits(&golden, pos).unwrap();
+        assert_eq!(format!("{decoded:?}"), format!("{limits:?}"));
+    }
+    assert_eq!(*pos, golden.len(), "every golden byte decoded");
+}
+
+fn fixture_checkpoint_entries() -> Vec<(TaskResult, Vec<Finding>)> {
+    let Message::TaskDone { result, findings } = fixture_done() else {
+        unreachable!()
+    };
+    let empty = TaskResult {
+        id: 2,
+        completed: false,
+        findings: 0,
+        spilled_states: 40,
+        ..result.clone()
+    };
+    vec![(result, findings), (empty, Vec::new())]
+}
+
+#[test]
+fn checkpoint_bytes_are_pinned_and_parse() {
+    let path = std::env::temp_dir().join(format!("sympl-golden-sycp-{}", std::process::id()));
+    let mut writer = CheckpointWriter::create(&path, 0x0123_4567_89AB_CDEF_FEDC_BA98_7654_3210, 3)
+        .expect("create checkpoint");
+    for (result, findings) in fixture_checkpoint_entries() {
+        writer.append(&result, &findings).expect("append record");
+    }
+    drop(writer);
+    let bytes = std::fs::read(&path).expect("read checkpoint back");
+    let _ = std::fs::remove_file(&path);
+    check_golden("checkpoint.sycp", &bytes);
+
+    let golden = std::fs::read(golden_dir().join("checkpoint.sycp")).unwrap();
+    let file = parse_checkpoint(&golden).expect("golden checkpoint parses");
+    assert_eq!(file.key, 0x0123_4567_89AB_CDEF_FEDC_BA98_7654_3210);
+    assert_eq!(file.tasks_total, 3);
+    assert!(!file.truncated_tail);
+    assert_eq!(file.entries, fixture_checkpoint_entries());
+}
+
+fn fixture_summaries() -> Vec<(u128, SubtreeSummary)> {
+    let summary = SubtreeSummary {
+        states_explored: 51_234,
+        duplicate_hits: 1_017,
+        terminals: OutcomeCounts {
+            halted: 30,
+            crashed: 4,
+            hung: 1,
+            detected: 0,
+        },
+        solutions: vec![Solution {
+            state: fixture_state(),
+            trace: vec![0, 1, 2, 12, 13],
+        }],
+        max_depth: 88,
+        peak_frontier_len: 211,
+        peak_frontier_bytes: 346_112,
+        spilled_states: 0,
+        workers: 1,
+        steals: 0,
+        exhausted: true,
+        hit_state_cap: false,
+        hit_solution_cap: false,
+    };
+    let capped = SubtreeSummary {
+        solutions: Vec::new(),
+        workers: 2,
+        steals: 9,
+        exhausted: false,
+        hit_state_cap: true,
+        hit_solution_cap: true,
+        ..summary.clone()
+    };
+    vec![(u128::MAX - 5, summary), (17, capped)]
+}
+
+#[test]
+fn memo_store_bytes_are_pinned_and_parse() {
+    let key = 0xFEED_FACE_CAFE_BEEF_0123_4567_89AB_CDEF;
+    let store = MemoStore::new(key);
+    for (probe, summary) in fixture_summaries() {
+        store.record(probe, summary);
+    }
+    check_golden("memo_store.symo", &store.to_bytes());
+
+    let golden = std::fs::read(golden_dir().join("memo_store.symo")).unwrap();
+    let (loaded, truncated) = MemoStore::parse(&golden, Some(key)).expect("golden store parses");
+    assert!(!truncated);
+    assert_eq!(loaded.to_bytes(), golden, "a parsed store re-serializes byte for byte");
+    for (probe, summary) in fixture_summaries() {
+        let served = loaded.serve(probe).expect("every golden probe is served");
+        assert_eq!(served.solutions, summary.solutions);
+        assert_eq!(served.terminals, summary.terminals);
+        assert_eq!(served.states_explored, summary.states_explored);
+        assert_eq!(served.hit_solution_cap, summary.hit_solution_cap);
+    }
+}
