@@ -1,43 +1,25 @@
-//! Wire codecs for the checker's report and configuration types.
+//! Wire records for the checker's configuration and result types.
 //!
 //! These extend the state codec (`sympl_machine::codec`) upward: a
-//! [`Solution`] is an encoded state plus its witness trace, a
-//! [`SearchReport`] is solutions plus the exploration statistics, and a
-//! [`SearchLimits`] record carries everything a remote worker needs to run
-//! the *same* search — the watchdog/fork bounds, the state/solution/time
-//! budgets, the frontier policy, and the spill budget. Together with the
-//! predicate codec they are the payload vocabulary of the `sympl_wire`
-//! network protocol.
+//! [`Solution`] is an encoded state plus its witness trace, an
+//! [`OutcomeCounts`] is the terminal tally, and a [`SearchLimits`] record
+//! carries everything a remote worker needs to run the *same* search —
+//! the watchdog/fork bounds, the state/solution/time budgets, the
+//! frontier policy, and the spill budget. Together with the predicate
+//! codec they are the payload vocabulary of the `sympl_wire` network
+//! protocol. Each record is declared once through
+//! [`sympl_symbolic::codec_record!`].
 //!
-//! The same varint/tag discipline as the lower layers applies: every
-//! variant choice is a tag byte, every count a varint, every record
-//! self-delimiting. [`encode_predicate`] is the one fallible encoder:
+//! [`encode_predicate`] is the one fallible encoder:
 //! [`Predicate::Custom`] wraps an arbitrary closure and has no wire
 //! representation, so encoding it surfaces [`CodecError::Unsupported`]
 //! instead of silently shipping a different query.
 
-use sympl_machine::codec::{
-    decode_exec_limits, decode_state, encode_exec_limits, encode_state, CodecError,
-};
-use sympl_symbolic::codec::{
-    decode_bool, decode_duration, decode_f64, decode_i64, decode_opt_duration, decode_u64,
-    encode_bool, encode_duration, encode_f64, encode_i64, encode_opt_duration, encode_u64,
-};
+use sympl_machine::codec::CodecError;
+use sympl_symbolic::codec::Codec;
+use sympl_symbolic::codec_record;
 
-use crate::{
-    FrontierPolicy, OutcomeCounts, Predicate, PriorityHeuristic, SearchLimits, SearchReport,
-    Solution,
-};
-
-fn decode_usize(bytes: &[u8], pos: &mut usize) -> Result<usize, CodecError> {
-    usize::try_from(decode_u64(bytes, pos)?).map_err(|_| CodecError::Overflow)
-}
-
-fn take_byte(bytes: &[u8], pos: &mut usize) -> Result<u8, CodecError> {
-    let &b = bytes.get(*pos).ok_or(CodecError::UnexpectedEnd)?;
-    *pos += 1;
-    Ok(b)
-}
+use crate::{FrontierPolicy, OutcomeCounts, Predicate, PriorityHeuristic, SearchLimits, Solution};
 
 const PRED_OUTPUT_CONTAINS_ERR: u8 = 0;
 const PRED_WRONG_OUTPUT: u8 = 1;
@@ -59,11 +41,11 @@ pub fn encode_predicate(predicate: &Predicate, buf: &mut Vec<u8>) -> Result<(), 
         Predicate::OutputContainsErr => buf.push(PRED_OUTPUT_CONTAINS_ERR),
         Predicate::WrongOutput { expected } => {
             buf.push(PRED_WRONG_OUTPUT);
-            encode_i64_seq(expected, buf);
+            expected.encode(buf);
         }
         Predicate::ExactOutput { output } => {
             buf.push(PRED_EXACT_OUTPUT);
-            encode_i64_seq(output, buf);
+            output.encode(buf);
         }
         Predicate::Crashed => buf.push(PRED_CRASHED),
         Predicate::Hung => buf.push(PRED_HUNG),
@@ -80,13 +62,13 @@ pub fn encode_predicate(predicate: &Predicate, buf: &mut Vec<u8>) -> Result<(), 
 ///
 /// [`CodecError::BadTag`] on an unknown tag, plus the varint errors.
 pub fn decode_predicate(bytes: &[u8], pos: &mut usize) -> Result<Predicate, CodecError> {
-    match take_byte(bytes, pos)? {
+    match u8::decode(bytes, pos)? {
         PRED_OUTPUT_CONTAINS_ERR => Ok(Predicate::OutputContainsErr),
         PRED_WRONG_OUTPUT => Ok(Predicate::WrongOutput {
-            expected: decode_i64_seq(bytes, pos)?,
+            expected: Codec::decode(bytes, pos)?,
         }),
         PRED_EXACT_OUTPUT => Ok(Predicate::ExactOutput {
-            output: decode_i64_seq(bytes, pos)?,
+            output: Codec::decode(bytes, pos)?,
         }),
         PRED_CRASHED => Ok(Predicate::Crashed),
         PRED_HUNG => Ok(Predicate::Hung),
@@ -99,26 +81,20 @@ pub fn decode_predicate(bytes: &[u8], pos: &mut usize) -> Result<Predicate, Code
     }
 }
 
-/// Appends a zigzag-varint integer sequence with a count prefix.
-pub fn encode_i64_seq(values: &[i64], buf: &mut Vec<u8>) {
-    encode_u64(values.len() as u64, buf);
-    for &v in values {
-        encode_i64(v, buf);
+/// A predicate inside a record (a task frame) forwards to
+/// [`encode_predicate`] / [`decode_predicate`].
+impl Codec for Predicate {
+    /// # Panics
+    ///
+    /// On [`Predicate::Custom`]: callers refuse such a value with
+    /// [`encode_predicate`] before encoding the record that holds it.
+    fn encode(&self, buf: &mut Vec<u8>) {
+        encode_predicate(self, buf).expect("a custom predicate has no wire form");
     }
-}
 
-/// Decodes an integer sequence at `*pos`, advancing it.
-///
-/// # Errors
-///
-/// Propagates the varint errors.
-pub fn decode_i64_seq(bytes: &[u8], pos: &mut usize) -> Result<Vec<i64>, CodecError> {
-    let n = decode_usize(bytes, pos)?;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        out.push(decode_i64(bytes, pos)?);
+    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        decode_predicate(bytes, pos)
     }
-    Ok(out)
 }
 
 const POLICY_BFS: u8 = 0;
@@ -126,219 +102,37 @@ const POLICY_DFS: u8 = 1;
 const POLICY_PRIORITY: u8 = 2;
 const POLICY_IDDFS: u8 = 3;
 
+codec_record! {
+    enum FrontierPolicy as "frontier policy" {
+        POLICY_BFS => Bfs,
+        POLICY_DFS => Dfs,
+        POLICY_PRIORITY => Priority(heuristic),
+        POLICY_IDDFS => IterativeDeepening { initial_depth, depth_step },
+    }
+}
+
 const HEUR_CONSTRAINTS: u8 = 0;
 const HEUR_DEPTH: u8 = 1;
 const HEUR_OUTPUT: u8 = 2;
 
-/// Appends a [`FrontierPolicy`]: a tag byte plus the variant's payload.
-pub fn encode_policy(policy: FrontierPolicy, buf: &mut Vec<u8>) {
-    match policy {
-        FrontierPolicy::Bfs => buf.push(POLICY_BFS),
-        FrontierPolicy::Dfs => buf.push(POLICY_DFS),
-        FrontierPolicy::Priority(h) => {
-            buf.push(POLICY_PRIORITY);
-            buf.push(match h {
-                PriorityHeuristic::ConstraintMapSize => HEUR_CONSTRAINTS,
-                PriorityHeuristic::Depth => HEUR_DEPTH,
-                PriorityHeuristic::OutputLen => HEUR_OUTPUT,
-            });
-        }
-        FrontierPolicy::IterativeDeepening {
-            initial_depth,
-            depth_step,
-        } => {
-            buf.push(POLICY_IDDFS);
-            encode_u64(initial_depth, buf);
-            encode_u64(depth_step, buf);
-        }
+codec_record! {
+    enum PriorityHeuristic as "priority heuristic" {
+        HEUR_CONSTRAINTS => ConstraintMapSize,
+        HEUR_DEPTH => Depth,
+        HEUR_OUTPUT => OutputLen,
     }
 }
 
-/// Decodes a [`FrontierPolicy`] at `*pos`, advancing it.
-///
-/// # Errors
-///
-/// [`CodecError::BadTag`] on an unknown policy or heuristic tag.
-pub fn decode_policy(bytes: &[u8], pos: &mut usize) -> Result<FrontierPolicy, CodecError> {
-    match take_byte(bytes, pos)? {
-        POLICY_BFS => Ok(FrontierPolicy::Bfs),
-        POLICY_DFS => Ok(FrontierPolicy::Dfs),
-        POLICY_PRIORITY => Ok(FrontierPolicy::Priority(match take_byte(bytes, pos)? {
-            HEUR_CONSTRAINTS => PriorityHeuristic::ConstraintMapSize,
-            HEUR_DEPTH => PriorityHeuristic::Depth,
-            HEUR_OUTPUT => PriorityHeuristic::OutputLen,
-            tag => {
-                return Err(CodecError::BadTag {
-                    what: "priority heuristic",
-                    tag,
-                })
-            }
-        })),
-        POLICY_IDDFS => Ok(FrontierPolicy::IterativeDeepening {
-            initial_depth: decode_u64(bytes, pos)?,
-            depth_step: decode_u64(bytes, pos)?,
-        }),
-        tag => Err(CodecError::BadTag {
-            what: "frontier policy",
-            tag,
-        }),
-    }
+codec_record! {
+    struct SearchLimits { exec, max_states, max_solutions, max_time, policy, max_frontier_bytes }
 }
 
-/// Appends a full [`SearchLimits`] record — everything a remote worker
-/// needs to reproduce a search's budgets, including the frontier policy
-/// and spill budget.
-pub fn encode_search_limits(limits: &SearchLimits, buf: &mut Vec<u8>) {
-    encode_exec_limits(&limits.exec, buf);
-    encode_u64(limits.max_states as u64, buf);
-    encode_u64(limits.max_solutions as u64, buf);
-    encode_opt_duration(limits.max_time, buf);
-    encode_policy(limits.policy, buf);
-    match limits.max_frontier_bytes {
-        None => buf.push(0),
-        Some(v) => {
-            buf.push(1);
-            encode_u64(v as u64, buf);
-        }
-    }
+codec_record! {
+    struct Solution { state, trace }
 }
 
-/// Decodes a [`SearchLimits`] at `*pos`, advancing it.
-///
-/// # Errors
-///
-/// Any [`CodecError`] on truncated or malformed bytes.
-pub fn decode_search_limits(bytes: &[u8], pos: &mut usize) -> Result<SearchLimits, CodecError> {
-    Ok(SearchLimits {
-        exec: decode_exec_limits(bytes, pos)?,
-        max_states: decode_usize(bytes, pos)?,
-        max_solutions: decode_usize(bytes, pos)?,
-        max_time: decode_opt_duration(bytes, pos)?,
-        policy: decode_policy(bytes, pos)?,
-        max_frontier_bytes: if decode_bool(bytes, pos)? {
-            Some(decode_usize(bytes, pos)?)
-        } else {
-            None
-        },
-    })
-}
-
-/// Appends a [`Solution`]: the encoded terminal state plus its witness
-/// trace (count, then per-hop program counters as varints).
-pub fn encode_solution(solution: &Solution, buf: &mut Vec<u8>) {
-    encode_state(&solution.state, buf);
-    encode_u64(solution.trace.len() as u64, buf);
-    for &pc in &solution.trace {
-        encode_u64(pc as u64, buf);
-    }
-}
-
-/// Decodes a [`Solution`] at `*pos`, advancing it.
-///
-/// # Errors
-///
-/// Any [`CodecError`] from the state codec or the trace varints.
-pub fn decode_solution(bytes: &[u8], pos: &mut usize) -> Result<Solution, CodecError> {
-    let (state, consumed) = decode_state(&bytes[*pos..])?;
-    *pos += consumed;
-    let n = decode_usize(bytes, pos)?;
-    let mut trace = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        trace.push(decode_usize(bytes, pos)?);
-    }
-    Ok(Solution { state, trace })
-}
-
-/// Appends an [`OutcomeCounts`] tally.
-pub fn encode_outcome_counts(counts: &OutcomeCounts, buf: &mut Vec<u8>) {
-    encode_u64(counts.halted as u64, buf);
-    encode_u64(counts.crashed as u64, buf);
-    encode_u64(counts.hung as u64, buf);
-    encode_u64(counts.detected as u64, buf);
-}
-
-/// Decodes an [`OutcomeCounts`] at `*pos`, advancing it.
-///
-/// # Errors
-///
-/// Propagates the varint errors.
-pub fn decode_outcome_counts(bytes: &[u8], pos: &mut usize) -> Result<OutcomeCounts, CodecError> {
-    Ok(OutcomeCounts {
-        halted: decode_usize(bytes, pos)?,
-        crashed: decode_usize(bytes, pos)?,
-        hung: decode_usize(bytes, pos)?,
-        detected: decode_usize(bytes, pos)?,
-    })
-}
-
-/// Appends a full [`SearchReport`]: solutions, statistics, and truncation
-/// flags, exactly the fields a coordinator pools into campaign results.
-///
-/// `memo_hits`/`memo_states_skipped` are deliberately **not** encoded:
-/// they are process-local accounting of where a result came from, not part
-/// of the result itself, and keeping them off the wire leaves the frame
-/// format (and the checked-in golden vectors) byte-identical whether or
-/// not a memo store was attached.
-pub fn encode_search_report(report: &SearchReport, buf: &mut Vec<u8>) {
-    encode_u64(report.solutions.len() as u64, buf);
-    for sol in &report.solutions {
-        encode_solution(sol, buf);
-    }
-    encode_u64(report.states_explored as u64, buf);
-    encode_outcome_counts(&report.terminals, buf);
-    encode_u64(report.duplicate_hits as u64, buf);
-    encode_bool(report.exhausted, buf);
-    encode_bool(report.hit_state_cap, buf);
-    encode_bool(report.hit_solution_cap, buf);
-    encode_bool(report.hit_time_cap, buf);
-    encode_duration(report.elapsed, buf);
-    encode_f64(report.states_per_second, buf);
-    encode_u64(report.workers as u64, buf);
-    encode_u64(report.steals as u64, buf);
-    encode_u64(report.peak_frontier_len as u64, buf);
-    encode_u64(report.peak_frontier_bytes as u64, buf);
-    encode_u64(report.spilled_states as u64, buf);
-}
-
-/// Decodes a [`SearchReport`] at `*pos`, advancing it.
-///
-/// # Errors
-///
-/// Any [`CodecError`] on truncated or malformed bytes — including a
-/// non-finite `states_per_second`, which no encoder emits
-/// ([`SearchReport::throughput`] guards the division) and which would
-/// break `SearchReport`'s `Eq` reflexivity if let through.
-pub fn decode_search_report(bytes: &[u8], pos: &mut usize) -> Result<SearchReport, CodecError> {
-    let n = decode_usize(bytes, pos)?;
-    let mut solutions = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        solutions.push(decode_solution(bytes, pos)?);
-    }
-    let report = SearchReport {
-        solutions,
-        states_explored: decode_usize(bytes, pos)?,
-        terminals: decode_outcome_counts(bytes, pos)?,
-        duplicate_hits: decode_usize(bytes, pos)?,
-        exhausted: decode_bool(bytes, pos)?,
-        hit_state_cap: decode_bool(bytes, pos)?,
-        hit_solution_cap: decode_bool(bytes, pos)?,
-        hit_time_cap: decode_bool(bytes, pos)?,
-        elapsed: decode_duration(bytes, pos)?,
-        states_per_second: decode_f64(bytes, pos)?,
-        workers: decode_usize(bytes, pos)?,
-        steals: decode_usize(bytes, pos)?,
-        peak_frontier_len: decode_usize(bytes, pos)?,
-        peak_frontier_bytes: decode_usize(bytes, pos)?,
-        spilled_states: decode_usize(bytes, pos)?,
-        // Not on the wire (see `encode_search_report`): a decoded report
-        // was computed elsewhere, so locally it answered no memo probes.
-        memo_hits: 0,
-        memo_states_skipped: 0,
-    };
-    if !report.states_per_second.is_finite() {
-        return Err(CodecError::Unsupported("non-finite states_per_second"));
-    }
-    Ok(report)
+codec_record! {
+    struct OutcomeCounts { halted, crashed, hung, detected }
 }
 
 #[cfg(test)]
@@ -413,9 +207,9 @@ mod tests {
                 ..SearchLimits::default()
             };
             let mut buf = Vec::new();
-            encode_search_limits(&limits, &mut buf);
+            limits.encode(&mut buf);
             let mut pos = 0;
-            let decoded = decode_search_limits(&buf, &mut pos).unwrap();
+            let decoded = SearchLimits::decode(&buf, &mut pos).unwrap();
             assert_eq!(pos, buf.len());
             assert_eq!(decoded.policy, limits.policy);
             assert_eq!(decoded.exec, limits.exec);
@@ -427,68 +221,29 @@ mod tests {
     }
 
     #[test]
-    fn solutions_and_reports_roundtrip() {
-        let report = SearchReport {
-            solutions: vec![sample_solution(), sample_solution()],
-            states_explored: 1234,
-            terminals: OutcomeCounts {
+    fn solutions_and_outcome_counts_roundtrip() {
+        let record = (
+            vec![sample_solution(), sample_solution()],
+            OutcomeCounts {
                 halted: 3,
                 crashed: 1,
                 hung: 0,
                 detected: 2,
             },
-            duplicate_hits: 55,
-            exhausted: true,
-            hit_state_cap: false,
-            hit_solution_cap: true,
-            hit_time_cap: false,
-            elapsed: std::time::Duration::from_micros(987_654),
-            states_per_second: 1_234_567.89,
-            workers: 8,
-            steals: 17,
-            peak_frontier_len: 99,
-            peak_frontier_bytes: 4096,
-            spilled_states: 12,
-            memo_hits: 0,
-            memo_states_skipped: 0,
-        };
+        );
         let mut buf = Vec::new();
-        encode_search_report(&report, &mut buf);
+        record.encode(&mut buf);
         let mut pos = 0;
-        let decoded = decode_search_report(&buf, &mut pos).unwrap();
+        let decoded = <(Vec<Solution>, OutcomeCounts)>::decode(&buf, &mut pos).unwrap();
         assert_eq!(pos, buf.len());
-        assert_eq!(decoded, report, "full Eq round-trip");
+        assert_eq!(decoded, record, "full Eq round-trip");
         // Decoded solution states carry live fingerprint caches.
         assert_eq!(
-            decoded.solutions[0].state.fingerprint(),
-            decoded.solutions[0].state.fingerprint_from_scratch()
+            decoded.0[0].state.fingerprint(),
+            decoded.0[0].state.fingerprint_from_scratch()
         );
-    }
-
-    #[test]
-    fn truncated_reports_error_cleanly() {
-        let mut buf = Vec::new();
-        encode_search_report(&SearchReport::default(), &mut buf);
         for cut in 0..buf.len() {
-            assert!(decode_search_report(&buf[..cut], &mut 0).is_err());
-        }
-    }
-
-    #[test]
-    fn non_finite_throughput_is_rejected() {
-        // A hostile/corrupt frame must not smuggle NaN into a type whose
-        // `Eq` relies on throughput never being NaN.
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let report = SearchReport {
-                states_per_second: bad,
-                ..SearchReport::default()
-            };
-            let mut buf = Vec::new();
-            encode_search_report(&report, &mut buf);
-            assert_eq!(
-                decode_search_report(&buf, &mut 0),
-                Err(CodecError::Unsupported("non-finite states_per_second"))
-            );
+            assert!(<(Vec<Solution>, OutcomeCounts)>::decode(&buf[..cut], &mut 0).is_err());
         }
     }
 }

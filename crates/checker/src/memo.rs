@@ -75,11 +75,12 @@
 //! ## File format
 //!
 //! Persistence is the `SYMO` format: the `b"SYMO"` magic, then
-//! [`MEMO_VERSION`] and the store key, then digest-protected records
-//! sorted by probe digest (byte-identical stores from equal contents).
-//! It follows the checkpoint idiom (`SYCP` in `sympl-wire`): strict
-//! header, per-record FNV-128 integrity digests, lenient about exactly
-//! one truncated trailing record. The normative byte layout lives in
+//! [`MEMO_VERSION`] and the store key, then one sealed record
+//! (`sympl_symbolic::codec::write_sealed_record`, the stream the `SYCP`
+//! checkpoint uses too) per entry, sorted by probe digest
+//! (byte-identical stores from equal contents). The header is strict;
+//! the records are sealed by FNV-128, and exactly one truncated trailing
+//! record is dropped. The normative byte layout lives in
 //! **`docs/PROTOCOL.md`** (§3) at the repository root, next to the wire
 //! and checkpoint specs.
 
@@ -93,13 +94,10 @@ use std::sync::Mutex;
 use sympl_asm::Program;
 use sympl_detect::DetectorSet;
 use sympl_machine::MachineState;
-use sympl_symbolic::codec::{decode_bool, decode_u64, encode_bool, encode_u64, CodecError};
-use sympl_symbolic::Fnv128Hasher;
+use sympl_symbolic::codec::{read_sealed_records, write_sealed_record, Codec, CodecError};
+use sympl_symbolic::{codec_record, Fnv128Hasher};
 
-use crate::codec::{
-    decode_outcome_counts, decode_solution, encode_outcome_counts, encode_predicate,
-    encode_search_limits, encode_solution,
-};
+use crate::codec::encode_predicate;
 use crate::{OutcomeCounts, Predicate, SearchLimits, SearchReport, Solution};
 
 /// The four bytes every memo store file opens with.
@@ -107,9 +105,6 @@ pub const MEMO_MAGIC: [u8; 4] = *b"SYMO";
 
 /// The store container-format revision.
 pub const MEMO_VERSION: u64 = 1;
-
-/// Hard cap on a single store record (matches the wire frame cap).
-const MAX_RECORD_LEN: usize = 64 << 20;
 
 /// Lock shards: probes from concurrent point searches land on different
 /// mutexes with high probability.
@@ -152,9 +147,9 @@ pub fn probe_digest(
         policy,
         ..limits.clone()
     };
-    encode_search_limits(&effective, &mut buf);
-    encode_u64(workers as u64, &mut buf);
-    encode_u64(seeds.len() as u64, &mut buf);
+    effective.encode(&mut buf);
+    workers.encode(&mut buf);
+    seeds.len().encode(&mut buf);
     let mut h = Fnv128Hasher::new();
     h.write(&buf);
     for seed in seeds {
@@ -264,62 +259,13 @@ impl SubtreeSummary {
             memo_states_skipped: self.states_explored,
         }
     }
+}
 
-    fn encode(&self, buf: &mut Vec<u8>) {
-        encode_u64(self.states_explored as u64, buf);
-        encode_u64(self.duplicate_hits as u64, buf);
-        encode_u64(self.max_depth, buf);
-        encode_u64(self.peak_frontier_len as u64, buf);
-        encode_u64(self.peak_frontier_bytes as u64, buf);
-        encode_u64(self.spilled_states as u64, buf);
-        encode_u64(self.workers as u64, buf);
-        encode_u64(self.steals as u64, buf);
-        encode_bool(self.exhausted, buf);
-        encode_bool(self.hit_state_cap, buf);
-        encode_bool(self.hit_solution_cap, buf);
-        encode_outcome_counts(&self.terminals, buf);
-        encode_u64(self.solutions.len() as u64, buf);
-        for sol in &self.solutions {
-            encode_solution(sol, buf);
-        }
-    }
-
-    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
-        let usize_field = |bytes: &[u8], pos: &mut usize| -> Result<usize, CodecError> {
-            usize::try_from(decode_u64(bytes, pos)?).map_err(|_| CodecError::Overflow)
-        };
-        let states_explored = usize_field(bytes, pos)?;
-        let duplicate_hits = usize_field(bytes, pos)?;
-        let max_depth = decode_u64(bytes, pos)?;
-        let peak_frontier_len = usize_field(bytes, pos)?;
-        let peak_frontier_bytes = usize_field(bytes, pos)?;
-        let spilled_states = usize_field(bytes, pos)?;
-        let workers = usize_field(bytes, pos)?;
-        let steals = usize_field(bytes, pos)?;
-        let exhausted = decode_bool(bytes, pos)?;
-        let hit_state_cap = decode_bool(bytes, pos)?;
-        let hit_solution_cap = decode_bool(bytes, pos)?;
-        let terminals = decode_outcome_counts(bytes, pos)?;
-        let n = usize_field(bytes, pos)?;
-        let mut solutions = Vec::with_capacity(n.min(1 << 12));
-        for _ in 0..n {
-            solutions.push(decode_solution(bytes, pos)?);
-        }
-        Ok(SubtreeSummary {
-            states_explored,
-            duplicate_hits,
-            terminals,
-            solutions,
-            max_depth,
-            peak_frontier_len,
-            peak_frontier_bytes,
-            spilled_states,
-            workers,
-            steals,
-            exhausted,
-            hit_state_cap,
-            hit_solution_cap,
-        })
+codec_record! {
+    struct SubtreeSummary {
+        states_explored, duplicate_hits, max_depth, peak_frontier_len, peak_frontier_bytes,
+        spilled_states, workers, steals, exhausted, hit_state_cap, hit_solution_cap, terminals,
+        solutions,
     }
 }
 
@@ -530,15 +476,10 @@ impl MemoStore {
         entries.sort_by_key(|(d, _)| *d);
         let mut out = Vec::with_capacity(64 + entries.len() * 64);
         out.extend_from_slice(&MEMO_MAGIC);
-        encode_u64(MEMO_VERSION, &mut out);
-        encode_u128(self.key, &mut out);
-        for (digest, summary) in &entries {
-            let mut payload = Vec::with_capacity(64);
-            encode_u128(*digest, &mut payload);
-            summary.encode(&mut payload);
-            encode_u64(payload.len() as u64, &mut out);
-            out.extend_from_slice(&payload);
-            out.extend_from_slice(&fnv128(&payload).to_le_bytes());
+        MEMO_VERSION.encode(&mut out);
+        self.key.encode(&mut out);
+        for entry in &entries {
+            write_sealed_record(entry, &mut out);
         }
         out
     }
@@ -585,14 +526,14 @@ impl MemoStore {
             return Err(MemoError::BadMagic(magic));
         }
         pos += 4;
-        let version = decode_u64(bytes, &mut pos)?;
+        let version = u64::decode(bytes, &mut pos)?;
         if version != MEMO_VERSION {
             return Err(MemoError::VersionMismatch {
                 ours: MEMO_VERSION,
                 theirs: version,
             });
         }
-        let key = decode_u128(bytes, &mut pos)?;
+        let key = u128::decode(bytes, &mut pos)?;
         if let Some(expected) = expected_key {
             if key != expected {
                 return Err(MemoError::StaleKey {
@@ -601,79 +542,14 @@ impl MemoStore {
                 });
             }
         }
+        let (records, truncated_tail) = read_sealed_records::<(u128, SubtreeSummary)>(bytes, pos)
+            .map_err(|offset| MemoError::Corrupt { offset })?;
         let store = MemoStore::new(key);
-        let mut truncated_tail = false;
-        while pos < bytes.len() {
-            let record_start = pos;
-            // A record that cannot even announce its length is a truncated
-            // tail, not corruption.
-            let Ok(len) = decode_u64(bytes, &mut pos) else {
-                truncated_tail = true;
-                break;
-            };
-            let Ok(len) = usize::try_from(len) else {
-                return Err(MemoError::Corrupt {
-                    offset: record_start,
-                });
-            };
-            if len > MAX_RECORD_LEN {
-                return Err(MemoError::Corrupt {
-                    offset: record_start,
-                });
-            }
-            let Some(payload) = bytes.get(pos..pos + len) else {
-                truncated_tail = true;
-                break;
-            };
-            let Some(digest) = bytes
-                .get(pos + len..pos + len + 16)
-                .and_then(|d| <[u8; 16]>::try_from(d).ok())
-            else {
-                truncated_tail = true;
-                break;
-            };
-            if u128::from_le_bytes(digest) != fnv128(payload) {
-                return Err(MemoError::Corrupt {
-                    offset: record_start,
-                });
-            }
-            let mut p = 0usize;
-            let entry = (|| -> Result<(u128, SubtreeSummary), CodecError> {
-                let probe = decode_u128(payload, &mut p)?;
-                let summary = SubtreeSummary::decode(payload, &mut p)?;
-                Ok((probe, summary))
-            })();
-            match entry {
-                Ok((probe, summary)) if p == payload.len() => store.record(probe, summary),
-                _ => {
-                    return Err(MemoError::Corrupt {
-                        offset: record_start,
-                    })
-                }
-            }
-            pos += len + 16;
+        for (probe, summary) in records {
+            store.record(probe, summary);
         }
         Ok((store, truncated_tail))
     }
-}
-
-fn fnv128(bytes: &[u8]) -> u128 {
-    let mut h = Fnv128Hasher::new();
-    h.write(bytes);
-    h.finish128()
-}
-
-/// Appends `v` as two varints, low 64 bits then high.
-fn encode_u128(v: u128, buf: &mut Vec<u8>) {
-    encode_u64(v as u64, buf);
-    encode_u64((v >> 64) as u64, buf);
-}
-
-/// Decodes a [`encode_u128`]-encoded value at `*pos`, advancing it.
-fn decode_u128(bytes: &[u8], pos: &mut usize) -> Result<u128, CodecError> {
-    let lo = decode_u64(bytes, pos)?;
-    let hi = decode_u64(bytes, pos)?;
-    Ok(u128::from(hi) << 64 | u128::from(lo))
 }
 
 #[cfg(test)]
@@ -764,7 +640,7 @@ mod tests {
             Err(MemoError::BadMagic(_))
         ));
         let mut header = MEMO_MAGIC.to_vec();
-        encode_u64(MEMO_VERSION + 3, &mut header);
+        (MEMO_VERSION + 3).encode(&mut header);
         assert!(matches!(
             MemoStore::parse(&header, None),
             Err(MemoError::VersionMismatch { .. })

@@ -47,6 +47,8 @@ use sympl_detect::DetectorSet;
 use sympl_inject::{run_point_cached, Campaign, InjectionPoint, PrefixCache};
 use sympl_symbolic::Fnv128Hasher;
 
+mod codec;
+
 /// One shard of a campaign: a set of injection points examined by a single
 /// worker under one time/finding budget.
 #[derive(Debug, Clone, PartialEq, Eq)]

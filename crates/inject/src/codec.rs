@@ -1,12 +1,11 @@
-//! Wire codec for injection points.
+//! Wire records for injection points.
 //!
 //! A campaign task frame names the injection points a remote worker must
-//! sweep; this module gives [`InjectionPoint`] (breakpoint, dynamic
-//! occurrence, corruption target) the same tagged-varint encoding the rest
-//! of the wire protocol uses.
+//! sweep; this module declares [`InjectionPoint`] (breakpoint, dynamic
+//! occurrence, corruption target) and [`InjectTarget`] as
+//! `sympl_symbolic::codec::Codec` records.
 
-use sympl_asm::{Reg, NUM_REGS};
-use sympl_symbolic::codec::{decode_u64, encode_u64, CodecError};
+use sympl_symbolic::codec_record;
 
 use crate::{InjectTarget, InjectionPoint};
 
@@ -18,99 +17,27 @@ const TARGET_NOP_TO_TARGETED: u8 = 4;
 const TARGET_TARGETED_TO_NOP: u8 = 5;
 const TARGET_PROGRAM_COUNTER: u8 = 6;
 
-fn encode_reg(r: Reg, buf: &mut Vec<u8>) {
-    buf.push(u8::from(r));
-}
-
-fn decode_reg(bytes: &[u8], pos: &mut usize) -> Result<Reg, CodecError> {
-    let &idx = bytes.get(*pos).ok_or(CodecError::UnexpectedEnd)?;
-    *pos += 1;
-    if usize::from(idx) >= NUM_REGS {
-        return Err(CodecError::BadTag {
-            what: "register index",
-            tag: idx,
-        });
-    }
-    Ok(Reg::r(idx))
-}
-
-/// Appends an [`InjectTarget`]: a tag byte plus any register payload.
-pub fn encode_target(target: InjectTarget, buf: &mut Vec<u8>) {
-    match target {
-        InjectTarget::Register(r) => {
-            buf.push(TARGET_REGISTER);
-            encode_reg(r, buf);
-        }
-        InjectTarget::LoadedWord => buf.push(TARGET_LOADED_WORD),
-        InjectTarget::Destination => buf.push(TARGET_DESTINATION),
-        InjectTarget::ChangedTarget { wrong } => {
-            buf.push(TARGET_CHANGED_TARGET);
-            encode_reg(wrong, buf);
-        }
-        InjectTarget::NopToTargeted { wrong } => {
-            buf.push(TARGET_NOP_TO_TARGETED);
-            encode_reg(wrong, buf);
-        }
-        InjectTarget::TargetedToNop => buf.push(TARGET_TARGETED_TO_NOP),
-        InjectTarget::ProgramCounter => buf.push(TARGET_PROGRAM_COUNTER),
+codec_record! {
+    enum InjectTarget as "inject target" {
+        TARGET_REGISTER => Register(reg),
+        TARGET_LOADED_WORD => LoadedWord,
+        TARGET_DESTINATION => Destination,
+        TARGET_CHANGED_TARGET => ChangedTarget { wrong },
+        TARGET_NOP_TO_TARGETED => NopToTargeted { wrong },
+        TARGET_TARGETED_TO_NOP => TargetedToNop,
+        TARGET_PROGRAM_COUNTER => ProgramCounter,
     }
 }
 
-/// Decodes an [`InjectTarget`] at `*pos`, advancing it.
-///
-/// # Errors
-///
-/// [`CodecError::BadTag`] on an unknown tag or an out-of-file register
-/// index.
-pub fn decode_target(bytes: &[u8], pos: &mut usize) -> Result<InjectTarget, CodecError> {
-    let &tag = bytes.get(*pos).ok_or(CodecError::UnexpectedEnd)?;
-    *pos += 1;
-    match tag {
-        TARGET_REGISTER => Ok(InjectTarget::Register(decode_reg(bytes, pos)?)),
-        TARGET_LOADED_WORD => Ok(InjectTarget::LoadedWord),
-        TARGET_DESTINATION => Ok(InjectTarget::Destination),
-        TARGET_CHANGED_TARGET => Ok(InjectTarget::ChangedTarget {
-            wrong: decode_reg(bytes, pos)?,
-        }),
-        TARGET_NOP_TO_TARGETED => Ok(InjectTarget::NopToTargeted {
-            wrong: decode_reg(bytes, pos)?,
-        }),
-        TARGET_TARGETED_TO_NOP => Ok(InjectTarget::TargetedToNop),
-        TARGET_PROGRAM_COUNTER => Ok(InjectTarget::ProgramCounter),
-        tag => Err(CodecError::BadTag {
-            what: "inject target",
-            tag,
-        }),
-    }
-}
-
-/// Appends an [`InjectionPoint`]: breakpoint and occurrence varints, then
-/// the target.
-pub fn encode_point(point: &InjectionPoint, buf: &mut Vec<u8>) {
-    encode_u64(point.breakpoint as u64, buf);
-    encode_u64(u64::from(point.occurrence), buf);
-    encode_target(point.target, buf);
-}
-
-/// Decodes an [`InjectionPoint`] at `*pos`, advancing it.
-///
-/// # Errors
-///
-/// Any [`CodecError`] on truncated or malformed bytes.
-pub fn decode_point(bytes: &[u8], pos: &mut usize) -> Result<InjectionPoint, CodecError> {
-    let breakpoint = usize::try_from(decode_u64(bytes, pos)?).map_err(|_| CodecError::Overflow)?;
-    let occurrence = u32::try_from(decode_u64(bytes, pos)?).map_err(|_| CodecError::Overflow)?;
-    let target = decode_target(bytes, pos)?;
-    Ok(InjectionPoint {
-        breakpoint,
-        occurrence,
-        target,
-    })
+codec_record! {
+    struct InjectionPoint { breakpoint, occurrence, target }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sympl_asm::Reg;
+    use sympl_symbolic::codec::{encode_u64, Codec, CodecError};
 
     #[test]
     fn every_target_roundtrips() {
@@ -127,23 +54,23 @@ mod tests {
         for target in targets {
             let point = InjectionPoint::new(4321, target).at_occurrence(7);
             let mut buf = Vec::new();
-            encode_point(&point, &mut buf);
+            point.encode(&mut buf);
             let mut pos = 0;
-            assert_eq!(decode_point(&buf, &mut pos).unwrap(), point);
+            assert_eq!(InjectionPoint::decode(&buf, &mut pos).unwrap(), point);
             assert_eq!(pos, buf.len());
         }
     }
 
     #[test]
     fn malformed_points_error() {
-        assert!(decode_point(&[], &mut 0).is_err());
+        assert!(InjectionPoint::decode(&[], &mut 0).is_err());
         // Unknown target tag.
         let mut buf = Vec::new();
         encode_u64(0, &mut buf);
         encode_u64(1, &mut buf);
         buf.push(200);
         assert!(matches!(
-            decode_point(&buf, &mut 0),
+            InjectionPoint::decode(&buf, &mut 0),
             Err(CodecError::BadTag {
                 what: "inject target",
                 ..
@@ -156,7 +83,7 @@ mod tests {
         buf.push(TARGET_REGISTER);
         buf.push(99);
         assert!(matches!(
-            decode_point(&buf, &mut 0),
+            InjectionPoint::decode(&buf, &mut 0),
             Err(CodecError::BadTag {
                 what: "register index",
                 ..

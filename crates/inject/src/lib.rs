@@ -44,7 +44,7 @@
 
 mod campaign;
 mod class;
-pub mod codec;
+mod codec;
 mod derive;
 mod point;
 mod prepare;

@@ -28,17 +28,18 @@
 //! round-trip (the merged image is written flat); that is inherent to
 //! spilling and documented at the spill site.
 //!
-//! This codec is also the stepping stone to cluster-over-network
-//! campaigns: a dependency-free wire format for states (and later,
-//! reports) until a vendored `serde` exists.
+//! The same bytes are [`MachineState`]'s [`Codec`] record, which is how a
+//! state rides inside wire frames and files; [`ExecLimits`] is declared
+//! here as a record too.
 
 use crate::state::DecodedState;
 use crate::{Exception, ExecLimits, MachineState, OutItem, Status};
 use sympl_asm::{Reg, NUM_REGS};
 use sympl_symbolic::codec::{
-    decode_bool, decode_constraint_map, decode_i64, decode_u64, decode_value, encode_bool,
-    encode_constraint_map, encode_i64, encode_u64, encode_value,
+    decode_constraint_map, decode_i64, decode_u64, decode_value, encode_constraint_map, encode_i64,
+    encode_u64, encode_value, Codec,
 };
+use sympl_symbolic::codec_record;
 use sympl_symbolic::Value;
 
 pub use sympl_symbolic::CodecError;
@@ -127,55 +128,21 @@ pub fn encode_state(state: &MachineState, buf: &mut Vec<u8>) {
     encode_constraint_map(state.constraints(), buf);
 }
 
-fn decode_usize(bytes: &[u8], pos: &mut usize) -> Result<usize, CodecError> {
-    usize::try_from(decode_u64(bytes, pos)?).map_err(|_| CodecError::Overflow)
+codec_record! {
+    struct ExecLimits { max_steps, fork_jump_targets, fork_mem_targets, track_constraints }
 }
 
-fn encode_opt_usize(v: Option<usize>, buf: &mut Vec<u8>) {
-    match v {
-        None => buf.push(0),
-        Some(v) => {
-            buf.push(1);
-            encode_u64(v as u64, buf);
-        }
+/// A state's record is [`encode_state`]'s bytes.
+impl Codec for MachineState {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        encode_state(self, buf);
     }
-}
 
-fn decode_opt_usize(bytes: &[u8], pos: &mut usize) -> Result<Option<usize>, CodecError> {
-    if decode_bool(bytes, pos)? {
-        Ok(Some(decode_usize(bytes, pos)?))
-    } else {
-        Ok(None)
+    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        let (state, consumed) = decode_state(bytes.get(*pos..).ok_or(CodecError::UnexpectedEnd)?)?;
+        *pos += consumed;
+        Ok(state)
     }
-}
-
-/// Appends the per-path execution bounds (the watchdog and fork fan-out
-/// caps) — the machine-level half of a search-limits wire record.
-pub fn encode_exec_limits(limits: &ExecLimits, buf: &mut Vec<u8>) {
-    encode_u64(limits.max_steps, buf);
-    encode_opt_usize(limits.fork_jump_targets, buf);
-    encode_opt_usize(limits.fork_mem_targets, buf);
-    encode_bool(limits.track_constraints, buf);
-}
-
-/// Decodes an [`ExecLimits`] at `*pos`, advancing it.
-///
-/// # Errors
-///
-/// Any [`CodecError`] on truncated or malformed bytes.
-pub fn decode_exec_limits(bytes: &[u8], pos: &mut usize) -> Result<ExecLimits, CodecError> {
-    Ok(ExecLimits {
-        max_steps: decode_u64(bytes, pos)?,
-        fork_jump_targets: decode_opt_usize(bytes, pos)?,
-        fork_mem_targets: decode_opt_usize(bytes, pos)?,
-        track_constraints: decode_bool(bytes, pos)?,
-    })
-}
-
-fn take_byte(bytes: &[u8], pos: &mut usize) -> Result<u8, CodecError> {
-    let &b = bytes.get(*pos).ok_or(CodecError::UnexpectedEnd)?;
-    *pos += 1;
-    Ok(b)
 }
 
 /// Decodes one state from the front of `bytes`, returning it together with
@@ -193,13 +160,13 @@ fn take_byte(bytes: &[u8], pos: &mut usize) -> Result<u8, CodecError> {
 /// version or tag, or a count overflows the platform's `usize`.
 pub fn decode_state(bytes: &[u8]) -> Result<(MachineState, usize), CodecError> {
     let mut pos = 0usize;
-    let version = take_byte(bytes, &mut pos)?;
+    let version = u8::decode(bytes, &mut pos)?;
     if version != VERSION {
         return Err(CodecError::BadVersion(version));
     }
-    let pc = decode_usize(bytes, &mut pos)?;
+    let pc = usize::decode(bytes, &mut pos)?;
     let steps = decode_u64(bytes, &mut pos)?;
-    let status = match take_byte(bytes, &mut pos)? {
+    let status = match u8::decode(bytes, &mut pos)? {
         STATUS_RUNNING => Status::Running,
         STATUS_HALTED => Status::Halted,
         STATUS_EXC_ILLEGAL_INSTR => Status::Exception(Exception::IllegalInstruction),
@@ -219,9 +186,9 @@ pub fn decode_state(bytes: &[u8]) -> Result<(MachineState, usize), CodecError> {
     };
 
     let mut regs = [Value::Int(0); NUM_REGS];
-    let n_regs = decode_usize(bytes, &mut pos)?;
+    let n_regs = usize::decode(bytes, &mut pos)?;
     for _ in 0..n_regs {
-        let idx = take_byte(bytes, &mut pos)?;
+        let idx = u8::decode(bytes, &mut pos)?;
         if usize::from(idx) >= NUM_REGS {
             return Err(CodecError::BadTag {
                 what: "register index",
@@ -231,7 +198,7 @@ pub fn decode_state(bytes: &[u8]) -> Result<(MachineState, usize), CodecError> {
         regs[usize::from(idx)] = decode_value(bytes, &mut pos)?;
     }
 
-    let n_mem = decode_usize(bytes, &mut pos)?;
+    let n_mem = usize::decode(bytes, &mut pos)?;
     let mut mem = Vec::with_capacity(n_mem.min(1 << 16));
     let mut addr = 0u64;
     for i in 0..n_mem {
@@ -244,20 +211,20 @@ pub fn decode_state(bytes: &[u8]) -> Result<(MachineState, usize), CodecError> {
         mem.push((addr, decode_value(bytes, &mut pos)?));
     }
 
-    let n_input = decode_usize(bytes, &mut pos)?;
+    let n_input = usize::decode(bytes, &mut pos)?;
     let mut input = Vec::with_capacity(n_input.min(1 << 16));
     for _ in 0..n_input {
         input.push(decode_i64(bytes, &mut pos)?);
     }
-    let input_pos = decode_usize(bytes, &mut pos)?;
+    let input_pos = usize::decode(bytes, &mut pos)?;
 
-    let n_out = decode_usize(bytes, &mut pos)?;
+    let n_out = usize::decode(bytes, &mut pos)?;
     let mut output = Vec::with_capacity(n_out.min(1 << 16));
     for _ in 0..n_out {
-        match take_byte(bytes, &mut pos)? {
+        match u8::decode(bytes, &mut pos)? {
             OUT_VAL => output.push(OutItem::Val(decode_value(bytes, &mut pos)?)),
             OUT_STR => {
-                let len = decode_usize(bytes, &mut pos)?;
+                let len = usize::decode(bytes, &mut pos)?;
                 let end = pos.checked_add(len).ok_or(CodecError::Overflow)?;
                 let slice = bytes.get(pos..end).ok_or(CodecError::UnexpectedEnd)?;
                 let s = std::str::from_utf8(slice).map_err(|_| CodecError::BadUtf8)?;
@@ -454,12 +421,12 @@ mod tests {
             },
         ] {
             let mut buf = Vec::new();
-            encode_exec_limits(&limits, &mut buf);
+            limits.encode(&mut buf);
             let mut pos = 0;
-            assert_eq!(decode_exec_limits(&buf, &mut pos).unwrap(), limits);
+            assert_eq!(ExecLimits::decode(&buf, &mut pos).unwrap(), limits);
             assert_eq!(pos, buf.len());
         }
-        assert!(decode_exec_limits(&[], &mut 0).is_err());
+        assert!(ExecLimits::decode(&[], &mut 0).is_err());
     }
 
     #[test]

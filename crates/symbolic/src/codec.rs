@@ -1,32 +1,69 @@
-//! Compact binary leaf codecs for the symbolic value domain.
+//! The workspace's one binary codec: the [`Codec`] trait, its leaf and
+//! container impls, the [`codec_record!`](crate::codec_record) macro that
+//! declares a record's wire order once, the sealed-record stream behind
+//! the `SYCP` and `SYMO` files, and the state codec's leaf encoders for
+//! the symbolic value domain.
 //!
-//! These are the building blocks of the machine crate's state codec (see
-//! `sympl-machine`'s `codec` module): LEB128 varints for unsigned integers,
-//! zigzag varints for signed ones, and tagged encoders for the leaf types a
-//! [`crate::ConstraintMap`] is made of — [`Value`], [`Location`], and the
-//! normal-form [`ConstraintSet`]. They live here, below the machine state,
-//! for the same reason the fold primitives do: the constraint map is the
-//! one state component whose internals only this crate can see, so its
-//! encoder must live next to them.
+//! ## The trait
 //!
-//! The format is **self-describing within a known schema**: every variant
-//! choice is a tag byte, every count a varint, so a decoder never needs
-//! out-of-band length information, and a truncated or corrupted buffer
-//! surfaces as a [`CodecError`] instead of a wrong value. Decoding a
-//! constraint set *replays* its interval bounds and exclusions through
-//! [`ConstraintSet::add`], so whatever the bytes say, the decoded set is in
-//! the solver's normal form — malformed input can produce a different set,
-//! never an invalid one. Decoding a constraint map rebuilds the rolling
-//! digest and unsatisfiable-location caches entry by entry, so decoded maps
-//! are indistinguishable from incrementally-built ones.
+//! A [`Codec`] type has exactly one encoding: `encode` appends it to a
+//! buffer, `decode` reads it back at a cursor. The leaves are LEB128
+//! varints for `u64`/`usize`/`u32` (a decoded value that does not fit
+//! its type is [`CodecError::Overflow`]), zigzag varints for `i64`, two
+//! varints (low half, then high) for `u128`, one byte for `bool` (0 or 1)
+//! and for a register index, a varint byte length plus UTF-8 for
+//! `String`, and whole seconds plus subsecond nanoseconds for
+//! `Duration`. `u8` is one raw byte: the tag byte of a tagged enum.
+//! `Option<T>` is a presence byte (as a `bool`) and then the value, a
+//! pair is its two halves in order, and `Vec<T>` is a varint count and
+//! then the elements.
 //!
-//! This codec is also the stepping stone to serialized reports and
-//! cluster-over-network campaigns: it gives state serialization a vendored,
-//! dependency-free wire format until a vendored `serde` exists.
+//! ## The macro
+//!
+//! [`codec_record!`](crate::codec_record) implements [`Codec`] for a
+//! field-list struct or a tagged enum from one declaration of its wire
+//! order. Enum tags are written out as constants: the tags are the
+//! format.
+//!
+//! ## The pre-size bound
+//!
+//! A count is read before the elements it announces, so a hostile count
+//! must not size an allocation. `Vec<T>` pre-allocates for at most
+//! 64 KiB of elements, and grows past that only as elements actually
+//! decode; a count the bytes cannot back fails at the first missing
+//! element. (The machine state codec, the spill hot path, keeps its own
+//! element caps.)
+//!
+//! ## Sealed records
+//!
+//! [`write_sealed_record`] frames one record as `[varint len][payload]
+//! [FNV-128 seal, little-endian]`; [`read_sealed_records`] reads such a
+//! stream to its end. The reader has one length bound (64 MiB), drops a
+//! truncated trailing record (the signature of a crash mid-append) and
+//! reports it, and refuses everything else by the offending record's
+//! offset: a length over the bound or not a varint, a seal that does not
+//! check, and a sealed payload that does not decode to exactly one
+//! record. The checkpoint (`SYCP`) and memo-store (`SYMO`) formats are
+//! a header plus this stream.
+//!
+//! ## Properties
+//!
+//! Every variant choice is a tag byte and every count a varint, so a
+//! decoder never needs out-of-band length information, and a truncated or
+//! corrupted buffer surfaces as a [`CodecError`] instead of a wrong value.
+//! Decoding a constraint set *replays* its interval bounds and exclusions
+//! through [`ConstraintSet::add`], so whatever the bytes say, the decoded
+//! set is in the solver's normal form — malformed input can produce a
+//! different set, never an invalid one. Decoding a constraint map
+//! rebuilds the rolling digest and unsatisfiable-location caches entry by
+//! entry, so decoded maps are indistinguishable from incrementally-built
+//! ones.
 
 use std::fmt;
+use std::hash::Hasher as _;
+use std::time::Duration;
 
-use crate::{Constraint, ConstraintMap, ConstraintSet, Location, Value};
+use crate::{Constraint, ConstraintMap, ConstraintSet, Fnv128Hasher, Location, Value};
 use sympl_asm::{Reg, NUM_REGS};
 
 /// Decoding failure: the buffer does not describe a value of the expected
@@ -48,9 +85,7 @@ pub enum CodecError {
     BadUtf8,
     /// The buffer's version byte names an unknown codec revision.
     BadVersion(u8),
-    /// The value has no wire representation: a closure-backed predicate
-    /// at *encode* time, or decoded bytes describing a value the domain
-    /// forbids (e.g. a non-finite throughput figure).
+    /// The value has no wire representation (a closure-backed predicate).
     Unsupported(&'static str),
 }
 
@@ -68,6 +103,368 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+/// A type with one binary encoding (see the module docs for the leaf and
+/// container encodings).
+pub trait Codec: Sized {
+    /// Appends the value's encoding to `buf`.
+    fn encode(&self, buf: &mut Vec<u8>);
+
+    /// Decodes a value at `*pos`, advancing `*pos` past it.
+    ///
+    /// # Errors
+    ///
+    /// Any [`CodecError`] when the bytes at `*pos` are truncated or do
+    /// not describe a value of this type.
+    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError>;
+}
+
+/// Implements [`Codec`](crate::codec::Codec) from one declaration of a
+/// record's wire order.
+///
+/// A field-list struct names its fields in wire order; fields that are
+/// not on the wire follow under `off_wire`, each with its decoded value.
+/// A tagged enum names the subject of its [`CodecError::BadTag`], then
+/// pairs each variant with its `u8` tag constant and names the variant's
+/// fields in wire order.
+///
+/// ```
+/// use sympl_symbolic::codec::Codec;
+/// use sympl_symbolic::codec_record;
+///
+/// struct Probe { id: u64, label: String, hits: usize }
+/// codec_record! {
+///     struct Probe { id, label }
+///     off_wire { hits: 0 }
+/// }
+///
+/// const KIND_EMPTY: u8 = 0;
+/// const KIND_PAIR: u8 = 1;
+/// const KIND_NAMED: u8 = 2;
+/// enum Kind { Empty, Pair(u32, bool), Named { name: String } }
+/// codec_record! {
+///     enum Kind as "kind" {
+///         KIND_EMPTY => Empty,
+///         KIND_PAIR => Pair(first, second),
+///         KIND_NAMED => Named { name },
+///     }
+/// }
+///
+/// let mut buf = Vec::new();
+/// Probe { id: 7, label: "x".into(), hits: 3 }.encode(&mut buf);
+/// Kind::Pair(300, true).encode(&mut buf);
+/// assert_eq!(buf, [7, 1, b'x', KIND_PAIR, 0xAC, 0x02, 1]);
+/// let pos = &mut 0;
+/// assert_eq!(Probe::decode(&buf, pos)?.hits, 0);
+/// assert!(matches!(Kind::decode(&buf, pos)?, Kind::Pair(300, true)));
+/// # Ok::<(), sympl_symbolic::CodecError>(())
+/// ```
+#[macro_export]
+macro_rules! codec_record {
+    (
+        struct $ty:ident { $($field:ident),* $(,)? }
+        $(off_wire { $($off:ident: $value:expr),* $(,)? })?
+    ) => {
+        impl $crate::codec::Codec for $ty {
+            fn encode(&self, buf: &mut ::std::vec::Vec<u8>) {
+                $($crate::codec::Codec::encode(&self.$field, buf);)*
+            }
+
+            fn decode(
+                bytes: &[u8],
+                pos: &mut usize,
+            ) -> ::core::result::Result<Self, $crate::codec::CodecError> {
+                ::core::result::Result::Ok($ty {
+                    $($field: $crate::codec::Codec::decode(bytes, pos)?,)*
+                    $($($off: $value,)*)?
+                })
+            }
+        }
+    };
+    (
+        enum $ty:ident as $what:literal {
+            $($tag:ident => $variant:ident
+                $(($($positional:ident),*))?
+                $({$($named:ident),*})?),* $(,)?
+        }
+    ) => {
+        impl $crate::codec::Codec for $ty {
+            fn encode(&self, buf: &mut ::std::vec::Vec<u8>) {
+                match self {
+                    $($ty::$variant $(($($positional),*))? $({$($named),*})? => {
+                        buf.push($tag);
+                        $($($crate::codec::Codec::encode($positional, buf);)*)?
+                        $($($crate::codec::Codec::encode($named, buf);)*)?
+                    })*
+                }
+            }
+
+            fn decode(
+                bytes: &[u8],
+                pos: &mut usize,
+            ) -> ::core::result::Result<Self, $crate::codec::CodecError> {
+                let tag = <u8 as $crate::codec::Codec>::decode(bytes, pos)?;
+                ::core::result::Result::Ok(match tag {
+                    $($tag => $ty::$variant
+                        $(($({
+                            let $positional = $crate::codec::Codec::decode(bytes, pos)?;
+                            $positional
+                        }),*))?
+                        $({$($named: $crate::codec::Codec::decode(bytes, pos)?),*})?,)*
+                    tag => {
+                        return ::core::result::Result::Err(
+                            $crate::codec::CodecError::BadTag { what: $what, tag },
+                        )
+                    }
+                })
+            }
+        }
+    };
+}
+
+/// The most bytes `Vec<T>::decode` reserves before its elements decode.
+const PRESIZE_BYTES: usize = 64 << 10;
+
+/// The largest payload [`read_sealed_records`] accepts (the wire's frame
+/// cap: a checkpoint record is a `TaskDone` body).
+const MAX_SEALED_RECORD_LEN: usize = 64 << 20;
+
+// `decode_state` reads its tags and counts through the `u8` and `usize`
+// impls from another crate: `#[inline]` keeps that hot path inlined.
+impl Codec for u8 {
+    #[inline]
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(*self);
+    }
+
+    #[inline]
+    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        let &b = bytes.get(*pos).ok_or(CodecError::UnexpectedEnd)?;
+        *pos += 1;
+        Ok(b)
+    }
+}
+
+impl Codec for u64 {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        encode_u64(*self, buf);
+    }
+
+    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        decode_u64(bytes, pos)
+    }
+}
+
+impl Codec for usize {
+    #[inline]
+    fn encode(&self, buf: &mut Vec<u8>) {
+        encode_u64(*self as u64, buf);
+    }
+
+    #[inline]
+    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        usize::try_from(decode_u64(bytes, pos)?).map_err(|_| CodecError::Overflow)
+    }
+}
+
+impl Codec for u32 {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        encode_u64(u64::from(*self), buf);
+    }
+
+    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        u32::try_from(decode_u64(bytes, pos)?).map_err(|_| CodecError::Overflow)
+    }
+}
+
+impl Codec for i64 {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        encode_i64(*self, buf);
+    }
+
+    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        decode_i64(bytes, pos)
+    }
+}
+
+impl Codec for u128 {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        encode_u64(*self as u64, buf);
+        encode_u64((*self >> 64) as u64, buf);
+    }
+
+    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        let lo = decode_u64(bytes, pos)?;
+        let hi = decode_u64(bytes, pos)?;
+        Ok(u128::from(hi) << 64 | u128::from(lo))
+    }
+}
+
+impl Codec for bool {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(*self));
+    }
+
+    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        match u8::decode(bytes, pos)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(CodecError::BadTag { what: "bool", tag }),
+        }
+    }
+}
+
+impl Codec for String {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.len().encode(buf);
+        buf.extend_from_slice(self.as_bytes());
+    }
+
+    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        let len = usize::decode(bytes, pos)?;
+        let end = pos.checked_add(len).ok_or(CodecError::Overflow)?;
+        let slice = bytes.get(*pos..end).ok_or(CodecError::UnexpectedEnd)?;
+        let s = std::str::from_utf8(slice).map_err(|_| CodecError::BadUtf8)?;
+        *pos = end;
+        Ok(s.to_owned())
+    }
+}
+
+impl Codec for Duration {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        encode_u64(self.as_secs(), buf);
+        encode_u64(u64::from(self.subsec_nanos()), buf);
+    }
+
+    /// Errors with [`CodecError::Overflow`] when the nanosecond field
+    /// reaches a billion (no encoder emits that).
+    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        let secs = decode_u64(bytes, pos)?;
+        let nanos = decode_u64(bytes, pos)?;
+        if nanos >= 1_000_000_000 {
+            return Err(CodecError::Overflow);
+        }
+        Ok(Duration::new(secs, nanos as u32))
+    }
+}
+
+impl Codec for Reg {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(*self));
+    }
+
+    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        let idx = u8::decode(bytes, pos)?;
+        if usize::from(idx) >= NUM_REGS {
+            return Err(CodecError::BadTag {
+                what: "register index",
+                tag: idx,
+            });
+        }
+        Ok(Reg::r(idx))
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.is_some().encode(buf);
+        if let Some(v) = self {
+            v.encode(buf);
+        }
+    }
+
+    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        if bool::decode(bytes, pos)? {
+            Ok(Some(T::decode(bytes, pos)?))
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.0.encode(buf);
+        self.1.encode(buf);
+    }
+
+    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        Ok((A::decode(bytes, pos)?, B::decode(bytes, pos)?))
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.len().encode(buf);
+        for v in self {
+            v.encode(buf);
+        }
+    }
+
+    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        let n = usize::decode(bytes, pos)?;
+        let mut out = Vec::with_capacity(n.min(PRESIZE_BYTES / std::mem::size_of::<T>().max(1)));
+        for _ in 0..n {
+            out.push(T::decode(bytes, pos)?);
+        }
+        Ok(out)
+    }
+}
+
+fn seal(payload: &[u8]) -> [u8; 16] {
+    let mut h = Fnv128Hasher::new();
+    h.write(payload);
+    h.finish128().to_le_bytes()
+}
+
+/// Appends `record` to `out` as one sealed record: its encoding's varint
+/// length, the encoding, and the encoding's FNV-128 seal (little-endian).
+pub fn write_sealed_record<T: Codec>(record: &T, out: &mut Vec<u8>) {
+    let mut payload = Vec::new();
+    record.encode(&mut payload);
+    payload.len().encode(out);
+    out.extend_from_slice(&payload);
+    out.extend_from_slice(&seal(&payload));
+}
+
+/// Reads the sealed records from `bytes[pos..]` to the end of `bytes`:
+/// every intact record, and whether a truncated trailing record was
+/// dropped.
+///
+/// # Errors
+///
+/// `Err(offset)` names the first record that is not intact and not a
+/// truncated tail: a length that is not a varint or exceeds 64 MiB, a
+/// seal that does not check, or a payload that does not decode to
+/// exactly one `T`.
+pub fn read_sealed_records<T: Codec>(
+    bytes: &[u8],
+    mut pos: usize,
+) -> Result<(Vec<T>, bool), usize> {
+    let mut records = Vec::new();
+    while pos < bytes.len() {
+        let start = pos;
+        let len = match usize::decode(bytes, &mut pos) {
+            Ok(len) if len <= MAX_SEALED_RECORD_LEN => len,
+            Err(CodecError::UnexpectedEnd) => return Ok((records, true)),
+            _ => return Err(start),
+        };
+        let Some(sealed) = bytes.get(pos..pos + len + 16) else {
+            return Ok((records, true));
+        };
+        let (payload, digest) = sealed.split_at(len);
+        if digest != seal(payload) {
+            return Err(start);
+        }
+        let mut p = 0;
+        match T::decode(payload, &mut p) {
+            Ok(record) if p == len => records.push(record),
+            _ => return Err(start),
+        }
+        pos += len + 16;
+    }
+    Ok((records, false))
+}
 
 /// Appends `v` as an LEB128 varint (7 bits per byte, high bit = continue).
 pub fn encode_u64(v: u64, buf: &mut Vec<u8>) {
@@ -127,113 +524,6 @@ fn zigzag(v: i64) -> u64 {
 
 fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Appends a `bool` as one byte (0 or 1).
-pub fn encode_bool(v: bool, buf: &mut Vec<u8>) {
-    buf.push(u8::from(v));
-}
-
-/// Decodes a `bool` at `*pos`, advancing it.
-///
-/// # Errors
-///
-/// [`CodecError::UnexpectedEnd`] at end of buffer, [`CodecError::BadTag`]
-/// on any byte other than 0 or 1.
-pub fn decode_bool(bytes: &[u8], pos: &mut usize) -> Result<bool, CodecError> {
-    let &b = bytes.get(*pos).ok_or(CodecError::UnexpectedEnd)?;
-    *pos += 1;
-    match b {
-        0 => Ok(false),
-        1 => Ok(true),
-        tag => Err(CodecError::BadTag { what: "bool", tag }),
-    }
-}
-
-/// Appends a UTF-8 string as a varint byte length plus the raw bytes.
-pub fn encode_str(s: &str, buf: &mut Vec<u8>) {
-    encode_u64(s.len() as u64, buf);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// Decodes a string at `*pos`, advancing it.
-///
-/// # Errors
-///
-/// The varint errors, [`CodecError::UnexpectedEnd`] on a short buffer, and
-/// [`CodecError::BadUtf8`] on invalid UTF-8.
-pub fn decode_str(bytes: &[u8], pos: &mut usize) -> Result<String, CodecError> {
-    let len = usize::try_from(decode_u64(bytes, pos)?).map_err(|_| CodecError::Overflow)?;
-    let end = pos.checked_add(len).ok_or(CodecError::Overflow)?;
-    let slice = bytes.get(*pos..end).ok_or(CodecError::UnexpectedEnd)?;
-    let s = std::str::from_utf8(slice).map_err(|_| CodecError::BadUtf8)?;
-    *pos = end;
-    Ok(s.to_owned())
-}
-
-/// Appends a [`std::time::Duration`] as whole seconds plus subsecond
-/// nanoseconds, both varints (exact round-trip across the full range).
-pub fn encode_duration(d: std::time::Duration, buf: &mut Vec<u8>) {
-    encode_u64(d.as_secs(), buf);
-    encode_u64(u64::from(d.subsec_nanos()), buf);
-}
-
-/// Decodes a [`std::time::Duration`] at `*pos`, advancing it.
-///
-/// # Errors
-///
-/// The varint errors; [`CodecError::Overflow`] when the nanosecond field
-/// exceeds a billion (no valid encoder emits that).
-pub fn decode_duration(bytes: &[u8], pos: &mut usize) -> Result<std::time::Duration, CodecError> {
-    let secs = decode_u64(bytes, pos)?;
-    let nanos = decode_u64(bytes, pos)?;
-    if nanos >= 1_000_000_000 {
-        return Err(CodecError::Overflow);
-    }
-    Ok(std::time::Duration::new(secs, nanos as u32))
-}
-
-/// Appends an `Option<Duration>` as a presence byte plus the duration.
-pub fn encode_opt_duration(d: Option<std::time::Duration>, buf: &mut Vec<u8>) {
-    match d {
-        None => buf.push(0),
-        Some(d) => {
-            buf.push(1);
-            encode_duration(d, buf);
-        }
-    }
-}
-
-/// Decodes an `Option<Duration>` at `*pos`, advancing it.
-///
-/// # Errors
-///
-/// [`CodecError::BadTag`] on a presence byte other than 0/1, plus the
-/// duration errors.
-pub fn decode_opt_duration(
-    bytes: &[u8],
-    pos: &mut usize,
-) -> Result<Option<std::time::Duration>, CodecError> {
-    if decode_bool(bytes, pos)? {
-        Ok(Some(decode_duration(bytes, pos)?))
-    } else {
-        Ok(None)
-    }
-}
-
-/// Appends an `f64` as the varint of its IEEE-754 bit pattern (exact
-/// round-trip, including signed zeros and infinities).
-pub fn encode_f64(v: f64, buf: &mut Vec<u8>) {
-    encode_u64(v.to_bits(), buf);
-}
-
-/// Decodes an `f64` at `*pos`, advancing it.
-///
-/// # Errors
-///
-/// Propagates the varint errors of [`decode_u64`].
-pub fn decode_f64(bytes: &[u8], pos: &mut usize) -> Result<f64, CodecError> {
-    Ok(f64::from_bits(decode_u64(bytes, pos)?))
 }
 
 const VALUE_INT: u8 = 0;
@@ -435,62 +725,171 @@ mod tests {
         assert_eq!(decode_u64(&overlong, &mut 0), Err(CodecError::Overflow));
     }
 
+    fn roundtrip<T: Codec + PartialEq + fmt::Debug>(v: &T) {
+        let mut buf = Vec::new();
+        v.encode(&mut buf);
+        let mut pos = 0;
+        assert_eq!(&T::decode(&buf, &mut pos).unwrap(), v);
+        assert_eq!(pos, buf.len(), "whole encoding consumed");
+    }
+
     #[test]
     fn scalar_leaves_roundtrip() {
-        use std::time::Duration;
-        let mut buf = Vec::new();
-        encode_bool(true, &mut buf);
-        encode_bool(false, &mut buf);
-        encode_str("héllo", &mut buf);
-        encode_str("", &mut buf);
-        encode_duration(Duration::new(u64::MAX, 999_999_999), &mut buf);
-        encode_opt_duration(None, &mut buf);
-        encode_opt_duration(Some(Duration::from_millis(1500)), &mut buf);
-        encode_f64(-0.0, &mut buf);
-        encode_f64(1234.5678, &mut buf);
-        encode_f64(f64::INFINITY, &mut buf);
-        let mut pos = 0;
-        assert!(decode_bool(&buf, &mut pos).unwrap());
-        assert!(!decode_bool(&buf, &mut pos).unwrap());
-        assert_eq!(decode_str(&buf, &mut pos).unwrap(), "héllo");
-        assert_eq!(decode_str(&buf, &mut pos).unwrap(), "");
-        assert_eq!(
-            decode_duration(&buf, &mut pos).unwrap(),
-            Duration::new(u64::MAX, 999_999_999)
-        );
-        assert_eq!(decode_opt_duration(&buf, &mut pos).unwrap(), None);
-        assert_eq!(
-            decode_opt_duration(&buf, &mut pos).unwrap(),
-            Some(Duration::from_millis(1500))
-        );
-        assert_eq!(
-            decode_f64(&buf, &mut pos).unwrap().to_bits(),
-            (-0.0f64).to_bits()
-        );
-        assert_eq!(decode_f64(&buf, &mut pos).unwrap(), 1234.5678);
-        assert_eq!(decode_f64(&buf, &mut pos).unwrap(), f64::INFINITY);
-        assert_eq!(pos, buf.len(), "every byte consumed");
+        roundtrip(&true);
+        roundtrip(&false);
+        roundtrip(&"héllo".to_string());
+        roundtrip(&String::new());
+        roundtrip(&Duration::new(u64::MAX, 999_999_999));
+        roundtrip(&None::<Duration>);
+        roundtrip(&Some(Duration::from_millis(1500)));
+        roundtrip(&u128::MAX);
+        roundtrip(&(u32::MAX, usize::MAX));
+        roundtrip(&vec![i64::MIN, -1, 0, i64::MAX]);
+        roundtrip(&vec![Some(Reg::r(31)), None]);
     }
 
     #[test]
     fn scalar_leaves_reject_malformed_bytes() {
         assert!(matches!(
-            decode_bool(&[7], &mut 0),
+            bool::decode(&[7], &mut 0),
             Err(CodecError::BadTag { what: "bool", .. })
         ));
         // String length runs past the buffer.
         let mut buf = Vec::new();
         encode_u64(100, &mut buf);
         buf.push(b'x');
-        assert_eq!(decode_str(&buf, &mut 0), Err(CodecError::UnexpectedEnd));
+        assert_eq!(String::decode(&buf, &mut 0), Err(CodecError::UnexpectedEnd));
         // Invalid UTF-8 payload.
         let bad = [1u8, 0xFF];
-        assert_eq!(decode_str(&bad, &mut 0), Err(CodecError::BadUtf8));
+        assert_eq!(String::decode(&bad, &mut 0), Err(CodecError::BadUtf8));
         // Nanoseconds out of range.
         let mut buf = Vec::new();
         encode_u64(0, &mut buf);
         encode_u64(1_000_000_000, &mut buf);
-        assert_eq!(decode_duration(&buf, &mut 0), Err(CodecError::Overflow));
+        assert_eq!(Duration::decode(&buf, &mut 0), Err(CodecError::Overflow));
+        // A varint too wide for its type.
+        let mut buf = Vec::new();
+        encode_u64(u64::from(u32::MAX) + 1, &mut buf);
+        assert_eq!(u32::decode(&buf, &mut 0), Err(CodecError::Overflow));
+        // A count the bytes cannot back fails at the first missing element.
+        let mut buf = Vec::new();
+        encode_u64(1 << 40, &mut buf);
+        buf.push(2);
+        assert_eq!(
+            Vec::<i64>::decode(&buf, &mut 0),
+            Err(CodecError::UnexpectedEnd)
+        );
+    }
+
+    const SHAPE_DOT: u8 = 0;
+    const SHAPE_LINE: u8 = 1;
+    const SHAPE_BOX: u8 = 2;
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Dot,
+        Line(u64, i64),
+        Box { corner: Reg, sides: Vec<u32> },
+    }
+
+    crate::codec_record! {
+        enum Shape as "shape" {
+            SHAPE_DOT => Dot,
+            SHAPE_LINE => Line(len, offset),
+            SHAPE_BOX => Box { corner, sides },
+        }
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Sketch {
+        name: String,
+        shapes: Vec<Shape>,
+        scratch: usize,
+    }
+
+    crate::codec_record! {
+        struct Sketch { name, shapes }
+        off_wire { scratch: 0 }
+    }
+
+    #[test]
+    fn records_encode_their_fields_in_declared_order() {
+        let sketch = Sketch {
+            name: "s".into(),
+            shapes: vec![
+                Shape::Dot,
+                Shape::Line(3, -1),
+                Shape::Box {
+                    corner: Reg::r(2),
+                    sides: vec![4],
+                },
+            ],
+            scratch: 0,
+        };
+        let mut buf = Vec::new();
+        sketch.encode(&mut buf);
+        assert_eq!(
+            buf,
+            [1, b's', 3, SHAPE_DOT, SHAPE_LINE, 3, 1, SHAPE_BOX, 2, 1, 4]
+        );
+        roundtrip(&sketch);
+        assert!(matches!(
+            Shape::decode(&[9], &mut 0),
+            Err(CodecError::BadTag {
+                what: "shape",
+                tag: 9
+            })
+        ));
+    }
+
+    fn sealed_stream(records: &[(u64, String)]) -> Vec<u8> {
+        let mut out = b"HDR".to_vec();
+        for r in records {
+            write_sealed_record(r, &mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn sealed_records_roundtrip_and_drop_only_a_truncated_tail() {
+        let records = vec![(1, "one".to_string()), (2, String::new()), (3, "x".into())];
+        let bytes = sealed_stream(&records);
+        assert_eq!(
+            read_sealed_records::<(u64, String)>(&bytes, 3),
+            Ok((records.clone(), false))
+        );
+        // Record boundaries: a length byte, the payload, a 16-byte seal.
+        let boundaries = [3, 3 + 1 + 5 + 16, 3 + 1 + 5 + 16 + 1 + 2 + 16];
+        for cut in 3..bytes.len() {
+            let (read, truncated) = read_sealed_records::<(u64, String)>(&bytes[..cut], 3).unwrap();
+            assert_eq!(truncated, !boundaries.contains(&cut));
+            assert_eq!(read[..], records[..read.len()]);
+        }
+    }
+
+    #[test]
+    fn sealed_records_refuse_corruption_by_offset() {
+        let records = vec![(1u64, "one".to_string()), (2, "two".into())];
+        let bytes = sealed_stream(&records);
+        let second = 3 + 1 + 5 + 16;
+        // A flipped payload byte fails its seal.
+        let mut flipped = bytes.clone();
+        flipped[second + 2] ^= 1;
+        assert_eq!(
+            read_sealed_records::<(u64, String)>(&flipped, 3),
+            Err(second)
+        );
+        // A length over the bound.
+        let mut long = bytes[..second].to_vec();
+        encode_u64(64 << 20 | 1, &mut long);
+        assert_eq!(read_sealed_records::<(u64, String)>(&long, 3), Err(second));
+        // A correctly sealed payload that is not one record.
+        let mut forged = bytes[..second].to_vec();
+        write_sealed_record(&vec![0xFFu8; 3], &mut forged);
+        assert_eq!(
+            read_sealed_records::<(u64, String)>(&forged, 3),
+            Err(second)
+        );
     }
 
     #[test]

@@ -7,18 +7,18 @@
 //! The `SYCP` format: `b"SYCP"` magic + [`CHECKPOINT_VERSION`] +
 //! [`PROTOCOL_VERSION`](crate::PROTOCOL_VERSION) + the [`campaign_key`]
 //! (an FNV-128 digest of the full campaign identity — a stale or foreign
-//! checkpoint is refused) + shard count, followed by one digest-tailed
-//! record per completed task in the `TaskDone` body encoding. The
-//! normative byte layout lives in **`docs/PROTOCOL.md`** (§2) at the
-//! repository root, next to the wire and memo-store specs.
+//! checkpoint is refused) + shard count, followed by one sealed record
+//! (`sympl_symbolic::codec::write_sealed_record`) per completed task in
+//! the `TaskDone` body encoding. The normative byte layout lives in
+//! **`docs/PROTOCOL.md`** (§2) at the repository root, next to the wire
+//! and memo-store specs.
 //!
 //! Records are appended and flushed one at a time, so a coordinator
 //! killed mid-append leaves at most one *truncated* trailing record. The
 //! loader is deliberately lenient about exactly that case (the tail is
 //! dropped and reported via [`CheckpointFile::truncated_tail`]) and
-//! strict about everything else: a header that does not match, a record
-//! whose digest check fails, or trailing garbage is corruption and
-//! refuses to load.
+//! strict about everything else: a header that does not match, or a
+//! record that fails its seal or does not decode, refuses to load.
 //!
 //! ## Determinism contract
 //!
@@ -35,15 +35,12 @@ use std::hash::Hasher as _;
 use std::io::{Read as _, Write as _};
 use std::path::Path;
 
+use sympl_check::codec::encode_predicate;
 use sympl_cluster::{Finding, TaskResult};
-use sympl_symbolic::codec::{decode_u64, encode_u64};
+use sympl_symbolic::codec::{read_sealed_records, write_sealed_record, Codec};
 use sympl_symbolic::Fnv128Hasher;
 
 use crate::frame::PROTOCOL_VERSION;
-use crate::proto::{
-    decode_finding, decode_task_result, decode_u128, encode_finding, encode_task_result,
-    encode_u128,
-};
 use crate::transport::CampaignJob;
 use crate::{program_digest, CodecError, WireError};
 
@@ -54,10 +51,6 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"SYCP";
 /// Record *payload* compatibility is tracked separately via the embedded
 /// [`PROTOCOL_VERSION`].
 pub const CHECKPOINT_VERSION: u64 = 1;
-
-/// Hard cap on a single checkpoint record (matches the wire frame cap —
-/// a record is a `TaskDone` body).
-const MAX_RECORD_LEN: usize = crate::frame::MAX_FRAME_LEN;
 
 /// A deterministic FNV-128 digest of everything that identifies a
 /// campaign: the program (by [`program_digest`]), the input stream, the
@@ -74,32 +67,19 @@ const MAX_RECORD_LEN: usize = crate::frame::MAX_FRAME_LEN;
 /// `Predicate::Custom` — such campaigns cannot be checkpointed (or
 /// distributed) because their identity cannot be encoded.
 pub fn campaign_key(job: &CampaignJob<'_>) -> Result<u128, CodecError> {
-    use sympl_check::codec::{encode_i64_seq, encode_predicate, encode_search_limits};
-    use sympl_inject::codec::encode_point;
-    use sympl_symbolic::codec::encode_opt_duration;
-
     let mut buf = Vec::new();
-    encode_u128(program_digest(job.program), &mut buf);
-    encode_i64_seq(job.input, &mut buf);
+    program_digest(job.program).encode(&mut buf);
+    job.input.to_vec().encode(&mut buf);
     encode_predicate(job.predicate, &mut buf)?;
-    encode_search_limits(&job.config.search, &mut buf);
-    encode_opt_duration(job.config.task_budget, &mut buf);
-    encode_u64(job.config.max_findings_per_task as u64, &mut buf);
-    encode_u64(job.config.point_share() as u64, &mut buf);
-    encode_u64(job.config.tasks as u64, &mut buf);
-    encode_u64(job.campaign.points.len() as u64, &mut buf);
-    for point in &job.campaign.points {
-        encode_point(point, &mut buf);
-    }
+    job.config.search.encode(&mut buf);
+    job.config.task_budget.encode(&mut buf);
+    job.config.max_findings_per_task.encode(&mut buf);
+    job.config.point_share().encode(&mut buf);
+    job.config.tasks.encode(&mut buf);
+    job.campaign.points.encode(&mut buf);
     let mut h = Fnv128Hasher::new();
     h.write(&buf);
     Ok(h.finish128())
-}
-
-fn record_digest(payload: &[u8]) -> u128 {
-    let mut h = Fnv128Hasher::new();
-    h.write(payload);
-    h.finish128()
 }
 
 /// Appends completed-task records to a checkpoint file, one flushed
@@ -118,10 +98,10 @@ impl CheckpointWriter {
     pub fn create(path: &Path, key: u128, tasks_total: usize) -> Result<Self, WireError> {
         let mut header = Vec::with_capacity(64);
         header.extend_from_slice(&CHECKPOINT_MAGIC);
-        encode_u64(CHECKPOINT_VERSION, &mut header);
-        encode_u64(PROTOCOL_VERSION, &mut header);
-        encode_u128(key, &mut header);
-        encode_u64(tasks_total as u64, &mut header);
+        CHECKPOINT_VERSION.encode(&mut header);
+        PROTOCOL_VERSION.encode(&mut header);
+        key.encode(&mut header);
+        tasks_total.encode(&mut header);
         let mut file = File::create(path).map_err(WireError::Io)?;
         file.write_all(&header).map_err(WireError::Io)?;
         file.flush().map_err(WireError::Io)?;
@@ -129,22 +109,14 @@ impl CheckpointWriter {
     }
 
     /// Appends one completed task's result and findings as a single
-    /// digest-protected record, flushed before returning.
+    /// sealed record, flushed before returning.
     ///
     /// # Errors
     ///
     /// Any filesystem error.
-    pub fn append(&mut self, result: &TaskResult, findings: &[Finding]) -> Result<(), WireError> {
-        let mut payload = Vec::new();
-        encode_task_result(result, &mut payload);
-        encode_u64(findings.len() as u64, &mut payload);
-        for finding in findings {
-            encode_finding(finding, &mut payload);
-        }
-        let mut record = Vec::with_capacity(payload.len() + 24);
-        encode_u64(payload.len() as u64, &mut record);
-        record.extend_from_slice(&payload);
-        record.extend_from_slice(&record_digest(&payload).to_le_bytes());
+    pub fn append(&mut self, entry: &(TaskResult, Vec<Finding>)) -> Result<(), WireError> {
+        let mut record = Vec::new();
+        write_sealed_record(entry, &mut record);
         self.file.write_all(&record).map_err(WireError::Io)?;
         self.file.flush().map_err(WireError::Io)?;
         Ok(())
@@ -186,8 +158,9 @@ pub fn load_checkpoint(path: &Path) -> Result<CheckpointFile, WireError> {
 /// # Errors
 ///
 /// [`WireError::BadMagic`] / [`WireError::VersionMismatch`] on a foreign
-/// or stale header, [`WireError::CheckpointCorrupt`] when a record's
-/// digest check fails, plus any [`CodecError`] from malformed payloads.
+/// or stale header, a [`CodecError`] on a truncated header, and
+/// [`WireError::CheckpointCorrupt`] when a complete record fails its seal
+/// or does not decode.
 pub fn parse_checkpoint(bytes: &[u8]) -> Result<CheckpointFile, WireError> {
     let mut pos = 0usize;
     let magic: [u8; 4] = bytes
@@ -198,76 +171,24 @@ pub fn parse_checkpoint(bytes: &[u8]) -> Result<CheckpointFile, WireError> {
         return Err(WireError::BadMagic(magic));
     }
     pos += 4;
-    let version = decode_u64(bytes, &mut pos)?;
+    let version = u64::decode(bytes, &mut pos)?;
     if version != CHECKPOINT_VERSION {
         return Err(WireError::VersionMismatch {
             ours: CHECKPOINT_VERSION,
             theirs: version,
         });
     }
-    let protocol = decode_u64(bytes, &mut pos)?;
+    let protocol = u64::decode(bytes, &mut pos)?;
     if protocol != PROTOCOL_VERSION {
         return Err(WireError::VersionMismatch {
             ours: PROTOCOL_VERSION,
             theirs: protocol,
         });
     }
-    let key = decode_u128(bytes, &mut pos)?;
-    let tasks_total = usize::try_from(decode_u64(bytes, &mut pos)?)
-        .map_err(|_| WireError::from(CodecError::Overflow))?;
-
-    let mut entries = Vec::new();
-    let mut truncated_tail = false;
-    while pos < bytes.len() {
-        let record_start = pos;
-        // A record that cannot even announce its length is a truncated
-        // tail, not corruption.
-        let Ok(len) = decode_u64(bytes, &mut pos) else {
-            truncated_tail = true;
-            break;
-        };
-        let Ok(len) = usize::try_from(len) else {
-            return Err(WireError::CheckpointCorrupt {
-                offset: record_start,
-            });
-        };
-        if len > MAX_RECORD_LEN {
-            return Err(WireError::CheckpointCorrupt {
-                offset: record_start,
-            });
-        }
-        let Some(payload) = bytes.get(pos..pos + len) else {
-            truncated_tail = true;
-            break;
-        };
-        let Some(digest) = bytes
-            .get(pos + len..pos + len + 16)
-            .and_then(|d| <[u8; 16]>::try_from(d).ok())
-        else {
-            truncated_tail = true;
-            break;
-        };
-        if u128::from_le_bytes(digest) != record_digest(payload) {
-            return Err(WireError::CheckpointCorrupt {
-                offset: record_start,
-            });
-        }
-        let mut p = 0usize;
-        let result = decode_task_result(payload, &mut p)?;
-        let n = usize::try_from(decode_u64(payload, &mut p)?)
-            .map_err(|_| WireError::from(CodecError::Overflow))?;
-        let mut findings = Vec::with_capacity(n.min(1 << 12));
-        for _ in 0..n {
-            findings.push(decode_finding(payload, &mut p)?);
-        }
-        if p != payload.len() {
-            return Err(WireError::CheckpointCorrupt {
-                offset: record_start,
-            });
-        }
-        entries.push((result, findings));
-        pos += len + 16;
-    }
+    let key = u128::decode(bytes, &mut pos)?;
+    let tasks_total = usize::decode(bytes, &mut pos)?;
+    let (entries, truncated_tail) = read_sealed_records(bytes, pos)
+        .map_err(|offset| WireError::CheckpointCorrupt { offset })?;
     Ok(CheckpointFile {
         key,
         tasks_total,
@@ -313,8 +234,8 @@ mod tests {
             key as u64
         ));
         let mut w = CheckpointWriter::create(&path, key, total).unwrap();
-        for (r, f) in entries {
-            w.append(r, f).unwrap();
+        for entry in entries {
+            w.append(entry).unwrap();
         }
         let bytes = std::fs::read(&path).unwrap();
         let _ = std::fs::remove_file(&path);
@@ -369,10 +290,28 @@ mod tests {
             Err(WireError::BadMagic(_))
         ));
         let mut header = CHECKPOINT_MAGIC.to_vec();
-        encode_u64(CHECKPOINT_VERSION + 9, &mut header);
+        (CHECKPOINT_VERSION + 9).encode(&mut header);
         assert!(matches!(
             parse_checkpoint(&header),
             Err(WireError::VersionMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn a_sealed_record_that_does_not_decode_is_corrupt() {
+        let mut bytes = write_file(&[sample_entry(0)], 3, 2);
+        let offset = bytes.len();
+        // Sealed exactly as the writer seals, but no task result: the seal
+        // checks and the payload runs out inside a varint.
+        let payload = [0xFFu8; 4];
+        let mut h = Fnv128Hasher::new();
+        h.write(&payload);
+        bytes.push(payload.len() as u8);
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&h.finish128().to_le_bytes());
+        assert!(matches!(
+            parse_checkpoint(&bytes),
+            Err(WireError::CheckpointCorrupt { offset: o }) if o == offset
         ));
     }
 

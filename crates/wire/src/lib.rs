@@ -85,7 +85,6 @@ pub use frame::{
     handshake, read_frame, read_preamble, write_frame, write_preamble, MAGIC, MAX_FRAME_LEN,
     PROTOCOL_VERSION,
 };
-pub use proto::{decode_finding, decode_task_result, encode_finding, encode_task_result};
 pub use proto::{decode_message, encode_message, Message, TaskFrame};
 pub use service::{
     join_coordinator, ClientStats, FairScheduler, ServeOptions, ServiceStats, DEFAULT_MAX_CLIENTS,

@@ -1,24 +1,18 @@
 //! The message vocabulary: campaign tasks and results as byte payloads.
 //!
-//! Each payload is a tag byte plus a body assembled from the layered
-//! codecs: leaf varints (`sympl_symbolic::codec`), machine states
-//! (`sympl_machine::codec`), report/limits records (`sympl_check::codec`),
-//! and injection points (`sympl_inject::codec`). See the crate docs for
-//! the frame table.
+//! Each payload is a tag byte plus a body of [`Codec`] records: leaf
+//! varints (`sympl_symbolic::codec`), machine states
+//! (`sympl_machine::codec`), limits and solutions (`sympl_check::codec`),
+//! injection points, and task results and findings. See the crate docs
+//! for the frame table.
 
 use std::time::Duration;
 
-use sympl_check::codec::{
-    decode_i64_seq, decode_predicate, decode_search_limits, decode_solution, encode_i64_seq,
-    encode_predicate, encode_search_limits, encode_solution,
-};
+use sympl_check::codec::encode_predicate;
 use sympl_check::{Predicate, SearchLimits};
 use sympl_cluster::{Finding, TaskResult, TaskSpec};
-use sympl_inject::codec::{decode_point, encode_point};
-use sympl_symbolic::codec::{
-    decode_bool, decode_duration, decode_opt_duration, decode_str, decode_u64, encode_bool,
-    encode_duration, encode_opt_duration, encode_str, encode_u64,
-};
+use sympl_symbolic::codec::Codec;
+use sympl_symbolic::codec_record;
 
 use crate::CodecError;
 
@@ -139,88 +133,26 @@ pub enum Message {
     },
 }
 
-fn decode_usize(bytes: &[u8], pos: &mut usize) -> Result<usize, CodecError> {
-    usize::try_from(decode_u64(bytes, pos)?).map_err(|_| CodecError::Overflow)
+codec_record! {
+    struct TaskFrame {
+        program_id, program_digest, input, spec, predicate, search, task_budget, max_findings,
+        point_workers, heartbeat_interval,
+    }
 }
 
-pub(crate) fn encode_u128(v: u128, buf: &mut Vec<u8>) {
-    encode_u64(v as u64, buf);
-    encode_u64((v >> 64) as u64, buf);
-}
-
-pub(crate) fn decode_u128(bytes: &[u8], pos: &mut usize) -> Result<u128, CodecError> {
-    let lo = decode_u64(bytes, pos)?;
-    let hi = decode_u64(bytes, pos)?;
-    Ok(u128::from(lo) | (u128::from(hi) << 64))
-}
-
-/// Appends a [`TaskResult`] record. The process-local cache statistics
-/// (`memo_hits`, `memo_states_skipped`, `prefix_steps_saved`) are not
-/// encoded — see [`decode_task_result`].
-pub fn encode_task_result(result: &TaskResult, buf: &mut Vec<u8>) {
-    encode_u64(result.id as u64, buf);
-    encode_u64(result.points_examined as u64, buf);
-    encode_u64(result.points_total as u64, buf);
-    encode_u64(result.activated as u64, buf);
-    encode_u64(result.findings as u64, buf);
-    encode_bool(result.completed, buf);
-    encode_duration(result.elapsed, buf);
-    encode_u64(result.states_explored as u64, buf);
-    encode_u64(result.point_workers as u64, buf);
-    encode_u64(result.steals as u64, buf);
-    encode_u64(result.peak_frontier_len as u64, buf);
-    encode_u64(result.peak_frontier_bytes as u64, buf);
-    encode_u64(result.spilled_states as u64, buf);
-}
-
-/// Decodes a [`TaskResult`] at `*pos`, advancing it.
-///
-/// # Errors
-///
-/// Any [`CodecError`] on truncated or malformed bytes.
-pub fn decode_task_result(bytes: &[u8], pos: &mut usize) -> Result<TaskResult, CodecError> {
-    Ok(TaskResult {
-        id: decode_usize(bytes, pos)?,
-        points_examined: decode_usize(bytes, pos)?,
-        points_total: decode_usize(bytes, pos)?,
-        activated: decode_usize(bytes, pos)?,
-        findings: decode_usize(bytes, pos)?,
-        completed: decode_bool(bytes, pos)?,
-        elapsed: decode_duration(bytes, pos)?,
-        states_explored: decode_usize(bytes, pos)?,
-        point_workers: decode_usize(bytes, pos)?,
-        steals: decode_usize(bytes, pos)?,
-        peak_frontier_len: decode_usize(bytes, pos)?,
-        peak_frontier_bytes: decode_usize(bytes, pos)?,
-        spilled_states: decode_usize(bytes, pos)?,
-        // Process-local cache statistics (memo hits, prefix steps) are
-        // deliberately not on the wire: they describe one worker's local
-        // caches, not the task's outcome, and keeping them out preserves
-        // the checked-in golden frame vectors byte-for-byte.
-        memo_hits: 0,
-        memo_states_skipped: 0,
-        prefix_steps_saved: 0,
-    })
-}
-
-/// Appends a [`Finding`] record.
-pub fn encode_finding(finding: &Finding, buf: &mut Vec<u8>) {
-    encode_u64(finding.task_id as u64, buf);
-    encode_point(&finding.point, buf);
-    encode_solution(&finding.solution, buf);
-}
-
-/// Decodes a [`Finding`] at `*pos`, advancing it.
-///
-/// # Errors
-///
-/// Any [`CodecError`] on truncated or malformed bytes.
-pub fn decode_finding(bytes: &[u8], pos: &mut usize) -> Result<Finding, CodecError> {
-    Ok(Finding {
-        task_id: decode_usize(bytes, pos)?,
-        point: decode_point(bytes, pos)?,
-        solution: decode_solution(bytes, pos)?,
-    })
+codec_record! {
+    enum Message as "message" {
+        MSG_TASK => Task(task),
+        MSG_TASK_DONE => TaskDone { result, findings },
+        MSG_ERROR => Error(message),
+        MSG_SHUTDOWN => Shutdown,
+        MSG_HEARTBEAT => Heartbeat,
+        MSG_CANCEL => Cancel,
+        MSG_REGISTER => Register { worker },
+        MSG_WELCOME => Welcome { program_id, program_digest },
+        MSG_CLIENT_HELLO => ClientHello { client, priority },
+        MSG_CLIENT_ACCEPT => ClientAccept { client_id },
+    }
 }
 
 /// Encodes a [`Message`] into a frame payload.
@@ -230,62 +162,12 @@ pub fn decode_finding(bytes: &[u8], pos: &mut usize) -> Result<Finding, CodecErr
 /// [`CodecError::Unsupported`] when a task frame carries a
 /// closure-backed [`Predicate::Custom`].
 pub fn encode_message(message: &Message) -> Result<Vec<u8>, CodecError> {
-    let mut buf = Vec::new();
-    match message {
-        Message::Task(task) => {
-            buf.push(MSG_TASK);
-            encode_str(&task.program_id, &mut buf);
-            encode_u128(task.program_digest, &mut buf);
-            encode_i64_seq(&task.input, &mut buf);
-            encode_u64(task.spec.id as u64, &mut buf);
-            encode_u64(task.spec.points.len() as u64, &mut buf);
-            for point in &task.spec.points {
-                encode_point(point, &mut buf);
-            }
-            encode_predicate(&task.predicate, &mut buf)?;
-            encode_search_limits(&task.search, &mut buf);
-            encode_opt_duration(task.task_budget, &mut buf);
-            encode_u64(task.max_findings as u64, &mut buf);
-            encode_u64(task.point_workers as u64, &mut buf);
-            encode_duration(task.heartbeat_interval, &mut buf);
-        }
-        Message::TaskDone { result, findings } => {
-            buf.push(MSG_TASK_DONE);
-            encode_task_result(result, &mut buf);
-            encode_u64(findings.len() as u64, &mut buf);
-            for finding in findings {
-                encode_finding(finding, &mut buf);
-            }
-        }
-        Message::Error(msg) => {
-            buf.push(MSG_ERROR);
-            encode_str(msg, &mut buf);
-        }
-        Message::Shutdown => buf.push(MSG_SHUTDOWN),
-        Message::Heartbeat => buf.push(MSG_HEARTBEAT),
-        Message::Cancel => buf.push(MSG_CANCEL),
-        Message::Register { worker } => {
-            buf.push(MSG_REGISTER);
-            encode_str(worker, &mut buf);
-        }
-        Message::Welcome {
-            program_id,
-            program_digest,
-        } => {
-            buf.push(MSG_WELCOME);
-            encode_str(program_id, &mut buf);
-            encode_u128(*program_digest, &mut buf);
-        }
-        Message::ClientHello { client, priority } => {
-            buf.push(MSG_CLIENT_HELLO);
-            encode_str(client, &mut buf);
-            encode_u64(*priority, &mut buf);
-        }
-        Message::ClientAccept { client_id } => {
-            buf.push(MSG_CLIENT_ACCEPT);
-            encode_u64(*client_id, &mut buf);
-        }
+    // Refused here because the predicate's record cannot fail: it panics.
+    if let Message::Task(task) = message {
+        encode_predicate(&task.predicate, &mut Vec::new())?;
     }
+    let mut buf = Vec::new();
+    message.encode(&mut buf);
     Ok(buf)
 }
 
@@ -296,80 +178,15 @@ pub fn encode_message(message: &Message) -> Result<Vec<u8>, CodecError> {
 ///
 /// Any [`CodecError`] on truncated, malformed, or over-long payloads.
 pub fn decode_message(bytes: &[u8]) -> Result<Message, CodecError> {
-    let mut pos = 0usize;
-    let &tag = bytes.get(pos).ok_or(CodecError::UnexpectedEnd)?;
-    pos += 1;
-    let message = match tag {
-        MSG_TASK => {
-            let program_id = decode_str(bytes, &mut pos)?;
-            let program_digest = decode_u128(bytes, &mut pos)?;
-            let input = decode_i64_seq(bytes, &mut pos)?;
-            let id = decode_usize(bytes, &mut pos)?;
-            let n_points = decode_usize(bytes, &mut pos)?;
-            let mut points = Vec::with_capacity(n_points.min(1 << 16));
-            for _ in 0..n_points {
-                points.push(decode_point(bytes, &mut pos)?);
-            }
-            let predicate = decode_predicate(bytes, &mut pos)?;
-            let search = decode_search_limits(bytes, &mut pos)?;
-            let task_budget = decode_opt_duration(bytes, &mut pos)?;
-            let max_findings = decode_usize(bytes, &mut pos)?;
-            let point_workers = decode_usize(bytes, &mut pos)?;
-            let heartbeat_interval = decode_duration(bytes, &mut pos)?;
-            Message::Task(TaskFrame {
-                program_id,
-                program_digest,
-                input,
-                spec: TaskSpec { id, points },
-                predicate,
-                search,
-                task_budget,
-                max_findings,
-                point_workers,
-                heartbeat_interval,
-            })
-        }
-        MSG_TASK_DONE => {
-            let result = decode_task_result(bytes, &mut pos)?;
-            let n = decode_usize(bytes, &mut pos)?;
-            let mut findings = Vec::with_capacity(n.min(1 << 12));
-            for _ in 0..n {
-                findings.push(decode_finding(bytes, &mut pos)?);
-            }
-            Message::TaskDone { result, findings }
-        }
-        MSG_ERROR => Message::Error(decode_str(bytes, &mut pos)?),
-        MSG_SHUTDOWN => Message::Shutdown,
-        MSG_HEARTBEAT => Message::Heartbeat,
-        MSG_CANCEL => Message::Cancel,
-        MSG_REGISTER => Message::Register {
-            worker: decode_str(bytes, &mut pos)?,
-        },
-        MSG_WELCOME => Message::Welcome {
-            program_id: decode_str(bytes, &mut pos)?,
-            program_digest: decode_u128(bytes, &mut pos)?,
-        },
-        MSG_CLIENT_HELLO => Message::ClientHello {
-            client: decode_str(bytes, &mut pos)?,
-            priority: decode_u64(bytes, &mut pos)?,
-        },
-        MSG_CLIENT_ACCEPT => Message::ClientAccept {
-            client_id: decode_u64(bytes, &mut pos)?,
-        },
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "message",
-                tag,
-            })
-        }
-    };
-    if pos != bytes.len() {
-        return Err(CodecError::BadTag {
+    let mut pos = 0;
+    let message = Message::decode(bytes, &mut pos)?;
+    match bytes.get(pos) {
+        None => Ok(message),
+        Some(&tag) => Err(CodecError::BadTag {
             what: "trailing bytes after message",
-            tag: bytes[pos],
-        });
+            tag,
+        }),
     }
-    Ok(message)
 }
 
 #[cfg(test)]

@@ -771,10 +771,11 @@ impl Coordinator<'_> {
     /// Checkpoints, pools, and counts one completed shard, firing the
     /// chaos hooks that key off campaign progress.
     fn finalize(&self, result: TaskResult, findings: Vec<Finding>) {
+        let entry = (result, findings);
         {
             let mut w = lock_recovering(&self.writer);
             if let Some(writer) = w.as_mut() {
-                if let Err(e) = writer.append(&result, &findings) {
+                if let Err(e) = writer.append(&entry) {
                     eprintln!(
                         "sympl-wire coordinator: checkpoint append failed ({e}); \
                          checkpointing disabled"
@@ -783,7 +784,7 @@ impl Coordinator<'_> {
                 }
             }
         }
-        lock_recovering(&self.results).push((result, findings));
+        lock_recovering(&self.results).push(entry);
         let n = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
         if let Some(on_result) = self.opts.chaos.on_result {
             on_result(n);
@@ -903,8 +904,8 @@ pub fn run_distributed_with(
                 CheckpointWriter::create(path, key.expect("checkpoint implies key"), tasks_total)?;
             // Carried-over entries are rewritten so the new file is
             // self-contained.
-            for (result, findings) in &seeded {
-                w.append(result, findings)?;
+            for entry in &seeded {
+                w.append(entry)?;
             }
             Some(w)
         }
@@ -1275,8 +1276,8 @@ impl Drop for SpawnedWorkers {
 /// Spawns `n` worker processes of `exe` on 127.0.0.1, waiting for each to
 /// print its [`LISTENING_PREFIX`] readiness line. `args` is the argument
 /// prefix that puts the executable into worker mode listening on
-/// `127.0.0.1:0` (e.g. `["serve", "--listen", "127.0.0.1:0"]` for the
-/// `symplfied` CLI, or a campaign binary's self-spawn flag).
+/// `127.0.0.1:0` (`["serve", "--listen", "127.0.0.1:0"]` for the
+/// `symplfied` CLI).
 ///
 /// # Errors
 ///

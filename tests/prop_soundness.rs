@@ -455,7 +455,7 @@ mod codec_roundtrip {
 
 // ---------------------------------------------------------------------
 // Wire-protocol round-trips: the frames a distributed campaign ships —
-// search reports, task results, whole task frames — must decode back to
+// task results, result frames, whole task frames — must decode back to
 // full-Eq equality, over the same CoW-layered state zoo (state_ops) the
 // state-codec tests use.
 // ---------------------------------------------------------------------
@@ -464,72 +464,13 @@ mod wire_roundtrip {
     use super::state_ops::{op_strategy, run_ops};
     use super::*;
     use std::time::Duration;
-    use symplfied::check::codec::{decode_search_report, encode_search_report};
-    use symplfied::check::{OutcomeCounts, SearchReport, Solution};
+    use symplfied::check::Solution;
     use symplfied::cluster::{Finding, TaskResult, TaskSpec};
-    use symplfied::wire::{
-        decode_message, decode_task_result, encode_message, encode_task_result, Message, TaskFrame,
-    };
-
-    /// Builds a search report whose solutions are the op-generated states
-    /// and whose statistics come from the sampled words.
-    fn report_from(states: Vec<MachineState>, words: &[u64]) -> SearchReport {
-        let w = |i: usize| words[i % words.len()] as usize;
-        let solutions: Vec<Solution> = states
-            .into_iter()
-            .enumerate()
-            .map(|(i, state)| Solution {
-                state,
-                trace: (0..(i % 7)).collect(),
-            })
-            .collect();
-        let mut report = SearchReport {
-            solutions,
-            states_explored: w(0),
-            terminals: OutcomeCounts {
-                halted: w(1),
-                crashed: w(2),
-                hung: w(3),
-                detected: w(4),
-            },
-            duplicate_hits: w(5),
-            exhausted: w(6) % 2 == 0,
-            hit_state_cap: w(7) % 2 == 0,
-            hit_solution_cap: w(8) % 2 == 0,
-            hit_time_cap: w(9) % 2 == 0,
-            elapsed: Duration::from_micros(words[10 % words.len()]),
-            states_per_second: 0.0,
-            workers: w(11),
-            steals: w(12),
-            peak_frontier_len: w(0).wrapping_add(1),
-            peak_frontier_bytes: w(1).wrapping_add(2),
-            spilled_states: w(2) % 1000,
-            // Process-local memo statistics: never wire-encoded, so the
-            // round-trip fixtures pin them at zero.
-            memo_hits: 0,
-            memo_states_skipped: 0,
-        };
-        report.states_per_second = SearchReport::throughput(report.states_explored, report.elapsed);
-        report
-    }
+    use symplfied::symbolic::codec::Codec;
+    use symplfied::wire::{decode_message, encode_message, Message, TaskFrame};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn search_reports_roundtrip_with_full_eq(
-            ops in prop::collection::vec(op_strategy(), 1..60),
-            words in prop::collection::vec(0u64..5_000_000, 13..14),
-        ) {
-            let report = report_from(run_ops(&[3, -8], &ops), &words);
-            let mut buf = Vec::new();
-            encode_search_report(&report, &mut buf);
-            let mut pos = 0;
-            let decoded = decode_search_report(&buf, &mut pos)
-                .expect("well-formed report encodings must decode");
-            prop_assert_eq!(pos, buf.len(), "whole record consumed");
-            prop_assert_eq!(&decoded, &report, "full Eq after round-trip");
-        }
 
         #[test]
         fn task_results_and_result_frames_roundtrip(
@@ -559,9 +500,9 @@ mod wire_roundtrip {
             };
             // Bare record round-trip.
             let mut buf = Vec::new();
-            encode_task_result(&result, &mut buf);
+            result.encode(&mut buf);
             let mut pos = 0;
-            prop_assert_eq!(&decode_task_result(&buf, &mut pos).unwrap(), &result);
+            prop_assert_eq!(&TaskResult::decode(&buf, &mut pos).unwrap(), &result);
             prop_assert_eq!(pos, buf.len());
 
             // Full TaskDone frame with op-generated solution states.
@@ -704,8 +645,8 @@ mod checkpoint_roundtrip {
             std::process::id()
         ));
         let mut writer = CheckpointWriter::create(&path, key, total).expect("create checkpoint");
-        for (result, findings) in entries {
-            writer.append(result, findings).expect("append record");
+        for entry in entries {
+            writer.append(entry).expect("append record");
         }
         let bytes = std::fs::read(&path).expect("read checkpoint back");
         let _ = std::fs::remove_file(&path);

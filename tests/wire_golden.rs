@@ -312,13 +312,9 @@ fn session_frame_bytes_are_pinned() {
 // record bytes for every variant, so each variant gets pinned here too.
 // ---------------------------------------------------------------------
 
-use symplfied::check::codec::{
-    decode_policy, decode_predicate, decode_search_limits, encode_policy, encode_predicate,
-    encode_search_limits,
-};
+use symplfied::check::codec::{decode_predicate, encode_predicate};
 use symplfied::check::{MemoStore, OutcomeCounts, PriorityHeuristic, SubtreeSummary};
-use symplfied::inject::codec::{decode_point, encode_point};
-use symplfied::machine::codec::{decode_exec_limits, encode_exec_limits};
+use symplfied::symbolic::codec::Codec;
 use symplfied::wire::{parse_checkpoint, CheckpointWriter};
 
 fn fixture_policies() -> Vec<FrontierPolicy> {
@@ -417,39 +413,39 @@ fn fixture_search_limits() -> Vec<SearchLimits> {
 fn record_variant_bytes_are_pinned_and_decode() {
     let mut bytes = Vec::new();
     for policy in fixture_policies() {
-        encode_policy(policy, &mut bytes);
+        policy.encode(&mut bytes);
     }
     for predicate in fixture_predicates() {
         encode_predicate(&predicate, &mut bytes).expect("fixture predicates are encodable");
     }
     for point in fixture_points() {
-        encode_point(&point, &mut bytes);
+        point.encode(&mut bytes);
     }
     for limits in fixture_exec_limits() {
-        encode_exec_limits(&limits, &mut bytes);
+        limits.encode(&mut bytes);
     }
     for limits in fixture_search_limits() {
-        encode_search_limits(&limits, &mut bytes);
+        limits.encode(&mut bytes);
     }
     check_golden("record_variants.bin", &bytes);
 
     let golden = std::fs::read(golden_dir().join("record_variants.bin")).unwrap();
     let pos = &mut 0;
     for policy in fixture_policies() {
-        assert_eq!(decode_policy(&golden, pos).unwrap(), policy);
+        assert_eq!(FrontierPolicy::decode(&golden, pos).unwrap(), policy);
     }
     for predicate in fixture_predicates() {
         let decoded = decode_predicate(&golden, pos).unwrap();
         assert_eq!(format!("{decoded:?}"), format!("{predicate:?}"));
     }
     for point in fixture_points() {
-        assert_eq!(decode_point(&golden, pos).unwrap(), point);
+        assert_eq!(InjectionPoint::decode(&golden, pos).unwrap(), point);
     }
     for limits in fixture_exec_limits() {
-        assert_eq!(decode_exec_limits(&golden, pos).unwrap(), limits);
+        assert_eq!(ExecLimits::decode(&golden, pos).unwrap(), limits);
     }
     for limits in fixture_search_limits() {
-        let decoded = decode_search_limits(&golden, pos).unwrap();
+        let decoded = SearchLimits::decode(&golden, pos).unwrap();
         assert_eq!(format!("{decoded:?}"), format!("{limits:?}"));
     }
     assert_eq!(*pos, golden.len(), "every golden byte decoded");
@@ -474,8 +470,8 @@ fn checkpoint_bytes_are_pinned_and_parse() {
     let path = std::env::temp_dir().join(format!("sympl-golden-sycp-{}", std::process::id()));
     let mut writer = CheckpointWriter::create(&path, 0x0123_4567_89AB_CDEF_FEDC_BA98_7654_3210, 3)
         .expect("create checkpoint");
-    for (result, findings) in fixture_checkpoint_entries() {
-        writer.append(&result, &findings).expect("append record");
+    for entry in fixture_checkpoint_entries() {
+        writer.append(&entry).expect("append record");
     }
     drop(writer);
     let bytes = std::fs::read(&path).expect("read checkpoint back");
@@ -538,7 +534,11 @@ fn memo_store_bytes_are_pinned_and_parse() {
     let golden = std::fs::read(golden_dir().join("memo_store.symo")).unwrap();
     let (loaded, truncated) = MemoStore::parse(&golden, Some(key)).expect("golden store parses");
     assert!(!truncated);
-    assert_eq!(loaded.to_bytes(), golden, "a parsed store re-serializes byte for byte");
+    assert_eq!(
+        loaded.to_bytes(),
+        golden,
+        "a parsed store re-serializes byte for byte"
+    );
     for (probe, summary) in fixture_summaries() {
         let served = loaded.serve(probe).expect("every golden probe is served");
         assert_eq!(served.solutions, summary.solutions);
