@@ -126,7 +126,9 @@ pub trait Codec: Sized {
 /// not on the wire follow under `off_wire`, each with its decoded value.
 /// A tagged enum names the subject of its [`CodecError::BadTag`], then
 /// pairs each variant with its `u8` tag constant and names the variant's
-/// fields in wire order.
+/// fields in wire order. A field or variant added to the type and left
+/// out of the declaration does not compile: the decoder builds every
+/// field, and the encoder matches every variant.
 ///
 /// ```
 /// use sympl_symbolic::codec::Codec;

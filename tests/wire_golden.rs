@@ -1,12 +1,14 @@
 //! Golden wire-format vectors: checked-in byte images of every frame kind
-//! the distributed-campaign protocol ships, pinned against the current
+//! the distributed-campaign protocol ships, every variant of the records
+//! those frames and the campaign/probe keys carry, and one `SYCP`
+//! checkpoint and one `SYMO` memo store, pinned against the current
 //! encoders *and* decoders.
 //!
-//! A change to any codec layer (leaf varints, state codec, report codec,
-//! point codec, message framing, preamble) that moves bytes will fail this
-//! suite — the signal that [`symplfied::wire::PROTOCOL_VERSION`] must be
-//! bumped *before* old workers are stranded mid-campaign. CI runs this in
-//! release mode on every push.
+//! A change to any codec layer (leaf varints, state codec, record codecs,
+//! message framing, preamble, sealed records) that moves bytes will fail
+//! this suite — the signal that [`symplfied::wire::PROTOCOL_VERSION`] (or
+//! the file format's version) must be bumped *before* old workers are
+//! stranded mid-campaign. CI runs this in release mode on every push.
 //!
 //! To regenerate after an *intentional* format change (with the version
 //! bump):
@@ -18,13 +20,19 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use symplfied::check::{FrontierPolicy, SearchLimits, Solution};
+use symplfied::check::codec::{decode_predicate, encode_predicate};
+use symplfied::check::{
+    FrontierPolicy, MemoStore, OutcomeCounts, PriorityHeuristic, SearchLimits, Solution,
+    SubtreeSummary,
+};
 use symplfied::cluster::{Finding, TaskResult, TaskSpec};
 use symplfied::machine::{MachineState, OutItem, Status};
 use symplfied::prelude::*;
+use symplfied::symbolic::codec::Codec;
 use symplfied::symbolic::{Constraint, Location, Value};
 use symplfied::wire::{
-    decode_message, encode_message, read_frame, write_frame, write_preamble, Message, TaskFrame,
+    decode_message, encode_message, parse_checkpoint, read_frame, write_frame, write_preamble,
+    CheckpointWriter, Message, TaskFrame,
 };
 
 fn golden_dir() -> PathBuf {
@@ -311,11 +319,6 @@ fn session_frame_bytes_are_pinned() {
 // one value per record; `campaign_key` and `probe_digest` hash the same
 // record bytes for every variant, so each variant gets pinned here too.
 // ---------------------------------------------------------------------
-
-use symplfied::check::codec::{decode_predicate, encode_predicate};
-use symplfied::check::{MemoStore, OutcomeCounts, PriorityHeuristic, SubtreeSummary};
-use symplfied::symbolic::codec::Codec;
-use symplfied::wire::{parse_checkpoint, CheckpointWriter};
 
 fn fixture_policies() -> Vec<FrontierPolicy> {
     vec![
