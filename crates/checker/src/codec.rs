@@ -138,6 +138,7 @@ codec_record! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SearchReport, SubtreeSummary};
     use sympl_machine::MachineState;
     use sympl_symbolic::Value;
 
@@ -220,28 +221,71 @@ mod tests {
         }
     }
 
-    #[test]
-    fn solutions_and_outcome_counts_roundtrip() {
-        let record = (
-            vec![sample_solution(), sample_solution()],
-            OutcomeCounts {
+    /// A search report as the memo store keeps it: two solutions and a
+    /// terminal tally, every statistic non-zero.
+    fn sample_report() -> SubtreeSummary {
+        let report = SearchReport {
+            solutions: vec![sample_solution(), sample_solution()],
+            states_explored: 1234,
+            terminals: OutcomeCounts {
                 halted: 3,
                 crashed: 1,
                 hung: 0,
                 detected: 2,
             },
+            duplicate_hits: 55,
+            exhausted: true,
+            hit_state_cap: false,
+            hit_solution_cap: true,
+            hit_time_cap: false,
+            elapsed: std::time::Duration::from_micros(987_654),
+            states_per_second: 1_234_567.89,
+            workers: 8,
+            steals: 17,
+            peak_frontier_len: 99,
+            peak_frontier_bytes: 4096,
+            spilled_states: 12,
+            memo_hits: 0,
+            memo_states_skipped: 0,
+        };
+        SubtreeSummary::from_report(&report, 42)
+    }
+
+    #[test]
+    fn solutions_and_reports_roundtrip() {
+        let summary = sample_report();
+        let mut buf = Vec::new();
+        summary.encode(&mut buf);
+        let mut pos = 0;
+        let decoded = SubtreeSummary::decode(&buf, &mut pos).unwrap();
+        assert_eq!(pos, buf.len());
+        assert_eq!(decoded, summary, "full Eq round-trip");
+        assert_eq!(decoded.to_report(), summary.to_report());
+        // Decoded solution states carry live fingerprint caches.
+        assert_eq!(
+            decoded.solutions[0].state.fingerprint(),
+            decoded.solutions[0].state.fingerprint_from_scratch()
         );
+
+        // The bare record pair round-trips on its own too.
+        let record = (summary.solutions.clone(), summary.terminals);
         let mut buf = Vec::new();
         record.encode(&mut buf);
         let mut pos = 0;
         let decoded = <(Vec<Solution>, OutcomeCounts)>::decode(&buf, &mut pos).unwrap();
         assert_eq!(pos, buf.len());
-        assert_eq!(decoded, record, "full Eq round-trip");
-        // Decoded solution states carry live fingerprint caches.
-        assert_eq!(
-            decoded.0[0].state.fingerprint(),
-            decoded.0[0].state.fingerprint_from_scratch()
-        );
+        assert_eq!(decoded, record);
+    }
+
+    #[test]
+    fn truncated_reports_error_cleanly() {
+        let mut buf = Vec::new();
+        sample_report().encode(&mut buf);
+        for cut in 0..buf.len() {
+            assert!(SubtreeSummary::decode(&buf[..cut], &mut 0).is_err());
+        }
+        let mut buf = Vec::new();
+        (vec![sample_solution()], OutcomeCounts::default()).encode(&mut buf);
         for cut in 0..buf.len() {
             assert!(<(Vec<Solution>, OutcomeCounts)>::decode(&buf[..cut], &mut 0).is_err());
         }
