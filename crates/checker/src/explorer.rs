@@ -221,8 +221,8 @@ impl<'a> Explorer<'a> {
         // Survives iterative-deepening rounds: indices recorded in round 0
         // stay valid as re-seed metadata.
         let mut arena: Vec<(usize, usize)> = Vec::new();
-        // Fingerprints only (16 bytes per visited state), bucketed by their
-        // own digest bits — no SipHash re-hash per probe.
+        // Fingerprints only (16 bytes per visited state), bucketed by one
+        // finaliser pass over all 128 digest bits — no SipHash per probe.
         let mut visited = FingerprintSet::default();
         let mut frontier: Box<dyn FrontierQueue<usize>> =
             self.policy().build(self.limits.max_frontier_bytes);

@@ -976,6 +976,33 @@ mod tests {
     }
 
     #[test]
+    fn outcome_digest_sees_witness_traces_and_state_counts() {
+        let p = factorial();
+        let campaign = Campaign::new(&p, ErrorClass::RegisterFile);
+        let config = ClusterConfig {
+            point_workers_hint: Some(1),
+            ..quick_config(4)
+        };
+        let a = run_cluster(
+            &p,
+            &DetectorSet::new(),
+            &[4],
+            &campaign,
+            &Predicate::OutputContainsErr,
+            &config,
+        );
+        assert!(!a.findings.is_empty() && !a.tasks.is_empty());
+        // One finding's witness trace, with its end state unchanged.
+        let mut traced = a.clone();
+        traced.findings[0].solution.trace.push(0);
+        assert_ne!(a.outcome_digest(), traced.outcome_digest(), "trace");
+        // One task's explored-state count, with nothing else changed.
+        let mut counted = a.clone();
+        counted.tasks[0].states_explored += 1;
+        assert_ne!(a.outcome_digest(), counted.outcome_digest(), "states");
+    }
+
+    #[test]
     fn point_share_respects_explicit_hint() {
         let mut config = quick_config(1);
         assert!(config.point_share() >= 1);

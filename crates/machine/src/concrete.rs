@@ -520,6 +520,44 @@ mod tests {
     }
 
     #[test]
+    fn fused_compare_branch_times_out_where_the_unfused_chain_does() {
+        // The factorial loop head `setgt $5 $3 $4; beq $5 0 exit` lowers to
+        // a fused compare-branch pair, entered once per iteration.
+        let p = parse_program(
+            "ori $2 $0 #1\nread $1\nmov $3, $1\nori $4 $0 #1\n\
+             loop: setgt $5 $3 $4\nbeq $5 0 exit\nmult $2 $2 $3\nsubi $3 $3 #1\nbeq $0 #0 loop\n\
+             exit: print $2\nhalt",
+        )
+        .unwrap();
+        let decoded = p.decoded();
+        assert!(matches!(
+            decoded.fused_at(4),
+            Some(SuperOp::CmpBranch { .. })
+        ));
+        let detectors = DetectorSet::new();
+        let mut golden = MachineState::with_input(vec![5]);
+        run_concrete(&mut golden, &p, &detectors, &lim()).unwrap();
+        assert_eq!(golden.status(), &Status::Halted);
+        // Every watchdog bound up to the golden run's length, so the
+        // timeout lands both between and inside every fused pair.
+        for max_steps in 1..=golden.steps() {
+            let limits = ExecLimits::with_max_steps(max_steps);
+            let mut fused = MachineState::with_input(vec![5]);
+            run_concrete(&mut fused, &p, &detectors, &limits).unwrap();
+            let mut unfused = MachineState::with_input(vec![5]);
+            let mut successors = crate::SuccessorBuf::new();
+            while !unfused.status().is_terminal() {
+                unfused.step_into(decoded, &detectors, &limits, &mut successors);
+                assert_eq!(successors.len(), 1, "concrete state must not fork");
+                unfused = successors.drain().next().unwrap();
+            }
+            assert_eq!(fused.status(), unfused.status(), "max_steps {max_steps}");
+            assert_eq!(fused.steps(), unfused.steps(), "max_steps {max_steps}");
+            assert_eq!(fused.pc(), unfused.pc(), "max_steps {max_steps}");
+        }
+    }
+
+    #[test]
     fn agrees_with_symbolic_executor_on_concrete_states() {
         // Differential test: run the same program both ways and compare
         // final states field by field.

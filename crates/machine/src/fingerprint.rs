@@ -47,6 +47,17 @@
 //! [`ZobristComponent`]) live in `sympl-symbolic` so the `ConstraintMap`
 //! can maintain its own fold; they are re-exported here, where the state
 //! digest scheme they serve is documented.
+//!
+//! # Visited-set bucketing
+//!
+//! The same XOR structure that makes the fold cheap leaves the digest's
+//! raw bits correlated: on 450 k distinct tcas fingerprints, bits 64..84
+//! take ~66 k distinct values where uniform bits would take ~366 k, and
+//! hundreds of fingerprints share all 64 high bits. Bucketing a hash set
+//! on a raw slice of the digest therefore piles states into a few long
+//! probe chains. [`FingerprintSet`] instead buckets through
+//! [`FingerprintHasher`], which avalanches all 128 bits into the bucket
+//! hash. The mix is private to the set: no digest, count or key moves.
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -58,10 +69,10 @@ pub use sympl_symbolic::{cell_hash, Fnv128Hasher, ZobristComponent};
 pub struct Fingerprint(pub u128);
 
 impl Fingerprint {
-    /// The shard index for a sharded visited set: the digest's **low**
-    /// `log2(shards)` bits. [`IdentityHasher`] derives bucket positions from
-    /// the **high** 64 bits, so sharding and in-shard bucketing consume
-    /// disjoint, independently-mixed bits of the digest.
+    /// The shard index for a sharded visited set: the digest's raw **low**
+    /// `log2(shards)` bits. Within a shard, [`FingerprintHasher`] mixes all
+    /// 128 bits into the bucket hash, so the shard's constant low bits
+    /// cannot cluster its buckets.
     ///
     /// `shards` must be a power of two.
     #[must_use]
@@ -71,30 +82,41 @@ impl Fingerprint {
     }
 }
 
-/// A no-op [`Hasher`] for [`Fingerprint`] keys.
+/// The bucket [`Hasher`] for [`Fingerprint`] keys.
 ///
-/// Fingerprints are already uniform 128-bit FNV-1a digests; re-hashing them
-/// through SipHash (the `HashSet` default) burns a full hash pass per
-/// visited-set probe for zero distributional benefit. This hasher just
-/// truncates: it keeps the digest's **high** 64 bits as the bucket hash
-/// (the low bits select the shard in the parallel engine's sharded set, so
-/// the two uses never collapse onto the same bits).
+/// The digest's raw bits are not uniform enough to bucket on directly: the
+/// XOR-folded cell hashes leave whole runs of bits correlated, so any
+/// fixed 64-bit slice of a large set's digests takes far fewer distinct
+/// values than the set has entries. This hasher folds **all 128 bits**
+/// through splitmix64's avalanche finaliser, `fmix(hi ^ fmix(lo))`: every
+/// input bit reaches every output bit, so fingerprints that differ in
+/// either half land in different buckets. (A plain `hi ^ lo` fold, or a
+/// single multiply, inherits the XOR structure of the digest and
+/// collides.) Only bucket positions depend on it; the digest itself, and
+/// everything keyed on it, does not.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct IdentityHasher {
+pub struct FingerprintHasher {
     hash: u64,
 }
 
-impl Hasher for IdentityHasher {
+/// splitmix64's finaliser: a bijective 64-bit avalanche mix.
+fn fmix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+impl Hasher for FingerprintHasher {
     fn write(&mut self, bytes: &[u8]) {
         // Generic fallback (not used by `Fingerprint`, whose derived Hash
-        // calls `write_u128`): fold bytes in, preserving all input.
+        // calls `write_u128`): mix each byte in.
         for &b in bytes {
-            self.hash = self.hash.rotate_left(8) ^ u64::from(b);
+            self.hash = fmix(self.hash ^ u64::from(b));
         }
     }
 
     fn write_u128(&mut self, n: u128) {
-        self.hash = (n >> 64) as u64;
+        self.hash = fmix((n >> 64) as u64 ^ fmix(n as u64));
     }
 
     fn finish(&self) -> u64 {
@@ -102,12 +124,12 @@ impl Hasher for IdentityHasher {
     }
 }
 
-/// The [`std::hash::BuildHasher`] plugging [`IdentityHasher`] into std
+/// The [`std::hash::BuildHasher`] plugging [`FingerprintHasher`] into std
 /// collections.
-pub type FingerprintBuildHasher = BuildHasherDefault<IdentityHasher>;
+pub type FingerprintBuildHasher = BuildHasherDefault<FingerprintHasher>;
 
-/// A visited set keyed by fingerprints with no re-hashing: the digest's own
-/// bits are the bucket hash.
+/// A visited set keyed by fingerprints, bucketed by [`FingerprintHasher`]
+/// (one finaliser pass per probe instead of SipHash's full keyed hash).
 pub type FingerprintSet = HashSet<Fingerprint, FingerprintBuildHasher>;
 
 #[cfg(test)]
@@ -128,12 +150,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn identity_hasher_passes_digest_bits_through() {
-        let fp = Fingerprint(0xDEAD_BEEF_0123_4567_89AB_CDEF_FEED_FACE);
-        let mut h = IdentityHasher::default();
+    fn bucket_hash(fp: Fingerprint) -> u64 {
+        let mut h = FingerprintHasher::default();
         fp.hash(&mut h);
-        assert_eq!(h.finish(), 0xDEAD_BEEF_0123_4567, "high 64 bits kept");
+        h.finish()
+    }
+
+    #[test]
+    fn bucket_hash_mixes_both_halves() {
+        let base = 0xDEAD_BEEF_0123_4567_89AB_CDEF_FEED_FACE_u128;
+        let hash = bucket_hash(Fingerprint(base));
+        // A one-bit change in either half moves the bucket hash, and no
+        // half passes through unmixed.
+        for bit in 0..128 {
+            let flipped = bucket_hash(Fingerprint(base ^ (1u128 << bit)));
+            assert_ne!(flipped, hash, "bit {bit} ignored");
+        }
+        assert_ne!(hash, (base >> 64) as u64, "high half passed through");
+        assert_ne!(hash, base as u64, "low half passed through");
+        // Fingerprints that differ only in the low half, or only in the
+        // high half, get distinct bucket hashes.
+        let mut seen = std::collections::HashSet::new();
+        for v in 0..10_000u128 {
+            assert!(seen.insert(bucket_hash(Fingerprint(v))), "low-half {v}");
+            assert!(
+                seen.insert(bucket_hash(Fingerprint((v + 1) << 64))),
+                "high-half {v}"
+            );
+        }
         // A FingerprintSet behaves like a plain set.
         let mut set = FingerprintSet::default();
         for v in 0..1000u128 {
@@ -151,11 +195,13 @@ mod tests {
         let fp = Fingerprint(0xFFFF_0000_0000_0000_0000_0000_0000_002B);
         assert_eq!(fp.shard(64), 0x2B);
         assert_eq!(fp.shard(1), 0);
-        // Bucket hash (high bits) and shard index (low bits) are disjoint:
-        // states that land in the same shard still spread across buckets.
-        let mut h = IdentityHasher::default();
-        fp.hash(&mut h);
-        assert_eq!(h.finish(), 0xFFFF_0000_0000_0000);
+        // States that share a shard (equal low bits) still spread across
+        // buckets: the bucket hash sees the bits the shard index ignores.
+        let same_shard: std::collections::HashSet<u64> = (0..256u128)
+            .map(|v| bucket_hash(Fingerprint(v << 6 | 0x2B)))
+            .collect();
+        assert_eq!(same_shard.len(), 256);
+        assert!((0..256u128).all(|v| Fingerprint(v << 6 | 0x2B).shard(64) == 0x2B));
     }
 
     #[test]

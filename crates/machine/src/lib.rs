@@ -59,8 +59,8 @@ pub use codec::{decode_state, encode_state, CodecError};
 pub use concrete::{run_concrete, run_concrete_to_breakpoint, step_concrete, ConcreteError};
 pub use dispatch::SuccessorBuf;
 pub use fingerprint::{
-    cell_hash, Fingerprint, FingerprintBuildHasher, FingerprintSet, Fnv128Hasher, IdentityHasher,
-    ZobristComponent,
+    cell_hash, Fingerprint, FingerprintBuildHasher, FingerprintHasher, FingerprintSet,
+    Fnv128Hasher, ZobristComponent,
 };
 pub use limits::ExecLimits;
 pub use state::{Exception, MachineState, OutItem, Status};

@@ -897,6 +897,83 @@ mod fingerprint_dedup {
 }
 
 // ---------------------------------------------------------------------
+// Visited-set bucketing: the bucket hashes a `FingerprintSet` computes for
+// the states of a real search must spread like uniform bits. Raw digest
+// bits do not (they cluster), and a set bucketed on them degrades to long
+// probe chains on the big sweeps.
+// ---------------------------------------------------------------------
+
+mod visited_buckets {
+    use std::collections::{HashSet, VecDeque};
+    use std::hash::BuildHasher;
+    use symplfied::inject::{prepare_cached, Campaign, ErrorClass, PrefixCache};
+    use symplfied::machine::{ExecLimits, FingerprintBuildHasher, FingerprintSet, SuccessorBuf};
+
+    /// The visited set of a plain BFS over every tcas register-file
+    /// point's seeds, pooled into one search (the shape of the big sweep),
+    /// stopped once `limit` states are visited.
+    fn tcas_sweep_visited(limit: usize) -> FingerprintSet {
+        let w = symplfied::apps::tcas();
+        let exec = ExecLimits::with_max_steps(w.max_steps);
+        let campaign = Campaign::new(&w.program, ErrorClass::RegisterFile);
+        let cache = PrefixCache::new(&w.program, &w.detectors, &w.input, &exec);
+        let decoded = w.program.decoded();
+        let mut visited = FingerprintSet::default();
+        let mut frontier = VecDeque::new();
+        let seeds = campaign
+            .points
+            .iter()
+            .flat_map(|p| prepare_cached(&cache, p).seeds);
+        for s in seeds {
+            if visited.len() < limit && visited.insert(s.fingerprint()) {
+                frontier.push_back(s);
+            }
+        }
+        let mut successors = SuccessorBuf::new();
+        while let Some(state) = frontier.pop_front() {
+            if visited.len() >= limit {
+                break;
+            }
+            state.step_into(decoded, &w.detectors, &exec, &mut successors);
+            for succ in successors.drain() {
+                if visited.len() < limit && visited.insert(succ.fingerprint()) {
+                    frontier.push_back(succ);
+                }
+            }
+        }
+        assert_eq!(visited.len(), limit, "the tcas sweep has {limit} states");
+        visited
+    }
+
+    #[test]
+    fn bucket_hashes_fill_every_16_bit_window() {
+        const STATES: usize = 50_000;
+        let visited = tcas_sweep_visited(STATES);
+        let build = FingerprintBuildHasher::default();
+        let hashes: Vec<u64> = visited.iter().map(|fp| build.hash_one(fp)).collect();
+
+        let distinct: HashSet<u64> = hashes.iter().copied().collect();
+        assert_eq!(distinct.len(), STATES, "full 64-bit bucket-hash collisions");
+
+        // Expected distinct values when STATES keys fall uniformly into
+        // 2^16 bins: m * (1 - (1 - 1/m)^n).
+        let m = 65_536f64;
+        let ideal = m * (1.0 - (1.0 - 1.0 / m).powf(STATES as f64));
+        for shift in (0..64).step_by(16) {
+            let window: HashSet<u64> = hashes.iter().map(|h| (h >> shift) & 0xFFFF).collect();
+            let fill = window.len() as f64 / ideal;
+            assert!(
+                fill >= 0.95,
+                "bits {shift}..{}: {} distinct of an ideal {ideal:.0} ({:.1} %)",
+                shift + 16,
+                window.len(),
+                100.0 * fill
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Parallel-engine equivalence: the work-stealing ParallelExplorer must
 // reproduce the sequential Explorer's results exactly on exhausted
 // searches, at every worker count.
