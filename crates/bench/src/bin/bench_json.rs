@@ -3,12 +3,11 @@
 //! For each paper workload (factorial, tcas, replace) plus the bubble/gcd
 //! kernels, this binary builds one **pooled full-sweep search** — the seed
 //! states of *every* register-file injection point, deduplicated by the
-//! engine — and runs it twice at identical budgets: once on the sequential
-//! `Explorer`, once on the work-stealing `ParallelExplorer`. Each run
-//! becomes one JSON entry `{workload, states, seconds, states_per_second,
-//! workers, steals, peak_frontier_len, peak_frontier_bytes,
-//! spilled_states, exhausted}`, so BENCH_explore.json tracks raw engine
-//! speed, the parallel speedup, and frontier memory across revisions.
+//! engine — and runs it on the `Explorer`. Each run becomes one JSON
+//! entry `{workload, states, seconds, states_per_second, workers, steals,
+//! peak_frontier_len, peak_frontier_bytes, spilled_states, exhausted}`, so
+//! BENCH_explore.json tracks raw engine speed and frontier memory across
+//! revisions (`workers` is 1 and `steals` 0 on every search row).
 //! `spill_frontier_tcas` / `spill_frontier_replace` rows rerun the
 //! tcas/replace sweeps under a small (512 KiB) in-RAM frontier window, so
 //! the disk-spilling path's throughput is tracked alongside.
@@ -33,21 +32,20 @@
 //! `peak_frontier_len` the memo hits, and `peak_frontier_bytes` the
 //! states served from the store instead of re-expanded.
 //!
-//! Usage: `bench_json [--quick] [--workers N] [--out PATH] [--only P,..]`
+//! Usage: `bench_json [--quick] [--out PATH] [--only P,..]`
 //!
-//! `--quick` shrinks the budgets for CI smoke runs; `--workers N` pins the
-//! parallel engine's worker count (default: one per hardware thread, min 2
-//! so the parallel path is exercised even on single-core runners);
-//! `--only` keeps only row groups whose names start with one of the given
-//! comma-separated prefixes (e.g. `--only tcas,decode_` — CI smoke uses it
-//! to skip the micro-benches).
+//! `--quick` shrinks the budgets for CI smoke runs; `--only` keeps only
+//! row groups whose names start with one of the given comma-separated
+//! prefixes (e.g. `--only tcas,decode_` — CI smoke uses it to skip the
+//! micro-benches). The memo rows' cluster pool uses one worker per
+//! hardware thread.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
 use sympl_apps::Workload;
-use sympl_check::{Explorer, MemoStore, ParallelExplorer, Predicate, SearchLimits, SearchReport};
+use sympl_check::{Explorer, MemoStore, Predicate, SearchLimits, SearchReport};
 use sympl_cluster::{memo_preserves_outcome, run_cluster_with_memo, ClusterConfig};
 use sympl_inject::{enumerate_points, prepare, Campaign, ErrorClass};
 use sympl_machine::{ExecLimits, MachineState, OutItem};
@@ -178,25 +176,7 @@ fn main() {
             .position(|a| a == name)
             .and_then(|i| args.get(i + 1))
     };
-    let workers: usize = flag("--workers")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map_or(2, usize::from)
-                .max(2)
-        });
-    // An oversubscribed pool (more workers than hardware threads — the
-    // forced min-2 on a 1-CPU runner, for instance) measures scheduler
-    // churn, not engine speedup: its parallel rows legitimately trail the
-    // sequential ones. Flag it so a regression hunt starts at the host's
-    // shape, not at the engine.
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    if workers > cores {
-        eprintln!(
-            "warning: {workers} workers on {cores} hardware thread(s): parallel rows are \
-             oversubscribed and will under-report speedup"
-        );
-    }
+    let workers = std::thread::available_parallelism().map_or(1, usize::from);
     let out_path = flag("--out")
         .cloned()
         .unwrap_or_else(|| "BENCH_explore.json".into());
@@ -322,44 +302,16 @@ fn main() {
             prep_start.elapsed()
         );
 
-        let sequential = Explorer::new(&w.program, &w.detectors)
-            .with_limits(limits.clone())
-            .explore(seeds.clone(), &Predicate::Any);
-        entries.push(Entry::from_report(w.name, &sequential));
-
-        let parallel = ParallelExplorer::new(&w.program, &w.detectors)
+        let report = Explorer::new(&w.program, &w.detectors)
             .with_limits(limits)
-            .with_workers(workers)
             .explore(seeds, &Predicate::Any);
-        entries.push(Entry::from_report(w.name, &parallel));
-
-        let speedup = if parallel.elapsed.as_secs_f64() > 0.0 {
-            sequential.elapsed.as_secs_f64() / parallel.elapsed.as_secs_f64()
-        } else {
-            0.0
-        };
         println!(
-            "  sequential: {:>8} states in {:>8.3}s ({:>9.0} states/s)",
-            sequential.states_explored,
-            sequential.elapsed.as_secs_f64(),
-            sequential.states_per_second
+            "  {:>8} states in {:>8.3}s ({:>9.0} states/s)",
+            report.states_explored,
+            report.elapsed.as_secs_f64(),
+            report.states_per_second
         );
-        println!(
-            "  parallel  : {:>8} states in {:>8.3}s ({:>9.0} states/s, {} workers, {} steals) — {:.2}x",
-            parallel.states_explored,
-            parallel.elapsed.as_secs_f64(),
-            parallel.states_per_second,
-            parallel.workers,
-            parallel.steals,
-            speedup
-        );
-        if sequential.exhausted && parallel.exhausted {
-            assert_eq!(
-                sequential.terminals, parallel.terminals,
-                "{}: engines must agree on exhausted sweeps",
-                w.name
-            );
-        }
+        entries.push(Entry::from_report(w.name, &report));
     }
 
     // Disk-spilling sweep rows: the same tcas/replace full sweeps under a
@@ -422,11 +374,11 @@ fn main() {
     // Cross-campaign memoization rows: the full register-error campaign
     // through the cluster layer against one shared store — cold populating
     // it, warm served from it — under the memo exactness gate (no task
-    // budget, sequential point searches). Schema mapping: `states` =
-    // campaign states explored, `seconds` = campaign wall time,
-    // `states_per_second` = injection points per second,
-    // `peak_frontier_len` = memo hits, `peak_frontier_bytes` = states
-    // served from the store, `exhausted` = every task completed.
+    // budget). Schema mapping: `states` = campaign states explored,
+    // `seconds` = campaign wall time, `states_per_second` = injection
+    // points per second, `peak_frontier_len` = memo hits,
+    // `peak_frontier_bytes` = states served from the store, `exhausted` =
+    // every task completed.
     let memo_configs: Vec<(Workload, u64)> = vec![
         {
             let w = sympl_apps::tcas();
@@ -495,7 +447,7 @@ fn main() {
                     seconds,
                     states_per_second: points as f64 / seconds.max(1e-9),
                     workers: config.workers,
-                    steals: report.steals(),
+                    steals: 0,
                     peak_frontier_len: report.memo_hits(),
                     peak_frontier_bytes: report.memo_states_skipped(),
                     spilled_states: report.spilled_states(),

@@ -33,8 +33,6 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut total_states = 0usize;
-    let mut engine_workers = 0usize;
-    let mut engine_steals = 0usize;
     let sweep_start = std::time::Instant::now();
     for occurrence in 1..=u32::try_from(n).unwrap_or(1) {
         let point =
@@ -48,8 +46,6 @@ fn main() {
             &limits,
         );
         total_states += outcome.report.states_explored;
-        engine_workers = engine_workers.max(outcome.report.workers);
-        engine_steals += outcome.report.steals;
         let mut printed: Vec<String> = outcome
             .report
             .solutions
@@ -81,10 +77,8 @@ fn main() {
     );
     println!(
         "All n={n} iterations: {total_states} states explored at {:.0} states/s \
-         ({}-way engine, {engine_steals} steals) vs 2^64 candidate concrete \
-         values per injection (§4.1).\n",
+         vs 2^64 candidate concrete values per injection (§4.1).\n",
         sympl_check::SearchReport::throughput(total_states, sweep_start.elapsed()),
-        engine_workers.max(1),
     );
 
     // --- Figure 3: with detectors -------------------------------------

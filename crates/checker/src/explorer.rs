@@ -60,7 +60,6 @@ pub struct Explorer<'a> {
     /// later `with_limits` cannot silently revert an explicit
     /// `with_policy` choice.
     policy_override: Option<FrontierPolicy>,
-    workers_hint: Option<usize>,
     /// An attached memo store ([`Explorer::with_memo`]): searches are
     /// probed against it before expanding and recorded into it when they
     /// finish deterministically. `None` (the default) explores
@@ -77,7 +76,6 @@ impl<'a> Explorer<'a> {
             detectors,
             limits: SearchLimits::default(),
             policy_override: None,
-            workers_hint: None,
             memo: None,
         }
     }
@@ -108,24 +106,12 @@ impl<'a> Explorer<'a> {
         self.memo
     }
 
-    /// Caps the worker count [`Explorer::explore_auto`] may engage when it
-    /// routes a big-budget search to the parallel engine. `1` forces the
-    /// sequential path; `None` (the default) uses every hardware thread.
-    ///
-    /// Callers that are *themselves* running many explorers concurrently
-    /// (the cluster's task pool) set this to their share of the machine so
-    /// nested parallelism does not oversubscribe it.
+    /// Accepted and ignored: every search runs on this one sequential
+    /// engine. Kept so existing callers, such as the benchmark harness
+    /// under `benchmark/`, still build.
     #[must_use]
-    pub fn with_workers_hint(mut self, workers: Option<usize>) -> Self {
-        self.workers_hint = workers.map(|w| w.max(1));
+    pub fn with_workers_hint(self, _workers: Option<usize>) -> Self {
         self
-    }
-
-    /// The configured worker cap for auto-routed searches (`None` = all
-    /// hardware threads).
-    #[must_use]
-    pub fn workers_hint(&self) -> Option<usize> {
-        self.workers_hint
     }
 
     /// Replaces the search budgets.
@@ -188,7 +174,7 @@ impl<'a> Explorer<'a> {
         let Some(store) = self.memo else {
             return self.explore_core(seeds, predicate).0;
         };
-        let Some(digest) = probe_digest(predicate, &self.limits, self.policy(), 1, &seeds) else {
+        let Some(digest) = probe_digest(predicate, &self.limits, self.policy(), &seeds) else {
             // Custom predicate: no encodable identity, bypass the store.
             return self.explore_core(seeds, predicate).0;
         };
@@ -205,6 +191,13 @@ impl<'a> Explorer<'a> {
             store.record(digest, SubtreeSummary::from_report(&report, max_depth));
         }
         report
+    }
+
+    /// Forwards to [`Explorer::explore`]. Kept so existing callers, such
+    /// as the benchmark harness under `benchmark/`, still build.
+    #[must_use]
+    pub fn explore_auto(&self, seeds: Vec<MachineState>, predicate: &Predicate) -> SearchReport {
+        self.explore(seeds, predicate)
     }
 
     /// The expansion loop behind [`Explorer::explore`], memo-blind.
@@ -492,6 +485,94 @@ mod tests {
             Explorer::new(&p, &dets()).explore(vec![s.clone(), s.clone(), s], &Predicate::Any);
         assert_eq!(report.solutions.len(), 1, "duplicate seeds collapse");
         assert!(report.exhausted);
+    }
+
+    #[test]
+    fn empty_seed_set_exhausts_immediately() {
+        let p = parse_program("halt").unwrap();
+        let report = Explorer::new(&p, &dets()).explore(Vec::new(), &Predicate::Any);
+        assert!(report.exhausted);
+        assert_eq!(report.states_explored, 0);
+        assert!(report.solutions.is_empty());
+        assert_eq!(report.workers, 1);
+    }
+
+    #[test]
+    fn solution_cap_is_exact() {
+        let p = parse_program(
+            "beq $1, 0, t\nmov $2, 1\njmp join\nt: mov $2, 2\nnop\n\
+             join: print $2\nprint $1\nhalt",
+        )
+        .unwrap();
+        let mut s = MachineState::new();
+        s.set_reg(Reg::r(1), Value::Err);
+        let uncapped = Explorer::new(&p, &dets()).explore(vec![s.clone()], &Predicate::Any);
+        assert!(uncapped.solutions.len() > 1, "the cap must bind");
+        let capped = Explorer::new(&p, &dets())
+            .with_limits(SearchLimits {
+                max_solutions: 1,
+                ..SearchLimits::default()
+            })
+            .explore(vec![s], &Predicate::Any);
+        assert_eq!(capped.solutions.len(), 1);
+        assert!(capped.hit_solution_cap && !capped.exhausted);
+        assert_eq!(capped.solutions[0], uncapped.solutions[0]);
+    }
+
+    #[test]
+    fn time_cap_stops_the_search() {
+        let limits = SearchLimits {
+            max_time: Some(Duration::ZERO),
+            exec: ExecLimits::with_max_steps(u64::MAX),
+            ..SearchLimits::default()
+        };
+        let endless = parse_program("loop: addi $2, $2, 1\nbeq $0, 0, loop").unwrap();
+        let report = Explorer::new(&endless, &dets())
+            .with_limits(limits.clone())
+            .explore(vec![MachineState::new()], &Predicate::Any);
+        assert!(report.hit_time_cap && !report.exhausted);
+        // Even a space smaller than one check interval sees the expired
+        // budget on the very first expansion instead of sweeping the space
+        // and claiming exhaustion.
+        let tiny = parse_program("nop\nhalt").unwrap();
+        let report = Explorer::new(&tiny, &dets())
+            .with_limits(limits)
+            .explore(vec![MachineState::new()], &Predicate::Any);
+        assert!(report.hit_time_cap && !report.exhausted);
+        assert_eq!(report.states_explored, 0);
+    }
+
+    #[test]
+    fn explore_auto_forwards_to_explore() {
+        let p = parse_program(
+            "beq $1, 0, t\nmov $2, 1\njmp join\nt: mov $2, 2\nnop\n\
+             join: print $2\nprint $1\nhalt",
+        )
+        .unwrap();
+        let d = dets();
+        let mut s = MachineState::new();
+        s.set_reg(Reg::r(1), Value::Err);
+        // A budget above the old 50 k routing threshold.
+        let limits = SearchLimits {
+            max_states: 200_000,
+            ..SearchLimits::default()
+        };
+        let direct = Explorer::new(&p, &d)
+            .with_limits(limits.clone())
+            .explore(vec![s.clone()], &Predicate::Any);
+        for hint in [None, Some(1), Some(8)] {
+            let auto = Explorer::new(&p, &d)
+                .with_limits(limits.clone())
+                .with_workers_hint(hint)
+                .explore_auto(vec![s.clone()], &Predicate::Any);
+            assert_eq!(auto.states_explored, direct.states_explored, "{hint:?}");
+            assert_eq!(auto.duplicate_hits, direct.duplicate_hits, "{hint:?}");
+            assert_eq!(auto.terminals, direct.terminals, "{hint:?}");
+            assert_eq!(auto.exhausted, direct.exhausted, "{hint:?}");
+            // Solutions (states and witness traces) in the same order.
+            assert_eq!(auto.solutions, direct.solutions, "{hint:?}");
+            assert_eq!((auto.workers, auto.steals), (1, 0), "{hint:?}");
+        }
     }
 
     #[test]

@@ -1,13 +1,11 @@
-//! The pluggable frontier subsystem: which state the engines expand next,
+//! The pluggable frontier subsystem: which state the engine expands next,
 //! and where the not-yet-expanded states live.
 //!
-//! Both engines ([`crate::Explorer`] and [`crate::ParallelExplorer`]) drive
-//! their frontier exclusively through the [`FrontierQueue`] trait — push,
-//! pop, steal-half, byte accounting, and round control all live behind it,
-//! so **adding a frontier policy is a change to this file only**: no engine,
-//! campaign, or report code matches on the policy anywhere else (the old
-//! two-variant `Frontier` enum was matched inline in both engine loops and
-//! in the steal path).
+//! The engine ([`crate::Explorer`]) drives its frontier exclusively
+//! through the [`FrontierQueue`] trait — push, pop, byte accounting, and
+//! round control all live behind it, so **adding a frontier policy is a
+//! change to this file only**: no engine, campaign, or report code matches
+//! on the policy anywhere else.
 //!
 //! # Policies and their determinism contracts
 //!
@@ -17,8 +15,8 @@
 //! Bfs/Dfs/Priority/Spilling against each other on the paper workloads.
 //! What each policy additionally guarantees:
 //!
-//! * [`FrontierPolicy::Bfs`] — FIFO; sequential searches find shortest
-//!   witnesses first (Maude's `search =>!`). The default.
+//! * [`FrontierPolicy::Bfs`] — FIFO; searches find shortest witnesses
+//!   first (Maude's `search =>!`). The default.
 //! * [`FrontierPolicy::Dfs`] — LIFO; dives to terminals with a much
 //!   smaller live frontier; witnesses are not length-minimal.
 //! * [`FrontierPolicy::Priority`] — binary heap on a pluggable
@@ -58,8 +56,7 @@
 use std::collections::{BinaryHeap, VecDeque};
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use sympl_machine::{decode_state, encode_state, Fingerprint, MachineState};
 
@@ -127,7 +124,7 @@ impl FrontierPolicy {
         }
     }
 
-    /// Whether this policy restarts in rounds (engines must reset their
+    /// Whether this policy restarts in rounds (the engine must reset its
     /// visited set between rounds; see [`FrontierQueue::next_round`]).
     #[must_use]
     pub fn is_iterative(&self) -> bool {
@@ -142,7 +139,7 @@ impl FrontierPolicy {
     pub fn determinism_contract(&self) -> &'static str {
         match self {
             FrontierPolicy::Bfs => {
-                "FIFO: sequential searches find shortest witnesses first; \
+                "FIFO: searches find shortest witnesses first; \
                  exhausted searches are policy-independent"
             }
             FrontierPolicy::Dfs => {
@@ -167,7 +164,7 @@ impl FrontierPolicy {
     /// priority and iterative-deepening policies ignore it (see the module
     /// docs).
     #[must_use]
-    pub fn build<M: Send + Clone + 'static>(
+    pub fn build<M: Clone + 'static>(
         &self,
         max_frontier_bytes: Option<usize>,
     ) -> Box<dyn FrontierQueue<M>> {
@@ -193,13 +190,12 @@ impl FrontierPolicy {
 }
 
 /// A frontier of not-yet-expanded states, each carrying an engine-chosen
-/// trace token `M` (the sequential engine's parent-arena index, the
-/// parallel engine's `Arc` trace node).
+/// trace token `M` (the explorer's parent-arena index).
 ///
-/// Everything the engines do to a frontier goes through this trait —
-/// including work stealing and iterative-deepening round control — so a new
-/// policy is a new implementation here and nothing else.
-pub trait FrontierQueue<M: Send>: Send {
+/// Everything the engine does to a frontier goes through this trait —
+/// including iterative-deepening round control — so a new policy is a new
+/// implementation here and nothing else.
+pub trait FrontierQueue<M> {
     /// Enqueues an initial (root) state. Differs from [`push`](Self::push)
     /// only for policies that treat roots specially: iterative deepening
     /// records them for re-seeding and exempts them from the depth bound.
@@ -228,16 +224,6 @@ pub trait FrontierQueue<M: Send>: Send {
     /// Approximate bytes of frontier state held **in RAM** (spilled states
     /// excluded — that is the budget a spilling frontier enforces).
     fn approx_bytes(&self) -> usize;
-
-    /// Removes and returns roughly half the frontier for a work-stealing
-    /// thief to enqueue locally. Which half is the policy's choice: the
-    /// FIFO/LIFO disciplines (and their spilling windows) hand over the
-    /// half the owner would consume *last*, so a steal races minimally
-    /// with the victim's own pops; the best-first frontier instead hands
-    /// over the current *best* half, so both workers immediately drive
-    /// globally-promising states. An empty return means there was nothing
-    /// worth taking right now.
-    fn steal_half(&mut self) -> Vec<(MachineState, M)>;
 
     /// Round control for restarting policies: called when [`pop`](Self::pop)
     /// returned `None`. `Some(roots)` means another round must run — the
@@ -278,7 +264,7 @@ impl<M> FifoQueue<M> {
     }
 }
 
-impl<M: Send> FrontierQueue<M> for FifoQueue<M> {
+impl<M> FrontierQueue<M> for FifoQueue<M> {
     fn push(&mut self, state: MachineState, meta: M) {
         self.bytes += state.approx_bytes();
         self.items.push_back((state, meta));
@@ -296,14 +282,6 @@ impl<M: Send> FrontierQueue<M> for FifoQueue<M> {
 
     fn approx_bytes(&self) -> usize {
         self.bytes
-    }
-
-    fn steal_half(&mut self) -> Vec<(MachineState, M)> {
-        // The owner consumes the front; give away the back half.
-        let take = self.items.len().div_ceil(2);
-        let taken: Vec<_> = self.items.split_off(self.items.len() - take).into();
-        self.bytes -= taken.iter().map(|(s, _)| s.approx_bytes()).sum::<usize>();
-        taken
     }
 }
 
@@ -325,7 +303,7 @@ impl<M> LifoQueue<M> {
     }
 }
 
-impl<M: Send> FrontierQueue<M> for LifoQueue<M> {
+impl<M> FrontierQueue<M> for LifoQueue<M> {
     fn push(&mut self, state: MachineState, meta: M) {
         self.bytes += state.approx_bytes();
         self.items.push((state, meta));
@@ -343,14 +321,6 @@ impl<M: Send> FrontierQueue<M> for LifoQueue<M> {
 
     fn approx_bytes(&self) -> usize {
         self.bytes
-    }
-
-    fn steal_half(&mut self) -> Vec<(MachineState, M)> {
-        // The owner consumes the back (top of stack); give away the front.
-        let take = self.items.len().div_ceil(2);
-        let taken: Vec<_> = self.items.drain(..take).collect();
-        self.bytes -= taken.iter().map(|(s, _)| s.approx_bytes()).sum::<usize>();
-        taken
     }
 }
 
@@ -409,7 +379,7 @@ impl<M> PriorityFrontier<M> {
     }
 }
 
-impl<M: Send> FrontierQueue<M> for PriorityFrontier<M> {
+impl<M> FrontierQueue<M> for PriorityFrontier<M> {
     fn push(&mut self, state: MachineState, meta: M) {
         self.bytes += state.approx_bytes();
         self.heap.push(PrioEntry {
@@ -432,21 +402,6 @@ impl<M: Send> FrontierQueue<M> for PriorityFrontier<M> {
 
     fn approx_bytes(&self) -> usize {
         self.bytes
-    }
-
-    fn steal_half(&mut self) -> Vec<(MachineState, M)> {
-        // Give the thief the current best half: O(k log n), and the thief
-        // re-heaps on push so the global best-first tendency survives the
-        // migration.
-        let take = self.heap.len().div_ceil(2);
-        let mut taken = Vec::with_capacity(take);
-        for _ in 0..take {
-            match self.pop() {
-                Some(item) => taken.push(item),
-                None => break,
-            }
-        }
-        taken
     }
 }
 
@@ -488,7 +443,7 @@ impl<M> IddQueue<M> {
     }
 }
 
-impl<M: Send + Clone> FrontierQueue<M> for IddQueue<M> {
+impl<M: Clone> FrontierQueue<M> for IddQueue<M> {
     fn seed(&mut self, state: MachineState, meta: M) {
         // Roots are recorded once (the first round's seeds) and are exempt
         // from the depth bound; re-seeds after `next_round` come back
@@ -527,16 +482,6 @@ impl<M: Send + Clone> FrontierQueue<M> for IddQueue<M> {
         self.bytes
     }
 
-    fn steal_half(&mut self) -> Vec<(MachineState, M)> {
-        // The sequential engine is the only driver of this queue (the
-        // parallel engine runs its rounds on bounded LIFO deques instead),
-        // but honor the contract anyway: owner consumes the top.
-        let take = self.stack.len().div_ceil(2);
-        let taken: Vec<_> = self.stack.drain(..take).collect();
-        self.bytes -= taken.iter().map(|(s, _)| s.approx_bytes()).sum::<usize>();
-        taken
-    }
-
     fn next_round(&mut self) -> Option<Vec<(MachineState, M)>> {
         if !self.cut {
             return None; // the last round ran clean: the space is swept.
@@ -545,57 +490,6 @@ impl<M: Send + Clone> FrontierQueue<M> for IddQueue<M> {
         self.rounds_started = true;
         self.bound = self.bound.saturating_add(self.step);
         Some(self.roots.clone())
-    }
-}
-
-/// A depth-bounded LIFO deque for the parallel engine's iterative-deepening
-/// rounds: the round coordinator owns the bound and the shared cut flag,
-/// one of these runs per worker per round.
-pub(crate) struct BoundedLifoQueue<M> {
-    inner: LifoQueue<M>,
-    base: u64,
-    bound: u64,
-    cut: Arc<AtomicBool>,
-}
-
-impl<M> BoundedLifoQueue<M> {
-    pub(crate) fn new(base: u64, bound: u64, cut: Arc<AtomicBool>) -> Self {
-        BoundedLifoQueue {
-            inner: LifoQueue::new(),
-            base,
-            bound,
-            cut,
-        }
-    }
-}
-
-impl<M: Send> FrontierQueue<M> for BoundedLifoQueue<M> {
-    fn seed(&mut self, state: MachineState, meta: M) {
-        self.inner.push(state, meta); // roots are exempt from the bound
-    }
-
-    fn push(&mut self, state: MachineState, meta: M) {
-        if state.steps().saturating_sub(self.base) > self.bound {
-            self.cut.store(true, Ordering::Relaxed);
-            return;
-        }
-        self.inner.push(state, meta);
-    }
-
-    fn pop(&mut self) -> Option<(MachineState, M)> {
-        self.inner.pop()
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.inner.approx_bytes()
-    }
-
-    fn steal_half(&mut self) -> Vec<(MachineState, M)> {
-        self.inner.steal_half()
     }
 }
 
@@ -616,7 +510,7 @@ pub enum SpillOrder {
     Lifo,
 }
 
-/// Distinguishes spill directories across engines and searches within one
+/// Distinguishes spill directories across searches within one
 /// process.
 static SPILL_DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -789,7 +683,7 @@ impl<M> SpillingFrontier<M> {
     }
 }
 
-impl<M: Send> FrontierQueue<M> for SpillingFrontier<M> {
+impl<M> FrontierQueue<M> for SpillingFrontier<M> {
     fn push(&mut self, state: MachineState, meta: M) {
         match self.order {
             SpillOrder::Fifo => {
@@ -855,21 +749,6 @@ impl<M: Send> FrontierQueue<M> for SpillingFrontier<M> {
         self.ram_bytes
     }
 
-    fn steal_half(&mut self) -> Vec<(MachineState, M)> {
-        if self.ram.is_empty() && !self.refill() {
-            return Vec::new();
-        }
-        let take = self.ram.len().div_ceil(2);
-        let taken: Vec<(MachineState, M)> = match self.order {
-            // FIFO owner consumes the front: give the back half.
-            SpillOrder::Fifo => self.ram.split_off(self.ram.len() - take).into(),
-            // LIFO owner consumes the back: give the front half.
-            SpillOrder::Lifo => self.ram.drain(..take).collect(),
-        };
-        self.ram_bytes -= taken.iter().map(|(s, _)| s.approx_bytes()).sum::<usize>();
-        taken
-    }
-
     fn spilled_states(&self) -> usize {
         self.spilled
     }
@@ -905,7 +784,7 @@ mod tests {
         s
     }
 
-    fn drain<M: Send>(q: &mut dyn FrontierQueue<M>) -> Vec<(MachineState, M)> {
+    fn drain<M>(q: &mut dyn FrontierQueue<M>) -> Vec<(MachineState, M)> {
         std::iter::from_fn(|| q.pop()).collect()
     }
 
@@ -925,22 +804,6 @@ mod tests {
         assert_eq!(lifo_metas, vec![4, 3, 2, 1, 0]);
         assert_eq!(fifo.approx_bytes(), 0, "byte accounting drains to zero");
         assert_eq!(lifo.approx_bytes(), 0);
-    }
-
-    #[test]
-    fn steal_takes_the_half_the_owner_consumes_last() {
-        let mut fifo = FifoQueue::new();
-        let mut lifo = LifoQueue::new();
-        for i in 0..6u64 {
-            fifo.push(state(i), i);
-            lifo.push(state(i), i);
-        }
-        let fifo_stolen: Vec<u64> = fifo.steal_half().into_iter().map(|(_, m)| m).collect();
-        let lifo_stolen: Vec<u64> = lifo.steal_half().into_iter().map(|(_, m)| m).collect();
-        assert_eq!(fifo_stolen, vec![3, 4, 5], "FIFO victim keeps the front");
-        assert_eq!(lifo_stolen, vec![0, 1, 2], "LIFO victim keeps the top");
-        assert_eq!(fifo.pop().unwrap().1, 0);
-        assert_eq!(lifo.pop().unwrap().1, 5);
     }
 
     #[test]
@@ -1008,19 +871,6 @@ mod tests {
         assert_eq!(q.len(), 3);
         let _ = drain(&mut q);
         assert!(q.next_round().is_none(), "clean round ends the search");
-    }
-
-    #[test]
-    fn bounded_lifo_raises_the_shared_cut_flag() {
-        let cut = Arc::new(AtomicBool::new(false));
-        let mut q: BoundedLifoQueue<usize> = BoundedLifoQueue::new(10, 2, Arc::clone(&cut));
-        q.seed(state(20), 0); // seeds bypass the bound
-        q.push(state(12), 1); // depth 2: kept
-        assert_eq!(q.len(), 2);
-        assert!(!cut.load(Ordering::Relaxed));
-        q.push(state(13), 2); // depth 3: cut
-        assert_eq!(q.len(), 2);
-        assert!(cut.load(Ordering::Relaxed));
     }
 
     #[test]
@@ -1098,22 +948,6 @@ mod tests {
         assert!(dir.exists());
         drop(q);
         assert!(!dir.exists(), "drop removes segments and the directory");
-    }
-
-    #[test]
-    fn spilling_steal_reaches_spilled_work() {
-        let budget = state(0).approx_bytes() * 2;
-        let mut q: SpillingFrontier<u64> = SpillingFrontier::new(SpillOrder::Fifo, budget);
-        for i in 0..40 {
-            q.push(state(i), i);
-        }
-        // Drain RAM so only disk strata remain, then steal: the thief must
-        // still get work (after an internal refill).
-        while !q.ram.is_empty() {
-            let _ = q.ram_pop_front();
-        }
-        let stolen = q.steal_half();
-        assert!(!stolen.is_empty(), "steal must refill from disk");
     }
 
     #[test]

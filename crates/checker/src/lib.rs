@@ -48,7 +48,6 @@ pub mod codec;
 mod explorer;
 pub mod frontier;
 pub mod memo;
-mod parallel;
 mod predicate;
 mod report;
 mod search;
@@ -59,7 +58,6 @@ pub use frontier::{
     PriorityHeuristic, SpillOrder, SpillingFrontier,
 };
 pub use memo::{memo_key, probe_digest, MemoError, MemoStore, SubtreeSummary};
-pub use parallel::{ParallelExplorer, PARALLEL_STATE_THRESHOLD};
 pub use predicate::Predicate;
 pub use report::{OutcomeCounts, SearchReport, Solution};
 pub use search::{search, search_many, SearchLimits};

@@ -5,7 +5,7 @@
 //! spaces: every point shares the error-free prefix before its injection
 //! PC, and most post-injection subtrees reconverge onto states an earlier
 //! point already swept. The [`MemoStore`] removes that redundancy at the
-//! granularity the engines can do it *soundly*: one entry per **whole
+//! granularity the explorer can do it *soundly*: one entry per **whole
 //! search**, keyed by the search's complete identity, replayed verbatim
 //! on a later identical search.
 //!
@@ -35,37 +35,28 @@
 //!   conservatively instead of mis-serving.
 //! * The **probe digest** ([`probe_digest`]) identifies one search within
 //!   that system: the encoded predicate, the effective [`SearchLimits`]
-//!   (including the frontier policy), the engine's worker count (parallel
-//!   searches record race-winning traces, so entries never cross between
-//!   engine widths), and the ordered seed fingerprints. Any configuration
-//!   change lands on a different digest and conservatively misses.
+//!   (including the frontier policy), and the ordered seed fingerprints.
+//!   Any configuration change lands on a different digest and
+//!   conservatively misses.
 //!
 //! Closure-backed [`Predicate::Custom`] searches have no encodable
-//! identity; [`probe_digest`] returns `None` and the engines bypass the
+//! identity; [`probe_digest`] returns `None` and the explorer bypasses the
 //! store entirely rather than risk serving a wrong entry.
 //!
 //! ## Soundness gates
 //!
 //! An entry is sound exactly when the recorded report is a
 //! *deterministic function of its probe digest* — a later identical
-//! search would have reproduced it bit for bit. That gives each engine
-//! its own record rule:
-//!
-//! * the **sequential** explorer records any report that did not hit its
-//!   wall-clock cap. Its traversal is fully deterministic (the published
-//!   contract behind `ClusterConfig::point_workers_hint = Some(1)`), so
-//!   even a state- or solution-capped report truncates at the same state
-//!   on every run; only *where a wall clock fires* is not a function of
-//!   the search's identity;
-//! * the **parallel** explorer records exhausted reports only — its
-//!   truncated results are schedule-dependent, and exhausted ones are the
-//!   closed world where scheduling cannot matter.
+//! search would have reproduced it bit for bit. The explorer's traversal
+//! is fully deterministic, so it records any report that did not hit its
+//! wall-clock cap: even a state- or solution-capped report truncates at
+//! the same state on every run; only *where a wall clock fires* is not a
+//! function of the search's identity.
 //!
 //! Campaign layers add their own gate
 //! (`sympl_cluster::memo_preserves_outcome`) mirroring
 //! `split_preserves_outcome`: no wall-clock task budget (the per-point
-//! `max_time` would depend on elapsed time) and a pinned single-worker
-//! point share (so traces are deterministic). A served report replays the
+//! `max_time` would depend on elapsed time). A served report replays the
 //! stored `states_explored`, terminal counts, solutions, truncation
 //! flags, and frontier peaks verbatim, so a memoized campaign's
 //! `outcome_digest` equals the memo-off run's; the saved work is visible
@@ -129,16 +120,15 @@ pub fn memo_key(program: &Program, detectors: &DetectorSet) -> u128 {
 
 /// The FNV-128 digest identifying one search within a store's transition
 /// system: encoded predicate, effective search limits (with the engine's
-/// effective frontier `policy` substituted in), engine worker count, and
-/// the ordered seed fingerprints. Returns `None` for closure-backed
-/// [`Predicate::Custom`] searches, whose identity cannot be encoded — the
-/// engines then bypass the store.
+/// effective frontier `policy` substituted in), and the ordered seed
+/// fingerprints. Returns `None` for closure-backed [`Predicate::Custom`]
+/// searches, whose identity cannot be encoded — the explorer then
+/// bypasses the store.
 #[must_use]
 pub fn probe_digest(
     predicate: &Predicate,
     limits: &SearchLimits,
     policy: crate::FrontierPolicy,
-    workers: usize,
     seeds: &[MachineState],
 ) -> Option<u128> {
     let mut buf = Vec::with_capacity(64);
@@ -148,7 +138,9 @@ pub fn probe_digest(
         ..limits.clone()
     };
     effective.encode(&mut buf);
-    workers.encode(&mut buf);
+    // An engine-width slot, always 1: stores on disk were keyed with it,
+    // and dropping it would make every one of their entries miss.
+    1usize.encode(&mut buf);
     seeds.len().encode(&mut buf);
     let mut h = Fnv128Hasher::new();
     h.write(&buf);
@@ -179,10 +171,11 @@ pub struct SubtreeSummary {
     pub peak_frontier_bytes: usize,
     /// States the recorded search spilled to disk.
     pub spilled_states: usize,
-    /// Worker threads of the recording engine (folded into the probe
-    /// digest, so an entry only ever serves an engine of the same width).
+    /// Worker threads of the recording engine: always 1, kept so SYMO
+    /// record bytes do not move.
     pub workers: usize,
-    /// Work-steal count of the recording engine (0 when sequential).
+    /// Work-steal count of the recording engine: always 0, kept so SYMO
+    /// record bytes do not move.
     pub steals: usize,
     /// Whether the recorded search drained its frontier. Sequential
     /// searches truncated by a *deterministic* budget (state or solution
@@ -204,11 +197,9 @@ impl SubtreeSummary {
     /// When the report hit its wall-clock cap — a time-truncated search is
     /// not a deterministic function of its probe digest (the same search
     /// on a slower machine truncates elsewhere) and must never enter the
-    /// store. State- and solution-capped reports are fine *for a
-    /// deterministic engine*: the engines only call this from paths whose
-    /// traversal is reproducible (the sequential explorer for any
-    /// non-time-capped report; the parallel explorer for exhausted
-    /// reports only).
+    /// store. State- and solution-capped reports are fine: the explorer's
+    /// traversal is reproducible, so they truncate at the same state on
+    /// every identical search.
     #[must_use]
     pub fn from_report(report: &SearchReport, max_depth: u64) -> Self {
         assert!(
@@ -378,7 +369,7 @@ impl MemoStore {
         self.key
     }
 
-    fn shard(&self, digest: u128) -> &Mutex<HashMap<u128, SubtreeSummary>> {
+    fn shard_of(&self, digest: u128) -> &Mutex<HashMap<u128, SubtreeSummary>> {
         &self.shards[(digest as usize) % SHARDS]
     }
 
@@ -387,7 +378,7 @@ impl MemoStore {
     /// `None`. Both update the hit/miss counters.
     #[must_use]
     pub fn serve(&self, digest: u128) -> Option<SearchReport> {
-        let shard = self.shard(digest).lock().expect("memo shard poisoned");
+        let shard = self.shard_of(digest).lock().expect("memo shard poisoned");
         match shard.get(&digest) {
             Some(summary) => {
                 let report = summary.to_report();
@@ -410,7 +401,7 @@ impl MemoStore {
     /// is a pure function of the digest's preimage, so any concurrent
     /// writers carry equal values).
     pub fn record(&self, digest: u128, summary: SubtreeSummary) {
-        let mut shard = self.shard(digest).lock().expect("memo shard poisoned");
+        let mut shard = self.shard_of(digest).lock().expect("memo shard poisoned");
         if let std::collections::hash_map::Entry::Vacant(slot) = shard.entry(digest) {
             slot.insert(summary);
             drop(shard);
@@ -693,37 +684,15 @@ mod tests {
 
     #[test]
     fn probe_digest_tracks_the_search_identity() {
+        use crate::FrontierPolicy::{Bfs, Dfs};
         let seeds = vec![MachineState::with_input(vec![1])];
         let limits = SearchLimits::default();
-        let base = probe_digest(
-            &Predicate::Any,
-            &limits,
-            crate::FrontierPolicy::Bfs,
-            1,
-            &seeds,
-        )
-        .unwrap();
-        // Stable across repeated derivation.
-        assert_eq!(
-            base,
-            probe_digest(
-                &Predicate::Any,
-                &limits,
-                crate::FrontierPolicy::Bfs,
-                1,
-                &seeds
-            )
-            .unwrap()
-        );
+        let base = probe_digest(&Predicate::Any, &limits, Bfs, &seeds).unwrap();
+        // Pinned: stores on disk carry this digest for this search, and a
+        // moved digest would make every one of their entries miss.
+        assert_eq!(base, 0x0a3e_197a_9eb9_c3ca_ad7f_49fb_0896_f4a8);
         // Every identity component moves the digest.
-        let other_pred = probe_digest(
-            &Predicate::Crashed,
-            &limits,
-            crate::FrontierPolicy::Bfs,
-            1,
-            &seeds,
-        )
-        .unwrap();
+        let other_pred = probe_digest(&Predicate::Crashed, &limits, Bfs, &seeds).unwrap();
         assert_ne!(base, other_pred);
         let tighter = SearchLimits {
             max_solutions: 3,
@@ -731,58 +700,19 @@ mod tests {
         };
         assert_ne!(
             base,
-            probe_digest(
-                &Predicate::Any,
-                &tighter,
-                crate::FrontierPolicy::Bfs,
-                1,
-                &seeds
-            )
-            .unwrap()
+            probe_digest(&Predicate::Any, &tighter, Bfs, &seeds).unwrap()
         );
         assert_ne!(
             base,
-            probe_digest(
-                &Predicate::Any,
-                &limits,
-                crate::FrontierPolicy::Dfs,
-                1,
-                &seeds
-            )
-            .unwrap()
-        );
-        assert_ne!(
-            base,
-            probe_digest(
-                &Predicate::Any,
-                &limits,
-                crate::FrontierPolicy::Bfs,
-                2,
-                &seeds
-            )
-            .unwrap()
+            probe_digest(&Predicate::Any, &limits, Dfs, &seeds).unwrap()
         );
         let other_seeds = vec![MachineState::with_input(vec![2])];
         assert_ne!(
             base,
-            probe_digest(
-                &Predicate::Any,
-                &limits,
-                crate::FrontierPolicy::Bfs,
-                1,
-                &other_seeds
-            )
-            .unwrap()
+            probe_digest(&Predicate::Any, &limits, Bfs, &other_seeds).unwrap()
         );
         // Custom predicates have no encodable identity: memo bypassed.
-        assert!(probe_digest(
-            &Predicate::custom(|_| true),
-            &limits,
-            crate::FrontierPolicy::Bfs,
-            1,
-            &seeds
-        )
-        .is_none());
+        assert!(probe_digest(&Predicate::custom(|_| true), &limits, Bfs, &seeds).is_none());
     }
 
     #[test]

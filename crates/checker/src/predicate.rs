@@ -52,7 +52,7 @@ pub enum Predicate {
 impl Predicate {
     /// Evaluates the predicate on a terminal state.
     ///
-    /// Allocation-free: this runs once per terminal state on the engines'
+    /// Allocation-free: this runs once per terminal state on the engine's
     /// hot path, so output comparisons stream
     /// [`MachineState::output_ints_iter`] against the expected sequence
     /// instead of collecting a fresh `Vec` per call, and the contains-err

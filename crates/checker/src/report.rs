@@ -120,26 +120,22 @@ pub struct SearchReport {
     /// table binaries surface it so BENCH_*.json entries can track engine
     /// speed across revisions.
     pub states_per_second: f64,
-    /// Worker threads that executed the search: 1 for the sequential
-    /// [`crate::Explorer`], N for the work-stealing
-    /// [`crate::ParallelExplorer`] (0 only in empty default reports that
-    /// ran no search at all).
+    /// Worker threads that executed the search: always 1 for
+    /// [`crate::Explorer`] (0 only in empty default reports that ran no
+    /// search at all). Kept because the benchmark harness reads it.
     pub workers: usize,
-    /// Successful work-steal operations between workers (always 0 for the
-    /// sequential engine). A healthy parallel search steals rarely relative
-    /// to `states_explored`; a steal-dominated run signals a frontier too
-    /// small to parallelize.
+    /// Work-steal operations: always 0, as every search is sequential.
+    /// Kept because the benchmark harness reads it.
     pub steals: usize,
     /// Largest number of states the frontier held at once (including any
-    /// spilled to disk). For the parallel engine this sums the per-worker
-    /// deque peaks, an upper bound on the true global peak.
+    /// spilled to disk).
     pub peak_frontier_len: usize,
     /// Largest approximate number of bytes of frontier state held **in
     /// RAM** at once ([`MachineState::approx_bytes`] per queued state;
     /// spilled states excluded). This is the figure a
     /// [`crate::SearchLimits::max_frontier_bytes`] budget bounds — compare
     /// it across a spilling and an unbounded run of the same search to see
-    /// the spill working. Parallel runs sum per-worker peaks (upper bound).
+    /// the spill working.
     pub peak_frontier_bytes: usize,
     /// States the frontier wrote to disk over the whole search (0 unless a
     /// `max_frontier_bytes` budget forced spilling).
@@ -215,13 +211,11 @@ impl fmt::Display for SearchReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "search: {} solution(s), {} states explored ({:.0} states/s, {} worker(s), {} steals), \
-             {} duplicates, terminals: {}",
+            "search: {} solution(s), {} states explored ({:.0} states/s), {} duplicates, \
+             terminals: {}",
             self.solutions.len(),
             self.states_explored,
             self.states_per_second,
-            self.workers,
-            self.steals,
             self.duplicate_hits,
             self.terminals
         )?;

@@ -74,14 +74,14 @@ pub fn shard_specs(campaign: &Campaign, tasks: usize) -> Vec<TaskSpec> {
 }
 
 /// Splits a task's point list deterministically in two contiguous halves,
-/// both carrying the *parent's* id — the steal-half discipline of the
-/// parallel point engine lifted to whole shards. The left half gets the
-/// extra point when the count is odd (the same rounding as
-/// [`Campaign::shards`]); concatenating the halves reproduces the parent's
-/// point list exactly, which is what lets a coordinator re-queue the two
-/// halves, run them anywhere, and [`merge_part_results`] back into the
-/// result an uninterrupted sweep would have produced. Returns `None` for a
-/// task with fewer than two points — there is nothing to share.
+/// both carrying the *parent's* id — work stealing at the granularity of
+/// whole shards. The left half gets the extra point when the count is odd
+/// (the same rounding as [`Campaign::shards`]); concatenating the halves
+/// reproduces the parent's point list exactly, which is what lets a
+/// coordinator re-queue the two halves, run them anywhere, and
+/// [`merge_part_results`] back into the result an uninterrupted sweep
+/// would have produced. Returns `None` for a task with fewer than two
+/// points — there is nothing to share.
 #[must_use]
 pub fn split_spec(spec: &TaskSpec) -> Option<(TaskSpec, TaskSpec)> {
     if spec.points.len() < 2 {
@@ -128,22 +128,18 @@ pub fn split_preserves_outcome(spec: &TaskSpec, config: &ClusterConfig) -> bool 
 /// A memo hit replays the statistics the search recorded when it first
 /// ran, so memo-on and memo-off campaigns produce identical
 /// [`CampaignReport::outcome_digest`]s exactly when every point search is
-/// itself run-to-run deterministic:
-///
-/// * no task budget — a wall-clock budget folds the remaining time into
-///   each point's `max_time`, making the probe digest (and whether a
-///   search is even exhaustive) time-dependent;
-/// * sequential point searches ([`ClusterConfig::point_share`] of 1) —
-///   the multi-worker engine's truncated searches are schedule-dependent,
-///   and its per-width memo entries would be populated by one
-///   nondeterministic representative run.
+/// itself run-to-run deterministic. Point searches are sequential at any
+/// [`ClusterConfig::point_share`], so the one condition is no task
+/// budget: a wall-clock budget folds the remaining time into each point's
+/// `max_time`, making the probe digest (and whether a search is even
+/// exhaustive) time-dependent.
 ///
 /// [`run_task_spec_with_cancel`] applies this gate itself (a store passed
 /// under a non-conforming config is simply ignored), so callers use it to
 /// decide whether warming a store is worthwhile, not for soundness.
 #[must_use]
 pub fn memo_preserves_outcome(config: &ClusterConfig) -> bool {
-    config.task_budget.is_none() && config.point_share() == 1
+    config.task_budget.is_none()
 }
 
 /// Re-merges the results of split parts of one task — given in canonical
@@ -212,11 +208,12 @@ pub struct TaskResult {
     pub elapsed: Duration,
     /// Total states explored by this task's searches.
     pub states_explored: usize,
-    /// Widest engine that ran any of this task's point searches: 1 when
-    /// every point stayed on the sequential fast path, N when a big-budget
-    /// point engaged the N-way work-stealing engine.
+    /// Worker threads of this task's point searches: 1 once any point was
+    /// searched, else 0. Every search is sequential; kept because wire
+    /// and checkpoint bytes carry it.
     pub point_workers: usize,
-    /// Work-steal operations across this task's parallel point searches.
+    /// Work-steal operations: always 0. Kept because wire and checkpoint
+    /// bytes carry it.
     pub steals: usize,
     /// Largest frontier (in states, including any spilled to disk) any of
     /// this task's point searches held at once.
@@ -258,25 +255,18 @@ pub struct ClusterConfig {
     pub task_budget: Option<Duration>,
     /// Finding cap per task (the paper capped at 10).
     pub max_findings_per_task: usize,
-    /// Worker allowance for each *point search* inside a task. `None`
-    /// (the default) gives every point its fair share of the machine
-    /// (hardware threads / `workers`); `Some(1)` pins point searches to
-    /// the sequential engine, which makes even *truncated* searches
-    /// deterministic — the setting distributed campaigns use when their
-    /// report must reproduce an in-process run verbatim.
+    /// A per-point worker allowance that does not change how a point is
+    /// searched: every point search is sequential. Kept because the
+    /// benchmark harness sets it and [`ClusterConfig::point_share`] feeds
+    /// the campaign key and task frames.
     pub point_workers_hint: Option<usize>,
 }
 
 impl ClusterConfig {
-    /// The workers hint for every point search in a task: its fair share
-    /// of the machine. `config.workers` tasks already run concurrently, so
-    /// letting each point search additionally fan out across every
-    /// hardware thread would oversubscribe the box workers² ways. With the
-    /// default config (task workers = hardware threads) the share is 1 and
-    /// point searches stay sequential — parallelism comes from exactly one
-    /// layer. An explicit [`ClusterConfig::point_workers_hint`] overrides
-    /// the formula (the network coordinator ships the resolved share to
-    /// remote workers, whose own core counts must not change the search).
+    /// The per-point worker share the campaign key and task frames carry:
+    /// [`ClusterConfig::point_workers_hint`] when set, else hardware
+    /// threads / `workers` (at least 1). It does not change how a point is
+    /// searched.
     #[must_use]
     pub fn point_share(&self) -> usize {
         self.point_workers_hint.unwrap_or_else(|| {
@@ -380,23 +370,6 @@ impl CampaignReport {
         sympl_check::SearchReport::throughput(self.states_explored(), self.elapsed)
     }
 
-    /// Widest point-search engine any task engaged (1 = all sequential).
-    #[must_use]
-    pub fn point_workers(&self) -> usize {
-        self.tasks
-            .iter()
-            .map(|t| t.point_workers)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Total work-steal operations across all tasks' parallel point
-    /// searches.
-    #[must_use]
-    pub fn steals(&self) -> usize {
-        self.tasks.iter().map(|t| t.steals).sum()
-    }
-
     /// Largest frontier (in states) any point search in the campaign held
     /// at once.
     #[must_use]
@@ -494,7 +467,7 @@ impl CampaignReport {
         let mut text = format!(
             "{} tasks: {} completed ({} found errors, {} found none), {} incomplete; \
              {} findings total; avg completed-task time {:?}; campaign wall time {:?}; \
-             engine: {} states at {:.0} states/s ({}-way point searches, {} steals); \
+             engine: {} states at {:.0} states/s; \
              frontier: peak {} state(s) / ~{} bytes in RAM, {} spilled",
             self.tasks.len(),
             self.tasks_completed(),
@@ -506,8 +479,6 @@ impl CampaignReport {
             self.elapsed,
             self.states_explored(),
             self.states_per_second(),
-            self.point_workers().max(1),
-            self.steals(),
             self.peak_frontier_len(),
             self.peak_frontier_bytes(),
             self.spilled_states(),
@@ -566,7 +537,7 @@ pub fn run_cluster(
 
 /// [`run_cluster`] with a cross-campaign [`MemoStore`] shared by every
 /// task: each point search probes the store before expanding and records
-/// its exhausted result after, so a warm store (a previous run of the same
+/// its result after, so a warm store (a previous run of the same
 /// campaign, loaded from disk) serves repeated searches without
 /// re-expansion, and a cold store is warmed for the next run. The store's
 /// hit counters and [`TaskResult::memo_hits`] /
@@ -654,9 +625,8 @@ pub fn pool_results(
 /// calls it on its worker threads, and a `symplfied serve` network worker
 /// calls it for each task frame it receives, so both paths run the exact
 /// same engine code under the same budget accounting. Only
-/// `config.search`, `config.task_budget`, `config.max_findings_per_task`,
-/// and the point-workers share ([`ClusterConfig::point_share`]) are read
-/// from the config.
+/// `config.search`, `config.task_budget` and
+/// `config.max_findings_per_task` are read from the config.
 #[must_use]
 pub fn run_task_spec(
     program: &Program,
@@ -728,7 +698,6 @@ pub fn run_task_spec_with_cancel(
         prefix_steps_saved: 0,
     };
 
-    let share = config.point_share();
     let memo = if memo_preserves_outcome(config) {
         memo
     } else {
@@ -780,7 +749,6 @@ pub fn run_task_spec_with_cancel(
         // code path as inject/ssim/Framework, not object reuse.
         let explorer = Explorer::new(program, detectors)
             .with_limits(limits)
-            .with_workers_hint(Some(share))
             .with_memo(memo);
         let outcome = run_point_cached(&explorer, &cache, point, predicate);
         result.points_examined += 1;
@@ -1257,6 +1225,30 @@ mod tests {
             Some(&store),
         );
         assert_eq!(gated.memo_hits(), 0, "gate keeps the store out of play");
+    }
+
+    #[test]
+    fn memo_serves_campaigns_at_any_point_share() {
+        // Every point search is sequential whatever the hint says, so a
+        // wider point share no longer keeps the store out of play.
+        let p = factorial();
+        let campaign = Campaign::new(&p, ErrorClass::RegisterFile);
+        let predicate = Predicate::OutputContainsErr;
+        let config = ClusterConfig {
+            point_workers_hint: Some(2),
+            ..quick_config(4)
+        };
+        assert!(memo_preserves_outcome(&config));
+        let dets = DetectorSet::new();
+        let store = MemoStore::for_campaign(&p, &dets);
+        let off = run_cluster(&p, &dets, &[4], &campaign, &predicate, &config);
+        let memo =
+            |store| run_cluster_with_memo(&p, &dets, &[4], &campaign, &predicate, &config, store);
+        let cold = memo(Some(&store));
+        let warm = memo(Some(&store));
+        assert!(warm.memo_hits() > 0, "the store serves the rerun");
+        assert_eq!(cold.outcome_digest(), off.outcome_digest());
+        assert_eq!(warm.outcome_digest(), off.outcome_digest());
     }
 
     #[test]

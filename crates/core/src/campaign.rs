@@ -326,9 +326,8 @@ fn run_memoized(
         };
     }
     // The store serves only the deterministic configuration (no task
-    // budget, sequential point searches); anything else ignores it.
+    // budget); anything else ignores it.
     config.task_budget = None;
-    config.point_workers_hint = Some(1);
     let store = if path.exists() {
         let (store, truncated) = MemoStore::load(path, Some(key))
             .map_err(|e| Failure::Run(format!("cannot use memo store {shown}: {e}")))?;

@@ -113,9 +113,7 @@ impl Framework {
     pub fn enumerate_matching(&self, class: ErrorClass, predicate: &Predicate) -> Verdict {
         let start = std::time::Instant::now();
         let points = enumerate_points(&self.program, &class);
-        // One shared engine configuration for the whole enumeration; each
-        // point's search is routed by budget to the sequential or the
-        // work-stealing parallel engine (`Explorer::explore_auto`).
+        // One shared engine configuration for the whole enumeration.
         let explorer = Explorer::new(&self.program, &self.detectors)
             .with_limits(self.limits.clone())
             .with_memo(self.memo.as_deref());
@@ -131,8 +129,6 @@ impl Framework {
         let mut complete = true;
         let mut states_explored = 0usize;
         let mut points_activated = 0usize;
-        let mut point_workers = 0usize;
-        let mut steals = 0usize;
         let mut peak_frontier_len = 0usize;
         let mut peak_frontier_bytes = 0usize;
         let mut spilled_states = 0usize;
@@ -144,8 +140,6 @@ impl Framework {
                 points_activated += 1;
             }
             states_explored += outcome.report.states_explored;
-            point_workers = point_workers.max(outcome.report.workers);
-            steals += outcome.report.steals;
             peak_frontier_len = peak_frontier_len.max(outcome.report.peak_frontier_len);
             peak_frontier_bytes = peak_frontier_bytes.max(outcome.report.peak_frontier_bytes);
             spilled_states += outcome.report.spilled_states;
@@ -169,8 +163,6 @@ impl Framework {
             points_activated,
             states_explored,
             states_per_second: sympl_check::SearchReport::throughput(states_explored, elapsed),
-            point_workers,
-            steals,
             peak_frontier_len,
             peak_frontier_bytes,
             spilled_states,
@@ -197,12 +189,6 @@ pub struct Verdict {
     /// Engine throughput over the whole enumeration (states per wall-clock
     /// second).
     pub states_per_second: f64,
-    /// Widest engine that ran any point search: 1 when every point stayed
-    /// sequential, N when a big-budget point engaged the N-way
-    /// work-stealing engine (0 if no search ran).
-    pub point_workers: usize,
-    /// Work-steal operations across all parallel point searches.
-    pub steals: usize,
     /// Largest frontier (in states, including any spilled to disk) any
     /// point search held at once.
     pub peak_frontier_len: usize,
@@ -259,25 +245,23 @@ impl Verdict {
         if self.is_resilient() {
             format!(
                 "PROOF: resilient to {} ({} points, {} activated, {} states explored \
-                 at {:.0} states/s, {}-way engine{frontier})",
+                 at {:.0} states/s{frontier})",
                 self.class,
                 self.points_examined,
                 self.points_activated,
                 self.states_explored,
                 self.states_per_second,
-                self.point_workers.max(1)
             )
         } else {
             format!(
                 "{} escaping error(s) found for {} ({} points, {} activated, {} states \
-                 at {:.0} states/s, {}-way engine{frontier}{})",
+                 at {:.0} states/s{frontier}{})",
                 self.findings.len(),
                 self.class,
                 self.points_examined,
                 self.points_activated,
                 self.states_explored,
                 self.states_per_second,
-                self.point_workers.max(1),
                 if self.complete {
                     ""
                 } else {

@@ -70,8 +70,7 @@ pub mod prelude {
     pub use crate::framework::{Framework, Verdict};
     pub use sympl_asm::{parse_program, Cmp, Instr, Operand, Program, ProgramBuilder, Reg};
     pub use sympl_check::{
-        search, FrontierPolicy, ParallelExplorer, Predicate, PriorityHeuristic, SearchLimits,
-        SearchReport,
+        search, Explorer, FrontierPolicy, Predicate, PriorityHeuristic, SearchLimits, SearchReport,
     };
     pub use sympl_cluster::{run_cluster, CampaignReport, ClusterConfig};
     pub use sympl_detect::{Detector, DetectorSet};

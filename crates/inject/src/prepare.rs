@@ -368,14 +368,6 @@ impl PointOutcome {
 /// Prepares an injection point and model-checks its seed states on a
 /// caller-supplied [`Explorer`]: the unit of campaign work (one cluster
 /// task runs many of these against one engine configuration).
-///
-/// The search itself is routed by budget (`Explorer::explore_auto`): points
-/// whose state budget exceeds `sympl_check::PARALLEL_STATE_THRESHOLD` run
-/// on the work-stealing `ParallelExplorer` across the explorer's worker
-/// allowance (all hardware threads unless the caller capped it with
-/// `Explorer::with_workers_hint`, as the cluster task pool does); smaller
-/// points stay on the sequential fast path. The returned report's
-/// `workers`/`steals` fields say which engine ran.
 #[must_use]
 pub fn run_point_with(
     explorer: &Explorer<'_>,
@@ -397,7 +389,7 @@ pub fn run_point_with(
             report: SearchReport::default(),
         };
     }
-    let report = explorer.explore_auto(prepared.seeds, predicate);
+    let report = explorer.explore(prepared.seeds, predicate);
     PointOutcome {
         point: *point,
         activated: true,
@@ -425,7 +417,7 @@ pub fn run_point_cached(
             report: SearchReport::default(),
         };
     }
-    let report = explorer.explore_auto(prepared.seeds, predicate);
+    let report = explorer.explore(prepared.seeds, predicate);
     PointOutcome {
         point: *point,
         activated: true,

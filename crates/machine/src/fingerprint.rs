@@ -68,20 +68,6 @@ pub use sympl_symbolic::{cell_hash, Fnv128Hasher, ZobristComponent};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint(pub u128);
 
-impl Fingerprint {
-    /// The shard index for a sharded visited set: the digest's raw **low**
-    /// `log2(shards)` bits. Within a shard, [`FingerprintHasher`] mixes all
-    /// 128 bits into the bucket hash, so the shard's constant low bits
-    /// cannot cluster its buckets.
-    ///
-    /// `shards` must be a power of two.
-    #[must_use]
-    pub fn shard(self, shards: usize) -> usize {
-        debug_assert!(shards.is_power_of_two(), "shard count must be 2^k");
-        (self.0 as usize) & (shards - 1)
-    }
-}
-
 /// The bucket [`Hasher`] for [`Fingerprint`] keys.
 ///
 /// The digest's raw bits are not uniform enough to bucket on directly: the
@@ -178,6 +164,12 @@ mod tests {
                 "high-half {v}"
             );
         }
+        // Fingerprints that share their low bits still get distinct
+        // bucket hashes: the hash sees every bit above them.
+        let same_low: std::collections::HashSet<u64> = (0..256u128)
+            .map(|v| bucket_hash(Fingerprint(v << 6 | 0x2B)))
+            .collect();
+        assert_eq!(same_low.len(), 256);
         // A FingerprintSet behaves like a plain set.
         let mut set = FingerprintSet::default();
         for v in 0..1000u128 {
@@ -188,20 +180,6 @@ mod tests {
             assert!(!set.insert(Fingerprint(v << 64 | v)));
         }
         assert_eq!(set.len(), 1000);
-    }
-
-    #[test]
-    fn shard_uses_low_bits() {
-        let fp = Fingerprint(0xFFFF_0000_0000_0000_0000_0000_0000_002B);
-        assert_eq!(fp.shard(64), 0x2B);
-        assert_eq!(fp.shard(1), 0);
-        // States that share a shard (equal low bits) still spread across
-        // buckets: the bucket hash sees the bits the shard index ignores.
-        let same_shard: std::collections::HashSet<u64> = (0..256u128)
-            .map(|v| bucket_hash(Fingerprint(v << 6 | 0x2B)))
-            .collect();
-        assert_eq!(same_shard.len(), 256);
-        assert!((0..256u128).all(|v| Fingerprint(v << 6 | 0x2B).shard(64) == 0x2B));
     }
 
     #[test]

@@ -560,11 +560,11 @@ impl Default for MachineState {
     }
 }
 
-// The parallel exploration engine moves states between worker threads and
-// shares programs/detector sets by reference across them; every piece of the
-// state term is built from owned data or `Arc`s, so these bounds hold by
-// construction — this assertion keeps a future field addition (an `Rc`, a
-// `RefCell` cache) from silently breaking thread-safety.
+// Campaign pools run one search per worker thread and share programs and
+// detector sets by reference across them; every piece of the state term
+// is built from owned data or `Arc`s, so these bounds hold by construction
+// — this assertion keeps a future field addition (an `Rc`, a `RefCell`
+// cache) from silently breaking thread-safety.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<MachineState>();

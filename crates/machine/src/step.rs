@@ -255,7 +255,7 @@ impl MachineState {
 
 /// A successor sink: where the shared fork rules append the states they
 /// materialise. Implemented by `Vec<MachineState>` (the reference
-/// interpreter's return value) and by [`crate::SuccessorBuf`] (the engines'
+/// interpreter's return value) and by [`crate::SuccessorBuf`] (the engine's
 /// reusable buffer), so each fork case lands directly in the caller's
 /// storage instead of round-tripping through an intermediate `Vec`.
 pub(crate) trait SuccessorSink {

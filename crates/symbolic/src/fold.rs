@@ -194,7 +194,7 @@ impl ZobristComponent {
     /// A from-scratch fold of an entry iterator — the reference the rolling
     /// fold must equal at all times. O(|component|); used by the consistency
     /// property tests and the `fingerprint_from_scratch` reference path,
-    /// never by the engines' hot paths.
+    /// never by the engine's hot paths.
     #[must_use]
     pub fn refold<K: Hash, V: Hash, I: IntoIterator<Item = (K, V)>>(entries: I) -> Self {
         let mut fold = ZobristComponent::new();

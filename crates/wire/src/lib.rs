@@ -49,10 +49,9 @@
 //! ([`sympl_cluster::run_task_spec`]), and result pooling
 //! ([`sympl_cluster::pool_results`]) are the *same functions* the
 //! in-process pool uses; the coordinator ships the resolved point-workers
-//! share with every task so a remote machine's core count cannot change
-//! the searches. A distributed campaign whose point searches run
-//! sequentially (`ClusterConfig::point_workers_hint = Some(1)`) or run to
-//! exhaustion therefore reproduces the in-process campaign's
+//! share with every task (it feeds the campaign key; every point search
+//! is sequential whatever it says). A distributed campaign whose point
+//! searches are not cut by a wall-clock budget therefore reproduces the in-process campaign's
 //! [`sympl_cluster::CampaignReport`] verbatim — same per-task outcome
 //! counts, same findings in the same canonical order, same witness
 //! traces, same [`sympl_cluster::CampaignReport::outcome_digest`]. Only

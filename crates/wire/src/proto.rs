@@ -51,9 +51,9 @@ pub struct TaskFrame {
     pub task_budget: Option<Duration>,
     /// Finding cap for the task (the paper capped at 10).
     pub max_findings: usize,
-    /// The resolved point-search worker share the coordinator computed —
-    /// shipped explicitly so the remote machine's core count cannot
-    /// change which engine runs (the determinism contract).
+    /// The resolved point-search worker share the coordinator computed.
+    /// Every point search is sequential whatever it says; kept because
+    /// task-frame bytes carry it.
     pub point_workers: usize,
     /// The heartbeat cadence the worker must keep while this task is in
     /// flight: at least one `Heartbeat` (or the final `TaskDone`) frame

@@ -1602,6 +1602,44 @@ mod tests {
     }
 
     #[test]
+    fn cancel_hits_the_oldest_incomplete_task() {
+        let (addr, handle) = start_service(ServeOptions::default());
+        let mut conn = open_session(&addr, "cancel");
+        // Two slow tasks pipelined on one session, then one Cancel. The
+        // first runs for about a second (state cap sized per build
+        // profile), so it is still incomplete when the Cancel lands.
+        let slow = slow_program();
+        let shards = sympl_cluster::shard_specs(&Campaign::new(&slow, ErrorClass::RegisterFile), 2);
+        let cadence = Duration::from_secs(10);
+        let long = state_capped(if cfg!(debug_assertions) {
+            40_000
+        } else {
+            250_000
+        });
+        for (spec, search) in [(&shards[0], long), (&shards[1], state_capped(2_000))] {
+            conn.send(&task_frame("slowprog", &slow, 60, spec, search, cadence))
+                .unwrap();
+        }
+        conn.send(&Message::Cancel).unwrap();
+        let mut next_reply = || loop {
+            match conn.recv().unwrap() {
+                Message::Heartbeat => continue,
+                other => break other,
+            }
+        };
+        match next_reply() {
+            Message::Error(why) => assert_eq!(why, "task cancelled by the coordinator"),
+            other => panic!("the Cancel must hit the first task, got {other:?}"),
+        }
+        match next_reply() {
+            Message::TaskDone { result, .. } => assert_eq!(result.id, shards[1].id),
+            other => panic!("the second task must still run, got {other:?}"),
+        }
+        conn.send(&Message::Shutdown).unwrap();
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
     fn pipelined_replies_keep_submission_order_around_a_refusal() {
         // A slow task, a task for a program nobody bundled (refused at
         // enqueue, so its reply is ready long before the first task's),

@@ -20,8 +20,8 @@ lint:
 bench:
     cargo bench --workspace
 
-# Write BENCH_explore.json: sequential-vs-parallel engine throughput on the
-# factorial/tcas/replace register full-sweeps at fixed budgets.
+# Write BENCH_explore.json: engine throughput on the factorial/tcas/replace/
+# bubble-sort/gcd register full-sweeps at fixed budgets.
 bench-json:
     cargo run --release -p sympl-bench --bin bench_json
 

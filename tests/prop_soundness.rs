@@ -974,170 +974,15 @@ mod visited_buckets {
 }
 
 // ---------------------------------------------------------------------
-// Parallel-engine equivalence: the work-stealing ParallelExplorer must
-// reproduce the sequential Explorer's results exactly on exhausted
-// searches, at every worker count.
-// ---------------------------------------------------------------------
-
-mod parallel_equivalence {
-    use super::*;
-    use symplfied::check::{Explorer, ParallelExplorer, SearchReport};
-    use symplfied::machine::Fingerprint;
-
-    /// Content digests of the solution states, order-independent.
-    fn solution_digests(report: &SearchReport) -> Vec<Fingerprint> {
-        let mut digests: Vec<Fingerprint> = report
-            .solutions
-            .iter()
-            .map(|s| s.state.fingerprint())
-            .collect();
-        digests.sort_unstable();
-        digests
-    }
-
-    /// Runs the same exhaustive search sequentially and at 1, 2, and 8
-    /// workers, and checks the engines agree on every observable except
-    /// ordering: state count, duplicate count, terminal outcome counts,
-    /// and the solution *set* (compared by state content digest).
-    fn assert_parallel_matches(
-        w: &symplfied::apps::Workload,
-        breakpoint: usize,
-        reg: Reg,
-        limits: &SearchLimits,
-    ) {
-        let point = InjectionPoint::new(breakpoint, InjectTarget::Register(reg));
-        let prep = prepare(&w.program, &w.detectors, &w.input, &point, &limits.exec);
-        assert!(
-            prep.activated,
-            "{}: breakpoint {breakpoint} must be on the golden path",
-            w.name
-        );
-
-        let sequential = Explorer::new(&w.program, &w.detectors)
-            .with_limits(limits.clone())
-            .explore(prep.seeds.clone(), &Predicate::Any);
-        assert!(
-            sequential.exhausted,
-            "{}: equivalence needs a complete search ({} states)",
-            w.name, sequential.states_explored
-        );
-        assert_eq!(sequential.workers, 1);
-
-        for workers in [1usize, 2, 8] {
-            let parallel = ParallelExplorer::new(&w.program, &w.detectors)
-                .with_limits(limits.clone())
-                .with_workers(workers)
-                .explore(prep.seeds.clone(), &Predicate::Any);
-            let label = format!("{} @{breakpoint} x{workers}", w.name);
-            assert!(parallel.exhausted, "{label}: must exhaust");
-            assert_eq!(parallel.workers, workers, "{label}");
-            assert_eq!(
-                parallel.states_explored, sequential.states_explored,
-                "{label}: states"
-            );
-            assert_eq!(
-                parallel.duplicate_hits, sequential.duplicate_hits,
-                "{label}: duplicates"
-            );
-            assert_eq!(
-                parallel.terminals, sequential.terminals,
-                "{label}: outcomes"
-            );
-            assert_eq!(
-                solution_digests(&parallel),
-                solution_digests(&sequential),
-                "{label}: solution sets"
-            );
-        }
-    }
-
-    #[test]
-    fn factorial_parallel_matches_sequential() {
-        // The §4 walkthrough point (loop-counter decrement) for every n
-        // whose golden path enters the loop body.
-        for n in 2..=5 {
-            let w = symplfied::apps::factorial().with_input(vec![n]);
-            let limits = SearchLimits {
-                exec: ExecLimits::with_max_steps(500),
-                max_states: 1_000_000,
-                max_solutions: usize::MAX,
-                max_time: None,
-                ..SearchLimits::default()
-            };
-            assert_parallel_matches(&w, 7, Reg::r(3), &limits);
-        }
-    }
-
-    #[test]
-    fn tcas_parallel_matches_sequential() {
-        // A data-register point (`err` in $8 at address 20) whose search
-        // exhausts in a few thousand states on the evaluation input.
-        let w = symplfied::apps::tcas();
-        let limits = SearchLimits {
-            exec: ExecLimits::with_max_steps(w.max_steps),
-            max_states: 60_000,
-            max_solutions: usize::MAX,
-            max_time: None,
-            ..SearchLimits::default()
-        };
-        assert_parallel_matches(&w, 20, Reg::r(8), &limits);
-    }
-
-    #[test]
-    fn parallel_solution_order_is_canonical() {
-        // Repeated parallel runs of the same exhaustive search return the
-        // same solution-state set, presented in the documented canonical
-        // order (witness length, then trace, then state digest). Traces
-        // themselves may differ across runs — they record whichever path
-        // won the race to each state — so only the states and the ordering
-        // *rule* are asserted, not the exact trace contents.
-        let w = symplfied::apps::factorial().with_input(vec![4]);
-        let point = InjectionPoint::new(7, InjectTarget::Register(Reg::r(3)));
-        let limits = SearchLimits {
-            exec: ExecLimits::with_max_steps(500),
-            max_states: 1_000_000,
-            max_solutions: usize::MAX,
-            max_time: None,
-            ..SearchLimits::default()
-        };
-        let prep = prepare(&w.program, &w.detectors, &w.input, &point, &limits.exec);
-        let run = || {
-            ParallelExplorer::new(&w.program, &w.detectors)
-                .with_limits(limits.clone())
-                .with_workers(4)
-                .explore(prep.seeds.clone(), &Predicate::Any)
-        };
-        let a = run();
-        let b = run();
-        assert!(a.exhausted && b.exhausted);
-        assert_eq!(solution_digests(&a), solution_digests(&b));
-        for report in [&a, &b] {
-            let keys: Vec<_> = report
-                .solutions
-                .iter()
-                .map(|s| (s.trace.len(), s.trace.clone(), s.state.fingerprint()))
-                .collect();
-            assert!(
-                keys.windows(2).all(|w| w[0] <= w[1]),
-                "solutions must come out in canonical order"
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Frontier-policy equivalence: exhausted searches must produce identical
 // outcome counts and canonical solution sets under every frontier policy
 // — Bfs, Dfs, Priority (all heuristics), the disk-spilling window, and
-// (for terminals/solutions) iterative deepening — sequentially and on the
-// work-stealing engine at 2 and 8 workers.
+// (for terminals/solutions) iterative deepening.
 // ---------------------------------------------------------------------
 
 mod frontier_policy {
     use super::*;
-    use symplfied::check::{
-        Explorer, FrontierPolicy, ParallelExplorer, PriorityHeuristic, SearchReport,
-    };
+    use symplfied::check::{Explorer, FrontierPolicy, PriorityHeuristic, SearchReport};
     use symplfied::machine::Fingerprint;
 
     fn solution_digests(report: &SearchReport) -> Vec<Fingerprint> {
@@ -1173,7 +1018,6 @@ mod frontier_policy {
         breakpoint: usize,
         reg: Reg,
         limits: &SearchLimits,
-        worker_counts: &[usize],
     ) {
         let point = InjectionPoint::new(breakpoint, InjectTarget::Register(reg));
         let prep = prepare(&w.program, &w.detectors, &w.input, &point, &limits.exec);
@@ -1225,27 +1069,6 @@ mod frontier_policy {
             if spill.is_some() && reference.peak_frontier_bytes > 8 * 1024 {
                 assert!(sequential.spilled_states > 0, "{label}: must have spilled");
             }
-
-            for &workers in worker_counts {
-                let parallel = ParallelExplorer::new(&w.program, &w.detectors)
-                    .with_limits(policy_limits.clone())
-                    .with_workers(workers)
-                    .explore(prep.seeds.clone(), &Predicate::Any);
-                assert!(parallel.exhausted, "{label} x{workers}: must exhaust");
-                assert_eq!(
-                    parallel.states_explored, reference.states_explored,
-                    "{label} x{workers}: states"
-                );
-                assert_eq!(
-                    parallel.terminals, reference.terminals,
-                    "{label} x{workers}: outcomes"
-                );
-                assert_eq!(
-                    solution_digests(&parallel),
-                    solution_digests(&reference),
-                    "{label} x{workers}: solution sets"
-                );
-            }
         }
 
         // Iterative deepening re-expands shallow states per round, so only
@@ -1255,37 +1078,27 @@ mod frontier_policy {
             initial_depth: 32,
             depth_step: 32,
         };
-        for &workers in std::iter::once(&1usize).chain(worker_counts) {
-            let idd = ParallelExplorer::new(&w.program, &w.detectors)
-                .with_limits(idd_limits.clone())
-                .with_workers(workers)
-                .explore(prep.seeds.clone(), &Predicate::Any);
-            let label = format!("{} @{breakpoint} iddfs x{workers}", w.name);
-            assert!(idd.exhausted, "{label}: must exhaust");
-            assert_eq!(idd.terminals, reference.terminals, "{label}: outcomes");
-            assert_eq!(
-                solution_digests(&idd),
-                solution_digests(&reference),
-                "{label}: solution sets"
-            );
-            assert!(
-                idd.states_explored >= reference.states_explored,
-                "{label}: rounds re-expand shallow states"
-            );
-        }
-        let idd_seq = Explorer::new(&w.program, &w.detectors)
+        let idd = Explorer::new(&w.program, &w.detectors)
             .with_limits(idd_limits)
             .explore(prep.seeds.clone(), &Predicate::Any);
-        assert!(idd_seq.exhausted);
-        assert_eq!(idd_seq.terminals, reference.terminals);
-        assert_eq!(solution_digests(&idd_seq), solution_digests(&reference));
+        let label = format!("{} @{breakpoint} iddfs", w.name);
+        assert!(idd.exhausted, "{label}: must exhaust");
+        assert_eq!(idd.terminals, reference.terminals, "{label}: outcomes");
+        assert_eq!(
+            solution_digests(&idd),
+            solution_digests(&reference),
+            "{label}: solution sets"
+        );
+        assert!(
+            idd.states_explored >= reference.states_explored,
+            "{label}: rounds re-expand shallow states"
+        );
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
-        /// Factorial, random loop injection point and input: every policy,
-        /// sequentially and at 2/8 workers.
+        /// Factorial, random loop injection point and input: every policy.
         #[test]
         fn factorial_policies_agree_when_exhausted(
             n in 2i64..6,
@@ -1303,14 +1116,14 @@ mod frontier_policy {
                 max_time: None,
                 ..SearchLimits::default()
             };
-            assert_policies_agree(&w, bp, Reg::r(reg), &limits, &[2, 8]);
+            assert_policies_agree(&w, bp, Reg::r(reg), &limits);
         }
     }
 
     #[test]
     fn tcas_policies_agree_when_exhausted() {
-        // The same data-register point the parallel-equivalence suite pins
-        // (`err` in $8 at address 20), across every policy at 2/8 workers.
+        // A data-register point (`err` in $8 at address 20) whose search
+        // exhausts in a few thousand states, across every policy.
         let w = symplfied::apps::tcas();
         let limits = SearchLimits {
             exec: ExecLimits::with_max_steps(w.max_steps),
@@ -1319,7 +1132,7 @@ mod frontier_policy {
             max_time: None,
             ..SearchLimits::default()
         };
-        assert_policies_agree(&w, 20, Reg::r(8), &limits, &[2, 8]);
+        assert_policies_agree(&w, 20, Reg::r(8), &limits);
     }
 }
 
@@ -1327,12 +1140,12 @@ mod frontier_policy {
 // Disk-spilling acceptance: a tcas exhaustive search whose in-RAM
 // frontier budget sits well below the unbounded run's peak footprint must
 // complete by spilling and reproduce the unbounded run's outcome counts
-// and canonical solution set exactly — sequentially and at 2 workers.
+// and canonical solution set exactly.
 // ---------------------------------------------------------------------
 
 mod spill_smoke {
     use super::*;
-    use symplfied::check::{Explorer, ParallelExplorer, SearchReport};
+    use symplfied::check::{Explorer, SearchReport};
     use symplfied::machine::Fingerprint;
 
     fn solution_digests(report: &SearchReport) -> Vec<Fingerprint> {
@@ -1377,7 +1190,7 @@ mod spill_smoke {
         tight.max_frontier_bytes = Some(unbounded.peak_frontier_bytes / 4);
 
         let spilling = Explorer::new(&w.program, &w.detectors)
-            .with_limits(tight.clone())
+            .with_limits(tight)
             .explore(prep.seeds.clone(), &Predicate::Any);
         assert!(spilling.exhausted, "the spilling search must complete");
         assert!(spilling.spilled_states > 0, "the budget must have bitten");
@@ -1392,16 +1205,6 @@ mod spill_smoke {
         assert_eq!(spilling.duplicate_hits, unbounded.duplicate_hits);
         assert_eq!(spilling.terminals, unbounded.terminals);
         assert_eq!(solution_digests(&spilling), solution_digests(&unbounded));
-
-        // And at 2 workers, with each worker budgeted half the window.
-        let parallel = ParallelExplorer::new(&w.program, &w.detectors)
-            .with_limits(tight)
-            .with_workers(2)
-            .explore(prep.seeds.clone(), &Predicate::Any);
-        assert!(parallel.exhausted);
-        assert_eq!(parallel.states_explored, unbounded.states_explored);
-        assert_eq!(parallel.terminals, unbounded.terminals);
-        assert_eq!(solution_digests(&parallel), solution_digests(&unbounded));
     }
 }
 
