@@ -210,10 +210,12 @@ impl<'a> Explorer<'a> {
         let base_steps = seeds.iter().map(MachineState::steps).min().unwrap_or(0);
         let mut deepest = base_steps;
 
-        // Parent arena for witness traces: (parent index or usize::MAX, pc).
+        // Parent arena for witness traces: (parent index or ROOT, pc).
+        // 32-bit cells halve what is otherwise the search's largest
+        // allocation; 2^32 entries would need a 64 GiB visited set.
         // Survives iterative-deepening rounds: indices recorded in round 0
         // stay valid as re-seed metadata.
-        let mut arena: Vec<(usize, usize)> = Vec::new();
+        let mut arena: Vec<(u32, u32)> = Vec::new();
         // Fingerprints only (16 bytes per visited state), bucketed by one
         // finaliser pass over all 128 digest bits — no SipHash per probe.
         let mut visited = FingerprintSet::default();
@@ -224,8 +226,8 @@ impl<'a> Explorer<'a> {
             let pc = s.pc();
             // The single insertion point: enqueue time.
             if visited.insert(s.fingerprint()) {
-                arena.push((usize::MAX, pc));
-                frontier.seed(s, arena.len() - 1);
+                let idx = push_trace_node(&mut arena, ROOT, pc);
+                frontier.seed(s, idx);
             }
         }
         // Root entries occupy the arena prefix; iterative-deepening rounds
@@ -278,10 +280,11 @@ impl<'a> Explorer<'a> {
                 }
 
                 state.step_into(decoded, self.detectors, &self.limits.exec, &mut successors);
+                let parent = trace_u32(idx, "arena index");
                 for succ in successors.drain() {
                     if visited.insert(succ.fingerprint()) {
-                        arena.push((idx, succ.pc()));
-                        frontier.push(succ, arena.len() - 1);
+                        let succ_idx = push_trace_node(&mut arena, parent, succ.pc());
+                        frontier.push(succ, succ_idx);
                     } else {
                         report.duplicate_hits += 1;
                     }
@@ -328,18 +331,37 @@ impl<'a> Explorer<'a> {
     }
 }
 
-fn reconstruct_trace(arena: &[(usize, usize)], mut idx: usize) -> Vec<usize> {
+/// The parent marker of a seed's arena entry.
+const ROOT: u32 = u32::MAX;
+
+/// Appends a trace node and returns its index.
+fn push_trace_node(arena: &mut Vec<(u32, u32)>, parent: u32, pc: usize) -> usize {
+    let idx = arena.len();
+    // Index ROOT itself is reserved as the marker.
+    assert!(
+        idx < ROOT as usize,
+        "witness-trace arena is full ({idx} entries)"
+    );
+    arena.push((parent, trace_u32(pc, "pc")));
+    idx
+}
+
+fn reconstruct_trace(arena: &[(u32, u32)], mut idx: usize) -> Vec<usize> {
     let mut trace = Vec::new();
     loop {
         let (parent, pc) = arena[idx];
-        trace.push(pc);
-        if parent == usize::MAX {
+        trace.push(pc as usize);
+        if parent == ROOT {
             break;
         }
-        idx = parent;
+        idx = parent as usize;
     }
     trace.reverse();
     trace
+}
+
+fn trace_u32(n: usize, what: &str) -> u32 {
+    u32::try_from(n).unwrap_or_else(|_| panic!("witness-trace {what} {n} does not fit in 32 bits"))
 }
 
 #[cfg(test)]
@@ -720,5 +742,48 @@ mod tests {
         assert_eq!(e.policy(), FrontierPolicy::Dfs);
         assert_eq!(e.program().len(), 1);
         assert_eq!(e.detectors().len(), 0);
+    }
+
+    #[test]
+    fn capped_search_traces_are_pinned() {
+        // Two err-driven forks, then a store; the cap stops the search
+        // with solutions found. The traces are the witnesses the 64-bit
+        // parent arena produced; the 32-bit arena must reproduce them.
+        let p = parse_program(
+            "beq $1, 0, a\nmov $3, 1\njmp b\na: mov $3, 2\n\
+             b: bgt $2, 5, c\nprint $3\nhalt\nc: st $3, 0($0)\nprint $2\nhalt",
+        )
+        .unwrap();
+        let mut s = MachineState::new();
+        s.set_reg(Reg::r(1), Value::Err);
+        s.set_reg(Reg::r(2), Value::Err);
+        let limits = SearchLimits {
+            max_states: 18,
+            ..SearchLimits::default()
+        };
+        let traces = |policy| {
+            let report = Explorer::new(&p, &dets())
+                .with_policy(policy)
+                .with_limits(limits.clone())
+                .explore(vec![s.clone()], &Predicate::Any);
+            assert!(report.hit_state_cap, "{policy:?}");
+            report
+                .solutions
+                .into_iter()
+                .map(|s| s.trace)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            traces(FrontierPolicy::Bfs),
+            vec![vec![0, 3, 4, 5, 6, 6], vec![0, 3, 4, 7, 8, 9, 9]]
+        );
+        assert_eq!(
+            traces(FrontierPolicy::Dfs),
+            vec![
+                vec![0, 1, 2, 4, 5, 6, 6],
+                vec![0, 1, 2, 4, 7, 8, 9, 9],
+                vec![0, 3, 4, 5, 6, 6],
+            ]
+        );
     }
 }

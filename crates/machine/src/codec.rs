@@ -2,7 +2,7 @@
 //!
 //! [`encode_state`] serializes everything state equality observes —
 //! program counter, watchdog counter, status, non-zero registers, the
-//! *merged* copy-on-write memory image, I/O streams, and the constraint
+//! copy-on-write memory image, I/O streams, and the constraint
 //! map — into a varint-packed byte stream; [`decode_state`] rebuilds a
 //! live state whose **rolling fingerprint caches are re-derived from the
 //! decoded content**, so a decoded state's `fingerprint()` equals its
@@ -25,7 +25,7 @@
 //! concatenated into segment files and decoded back one at a time —
 //! exactly what the disk-spilling frontier does ([`decode_state`] returns
 //! the bytes consumed). Copy-on-write sharing does not survive a
-//! round-trip (the merged image is written flat); that is inherent to
+//! round-trip (each decoded state owns its image); that is inherent to
 //! spilling and documented at the spill site.
 //!
 //! The same bytes are [`MachineState`]'s [`Codec`] record, which is how a
@@ -90,7 +90,7 @@ pub fn encode_state(state: &MachineState, buf: &mut Vec<u8>) {
         encode_value(v, buf);
     }
 
-    // Merged memory image, ascending addresses delta-coded.
+    // Memory image, ascending addresses delta-coded.
     encode_u64(state.memory_len() as u64, buf);
     let mut prev = 0u64;
     for (i, (addr, value)) in state.memory_cells().enumerate() {
@@ -348,14 +348,16 @@ mod tests {
 
     #[test]
     fn cow_layering_is_invisible_to_the_codec() {
-        // A forked state with a shared base and a private delta must encode
-        // identically to a flat state with the same merged content.
+        // A state written after a fork must encode identically to a flat
+        // state with the same content.
         let mut origin = MachineState::new();
         origin.load_memory((0..40).map(|i| (i * 8, i as i64)));
         let mut fork = origin.clone();
         fork.set_mem(8, Value::Int(999));
         fork.set_mem(4096, Value::Err);
-        assert!(fork.memory_shares_storage(&origin));
+        // A write unshares the fork's image; the origin is untouched.
+        assert!(!fork.memory_shares_storage(&origin));
+        assert_eq!(origin.mem(8), Some(Value::Int(1)));
 
         let mut flat = MachineState::new();
         flat.load_memory((0..40).map(|i| (i * 8, i as i64)));

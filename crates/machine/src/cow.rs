@@ -3,209 +3,145 @@
 //! The exploration engine clones machine states at every fork; with a plain
 //! `BTreeMap` memory each clone deep-copies the whole memory image, which
 //! makes forking O(|memory|) and dominates every campaign. [`CowMemory`]
-//! splits the image into a shared immutable **base** (behind an [`Arc`])
-//! and a small private **delta** overlay:
+//! keeps the image as one exact-size, address-sorted slice of cells behind
+//! an [`Arc`]:
 //!
-//! * `clone` bumps the base refcount and copies only the delta — O(|delta|).
-//! * reads consult the delta first, then the base.
-//! * writes go to the delta while the base is shared; when the base is
-//!   uniquely owned and the delta is empty they go straight into the base.
-//! * once the delta outgrows [`COMPACT_THRESHOLD`] it is folded into a new
-//!   base, so lookups stay O(log n) with a bounded overlay.
+//! * `clone` bumps the refcount — O(1), no cell is copied.
+//! * reads binary-search the slice.
+//! * overwriting a defined address goes through [`Arc::make_mut`]: in place
+//!   when the image is not shared, otherwise one contiguous copy — so a
+//!   fork pays for its image once, on its first memory write.
+//! * defining a new address rebuilds the slice once, at exact size, as
+//!   `lo ++ [cell] ++ hi` (a single allocation).
 //!
-//! Equality, ordering-sensitive iteration, and hashing all operate on the
-//! *merged* content, so two memories with the same contents are
-//! indistinguishable regardless of how their base/delta layers happen to be
-//! split — the property the model checker's fingerprint dedup relies on.
+//! Equality, iteration, and hashing see only the cells, so two memories
+//! with the same contents are indistinguishable whatever their write and
+//! fork history — the property the model checker's fingerprint dedup
+//! relies on.
 
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use sympl_symbolic::{Value, ZobristComponent};
 
-/// Delta entries tolerated before folding into a fresh base. Chosen so a
-/// typical fork burst (a handful of writes per forked successor) never
-/// compacts, while a long-running concrete path cannot accumulate an
-/// unbounded overlay.
-const COMPACT_THRESHOLD: usize = 64;
-
 /// A copy-on-write map from memory addresses to values.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct CowMemory {
-    base: Arc<BTreeMap<u64, Value>>,
-    delta: BTreeMap<u64, Value>,
-    // Merged-view caches, maintained by `insert` (`compact` preserves
-    // content, so it never touches them): the number of defined addresses,
-    // which `len`/`Hash`/`PartialEq` would otherwise recount by scanning the
-    // delta against the base, and the rolling XOR-fold over `(addr, value)`
-    // cells that the state fingerprint mixes in instead of re-hashing the
-    // whole image. Both are functions of the merged content, so layering
-    // stays invisible.
-    len: usize,
+    // Strictly ascending by address, exactly as long as the number of
+    // defined addresses.
+    cells: Arc<[(u64, Value)]>,
+    // The rolling XOR-fold over the `(addr, value)` cells, maintained by
+    // `insert`, which the state fingerprint mixes in instead of re-hashing
+    // the whole image. A function of content only.
     digest: ZobristComponent,
 }
 
 impl CowMemory {
     /// An empty memory.
     pub(crate) fn new() -> Self {
-        CowMemory::default()
+        CowMemory {
+            cells: Arc::new([]),
+            digest: ZobristComponent::new(),
+        }
+    }
+
+    /// A memory holding `cells`. Strictly ascending addresses — what
+    /// [`CowMemory::iter`], and so the state codec, always produce — are
+    /// taken as they are and the digest is folded once; any other order
+    /// falls back to one `insert` per cell, so a later duplicate wins.
+    pub(crate) fn from_cells(cells: Vec<(u64, Value)>) -> Self {
+        if cells.windows(2).all(|w| w[0].0 < w[1].0) {
+            let digest = ZobristComponent::refold(cells.iter().copied());
+            return CowMemory {
+                cells: cells.into(),
+                digest,
+            };
+        }
+        let mut mem = CowMemory::new();
+        for (addr, value) in cells {
+            mem.insert(addr, value);
+        }
+        mem
+    }
+
+    fn find(&self, addr: u64) -> Result<usize, usize> {
+        self.cells.binary_search_by_key(&addr, |&(a, _)| a)
     }
 
     /// The value at `addr`, if defined.
     pub(crate) fn get(&self, addr: u64) -> Option<Value> {
-        self.delta
-            .get(&addr)
-            .or_else(|| self.base.get(&addr))
-            .copied()
+        self.find(addr).ok().map(|i| self.cells[i].1)
     }
 
     /// Defines or overwrites `addr`.
     pub(crate) fn insert(&mut self, addr: u64, value: Value) {
-        if self.delta.is_empty() {
-            // Unique owner with no overlay: write in place, no copy and a
-            // single tree traversal — the displaced value tells the
-            // len/digest caches what changed.
-            if let Some(base) = Arc::get_mut(&mut self.base) {
-                match base.insert(addr, value) {
-                    Some(old) if old == value => {}
-                    Some(old) => self.digest.update(&addr, &old, &value),
-                    None => {
-                        self.len += 1;
-                        self.digest.insert(&addr, &value);
-                    }
+        match self.find(addr) {
+            Ok(i) => {
+                let old = self.cells[i].1;
+                // A same-value rewrite leaves the content untouched; skip
+                // it rather than unshare the image for nothing.
+                if old != value {
+                    self.digest.update(&addr, &old, &value);
+                    Arc::make_mut(&mut self.cells)[i].1 = value;
                 }
-                return;
             }
-        }
-        match self.get(addr) {
-            // Rewriting a cell with its current *merged* value leaves the
-            // content — the only thing reads, equality, hashing, and the
-            // digest observe — untouched; skip the write entirely rather
-            // than grow the delta with a shadowing copy.
-            Some(old) if old == value => return,
-            Some(old) => self.digest.update(&addr, &old, &value),
-            None => {
-                self.len += 1;
+            Err(i) => {
                 self.digest.insert(&addr, &value);
+                let (lo, hi) = self.cells.split_at(i);
+                // Chained slice iterators report an exact length, so the
+                // new slice is allocated once, at its final size.
+                self.cells = lo
+                    .iter()
+                    .copied()
+                    .chain(std::iter::once((addr, value)))
+                    .chain(hi.iter().copied())
+                    .collect();
             }
         }
-        self.delta.insert(addr, value);
-        if self.delta.len() >= COMPACT_THRESHOLD {
-            self.compact();
-        }
     }
 
-    /// Folds the delta into the base — in place when the base is uniquely
-    /// owned, otherwise into a freshly cloned one. Merged content is
-    /// preserved, so the `len`/`digest` caches are untouched.
-    fn compact(&mut self) {
-        if let Some(base) = Arc::get_mut(&mut self.base) {
-            base.extend(std::mem::take(&mut self.delta));
-            return;
-        }
-        let mut merged = (*self.base).clone();
-        merged.extend(std::mem::take(&mut self.delta));
-        self.base = Arc::new(merged);
-    }
-
-    /// Number of defined addresses. O(1): maintained by `insert` instead of
-    /// rescanning the delta against the base per call.
+    /// Number of defined addresses.
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.cells.len()
     }
 
     /// Whether no address is defined.
     pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
+        self.cells.is_empty()
     }
 
-    /// The rolling XOR-fold over the merged image's `(addr, value)` cells.
-    /// O(1); the state fingerprint mixes this in instead of walking memory.
+    /// The rolling XOR-fold over the image's `(addr, value)` cells. O(1);
+    /// the state fingerprint mixes this in instead of walking memory.
     pub(crate) fn digest(&self) -> ZobristComponent {
         self.digest
     }
 
-    /// A from-scratch recompute of [`CowMemory::digest`] over the merged
-    /// view — O(|memory|), for consistency tests and the reference
-    /// fingerprint path only.
+    /// A from-scratch recompute of [`CowMemory::digest`] — O(|memory|), for
+    /// consistency tests and the reference fingerprint path only.
     pub(crate) fn refold_digest(&self) -> ZobristComponent {
         ZobristComponent::refold(self.iter())
     }
 
     /// The largest defined address, if any.
     pub(crate) fn last_addr(&self) -> Option<u64> {
-        match (self.base.keys().next_back(), self.delta.keys().next_back()) {
-            (Some(&b), Some(&d)) => Some(b.max(d)),
-            (Some(&b), None) => Some(b),
-            (None, Some(&d)) => Some(d),
-            (None, None) => None,
-        }
+        self.cells.last().map(|&(addr, _)| addr)
     }
 
-    /// Merged `(address, value)` pairs in ascending address order; delta
-    /// entries shadow base entries.
-    pub(crate) fn iter(&self) -> MergedIter<'_> {
-        MergedIter {
-            base: self.base.iter().peekable(),
-            delta: self.delta.iter().peekable(),
-        }
+    /// `(address, value)` pairs in ascending address order.
+    pub(crate) fn iter(&self) -> std::iter::Copied<std::slice::Iter<'_, (u64, Value)>> {
+        self.cells.iter().copied()
     }
 
-    /// Whether `self` and `other` share the same base storage (structural
-    /// sharing introduced by `clone`). Used by the pointer-identity tests
-    /// that pin down the O(delta) fork guarantee.
-    pub(crate) fn shares_base_with(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.base, &other.base)
-    }
-
-    /// Delta-overlay size (tests only).
-    #[cfg(test)]
-    pub(crate) fn delta_len(&self) -> usize {
-        self.delta.len()
-    }
-}
-
-/// Merge-join over the base and delta layers.
-pub(crate) struct MergedIter<'a> {
-    base: std::iter::Peekable<std::collections::btree_map::Iter<'a, u64, Value>>,
-    delta: std::iter::Peekable<std::collections::btree_map::Iter<'a, u64, Value>>,
-}
-
-impl Iterator for MergedIter<'_> {
-    type Item = (u64, Value);
-
-    fn next(&mut self) -> Option<(u64, Value)> {
-        match (self.base.peek(), self.delta.peek()) {
-            (Some(&(&ba, &bv)), Some(&(&da, &dv))) => {
-                if ba < da {
-                    self.base.next();
-                    Some((ba, bv))
-                } else {
-                    if ba == da {
-                        self.base.next(); // shadowed by the delta
-                    }
-                    self.delta.next();
-                    Some((da, dv))
-                }
-            }
-            (Some(&(&ba, &bv)), None) => {
-                self.base.next();
-                Some((ba, bv))
-            }
-            (None, Some(&(&da, &dv))) => {
-                self.delta.next();
-                Some((da, dv))
-            }
-            (None, None) => None,
-        }
+    /// Whether `self` and `other` share one image (the structural sharing
+    /// `clone` introduces, until either side writes).
+    pub(crate) fn shares_storage_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.cells, &other.cells)
     }
 }
 
 impl PartialEq for CowMemory {
     fn eq(&self, other: &Self) -> bool {
-        // Content equality, independent of the base/delta split.
-        self.len() == other.len() && self.iter().eq(other.iter())
+        self.cells == other.cells
     }
 }
 
@@ -213,13 +149,9 @@ impl Eq for CowMemory {}
 
 impl Hash for CowMemory {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // Mirrors BTreeMap's Hash (length prefix, then entries in order) on
-        // the merged view, so layout never leaks into the hash.
-        state.write_usize(self.len());
-        for (addr, value) in self.iter() {
-            addr.hash(state);
-            value.hash(state);
-        }
+        // A slice hashes as a length prefix then its entries in order —
+        // the same stream as the `BTreeMap<u64, Value>` it replaces.
+        self.cells.hash(state);
     }
 }
 
@@ -227,8 +159,9 @@ impl Hash for CowMemory {
 mod tests {
     use super::*;
     use std::collections::hash_map::DefaultHasher;
+    use std::collections::BTreeMap;
 
-    fn hash_of(m: &CowMemory) -> u64 {
+    fn hash_of<T: Hash>(m: &T) -> u64 {
         let mut h = DefaultHasher::new();
         m.hash(&mut h);
         h.finish()
@@ -236,13 +169,18 @@ mod tests {
 
     #[test]
     fn reads_see_delta_over_base() {
+        // A fork's writes are its own: the origin keeps its value.
         let mut a = CowMemory::new();
         a.insert(8, Value::Int(1));
-        let mut b = a.clone(); // base now shared
-        b.insert(8, Value::Int(2)); // goes to b's delta
+        let mut b = a.clone();
+        assert!(a.shares_storage_with(&b));
+        b.insert(8, Value::Int(2));
+        b.insert(16, Value::Int(3));
         assert_eq!(a.get(8), Some(Value::Int(1)));
+        assert_eq!(a.get(16), None);
         assert_eq!(b.get(8), Some(Value::Int(2)));
-        assert!(a.shares_base_with(&b));
+        assert_eq!(b.get(16), Some(Value::Int(3)));
+        assert!(!a.shares_storage_with(&b));
     }
 
     #[test]
@@ -251,21 +189,29 @@ mod tests {
         for i in 0..10 {
             flat.insert(i * 8, Value::Int(i as i64));
         }
-        // Build the same contents through a clone + delta writes.
+        // The same contents through forks, descending writes and
+        // overwrites.
         let mut partial = CowMemory::new();
-        for i in 0..5 {
-            partial.insert(i * 8, Value::Int(i as i64));
+        for i in (5..10).rev() {
+            partial.insert(i * 8, Value::Int(-1));
         }
-        let _pin = partial.clone(); // force sharing so writes go to the delta
-        let mut layered = partial.clone();
-        for i in 5..10 {
-            layered.insert(i * 8, Value::Int(i as i64));
+        let _pin = partial.clone();
+        let mut forked = partial.clone();
+        for i in 0..10 {
+            forked.insert(i * 8, Value::Int(i as i64));
         }
-        assert!(layered.delta_len() > 0, "writes must land in the delta");
-        assert_eq!(flat, layered);
-        assert_eq!(hash_of(&flat), hash_of(&layered));
-        assert_eq!(flat.len(), layered.len());
-        assert!(flat.iter().eq(layered.iter()));
+        assert_eq!(flat, forked);
+        assert_eq!(hash_of(&flat), hash_of(&forked));
+        assert_eq!(flat.len(), forked.len());
+        assert_eq!(flat.digest(), forked.digest());
+        assert!(flat.iter().eq(forked.iter()));
+        // The hash stream is the reference map's.
+        let reference: BTreeMap<u64, Value> = flat.iter().collect();
+        assert_eq!(hash_of(&flat), hash_of(&reference));
+        assert_eq!(
+            hash_of(&CowMemory::new()),
+            hash_of(&BTreeMap::<u64, Value>::new())
+        );
     }
 
     #[test]
@@ -274,7 +220,7 @@ mod tests {
         a.insert(8, Value::Int(1));
         a.insert(16, Value::Int(2));
         let _pin = a.clone();
-        a.insert(8, Value::Int(3)); // shadows the base entry
+        a.insert(8, Value::Int(3)); // overwrites, does not add
         assert_eq!(a.len(), 2);
         assert_eq!(
             a.iter().collect::<Vec<_>>(),
@@ -285,17 +231,20 @@ mod tests {
 
     #[test]
     fn compaction_folds_delta() {
+        // Many writes after a fork keep length, order and digest right.
         let mut a = CowMemory::new();
         a.insert(0, Value::Int(0));
-        let _pin = a.clone();
-        for i in 0..(COMPACT_THRESHOLD as u64 + 4) {
+        let pin = a.clone();
+        for i in (0..100u64).rev() {
             a.insert(i, Value::Int(i as i64));
         }
-        assert!(
-            a.delta_len() < COMPACT_THRESHOLD,
-            "delta must have been folded"
-        );
-        assert_eq!(a.len(), COMPACT_THRESHOLD + 4);
+        assert_eq!(a.len(), 100);
+        assert!(a.iter().map(|(addr, _)| addr).eq(0..100));
+        assert!(a.iter().all(|(addr, v)| v == Value::Int(addr as i64)));
+        assert_eq!(a.last_addr(), Some(99));
+        assert_eq!(a.digest(), a.refold_digest());
+        assert_eq!(pin.len(), 1);
+        assert_eq!(pin.digest(), pin.refold_digest());
     }
 
     #[test]
@@ -303,27 +252,30 @@ mod tests {
         let mut m = CowMemory::new();
         assert_eq!(m.digest(), m.refold_digest());
         m.insert(8, Value::Int(1));
-        let _pin = m.clone(); // force sharing: writes go to the delta
-        m.insert(8, Value::Int(2)); // overwrite shadowing the base
+        let _pin = m.clone();
+        m.insert(8, Value::Int(2)); // overwrite after a fork
         m.insert(8, Value::Int(2)); // same-value rewrite: a no-op
         m.insert(16, Value::Err);
         assert_eq!(m.len(), 2);
         assert_eq!(m.digest(), m.refold_digest());
-        // Push through a compaction; content (and caches) must not move.
         let before = m.digest();
-        for i in 0..(COMPACT_THRESHOLD as u64 + 4) {
+        for i in 0..68u64 {
             m.insert(i * 8 + 1000, Value::Int(i as i64));
         }
         assert_eq!(m.digest(), m.refold_digest());
-        assert_eq!(m.len(), 2 + COMPACT_THRESHOLD + 4);
+        assert_eq!(m.len(), 2 + 68);
         assert_ne!(m.digest(), before);
-        // Same contents, different history: digests agree.
+        // Same contents, different history: digests agree, and the bulk
+        // build matches both.
         let mut flat = CowMemory::new();
         for (a, v) in m.iter() {
             flat.insert(a, v);
         }
         assert_eq!(flat, m);
         assert_eq!(flat.digest(), m.digest());
+        let bulk = CowMemory::from_cells(m.iter().collect());
+        assert_eq!(bulk, m);
+        assert_eq!(bulk.digest(), m.digest());
     }
 
     #[test]
@@ -332,6 +284,29 @@ mod tests {
         for i in 0..100u64 {
             a.insert(i, Value::Int(1));
         }
-        assert_eq!(a.delta_len(), 0, "sole owner never builds a delta");
+        let image = a.cells.as_ptr();
+        for i in 0..100u64 {
+            a.insert(i, Value::Int(2));
+        }
+        assert_eq!(a.cells.as_ptr(), image, "a sole owner overwrites in place");
+        assert_eq!(a.digest(), a.refold_digest());
+    }
+
+    #[test]
+    fn from_cells_out_of_order_matches_inserts() {
+        let cells = vec![
+            (16, Value::Int(1)),
+            (8, Value::Err),
+            (16, Value::Int(2)),
+            (0, Value::Int(3)),
+        ];
+        let mut by_insert = CowMemory::new();
+        for &(addr, v) in &cells {
+            by_insert.insert(addr, v);
+        }
+        let bulk = CowMemory::from_cells(cells);
+        assert_eq!(bulk, by_insert);
+        assert_eq!(bulk.get(16), Some(Value::Int(2)), "a later duplicate wins");
+        assert_eq!(bulk.digest(), bulk.refold_digest());
     }
 }

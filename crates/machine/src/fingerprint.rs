@@ -3,7 +3,7 @@
 //! The model checker used to store whole [`crate::MachineState`] values in
 //! its visited set — hundreds of bytes per state. A [`Fingerprint`] is a
 //! 128-bit digest of everything state equality observes (program counter,
-//! registers, merged memory content, I/O streams, constraint map, watchdog
+//! registers, memory content, I/O streams, constraint map, watchdog
 //! counter, status), so dedup costs 16 bytes per state and one hash pass.
 //! At 128 bits a campaign of a billion states has a collision probability
 //! around 1.5e-21, far below the model's other sources of approximation;
@@ -13,8 +13,8 @@
 //! # Incremental (Zobrist-style) digest maintenance
 //!
 //! Computing a digest by re-walking the whole state term is O(|state|) per
-//! enqueued successor — the dominant cost once forking is O(delta). Instead,
-//! every *collection-valued* state component (register file, merged memory
+//! enqueued successor — the dominant cost once forking is O(1). Instead,
+//! every *collection-valued* state component (register file, memory
 //! image, output stream, constraint map) maintains a [`ZobristComponent`]:
 //! an XOR-fold of one **cell hash** per `(key, value)` entry, updated in
 //! O(1) per mutation by XOR-ing the old cell out and the new cell in.
@@ -34,16 +34,16 @@
 //! two algebraic properties the engine relies on:
 //!
 //! * **Content determinism** — the fold is a function of the entry *set*
-//!   only. Insertion order, CoW base/delta layering, and delta compactions
-//!   cannot move it, so equal states always fingerprint equal.
+//!   only. Insertion order and copy-on-write sharing cannot move it, so
+//!   equal states always fingerprint equal.
 //! * **Self-inverse updates** — XOR-ing a cell twice cancels, so overwrite
 //!   is "remove old, insert new" with no lookup into an auxiliary structure.
 //!
 //! Collision quality is the birthday bound over XOR-accumulated FNV-128
 //! cells rather than a single serial FNV stream; both are ~2^-64-per-pair
 //! schemes, and the digest-consistency property tests pin the rolling fold
-//! to a from-scratch recompute after arbitrary mutation/fork/compaction
-//! sequences. The primitives themselves ([`Fnv128Hasher`], [`cell_hash`],
+//! to a from-scratch recompute after arbitrary mutation/fork sequences.
+//! The primitives themselves ([`Fnv128Hasher`], [`cell_hash`],
 //! [`ZobristComponent`]) live in `sympl-symbolic` so the `ConstraintMap`
 //! can maintain its own fold; they are re-exported here, where the state
 //! digest scheme they serve is documented.

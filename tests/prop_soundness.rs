@@ -159,8 +159,8 @@ mod state_representation {
 
         /// CoW-forked states must be indistinguishable from independently
         /// constructed states with the same contents: `==`, the std hash,
-        /// and the 128-bit search fingerprint all agree, regardless of how
-        /// the base/delta memory layers are split.
+        /// and the 128-bit search fingerprint all agree, whichever side of
+        /// a fork wrote which cell.
         #[test]
         fn cow_forked_states_match_fresh_states(
             base in prop::collection::vec((0u64..48, -100i64..=100), 1..40),
@@ -169,8 +169,8 @@ mod state_representation {
             let mut origin = MachineState::new();
             origin.load_memory(base.iter().map(|&(slot, v)| (slot * 8, v)));
 
-            // Fork and keep writing: writes land in the fork's delta while
-            // the base image stays shared with the origin.
+            // Fork and keep writing: the fork starts out sharing the
+            // origin's image and copies it on its first write.
             let mut fork = origin.clone();
             prop_assert!(fork.memory_shares_storage(&origin));
             for &(slot, v) in &extra {
@@ -215,8 +215,8 @@ mod state_ops {
         CopyReg(u8, Value, Location),
         SetMem(u64, Value),
         CopyMem(u64, Value, Location),
-        /// Bulk image load; sized so that runs of these cross the CoW
-        /// delta-compaction threshold while the base is shared by a fork.
+        /// Bulk image load; sized so that one load defines and overwrites
+        /// many cells of an image a fork may still share.
         LoadMemory(Vec<(u64, i64)>),
         Constrain(Location, Constraint),
         PushVal(Value),
@@ -229,7 +229,7 @@ mod state_ops {
         /// clone; the original is re-checked at the end.
         Fork,
         /// Swap the two newest states, so later writes hit a fork whose
-        /// base is shared from the *other* side.
+        /// image is shared from the *other* side.
         Swap,
     }
 
@@ -335,7 +335,7 @@ mod state_ops {
 
 // ---------------------------------------------------------------------
 // Rolling-digest consistency: the incrementally-maintained fingerprint
-// must equal a from-scratch recompute after arbitrary write/fork/compact
+// must equal a from-scratch recompute after arbitrary write/fork
 // sequences through every mutator the executors use.
 // ---------------------------------------------------------------------
 
@@ -346,8 +346,8 @@ mod digest_consistency {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// After every single mutation — across forks, shared-base writes,
-        /// and delta compactions — the rolling fingerprint equals the
+        /// After every single mutation — across forks and writes to shared
+        /// images — the rolling fingerprint equals the
         /// O(|state|) from-scratch recompute, on the mutated state and
         /// (at the end) on every forked ancestor it shares storage with.
         #[test]
@@ -383,7 +383,7 @@ mod digest_consistency {
                 prop_assert_eq!(s.fingerprint(), s.fingerprint_from_scratch());
             }
             // …and equal-content states must agree on the digest even when
-            // their mutation histories (and base/delta splits) differ.
+            // their mutation and fork histories differ.
             let replayed = run_ops(&[7, -3, 0, 11], &ops);
             for (a, b) in pool.iter().zip(&replayed) {
                 prop_assert_eq!(a, b);
@@ -412,7 +412,7 @@ mod codec_roundtrip {
         fn encode_decode_preserves_eq_and_fingerprints(
             ops in prop::collection::vec(op_strategy(), 1..120),
         ) {
-            // Every state in the pool — CoW-forked, shared-base, compacted,
+            // Every state in the pool — CoW-forked, shared, unshared,
             // swapped — must survive a codec round-trip.
             for original in run_ops(&[7, -3, 0, 11], &ops) {
                 let mut buf = Vec::new();
@@ -449,6 +449,139 @@ mod codec_roundtrip {
                 decoded.push(s);
             }
             prop_assert_eq!(&decoded, &pool);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Memory model: the copy-on-write memory image, driven through every
+// state-level memory writer plus forks and codec round-trips, against a
+// plain `BTreeMap<u64, Value>` reference.
+// ---------------------------------------------------------------------
+
+mod memory_model {
+    use super::*;
+    use std::collections::BTreeMap;
+    use symplfied::machine::{decode_state, encode_state};
+
+    #[derive(Debug, Clone)]
+    enum MemOp {
+        Set(u64, Value),
+        Load(Vec<(u64, i64)>),
+        /// `copy_mem_with_constraints` from the constrained err register
+        /// `$3`.
+        Copy(u64, Value),
+        /// Clone the newest state and keep mutating the clone.
+        Fork,
+        /// Replace the newest state by its encode → decode round-trip.
+        Codec,
+    }
+
+    fn addr_strategy() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            8 => (0u64..64).prop_map(|slot| slot * 8),
+            1 => (0u64..4).prop_map(|k| u64::MAX - 7 - k * 8),
+        ]
+    }
+
+    fn value_strategy() -> impl Strategy<Value = Value> {
+        prop_oneof![4 => (-50i64..=50).prop_map(Value::Int), 1 => Just(Value::Err)]
+    }
+
+    fn op_strategy() -> impl Strategy<Value = MemOp> {
+        prop_oneof![
+            6 => (addr_strategy(), value_strategy()).prop_map(|(a, v)| MemOp::Set(a, v)),
+            2 => prop::collection::vec((addr_strategy(), -9i64..=9), 1..40).prop_map(MemOp::Load),
+            3 => (addr_strategy(), value_strategy()).prop_map(|(a, v)| MemOp::Copy(a, v)),
+            2 => Just(MemOp::Fork),
+            1 => Just(MemOp::Codec),
+        ]
+    }
+
+    fn seed() -> MachineState {
+        let mut s = MachineState::new();
+        s.set_reg(Reg::r(3), Value::Err);
+        let _ = s
+            .constraints_mut()
+            .constrain(Location::reg(3), Constraint::Gt(2));
+        s
+    }
+
+    fn encoded(s: &MachineState) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_state(s, &mut buf);
+        buf
+    }
+
+    fn matches_reference(
+        s: &MachineState,
+        reference: &BTreeMap<u64, Value>,
+    ) -> Result<(), TestCaseError> {
+        let cells: Vec<(u64, Value)> = reference.iter().map(|(&a, &v)| (a, v)).collect();
+        prop_assert_eq!(s.memory_cells().collect::<Vec<_>>(), cells);
+        prop_assert_eq!(s.memory_len(), reference.len());
+        prop_assert!(s.defined_addresses().eq(reference.keys().copied()));
+        for slot in 0..66u64 {
+            prop_assert_eq!(s.mem(slot * 8), reference.get(&(slot * 8)).copied());
+        }
+        prop_assert_eq!(s.mem(u64::MAX - 7), reference.get(&(u64::MAX - 7)).copied());
+        prop_assert_eq!(s.fingerprint(), s.fingerprint_from_scratch());
+        // A twin built flat — ascending writes on a never-forked state —
+        // with the same registers and constraint map.
+        let mut twin = MachineState::new();
+        twin.set_reg(Reg::r(3), Value::Err);
+        for (&a, &v) in reference {
+            twin.set_mem(a, v);
+        }
+        *twin.constraints_mut() = s.constraints().clone();
+        prop_assert_eq!(encoded(s), encoded(&twin));
+        prop_assert_eq!(s, &twin);
+        prop_assert_eq!(s.fingerprint(), twin.fingerprint());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn cow_image_matches_btreemap_reference(
+            ops in prop::collection::vec(op_strategy(), 1..150),
+        ) {
+            let mut pool = vec![(seed(), BTreeMap::new())];
+            for op in &ops {
+                if let MemOp::Fork = op {
+                    let fork = pool.last().expect("nonempty pool").clone();
+                    pool.push(fork);
+                    continue;
+                }
+                let (s, reference) = pool.last_mut().expect("nonempty pool");
+                match op {
+                    MemOp::Set(a, v) => {
+                        s.set_mem(*a, *v);
+                        reference.insert(*a, *v);
+                    }
+                    MemOp::Load(img) => {
+                        s.load_memory(img.iter().copied());
+                        for &(a, v) in img {
+                            reference.insert(a, Value::Int(v));
+                        }
+                    }
+                    MemOp::Copy(a, v) => {
+                        s.copy_mem_with_constraints(*a, *v, Location::reg(3));
+                        reference.insert(*a, *v);
+                    }
+                    MemOp::Codec => {
+                        let bytes = encoded(s);
+                        *s = decode_state(&bytes).expect("well-formed encoding").0;
+                    }
+                    MemOp::Fork => unreachable!("handled above"),
+                }
+                matches_reference(s, reference)?;
+            }
+            // No fork's writes leaked into a state it shared an image with.
+            for (s, reference) in &pool {
+                matches_reference(s, reference)?;
+            }
         }
     }
 }
