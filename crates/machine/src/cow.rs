@@ -128,7 +128,7 @@ impl CowMemory {
     }
 
     /// `(address, value)` pairs in ascending address order.
-    pub(crate) fn iter(&self) -> std::iter::Copied<std::slice::Iter<'_, (u64, Value)>> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, Value)> + '_ {
         self.cells.iter().copied()
     }
 
