@@ -44,9 +44,11 @@
 //! — a spilling search expands states in the same order as its unbounded
 //! twin, which is what lets exhaustive searches whose frontier exceeds RAM
 //! reproduce the unbounded run's outcome counts and solution sets verbatim.
-//! Copy-on-write sharing does not survive a spill round-trip (the merged
-//! image is written flat); that trade is the point — RAM is the scarce
-//! resource.
+//! Copy-on-write sharing of registers, memory and output does not survive
+//! a spill round-trip (each image is written flat); that trade is the
+//! point — RAM is the scarce resource. The input stream does survive: the
+//! frontier keeps one `StateDecoder`, so every replayed state shares one
+//! input allocation.
 //!
 //! The spill budget rides in `SearchLimits::max_frontier_bytes`; the
 //! priority and iterative-deepening policies ignore it (a heap spill would
@@ -58,7 +60,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sympl_machine::{decode_state, encode_state, Fingerprint, MachineState};
+use sympl_machine::{encode_state, Fingerprint, MachineState, StateDecoder};
 
 /// The frontier discipline configuration: which state the engine expands
 /// next. See the [module docs](self) for each policy's determinism
@@ -549,6 +551,9 @@ pub struct SpillingFrontier<M> {
     seg_counter: u64,
     spilled: usize,
     encode_buf: Vec<u8>,
+    /// One decoding context for the search's lifetime, so every replayed
+    /// state shares one input allocation and its digest.
+    decoder: StateDecoder,
 }
 
 impl<M> SpillingFrontier<M> {
@@ -568,6 +573,7 @@ impl<M> SpillingFrontier<M> {
             seg_counter: 0,
             spilled: 0,
             encode_buf: Vec::new(),
+            decoder: StateDecoder::default(),
         }
     }
 
@@ -638,8 +644,10 @@ impl<M> SpillingFrontier<M> {
         let bytes = std::fs::read(&seg.path).expect("failed to read back a frontier spill segment");
         let mut pos = 0usize;
         while pos < bytes.len() {
-            let (state, consumed) =
-                decode_state(&bytes[pos..]).expect("corrupt frontier spill segment");
+            let (state, consumed) = self
+                .decoder
+                .decode(&bytes[pos..])
+                .expect("corrupt frontier spill segment");
             pos += consumed;
             debug_assert_eq!(state.fingerprint(), state.fingerprint_from_scratch());
             let meta = seg.metas.pop_front().expect("one meta per spilled state");

@@ -24,13 +24,19 @@
 //! Every record is length-free and self-delimiting, so states can be
 //! concatenated into segment files and decoded back one at a time —
 //! exactly what the disk-spilling frontier does ([`decode_state`] returns
-//! the bytes consumed). Copy-on-write sharing does not survive a
-//! round-trip (each decoded state owns its image); that is inherent to
-//! spilling and documented at the spill site.
+//! the bytes consumed). Copy-on-write sharing of the register file, the
+//! memory image and the output stream does not survive a round-trip: each
+//! decoded state owns them. The input stream does: a [`StateDecoder`]
+//! keeps the last input it decoded, with its digest, and hands the same
+//! allocation to every later state whose input is equal by content. Every
+//! state of one search reads the same input, so a spilling frontier that
+//! keeps one decoder allocates and digests its input once.
 //!
 //! The same bytes are [`MachineState`]'s [`Codec`] record, which is how a
 //! state rides inside wire frames and files; [`ExecLimits`] is declared
 //! here as a record too.
+
+use std::sync::Arc;
 
 use crate::state::DecodedState;
 use crate::{Exception, ExecLimits, MachineState, OutItem, Status};
@@ -60,6 +66,15 @@ const OUT_STR: u8 = 1;
 
 /// Appends the full observable content of `state` to `buf`.
 pub fn encode_state(state: &MachineState, buf: &mut Vec<u8>) {
+    // One reservation sized from typical varint widths; a state with wide
+    // values grows the buffer at most a few more times.
+    buf.reserve(
+        32 + 4 * NUM_REGS
+            + 6 * state.memory_len()
+            + 4 * state.input_stream().len()
+            + 4 * state.output().len()
+            + 16 * state.constraints().len(),
+    );
     buf.push(VERSION);
     encode_u64(state.pc() as u64, buf);
     encode_u64(state.steps(), buf);
@@ -78,16 +93,11 @@ pub fn encode_state(state: &MachineState, buf: &mut Vec<u8>) {
 
     // Non-zero register cells only ($0 is hard-wired and most registers in
     // a forked state are untouched defaults).
-    let nonzero: Vec<(u8, Value)> = Reg::all()
-        .filter_map(|r| {
-            let v = state.reg(r);
-            (v != Value::Int(0)).then(|| (u8::from(r), v))
-        })
-        .collect();
-    encode_u64(nonzero.len() as u64, buf);
-    for (idx, v) in nonzero {
-        buf.push(idx);
-        encode_value(v, buf);
+    let nonzero = || Reg::all().filter(|&r| state.reg(r) != Value::Int(0));
+    encode_u64(nonzero().count() as u64, buf);
+    for r in nonzero() {
+        buf.push(u8::from(r));
+        encode_value(state.reg(r), buf);
     }
 
     // Memory image, ascending addresses delta-coded.
@@ -152,108 +162,150 @@ impl Codec for MachineState {
 /// The decoded state re-derives every rolling fingerprint cache from the
 /// decoded content, so `decoded.fingerprint() ==
 /// decoded.fingerprint_from_scratch()` holds by construction, and a
-/// round-trip preserves full [`Eq`] with the original.
+/// round-trip preserves full [`Eq`] with the original. A caller decoding a
+/// stream of states keeps one [`StateDecoder`] instead, so the states share
+/// their input.
 ///
 /// # Errors
 ///
 /// Any [`CodecError`] when the buffer is truncated, carries an unknown
 /// version or tag, or a count overflows the platform's `usize`.
 pub fn decode_state(bytes: &[u8]) -> Result<(MachineState, usize), CodecError> {
-    let mut pos = 0usize;
-    let version = u8::decode(bytes, &mut pos)?;
-    if version != VERSION {
-        return Err(CodecError::BadVersion(version));
-    }
-    let pc = usize::decode(bytes, &mut pos)?;
-    let steps = decode_u64(bytes, &mut pos)?;
-    let status = match u8::decode(bytes, &mut pos)? {
-        STATUS_RUNNING => Status::Running,
-        STATUS_HALTED => Status::Halted,
-        STATUS_EXC_ILLEGAL_INSTR => Status::Exception(Exception::IllegalInstruction),
-        STATUS_EXC_ILLEGAL_ADDR => Status::Exception(Exception::IllegalAddress),
-        STATUS_EXC_DIV_ZERO => Status::Exception(Exception::DivByZero),
-        STATUS_DETECTED => {
-            let id = decode_u64(bytes, &mut pos)?;
-            Status::Detected(u32::try_from(id).map_err(|_| CodecError::Overflow)?)
+    StateDecoder::default().decode(bytes)
+}
+
+/// The decoding context of a stream of states: the last input stream
+/// decoded, its digest, and a scratch buffer to read the next one into.
+/// A state whose input equals the last one by content gets the same
+/// allocation and digest instead of a fresh copy and a re-digest.
+#[derive(Debug, Default)]
+pub struct StateDecoder {
+    input: Option<(Arc<[i64]>, u128)>,
+    scratch: Vec<i64>,
+}
+
+impl StateDecoder {
+    /// [`decode_state`] through this context: the same result, with the
+    /// input shared with the previous state decoded here when it is equal.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode_state`].
+    pub fn decode(&mut self, bytes: &[u8]) -> Result<(MachineState, usize), CodecError> {
+        let mut pos = 0usize;
+        let version = u8::decode(bytes, &mut pos)?;
+        if version != VERSION {
+            return Err(CodecError::BadVersion(version));
         }
-        STATUS_TIMED_OUT => Status::TimedOut,
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "status",
-                tag,
-            })
-        }
-    };
-
-    let mut regs = [Value::Int(0); NUM_REGS];
-    let n_regs = usize::decode(bytes, &mut pos)?;
-    for _ in 0..n_regs {
-        let idx = u8::decode(bytes, &mut pos)?;
-        if usize::from(idx) >= NUM_REGS {
-            return Err(CodecError::BadTag {
-                what: "register index",
-                tag: idx,
-            });
-        }
-        regs[usize::from(idx)] = decode_value(bytes, &mut pos)?;
-    }
-
-    let n_mem = usize::decode(bytes, &mut pos)?;
-    let mut mem = Vec::with_capacity(n_mem.min(1 << 16));
-    let mut addr = 0u64;
-    for i in 0..n_mem {
-        let delta = decode_u64(bytes, &mut pos)?;
-        addr = if i == 0 {
-            delta
-        } else {
-            addr.wrapping_add(delta)
-        };
-        mem.push((addr, decode_value(bytes, &mut pos)?));
-    }
-
-    let n_input = usize::decode(bytes, &mut pos)?;
-    let mut input = Vec::with_capacity(n_input.min(1 << 16));
-    for _ in 0..n_input {
-        input.push(decode_i64(bytes, &mut pos)?);
-    }
-    let input_pos = usize::decode(bytes, &mut pos)?;
-
-    let n_out = usize::decode(bytes, &mut pos)?;
-    let mut output = Vec::with_capacity(n_out.min(1 << 16));
-    for _ in 0..n_out {
-        match u8::decode(bytes, &mut pos)? {
-            OUT_VAL => output.push(OutItem::Val(decode_value(bytes, &mut pos)?)),
-            OUT_STR => {
-                let len = usize::decode(bytes, &mut pos)?;
-                let end = pos.checked_add(len).ok_or(CodecError::Overflow)?;
-                let slice = bytes.get(pos..end).ok_or(CodecError::UnexpectedEnd)?;
-                let s = std::str::from_utf8(slice).map_err(|_| CodecError::BadUtf8)?;
-                output.push(OutItem::Str(s.into()));
-                pos = end;
+        let pc = usize::decode(bytes, &mut pos)?;
+        let steps = decode_u64(bytes, &mut pos)?;
+        let status = match u8::decode(bytes, &mut pos)? {
+            STATUS_RUNNING => Status::Running,
+            STATUS_HALTED => Status::Halted,
+            STATUS_EXC_ILLEGAL_INSTR => Status::Exception(Exception::IllegalInstruction),
+            STATUS_EXC_ILLEGAL_ADDR => Status::Exception(Exception::IllegalAddress),
+            STATUS_EXC_DIV_ZERO => Status::Exception(Exception::DivByZero),
+            STATUS_DETECTED => {
+                let id = decode_u64(bytes, &mut pos)?;
+                Status::Detected(u32::try_from(id).map_err(|_| CodecError::Overflow)?)
             }
+            STATUS_TIMED_OUT => Status::TimedOut,
             tag => {
                 return Err(CodecError::BadTag {
-                    what: "output item",
+                    what: "status",
                     tag,
                 })
             }
+        };
+
+        let mut regs = [Value::Int(0); NUM_REGS];
+        let n_regs = usize::decode(bytes, &mut pos)?;
+        for _ in 0..n_regs {
+            let idx = u8::decode(bytes, &mut pos)?;
+            if usize::from(idx) >= NUM_REGS {
+                return Err(CodecError::BadTag {
+                    what: "register index",
+                    tag: idx,
+                });
+            }
+            regs[usize::from(idx)] = decode_value(bytes, &mut pos)?;
         }
+
+        let n_mem = usize::decode(bytes, &mut pos)?;
+        let mut mem = Vec::with_capacity(n_mem.min(1 << 16));
+        let mut addr = 0u64;
+        for i in 0..n_mem {
+            let delta = decode_u64(bytes, &mut pos)?;
+            addr = if i == 0 {
+                delta
+            } else {
+                addr.wrapping_add(delta)
+            };
+            mem.push((addr, decode_value(bytes, &mut pos)?));
+        }
+
+        let n_input = usize::decode(bytes, &mut pos)?;
+        self.scratch.clear();
+        self.scratch.reserve(n_input.min(1 << 16));
+        for _ in 0..n_input {
+            self.scratch.push(decode_i64(bytes, &mut pos)?);
+        }
+        let (input, input_digest) = self.shared_input();
+        let input_pos = usize::decode(bytes, &mut pos)?;
+
+        let n_out = usize::decode(bytes, &mut pos)?;
+        let mut output = Vec::with_capacity(n_out.min(1 << 16));
+        for _ in 0..n_out {
+            match u8::decode(bytes, &mut pos)? {
+                OUT_VAL => output.push(OutItem::Val(decode_value(bytes, &mut pos)?)),
+                OUT_STR => {
+                    let len = usize::decode(bytes, &mut pos)?;
+                    let end = pos.checked_add(len).ok_or(CodecError::Overflow)?;
+                    let slice = bytes.get(pos..end).ok_or(CodecError::UnexpectedEnd)?;
+                    let s = std::str::from_utf8(slice).map_err(|_| CodecError::BadUtf8)?;
+                    output.push(OutItem::Str(s.into()));
+                    pos = end;
+                }
+                tag => {
+                    return Err(CodecError::BadTag {
+                        what: "output item",
+                        tag,
+                    })
+                }
+            }
+        }
+
+        let constraints = decode_constraint_map(bytes, &mut pos)?;
+
+        let state = MachineState::from_decoded(DecodedState {
+            pc,
+            regs,
+            mem,
+            input,
+            input_digest,
+            input_pos,
+            output,
+            constraints,
+            steps,
+            status,
+        });
+        Ok((state, pos))
     }
 
-    let constraints = decode_constraint_map(bytes, &mut pos)?;
-
-    let state = MachineState::from_decoded(DecodedState {
-        pc,
-        regs,
-        mem,
-        input,
-        input_pos,
-        output,
-        constraints,
-        steps,
-        status,
-    });
-    Ok((state, pos))
+    /// The input just read into `scratch` and its digest: the last state's
+    /// when the content is equal, else a fresh allocation that becomes the
+    /// one later states share.
+    fn shared_input(&mut self) -> (Arc<[i64]>, u128) {
+        match &self.input {
+            Some((input, digest)) if **input == *self.scratch => (Arc::clone(input), *digest),
+            _ => {
+                let input: Arc<[i64]> = self.scratch.as_slice().into();
+                let digest = MachineState::fold_input(&input);
+                self.input = Some((Arc::clone(&input), digest));
+                (input, digest)
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -436,5 +488,87 @@ mod tests {
         let s = bulky_state();
         assert_eq!(roundtrip(&s).approx_bytes(), s.approx_bytes());
         assert!(s.approx_bytes() >= std::mem::size_of::<MachineState>());
+    }
+
+    #[test]
+    fn approx_bytes_of_bulky_state_is_pinned() {
+        // The spill schedule is a function of this figure: a change to the
+        // state's representation must not move it.
+        assert_eq!(bulky_state().approx_bytes(), 1208);
+    }
+
+    fn encoded(states: &[MachineState]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for s in states {
+            encode_state(s, &mut buf);
+        }
+        buf
+    }
+
+    /// Decodes a whole stream through one decoder.
+    fn decode_stream(decoder: &mut StateDecoder, buf: &[u8]) -> Vec<MachineState> {
+        let mut pos = 0;
+        let mut decoded = Vec::new();
+        while pos < buf.len() {
+            let (s, consumed) = decoder.decode(&buf[pos..]).expect("stream record");
+            decoded.push(s);
+            pos += consumed;
+        }
+        decoded
+    }
+
+    #[test]
+    fn one_decoder_shares_one_input_allocation() {
+        let mut a = bulky_state();
+        let mut b = a.clone();
+        b.set_reg(Reg::r(9), Value::Int(5));
+        a.set_pc(3);
+        let buf = encoded(&[a.clone(), b.clone(), a.clone()]);
+        let decoded = decode_stream(&mut StateDecoder::default(), &buf);
+        assert_eq!(decoded, [a.clone(), b, a]);
+        let ptr = decoded[0].input_stream().as_ptr();
+        for s in &decoded {
+            assert_eq!(s.input_stream().as_ptr(), ptr, "one shared input");
+        }
+        // Separate free-function decodes each own their input.
+        let (x, used) = decode_state(&buf).unwrap();
+        let (y, _) = decode_state(&buf[used..]).unwrap();
+        assert_ne!(x.input_stream().as_ptr(), y.input_stream().as_ptr());
+    }
+
+    #[test]
+    fn a_decoder_meeting_a_new_input_returns_it_exactly() {
+        let first = bulky_state();
+        let other = MachineState::with_input(vec![3, -1, 0]);
+        let longer = MachineState::with_input(vec![3, -1, 0, i64::MAX, 8]);
+        let empty = MachineState::new();
+        let states = [first.clone(), other, longer, empty, first];
+        let mut decoder = StateDecoder::default();
+        let decoded = decode_stream(&mut decoder, &encoded(&states));
+        for (d, s) in decoded.iter().zip(&states) {
+            assert_eq!(d.input_stream(), s.input_stream());
+            assert_eq!(d, s);
+        }
+    }
+
+    #[test]
+    fn decoder_states_fingerprint_as_from_scratch() {
+        let mut states = vec![MachineState::new(), bulky_state()];
+        let mut fork = bulky_state();
+        fork.set_mem(8, Value::Err);
+        let _ = fork
+            .constraints_mut()
+            .constrain(Location::Mem(8), Constraint::Le(4));
+        states.push(fork);
+        states.push(MachineState::with_input(vec![1, 2]));
+        states.push(bulky_state());
+        let mut decoder = StateDecoder::default();
+        for (d, s) in decode_stream(&mut decoder, &encoded(&states))
+            .iter()
+            .zip(&states)
+        {
+            assert_eq!(d.fingerprint(), d.fingerprint_from_scratch());
+            assert_eq!(d.fingerprint(), s.fingerprint());
+        }
     }
 }

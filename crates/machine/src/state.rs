@@ -3,8 +3,8 @@
 //! # State representation
 //!
 //! A [`MachineState`] is a value type: the symbolic executor clones it at
-//! every fork and the model checker fingerprints it for deduplication. Two
-//! representation choices keep those hot paths cheap:
+//! every fork and the model checker fingerprints it for deduplication.
+//! Three representation choices keep those hot paths cheap:
 //!
 //! * **Copy-on-write memory.** The memory image is a [`cow::CowMemory`]:
 //!   one exact-size, address-sorted slice of cells behind an `Arc`. Cloning
@@ -14,6 +14,10 @@
 //!   so sharing is invisible to the search.
 //!   [`MachineState::memory_shares_storage`] exposes the sharing for
 //!   pointer-identity tests.
+//! * **A flat constraint map.** The [`ConstraintMap`] keeps its
+//!   `(location, constraint set)` entries in one vector sorted by location
+//!   and found by binary search. A forked state carries about one entry,
+//!   so a fork clones one small allocation instead of a B-tree leaf.
 //! * **Rolling 128-bit fingerprints.** [`MachineState::fingerprint`]
 //!   digests the full state term (everything `Eq`/`Hash` observe) into a
 //!   16-byte [`Fingerprint`], which is what the `sympl-check` engines store
@@ -196,8 +200,14 @@ impl MachineState {
 
     /// FNV-128 of the input stream. The stream is immutable after
     /// construction (only the cursor moves), so this is computed once here
-    /// and copied on clone.
-    fn fold_input(input: &[i64]) -> u128 {
+    /// and copied on clone; a `StateDecoder` computes it once per distinct
+    /// input it meets. `Hash for [i64]` writes the length as one word and
+    /// then the elements as native-endian bytes, which the hasher absorbs
+    /// one FNV round per byte: 129 rounds for a 16-word input. Hashing the
+    /// elements a word at a time would be cheaper, but it moves every
+    /// state fingerprint and with it every pinned digest, so it belongs
+    /// with the fingerprint fix (ROADMAP item 2b), not here.
+    pub(crate) fn fold_input(input: &[i64]) -> u128 {
         let mut h = Fnv128Hasher::new();
         input.hash(&mut h);
         h.finish128()
@@ -481,7 +491,10 @@ pub(crate) struct DecodedState {
     pub(crate) pc: usize,
     pub(crate) regs: [Value; NUM_REGS],
     pub(crate) mem: Vec<(u64, Value)>,
-    pub(crate) input: Vec<i64>,
+    pub(crate) input: Arc<[i64]>,
+    /// [`MachineState::fold_input`] of `input`, shared with the decoder's
+    /// cache rather than recomputed per state.
+    pub(crate) input_digest: u128,
     pub(crate) input_pos: usize,
     pub(crate) output: Vec<OutItem>,
     pub(crate) constraints: ConstraintMap,
@@ -491,16 +504,16 @@ pub(crate) struct DecodedState {
 
 impl MachineState {
     /// Rebuilds a live state from decoded observable content, **re-deriving
-    /// every rolling cache**: the register/output folds and the cached input
-    /// digest are refolded here, the memory image and its fold are built
-    /// in one pass by `CowMemory::from_cells`, and the constraint map
-    /// arrives from the codec with its digest and unsat counter already
-    /// rebuilt. A decoded state is therefore indistinguishable from one
-    /// built through the mutators — its `fingerprint()` equals
+    /// every rolling cache**: the register/output folds are refolded here,
+    /// the memory image and its fold are built in one pass by
+    /// `CowMemory::from_cells`, and the constraint map arrives from the
+    /// codec with its digest and unsat counter already rebuilt. The input
+    /// and its digest come from the decoder, which folded them when it
+    /// first met that input. A decoded state is therefore indistinguishable
+    /// from one built through the mutators — its `fingerprint()` equals
     /// `fingerprint_from_scratch()` by construction, which the codec
     /// round-trip property tests pin down.
     pub(crate) fn from_decoded(d: DecodedState) -> Self {
-        let input: Arc<[i64]> = d.input.into();
         let mem = CowMemory::from_cells(d.mem);
         let out_errs = d
             .output
@@ -519,8 +532,8 @@ impl MachineState {
             constraints: d.constraints,
             steps: d.steps,
             status: d.status,
-            input_digest: Self::fold_input(&input),
-            input,
+            input_digest: d.input_digest,
+            input: d.input,
         }
     }
 
@@ -531,6 +544,13 @@ impl MachineState {
     /// `benchmark/expected.json` — is a function of these figures, which
     /// must not move when the struct layout does.
     const APPROX_HEADER_BYTES: usize = 240;
+
+    /// The per-entry term of [`MachineState::approx_bytes`] for the
+    /// constraint map: an interval plus a small exclusion tree, as measured
+    /// on the B-tree-backed map the estimate was calibrated on. Frozen for
+    /// the same reason as [`Self::APPROX_HEADER_BYTES`]: the spill schedule
+    /// must not move when the map's representation does.
+    const APPROX_CONSTRAINT_BYTES: usize = 96;
 
     /// An approximate in-RAM footprint of this state, in bytes: a fixed
     /// per-state term plus per-entry estimates for the memory image, output
@@ -546,15 +566,14 @@ impl MachineState {
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         // Memory cells are charged a word-pair each beyond their payload,
-        // frozen with the fixed term; constraint sets carry an interval
-        // plus a small exclusion tree.
+        // frozen with the fixed term and the constraint-entry term.
         Self::APPROX_HEADER_BYTES
             // The Arc-shared register file, counted unshared (see above).
             + size_of::<[Value; NUM_REGS]>()
             + self.mem.len() * (size_of::<u64>() + size_of::<Value>() + 16)
             + self.output.len() * size_of::<OutItem>()
             + self.input.len() * size_of::<i64>()
-            + self.constraints.len() * 96
+            + self.constraints.len() * Self::APPROX_CONSTRAINT_BYTES
     }
 }
 

@@ -205,7 +205,7 @@ impl ConstraintSet {
     }
 
     /// The excluded points inside the current interval.
-    pub fn exclusions(&self) -> impl Iterator<Item = i64> + '_ {
+    pub fn exclusions(&self) -> impl ExactSizeIterator<Item = i64> + '_ {
         self.excluded.iter().copied()
     }
 }

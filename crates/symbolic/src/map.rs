@@ -1,7 +1,5 @@
 //! The ConstraintMap carried inside the machine state (paper §5.2).
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::{Constraint, ConstraintSet, Location, ZobristComponent};
@@ -13,9 +11,17 @@ use crate::{Constraint, ConstraintSet, Location, ZobristComponent};
 /// of a comparison each carry a *different* ConstraintMap, which is how the
 /// search "remembers" the outcome of earlier comparisons and keeps later
 /// comparisons on unmodified locations consistent.
+///
+/// The entries are a flat vector sorted by location and searched by binary
+/// search: a forked state's map holds about one entry, and a one-entry
+/// vector clones as one small allocation where a B-tree clones a whole
+/// leaf node. Iteration order, `Eq` and the `Hash` stream are those of a
+/// `BTreeMap<Location, ConstraintSet>` with the same content (the derived
+/// `Hash` of a sorted slice of pairs writes the length and then each key
+/// and value in order, exactly as the map's does).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct ConstraintMap {
-    entries: BTreeMap<Location, ConstraintSet>,
+    entries: Vec<(Location, ConstraintSet)>,
     // Locations whose constraint set is unsatisfiable, maintained by
     // `constrain`/`clear`/`copy` so `is_satisfiable` is O(1) on the fork
     // hot path instead of a scan over every constrained location. Always
@@ -35,6 +41,11 @@ impl ConstraintMap {
         Self::default()
     }
 
+    /// The index of `loc`'s entry, or the index it would be inserted at.
+    fn search(&self, loc: Location) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(l, _)| l.cmp(&loc))
+    }
+
     /// Records `constraint` on `loc`, returning whether the location's
     /// constraint set is still satisfiable.
     ///
@@ -42,9 +53,9 @@ impl ConstraintMap {
     /// false-positive candidate); callers prune it from the search.
     #[must_use = "an unsatisfiable result must prune the path"]
     pub fn constrain(&mut self, loc: Location, constraint: Constraint) -> bool {
-        match self.entries.entry(loc) {
-            Entry::Occupied(mut e) => {
-                let set = e.get_mut();
+        match self.search(loc) {
+            Ok(i) => {
+                let set = &mut self.entries[i].1;
                 // Constraint sets only ever tighten, so satisfiability
                 // transitions at most once, satisfiable → unsatisfiable.
                 let was_satisfiable = set.is_satisfiable();
@@ -57,7 +68,7 @@ impl ConstraintMap {
                 }
                 now_satisfiable
             }
-            Entry::Vacant(e) => {
+            Err(i) => {
                 let mut set = ConstraintSet::new();
                 set.add(constraint);
                 let now_satisfiable = set.is_satisfiable();
@@ -65,7 +76,7 @@ impl ConstraintMap {
                     self.unsat += 1;
                 }
                 self.digest.insert(&loc, &set);
-                e.insert(set);
+                self.entries.insert(i, (loc, set));
                 now_satisfiable
             }
         }
@@ -75,7 +86,8 @@ impl ConstraintMap {
     /// is overwritten with a *fresh* value (concrete or a new error): the
     /// old constraints described the previous occupant.
     pub fn clear(&mut self, loc: Location) {
-        if let Some(set) = self.entries.remove(&loc) {
+        if let Ok(i) = self.search(loc) {
+            let (_, set) = self.entries.remove(i);
             self.digest.remove(&loc, &set);
             if !set.is_satisfiable() {
                 self.unsat -= 1;
@@ -89,39 +101,38 @@ impl ConstraintMap {
         if from == to {
             return;
         }
-        match self.entries.get(&from).cloned() {
-            Some(set) => {
-                self.clear(to);
-                if !set.is_satisfiable() {
-                    self.unsat += 1;
-                }
-                self.digest.insert(&to, &set);
-                self.entries.insert(to, set);
-            }
-            None => {
-                self.clear(to);
-            }
+        match self.get(from).cloned() {
+            Some(set) => self.insert_set(to, set),
+            None => self.clear(to),
         }
     }
 
     /// Installs a whole constraint set on a location, replacing whatever was
     /// recorded, while maintaining the rolling digest and the
-    /// unsatisfiable-location counter. Decoding support (`crate::codec`):
-    /// the decoder rebuilds a map entry-by-entry through here so decoded
-    /// maps carry live caches, exactly like incrementally-built ones.
+    /// unsatisfiable-location counter. `copy` installs through here, and so
+    /// does the decoder (`crate::codec`), entry by entry, so decoded maps
+    /// carry live caches exactly like incrementally-built ones.
     pub(crate) fn insert_set(&mut self, loc: Location, set: ConstraintSet) {
-        self.clear(loc);
         if !set.is_satisfiable() {
             self.unsat += 1;
         }
         self.digest.insert(&loc, &set);
-        self.entries.insert(loc, set);
+        match self.search(loc) {
+            Ok(i) => {
+                let old = std::mem::replace(&mut self.entries[i].1, set);
+                self.digest.remove(&loc, &old);
+                if !old.is_satisfiable() {
+                    self.unsat -= 1;
+                }
+            }
+            Err(i) => self.entries.insert(i, (loc, set)),
+        }
     }
 
     /// The constraint set for a location, if any constraints are recorded.
     #[must_use]
     pub fn get(&self, loc: Location) -> Option<&ConstraintSet> {
-        self.entries.get(&loc)
+        self.search(loc).ok().map(|i| &self.entries[i].1)
     }
 
     /// Whether every recorded constraint set is satisfiable.
@@ -140,7 +151,7 @@ impl ConstraintMap {
     /// typically choose a surprising default.
     #[must_use]
     pub fn witness(&self, loc: Location) -> Option<i64> {
-        self.entries.get(&loc).and_then(ConstraintSet::witness)
+        self.get(loc).and_then(ConstraintSet::witness)
     }
 
     /// Number of constrained locations.
@@ -156,8 +167,8 @@ impl ConstraintMap {
     }
 
     /// Iterates over `(location, constraint set)` pairs in location order.
-    pub fn iter(&self) -> impl Iterator<Item = (Location, &ConstraintSet)> {
-        self.entries.iter().map(|(&l, s)| (l, s))
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (Location, &ConstraintSet)> {
+        self.entries.iter().map(|(l, s)| (*l, s))
     }
 
     /// The rolling XOR-fold over the map's `(location, constraint set)`
@@ -174,7 +185,7 @@ impl ConstraintMap {
     /// only.
     #[must_use]
     pub fn refold_digest(&self) -> ZobristComponent {
-        ZobristComponent::refold(self.entries.iter())
+        ZobristComponent::refold(self.iter())
     }
 }
 
@@ -184,7 +195,7 @@ impl fmt::Display for ConstraintMap {
             return f.write_str("{}");
         }
         writeln!(f, "{{")?;
-        for (loc, set) in &self.entries {
+        for (loc, set) in self.iter() {
             writeln!(f, "  {loc}: {set}")?;
         }
         f.write_str("}")

@@ -587,6 +587,178 @@ mod memory_model {
 }
 
 // ---------------------------------------------------------------------
+// Constraint-map model: the flat, location-sorted constraint map, driven
+// through `constrain`/`clear`/`copy`, clones and codec round-trips,
+// against a plain `BTreeMap<Location, ConstraintSet>` reference — the
+// representation it replaced, whose iteration order, `Hash` stream and
+// codec bytes it must keep.
+// ---------------------------------------------------------------------
+
+mod constraint_map_model {
+    use super::*;
+    use std::collections::BTreeMap;
+    use std::hash::Hash;
+    use symplfied::symbolic::codec::{
+        decode_constraint_map, encode_constraint_map, encode_constraint_set, encode_location,
+        encode_u64,
+    };
+    use symplfied::symbolic::{ConstraintMap, ConstraintSet, Fnv128Hasher, ZobristComponent};
+
+    type Reference = BTreeMap<Location, ConstraintSet>;
+
+    #[derive(Debug, Clone)]
+    enum MapOp {
+        Constrain(Location, Constraint),
+        Clear(Location),
+        Copy(Location, Location),
+        /// Clone the newest map and keep mutating the clone.
+        Fork,
+        /// Replace the newest map by its encode → decode round-trip.
+        Codec,
+    }
+
+    /// Few locations, so operations keep hitting occupied entries; both
+    /// kinds, and addresses at both ends of the key order.
+    fn location_strategy() -> impl Strategy<Value = Location> {
+        prop_oneof![
+            3 => (1u8..6).prop_map(Location::reg),
+            2 => (0u64..4).prop_map(|slot| Location::Mem(slot * 8)),
+            1 => Just(Location::Mem(u64::MAX - 7)),
+        ]
+    }
+
+    /// Narrow constants, so sets gather exclusions and turn unsatisfiable.
+    fn constraint_strategy() -> impl Strategy<Value = Constraint> {
+        (0u8..6, -3i64..=3).prop_map(|(kind, c)| match kind {
+            0 => Constraint::Eq(c),
+            1 => Constraint::Ne(c),
+            2 => Constraint::Gt(c),
+            3 => Constraint::Lt(c),
+            4 => Constraint::Ge(c),
+            _ => Constraint::Le(c),
+        })
+    }
+
+    fn op_strategy() -> impl Strategy<Value = MapOp> {
+        prop_oneof![
+            8 => (location_strategy(), constraint_strategy())
+                .prop_map(|(l, c)| MapOp::Constrain(l, c)),
+            2 => location_strategy().prop_map(MapOp::Clear),
+            3 => (location_strategy(), location_strategy()).prop_map(|(f, t)| MapOp::Copy(f, t)),
+            2 => Just(MapOp::Fork),
+            1 => Just(MapOp::Codec),
+        ]
+    }
+
+    fn all_locations() -> impl Iterator<Item = Location> {
+        (0u8..7)
+            .map(Location::reg)
+            .chain((0u64..5).map(|slot| Location::Mem(slot * 8)))
+            .chain([Location::Mem(u64::MAX - 7)])
+    }
+
+    fn fnv<T: Hash>(value: &T) -> u128 {
+        let mut h = Fnv128Hasher::new();
+        value.hash(&mut h);
+        h.finish128()
+    }
+
+    fn encoded(map: &ConstraintMap) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_constraint_map(map, &mut buf);
+        buf
+    }
+
+    fn matches_reference(map: &ConstraintMap, reference: &Reference) -> Result<(), TestCaseError> {
+        let entries: Vec<(Location, &ConstraintSet)> =
+            reference.iter().map(|(&l, s)| (l, s)).collect();
+        prop_assert_eq!(map.iter().collect::<Vec<_>>(), entries);
+        prop_assert_eq!(map.len(), reference.len());
+        prop_assert_eq!(map.is_empty(), reference.is_empty());
+        for loc in all_locations() {
+            prop_assert_eq!(map.get(loc), reference.get(&loc));
+            prop_assert_eq!(
+                map.witness(loc),
+                reference.get(&loc).and_then(ConstraintSet::witness)
+            );
+        }
+        let unsat = reference.values().filter(|s| !s.is_satisfiable()).count();
+        prop_assert_eq!(map.is_satisfiable(), unsat == 0);
+        prop_assert_eq!(map.digest(), map.refold_digest());
+        let refold = ZobristComponent::refold(reference.iter());
+        prop_assert_eq!(map.digest(), refold);
+        // The derived `Hash` writes the entries, then the two caches; the
+        // entries' part must be the B-tree's stream.
+        prop_assert_eq!(fnv(map), fnv(&(reference, unsat, refold)));
+        // Codec bytes: the count, then each entry in location order.
+        let mut bytes = Vec::new();
+        encode_u64(reference.len() as u64, &mut bytes);
+        for (&loc, set) in reference {
+            encode_location(loc, &mut bytes);
+            encode_constraint_set(set, &mut bytes);
+        }
+        prop_assert_eq!(encoded(map), bytes);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn flat_map_matches_btreemap_reference(
+            ops in prop::collection::vec(op_strategy(), 1..150),
+        ) {
+            let mut pool = vec![(ConstraintMap::new(), Reference::new())];
+            for op in &ops {
+                if let MapOp::Fork = op {
+                    let fork = pool.last().expect("nonempty pool").clone();
+                    pool.push(fork);
+                    continue;
+                }
+                let (map, reference) = pool.last_mut().expect("nonempty pool");
+                match op {
+                    MapOp::Constrain(loc, c) => {
+                        let set = reference.entry(*loc).or_default();
+                        set.add(*c);
+                        prop_assert_eq!(map.constrain(*loc, *c), set.is_satisfiable());
+                    }
+                    MapOp::Clear(loc) => {
+                        map.clear(*loc);
+                        reference.remove(loc);
+                    }
+                    MapOp::Copy(from, to) => {
+                        map.copy(*from, *to);
+                        match reference.get(from).cloned() {
+                            Some(set) => {
+                                reference.insert(*to, set);
+                            }
+                            None => {
+                                reference.remove(to);
+                            }
+                        }
+                    }
+                    MapOp::Codec => {
+                        let bytes = encoded(map);
+                        let mut pos = 0;
+                        let decoded = decode_constraint_map(&bytes, &mut pos)
+                            .expect("well-formed encoding");
+                        prop_assert_eq!(pos, bytes.len(), "whole record consumed");
+                        prop_assert_eq!(&decoded, &*map);
+                        *map = decoded;
+                    }
+                    MapOp::Fork => unreachable!("handled above"),
+                }
+                matches_reference(map, reference)?;
+            }
+            // No clone's writes leaked into the map it was cloned from.
+            for (map, reference) in &pool {
+                matches_reference(map, reference)?;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Wire-protocol round-trips: the frames a distributed campaign ships —
 // task results, result frames, whole task frames — must decode back to
 // full-Eq equality, over the same CoW-layered state zoo (state_ops) the
