@@ -589,9 +589,9 @@ mod memory_model {
 // ---------------------------------------------------------------------
 // Constraint-map model: the flat, location-sorted constraint map, driven
 // through `constrain`/`clear`/`copy`, clones and codec round-trips,
-// against a plain `BTreeMap<Location, ConstraintSet>` reference — the
-// representation it replaced, whose iteration order, `Hash` stream and
-// codec bytes it must keep.
+// against a plain `BTreeMap<Location, ConstraintSet>` reference, whose
+// iteration order, `Hash` stream and codec bytes the map must reproduce
+// (state digests and spill segments depend on all three).
 // ---------------------------------------------------------------------
 
 mod constraint_map_model {
