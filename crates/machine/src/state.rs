@@ -206,7 +206,7 @@ impl MachineState {
     /// one FNV round per byte: 129 rounds for a 16-word input. Hashing the
     /// elements a word at a time would be cheaper, but it moves every
     /// state fingerprint and with it every pinned digest, so it belongs
-    /// with the fingerprint fix (ROADMAP item 2b), not here.
+    /// with the fingerprint fix (ROADMAP item 2b).
     pub(crate) fn fold_input(input: &[i64]) -> u128 {
         let mut h = Fnv128Hasher::new();
         input.hash(&mut h);
