@@ -45,23 +45,24 @@ impl CowMemory {
         }
     }
 
-    /// A memory holding `cells`. Strictly ascending addresses — what
-    /// [`CowMemory::iter`], and so the state codec, always produce — are
-    /// taken as they are and the digest is folded once; any other order
-    /// falls back to one `insert` per cell, so a later duplicate wins.
-    pub(crate) fn from_cells(cells: Vec<(u64, Value)>) -> Self {
-        if cells.windows(2).all(|w| w[0].0 < w[1].0) {
-            let digest = ZobristComponent::refold(cells.iter().copied());
-            return CowMemory {
-                cells: cells.into(),
-                digest,
-            };
+    /// A memory holding `cells`, with the digest folded once. Strictly
+    /// ascending addresses — what [`CowMemory::iter`], and so the state
+    /// codec, always produce — are taken as they are; any other order is
+    /// sorted once, and a later duplicate wins, so building stays
+    /// O(n log n) on any input.
+    pub(crate) fn from_cells(mut cells: Vec<(u64, Value)>) -> Self {
+        if !cells.windows(2).all(|w| w[0].0 < w[1].0) {
+            // Reversed, a stable sort puts the last cell for each address
+            // first in its run, and `dedup_by_key` keeps the first.
+            cells.reverse();
+            cells.sort_by_key(|&(addr, _)| addr);
+            cells.dedup_by_key(|&mut (addr, _)| addr);
         }
-        let mut mem = CowMemory::new();
-        for (addr, value) in cells {
-            mem.insert(addr, value);
+        let digest = ZobristComponent::refold(cells.iter().copied());
+        CowMemory {
+            cells: cells.into(),
+            digest,
         }
-        mem
     }
 
     fn find(&self, addr: u64) -> Result<usize, usize> {
@@ -308,5 +309,25 @@ mod tests {
         assert_eq!(bulk, by_insert);
         assert_eq!(bulk.get(16), Some(Value::Int(2)), "a later duplicate wins");
         assert_eq!(bulk.digest(), bulk.refold_digest());
+    }
+
+    #[test]
+    fn from_cells_sorts_a_large_descending_image_once() {
+        // One insert per cell would rebuild the image for every cell, about
+        // 10^11 bytes copied here; one sort finishes well inside the bound.
+        let n = 200_000u64;
+        let cells: Vec<(u64, Value)> = (0..n)
+            .rev()
+            .map(|i| (i * 8, Value::Int(i as i64)))
+            .chain([(0, Value::Err)])
+            .collect();
+        let start = std::time::Instant::now();
+        let mem = CowMemory::from_cells(cells);
+        let took = start.elapsed();
+        assert!(took < std::time::Duration::from_secs(10), "took {took:?}");
+        assert_eq!(mem.len(), n as usize);
+        assert!(mem.iter().map(|(a, _)| a).eq((0..n).map(|i| i * 8)));
+        assert_eq!(mem.get(0), Some(Value::Err), "the later duplicate wins");
+        assert_eq!(mem.digest(), mem.refold_digest());
     }
 }

@@ -592,7 +592,7 @@ pub fn encode_location(loc: Location, buf: &mut Vec<u8>) {
 ///
 /// [`CodecError::BadTag`] on an unknown tag or an out-of-file register
 /// index, plus the varint errors.
-#[inline]
+#[inline(always)]
 pub fn decode_location(bytes: &[u8], pos: &mut usize) -> Result<Location, CodecError> {
     let &tag = bytes.get(*pos).ok_or(CodecError::UnexpectedEnd)?;
     *pos += 1;
@@ -665,22 +665,39 @@ pub fn encode_constraint_map(map: &ConstraintMap, buf: &mut Vec<u8>) {
 }
 
 /// Decodes a [`ConstraintMap`] at `*pos`, rebuilding the map's rolling
-/// digest and unsatisfiable-location caches entry by entry, so a decoded
-/// map is indistinguishable (including its O(1) `digest`/`is_satisfiable`)
-/// from one built through the normal mutators.
+/// digest and unsatisfiable-location caches from the decoded entries, so a
+/// decoded map is indistinguishable (including its O(1)
+/// `digest`/`is_satisfiable`) from one built through the normal mutators.
+///
+/// Entries out of location order (never written by
+/// [`encode_constraint_map`], but the bytes may come off the wire) are
+/// sorted once, and a later entry for a location replaces an earlier one,
+/// so decoding stays O(n log n) on any input.
 ///
 /// # Errors
 ///
 /// Propagates the leaf decoding errors.
 pub fn decode_constraint_map(bytes: &[u8], pos: &mut usize) -> Result<ConstraintMap, CodecError> {
     let n = decode_u64(bytes, pos)?;
-    let mut map = ConstraintMap::new();
+    // An entry takes at least five bytes, which bounds the reservation by
+    // the bytes actually present rather than by the claimed count.
+    let cap = usize::try_from(n).unwrap_or(usize::MAX);
+    let mut entries = Vec::with_capacity(cap.min(bytes.len().saturating_sub(*pos) / 5));
+    let mut ascending = true;
     for _ in 0..n {
         let loc = decode_location(bytes, pos)?;
         let set = decode_constraint_set(bytes, pos)?;
-        map.insert_set(loc, set);
+        ascending &= entries.last().is_none_or(|&(prev, _)| prev < loc);
+        entries.push((loc, set));
     }
-    Ok(map)
+    if !ascending {
+        // Reversed, a stable sort puts the last entry for each location
+        // first in its run, and `dedup_by_key` keeps the first.
+        entries.reverse();
+        entries.sort_by_key(|&(loc, _)| loc);
+        entries.dedup_by_key(|&mut (loc, _)| loc);
+    }
+    Ok(ConstraintMap::from_sorted(entries))
 }
 
 #[cfg(test)]
@@ -983,6 +1000,49 @@ mod tests {
         assert_eq!(decoded.digest(), map.digest(), "rolling digest rebuilt");
         assert_eq!(decoded.digest(), decoded.refold_digest());
         assert_eq!(decoded.is_satisfiable(), map.is_satisfiable());
+    }
+
+    #[test]
+    fn out_of_order_maps_decode_sorted_in_one_pass() {
+        // 200 000 descending entries, then a repeat of the first location
+        // with an unsatisfiable set. Inserting each entry into place would
+        // shift the whole map every time (about 10^12 bytes moved here);
+        // one sort finishes well inside the bound.
+        let n = 200_000u64;
+        let eq = |v: i64| {
+            let mut set = ConstraintSet::new();
+            set.add(Constraint::Eq(v));
+            set
+        };
+        let mut unsat = ConstraintSet::new();
+        unsat.add(Constraint::Gt(2));
+        unsat.add(Constraint::Lt(2));
+        let top = Location::Mem((n - 1) * 8);
+        let mut buf = Vec::new();
+        encode_u64(n + 1, &mut buf);
+        for i in (0..n).rev() {
+            encode_location(Location::Mem(i * 8), &mut buf);
+            encode_constraint_set(&eq(i as i64), &mut buf);
+        }
+        encode_location(top, &mut buf);
+        encode_constraint_set(&unsat, &mut buf);
+
+        let start = std::time::Instant::now();
+        let mut pos = 0;
+        let decoded = decode_constraint_map(&buf, &mut pos).unwrap();
+        let took = start.elapsed();
+        assert!(took < std::time::Duration::from_secs(10), "took {took:?}");
+        assert_eq!(pos, buf.len());
+
+        let mut expected = ConstraintMap::new();
+        for i in 0..n - 1 {
+            assert!(expected.constrain(Location::Mem(i * 8), Constraint::Eq(i as i64)));
+        }
+        assert!(expected.constrain(top, Constraint::Gt(2)));
+        assert!(!expected.constrain(top, Constraint::Lt(2)));
+        assert_eq!(decoded, expected, "sorted, and the later duplicate wins");
+        assert_eq!(decoded.digest(), expected.digest());
+        assert!(!decoded.is_satisfiable());
     }
 
     #[test]

@@ -124,12 +124,25 @@ impl ConstraintMap {
         }
     }
 
+    /// A map holding exactly `entries`, which must be strictly ascending by
+    /// location, with the digest and unsatisfiable-location caches folded
+    /// in one pass. The decoder (`crate::codec`) builds through here, so
+    /// decoded maps carry live caches exactly like incrementally-built ones.
+    pub(crate) fn from_sorted(entries: Vec<(Location, ConstraintSet)>) -> Self {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        let unsat = entries.iter().filter(|(_, s)| !s.is_satisfiable()).count();
+        let digest = ZobristComponent::refold(entries.iter().map(|(l, s)| (*l, s)));
+        ConstraintMap {
+            entries,
+            unsat,
+            digest,
+        }
+    }
+
     /// Installs a whole constraint set on a location, replacing whatever was
     /// recorded, while maintaining the rolling digest and the
-    /// unsatisfiable-location counter. `copy` installs through here, and so
-    /// does the decoder (`crate::codec`), entry by entry, so decoded maps
-    /// carry live caches exactly like incrementally-built ones.
-    pub(crate) fn insert_set(&mut self, loc: Location, set: ConstraintSet) {
+    /// unsatisfiable-location counter.
+    fn insert_set(&mut self, loc: Location, set: ConstraintSet) {
         if !set.is_satisfiable() {
             self.unsat += 1;
         }
