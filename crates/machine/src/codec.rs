@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! version:u8  pc:varint  steps:varint  status:tag[payload]
-//! regs:   count, (index:u8, value)*            — non-zero cells only
+//! regs:   count, (index:u8, value)*            — non-zero cells only, index 1..32
 //! mem:    count, first-addr, (addr-delta, value)*  — ascending, delta-coded
 //! input:  count, zigzag*, cursor:varint
 //! output: count, (0 value | 1 len utf8-bytes)*
@@ -38,7 +38,7 @@
 
 use std::sync::Arc;
 
-use crate::state::DecodedState;
+use crate::state::{DecodedState, RegFile};
 use crate::{Exception, ExecLimits, MachineState, OutItem, Status};
 use sympl_asm::{Reg, NUM_REGS};
 use sympl_symbolic::codec::{
@@ -209,17 +209,20 @@ impl StateDecoder {
             }
         };
 
-        let mut regs = [Value::Int(0); NUM_REGS];
+        let mut regs = RegFile::ZERO;
         let n_regs = usize::decode(bytes, &mut pos)?;
         for _ in 0..n_regs {
             let idx = u8::decode(bytes, &mut pos)?;
-            if usize::from(idx) >= NUM_REGS {
+            // `$0` is hard-wired: the encoder never writes it, and a cell
+            // for it would make a state that reads `$0 = 0` yet differs
+            // from its own re-encoding.
+            if idx == 0 || usize::from(idx) >= NUM_REGS {
                 return Err(CodecError::BadTag {
                     what: "register index",
                     tag: idx,
                 });
             }
-            regs[usize::from(idx)] = decode_value(bytes, &mut pos)?;
+            regs.set(usize::from(idx), decode_value(bytes, &mut pos)?);
         }
 
         let n_mem = usize::decode(bytes, &mut pos)?;
@@ -433,6 +436,30 @@ mod tests {
             decode_state(&bad),
             Err(CodecError::BadTag { what: "status", .. })
         ));
+    }
+
+    #[test]
+    fn a_cell_for_the_zero_register_is_refused() {
+        // Header, then one register cell (index, value), then an empty
+        // memory image, input, cursor, output and constraint map.
+        let record = |idx: u8| {
+            let mut buf = vec![VERSION, 0, 0, STATUS_RUNNING, 1, idx];
+            encode_value(Value::Int(5), &mut buf);
+            buf.extend_from_slice(&[0, 0, 0, 0, 0]);
+            buf
+        };
+        let (s, used) = decode_state(&record(1)).expect("index 1 is a register");
+        assert_eq!(used, record(1).len());
+        assert_eq!(s.reg(Reg::r(1)), Value::Int(5));
+        for idx in [0, NUM_REGS as u8] {
+            assert_eq!(
+                decode_state(&record(idx)).unwrap_err(),
+                CodecError::BadTag {
+                    what: "register index",
+                    tag: idx
+                }
+            );
+        }
     }
 
     #[test]

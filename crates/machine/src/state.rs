@@ -4,7 +4,7 @@
 //!
 //! A [`MachineState`] is a value type: the symbolic executor clones it at
 //! every fork and the model checker fingerprints it for deduplication.
-//! Three representation choices keep those hot paths cheap:
+//! Four representation choices keep those hot paths cheap:
 //!
 //! * **Copy-on-write memory.** The memory image is a [`cow::CowMemory`]:
 //!   one exact-size, address-sorted slice of cells behind an `Arc`. Cloning
@@ -14,6 +14,13 @@
 //!   so sharing is invisible to the search.
 //!   [`MachineState::memory_shares_storage`] exposes the sharing for
 //!   pointer-identity tests.
+//! * **A compact register file.** The registers are one `RegFile`:
+//!   32 plain `i64` cells plus a 32-bit `err` mask, 264 bytes where an
+//!   array of tagged [`Value`]s takes 512. It sits behind an `Arc` shared
+//!   with the state's forks, so a fork copies it once, on its first
+//!   register write, and a queued state that never writes shares it. Its
+//!   `Hash` and `Debug` are those of the `[Value; 32]` it stands for, so
+//!   no digest or rendering depends on the layout.
 //! * **A flat constraint map.** The [`ConstraintMap`] keeps its
 //!   `(location, constraint set)` entries in one vector sorted by location
 //!   and found by binary search. A forked state carries about one entry,
@@ -117,6 +124,74 @@ impl fmt::Display for OutItem {
     }
 }
 
+/// The register file: one integer per register plus a mask whose bit `i`
+/// marks register `i` as `err`. An `err` register keeps 0 in its integer
+/// cell, so the derived `Eq` compares content exactly, and `$0` is never
+/// written, so it reads 0 by construction.
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) struct RegFile {
+    ints: [i64; NUM_REGS],
+    errs: u32,
+}
+
+impl RegFile {
+    /// Every register 0.
+    pub(crate) const ZERO: RegFile = RegFile {
+        ints: [0; NUM_REGS],
+        errs: 0,
+    };
+
+    /// The value of register `i`.
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> Value {
+        if (self.errs >> i) & 1 != 0 {
+            Value::Err
+        } else {
+            Value::Int(self.ints[i])
+        }
+    }
+
+    /// Writes register `i`, which is never `$0`.
+    #[inline]
+    pub(crate) fn set(&mut self, i: usize, v: Value) {
+        debug_assert_ne!(i, 0, "$0 is hard-wired to zero");
+        match v {
+            Value::Int(n) => {
+                self.ints[i] = n;
+                self.errs &= !(1 << i);
+            }
+            Value::Err => {
+                self.ints[i] = 0;
+                self.errs |= 1 << i;
+            }
+        }
+    }
+
+    /// The `(index, value)` cells in register order.
+    fn cells(&self) -> impl Iterator<Item = (usize, Value)> + '_ {
+        (0..NUM_REGS).map(|i| (i, self.get(i)))
+    }
+
+    /// The registers as the tagged array this file stands for.
+    fn values(&self) -> [Value; NUM_REGS] {
+        std::array::from_fn(|i| self.get(i))
+    }
+}
+
+/// The byte stream of the `[Value; 32]` array: `Hash for MachineState`,
+/// and with it `outcome_digest`, must not move with the layout.
+impl Hash for RegFile {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values().hash(state);
+    }
+}
+
+impl fmt::Debug for RegFile {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.values().fmt(f)
+    }
+}
+
 /// The mutable machine state carried from instruction to instruction.
 ///
 /// Corresponds to the paper's soup `PC(pc) regs(R) mem(M) input(in)
@@ -134,12 +209,13 @@ impl fmt::Display for OutItem {
 #[derive(Debug, Clone)]
 pub struct MachineState {
     pc: usize,
-    // The register file is Arc-shared between a state and its forks
-    // (copy-on-write, like the memory image): a clone bumps a refcount
-    // instead of copying 32 cells, the state term stays small enough to
-    // move cheaply through successor buffers and frontier queues, and the
-    // first post-fork write of each branch pays the one unsharing copy.
-    regs: Arc<[Value; NUM_REGS]>,
+    // The compact register file is Arc-shared between a state and its
+    // forks (copy-on-write, like the memory image): a clone bumps a
+    // refcount instead of copying 264 bytes, the state term stays small
+    // enough to move cheaply through successor buffers and frontier
+    // queues, and the first post-fork write of each branch pays the one
+    // unsharing copy.
+    regs: Arc<RegFile>,
     mem: CowMemory,
     input: Arc<[i64]>,
     input_pos: usize,
@@ -177,14 +253,14 @@ impl MachineState {
         let input: Arc<[i64]> = input.into();
         MachineState {
             pc: 0,
-            regs: Arc::new([Value::Int(0); NUM_REGS]),
+            regs: Arc::new(RegFile::ZERO),
             mem: CowMemory::new(),
             input_pos: 0,
             output: Arc::new(Vec::new()),
             constraints: ConstraintMap::new(),
             steps: 0,
             status: Status::Running,
-            reg_digest: Self::refold_regs(&[Value::Int(0); NUM_REGS]),
+            reg_digest: Self::refold_regs(&RegFile::ZERO),
             out_digest: ZobristComponent::new(),
             out_errs: 0,
             input_digest: Self::fold_input(&input),
@@ -194,8 +270,8 @@ impl MachineState {
 
     /// The register-file fold of `regs` — the reference the rolling
     /// `reg_digest` tracks write-by-write.
-    fn refold_regs(regs: &[Value; NUM_REGS]) -> ZobristComponent {
-        ZobristComponent::refold(regs.iter().enumerate())
+    fn refold_regs(regs: &RegFile) -> ZobristComponent {
+        ZobristComponent::refold(regs.cells())
     }
 
     /// FNV-128 of the input stream. The stream is immutable after
@@ -228,23 +304,19 @@ impl MachineState {
     /// The value of a register ($0 always reads zero).
     #[must_use]
     pub fn reg(&self, r: Reg) -> Value {
-        if r.is_zero() {
-            Value::Int(0)
-        } else {
-            self.regs[r.index()]
-        }
+        self.regs.get(r.index())
     }
 
     /// Writes the register cell and rolls the register-file fold: the old
     /// `(index, value)` cell XORs out, the new one XORs in.
     fn write_reg_cell(&mut self, r: Reg, v: Value) {
         let i = r.index();
-        let old = self.regs[i];
+        let old = self.regs.get(i);
         if old != v {
             self.reg_digest.update(&i, &old, &v);
             // Unshares the register file on the first write after a fork;
             // a no-op atomic check when this state already owns it.
-            Arc::make_mut(&mut self.regs)[i] = v;
+            Arc::make_mut(&mut self.regs).set(i, v);
         }
     }
 
@@ -457,17 +529,17 @@ impl MachineState {
     /// Whether every register and defined memory word is concrete.
     #[must_use]
     pub fn is_fully_concrete(&self) -> bool {
-        !self.regs.iter().any(|v| v.is_err()) && !self.mem.iter().any(|(_, v)| v.is_err())
+        self.regs.errs == 0 && !self.mem.iter().any(|(_, v)| v.is_err())
     }
 
     /// Every location currently holding `err`.
     #[must_use]
     pub fn err_locations(&self) -> Vec<Location> {
         let mut out = Vec::new();
-        for (i, v) in self.regs.iter().enumerate() {
-            if v.is_err() {
-                out.push(Location::reg(i as u8));
-            }
+        let mut errs = self.regs.errs;
+        while errs != 0 {
+            out.push(Location::reg(errs.trailing_zeros() as u8));
+            errs &= errs - 1;
         }
         for (a, v) in self.mem.iter() {
             if v.is_err() {
@@ -489,7 +561,7 @@ impl MachineState {
 /// by [`MachineState::from_decoded`].
 pub(crate) struct DecodedState {
     pub(crate) pc: usize,
-    pub(crate) regs: [Value; NUM_REGS],
+    pub(crate) regs: RegFile,
     pub(crate) mem: Vec<(u64, Value)>,
     pub(crate) input: Arc<[i64]>,
     /// [`MachineState::fold_input`] of `input`, shared with the decoder's
@@ -552,6 +624,12 @@ impl MachineState {
     /// must not move when the map's representation does.
     const APPROX_CONSTRAINT_BYTES: usize = 96;
 
+    /// The register-file term of [`MachineState::approx_bytes`]: the size
+    /// of the `[Value; 32]` array the estimate was calibrated on. Frozen
+    /// for the same reason as [`Self::APPROX_HEADER_BYTES`]: the compact
+    /// [`RegFile`] is smaller, but the spill schedule must not move with it.
+    const APPROX_REGS_BYTES: usize = 512;
+
     /// An approximate in-RAM footprint of this state, in bytes: a fixed
     /// per-state term plus per-entry estimates for the memory image, output
     /// stream, input stream, and constraint map.
@@ -569,7 +647,7 @@ impl MachineState {
         // frozen with the fixed term and the constraint-entry term.
         Self::APPROX_HEADER_BYTES
             // The Arc-shared register file, counted unshared (see above).
-            + size_of::<[Value; NUM_REGS]>()
+            + Self::APPROX_REGS_BYTES
             + self.mem.len() * (size_of::<u64>() + size_of::<Value>() + 16)
             + self.output.len() * size_of::<OutItem>()
             + self.input.len() * size_of::<i64>()
@@ -742,8 +820,8 @@ impl fmt::Display for MachineState {
             self.pc, self.status, self.steps
         )?;
         write!(f, "regs:")?;
-        for (i, v) in self.regs.iter().enumerate() {
-            if *v != Value::Int(0) {
+        for (i, v) in self.regs.cells() {
+            if v != Value::Int(0) {
                 write!(f, " ${i}={v}")?;
             }
         }

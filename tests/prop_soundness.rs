@@ -759,6 +759,173 @@ mod constraint_map_model {
 }
 
 // ---------------------------------------------------------------------
+// Register-file model: the compact register file (integers plus an `err`
+// mask), driven through `set_reg`/`copy_reg_with_constraints`, forks and
+// codec round-trips, against a plain `[Value; 32]` reference, whose reads,
+// equality and `Hash` stream the state must reproduce (`outcome_digest`
+// hashes states through that stream).
+// ---------------------------------------------------------------------
+
+mod register_file_model {
+    use super::*;
+    use std::hash::Hash;
+    use symplfied::machine::{decode_state, encode_state};
+    use symplfied::symbolic::Fnv128Hasher;
+
+    type Reference = [Value; 32];
+
+    #[derive(Debug, Clone)]
+    enum RegOp {
+        Set(u8, Value),
+        /// `copy_reg_with_constraints` from the given register.
+        Copy(u8, Value, u8),
+        /// Constrain a register, so copies have facts to carry.
+        Constrain(u8, Constraint),
+        /// Clone the newest state and keep mutating the clone.
+        Fork,
+        /// Replace the newest state by its encode → decode round-trip.
+        Codec,
+    }
+
+    /// Every register, `$0` included (its writes must be discarded).
+    fn reg_strategy() -> impl Strategy<Value = u8> {
+        prop_oneof![4 => 0u8..8, 1 => 0u8..32]
+    }
+
+    /// Mostly small values, so rewrites often restore a cell; zero (the
+    /// default every register starts at), both extremes and `err`.
+    fn value_strategy() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            4 => (-3i64..=3).prop_map(Value::Int),
+            1 => prop_oneof![Just(i64::MIN), Just(i64::MAX)].prop_map(Value::Int),
+            3 => Just(Value::Err),
+        ]
+    }
+
+    fn op_strategy() -> impl Strategy<Value = RegOp> {
+        prop_oneof![
+            8 => (reg_strategy(), value_strategy()).prop_map(|(r, v)| RegOp::Set(r, v)),
+            3 => (reg_strategy(), value_strategy(), reg_strategy())
+                .prop_map(|(r, v, f)| RegOp::Copy(r, v, f)),
+            2 => (reg_strategy(), (-3i64..=3).prop_map(Constraint::Gt))
+                .prop_map(|(r, c)| RegOp::Constrain(r, c)),
+            2 => Just(RegOp::Fork),
+            1 => Just(RegOp::Codec),
+        ]
+    }
+
+    fn fnv<T: Hash + ?Sized>(value: &T) -> u128 {
+        let mut h = Fnv128Hasher::new();
+        value.hash(&mut h);
+        h.finish128()
+    }
+
+    fn encoded(s: &MachineState) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_state(s, &mut buf);
+        buf
+    }
+
+    fn matches_reference(s: &MachineState, reference: &Reference) -> Result<(), TestCaseError> {
+        for r in Reg::all() {
+            prop_assert_eq!(s.reg(r), reference[r.index()], "{}", r);
+        }
+        // `Hash for MachineState`, field by field, with the reference
+        // array in the register file's place.
+        let memory: Vec<(u64, Value)> = s.memory_cells().collect();
+        let stream = (
+            s.steps(),
+            s.pc(),
+            reference,
+            memory,
+            s.input_stream(),
+            s.input_cursor(),
+            s.output(),
+            s.constraints(),
+            s.status(),
+        );
+        prop_assert_eq!(fnv(s), fnv(&stream));
+        prop_assert!(format!("{s:?}").contains(&format!("regs: {reference:?},")));
+        prop_assert_eq!(s.fingerprint(), s.fingerprint_from_scratch());
+        prop_assert_eq!(s.is_fully_concrete(), !reference.iter().any(|v| v.is_err()));
+        let errs: Vec<Location> = (0u8..32)
+            .filter(|&i| reference[usize::from(i)].is_err())
+            .map(Location::reg)
+            .collect();
+        prop_assert_eq!(s.err_locations(), errs);
+        // A twin built flat, one write per non-zero cell on a never-forked
+        // state, with the same constraint map.
+        let mut twin = MachineState::new();
+        for r in Reg::all() {
+            if reference[r.index()] != Value::Int(0) {
+                twin.set_reg(r, reference[r.index()]);
+            }
+        }
+        *twin.constraints_mut() = s.constraints().clone();
+        prop_assert_eq!(s, &twin);
+        prop_assert_eq!(s.fingerprint(), twin.fingerprint());
+        prop_assert_eq!(encoded(s), encoded(&twin));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn compact_file_matches_value_array_reference(
+            ops in prop::collection::vec(op_strategy(), 1..150),
+        ) {
+            let mut pool = vec![(MachineState::new(), [Value::Int(0); 32])];
+            for op in &ops {
+                if let RegOp::Fork = op {
+                    let fork = pool.last().expect("nonempty pool").clone();
+                    pool.push(fork);
+                    continue;
+                }
+                let (s, reference) = pool.last_mut().expect("nonempty pool");
+                match *op {
+                    RegOp::Set(r, v) => {
+                        s.set_reg(Reg::r(r), v);
+                        if r != 0 {
+                            reference[usize::from(r)] = v;
+                        }
+                    }
+                    RegOp::Copy(r, v, from) => {
+                        s.copy_reg_with_constraints(Reg::r(r), v, Location::reg(from));
+                        if r != 0 {
+                            reference[usize::from(r)] = v;
+                        }
+                    }
+                    RegOp::Constrain(r, c) => {
+                        let _ = s.constraints_mut().constrain(Location::reg(r), c);
+                    }
+                    RegOp::Codec => {
+                        let bytes = encoded(s);
+                        let (decoded, used) = decode_state(&bytes).expect("well-formed encoding");
+                        prop_assert_eq!(used, bytes.len(), "whole record consumed");
+                        prop_assert_eq!(&decoded, &*s);
+                        *s = decoded;
+                    }
+                    RegOp::Fork => unreachable!("handled above"),
+                }
+                matches_reference(s, reference)?;
+            }
+            // No fork's writes leaked into a state it shared a file with,
+            // and states are equal exactly when their references and
+            // constraint maps are (every other field is the fresh state's).
+            for (s, reference) in &pool {
+                matches_reference(s, reference)?;
+                for (t, other) in &pool {
+                    let same = reference == other && s.constraints() == t.constraints();
+                    prop_assert_eq!(s == t, same);
+                    prop_assert_eq!(s.fingerprint() == t.fingerprint(), same);
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Wire-protocol round-trips: the frames a distributed campaign ships —
 // task results, result frames, whole task frames — must decode back to
 // full-Eq equality, over the same CoW-layered state zoo (state_ops) the
