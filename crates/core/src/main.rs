@@ -10,6 +10,7 @@
 //! symplfied serve  [--listen HOST:PORT | --join HOST:PORT]
 //!                  [--max-clients N] [--status-interval SECS]
 //! symplfied campaign --workload tcas|replace|spin [--tasks N] [--quick] …
+//! symplfied repro
 //! ```
 
 use std::process::ExitCode;
@@ -21,6 +22,7 @@ use symplfied::prelude::*;
 use symplfied::ssim;
 
 mod campaign;
+mod repro;
 
 fn main() -> ExitCode {
     match run(std::env::args().skip(1).collect()) {
@@ -51,6 +53,7 @@ const USAGE: &str = "usage:
                    [--split-idle] [--expect-split] [--expect-join] [--client-label NAME]
                    [--client-priority N] [--memo-path FILE] [--expect-memo-warm]
                    [--mutate-program] [--expect-stale-memo]
+  symplfied repro
 
 --frontier picks the search's frontier policy (exhausted searches agree
 under every policy; see each policy's determinism contract in the docs);
@@ -87,7 +90,11 @@ coordinator of a fleet of serve workers. --verify-local re-runs it
 in-process and exits 2 unless both outcome digests match; the other
 --expect-* flags are gates that exit 2 the same way. --memo-path runs
 in-process against a memo store (see above). See docs/OPERATIONS.md for
-the full operator manual.";
+the full operator manual.
+
+repro prints the paper's Table 1, Table 2 (base and extended), Table 3
+and Figures 2 & 3, regenerated from the bundled workloads. It takes no
+arguments; see docs/REPRODUCTION.md for how each compares with the paper.";
 
 struct Opts {
     program_path: String,
@@ -290,6 +297,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
     match command.as_str() {
         "serve" => return serve(rest).map(|()| ExitCode::SUCCESS),
         "campaign" => return campaign::run(rest),
+        "repro" => return repro::run(rest).map(|()| ExitCode::SUCCESS),
         _ => {}
     }
     let opts = parse_opts(rest)?;

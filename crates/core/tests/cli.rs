@@ -137,6 +137,16 @@ fn bad_usage_fails_with_message() {
 }
 
 #[test]
+fn repro_refuses_arguments() {
+    let out = cli().args(["repro", "--quick"]).output().unwrap();
+    assert!(!out.status.success(), "repro takes no arguments");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("repro takes no arguments"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(stderr.contains("symplfied repro"), "{stderr}");
+}
+
+#[test]
 fn serve_join_refuses_listen_mode_flags() {
     // Refused before any connection is attempted, whichever order the
     // flags come in.

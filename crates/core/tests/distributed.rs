@@ -1,7 +1,7 @@
 //! End-to-end distributed campaign: a loopback coordinator driving two
 //! real `symplfied serve` worker *processes* must reproduce the
 //! in-process cluster's `CampaignReport` verbatim — the acceptance
-//! criterion the `distributed-campaign` CI job gates on.
+//! gate the `distributed-campaign` CI job runs.
 
 use std::path::Path;
 

@@ -16,15 +16,6 @@ lint:
     cargo fmt --all --check
     cargo clippy --workspace --all-targets -- -D warnings
 
-# Run the Criterion-style benches (engine + campaign throughput).
-bench:
-    cargo bench --workspace
-
-# Write BENCH_explore.json: engine throughput on the factorial/tcas/replace/
-# bubble-sort/gcd register full-sweeps at fixed budgets.
-bench-json:
-    cargo run --release -p sympl-bench --bin bench_json
-
 # The repo benchmark (BENCHMARK.json) as a smoke test: the standalone
 # harness under benchmark/ must build against the current crates, pass
 # its own unit tests, and reproduce every workload's pinned counts and
@@ -95,11 +86,10 @@ memo-demo:
 service-demo:
     cargo test --release -p symplfied --test service
 
-# Regenerate the paper's tables and figures from the assembled workloads.
+# Regenerate the paper's tables and figures from the assembled workloads
+# (`symplfied repro`, whose output crates/core/tests/repro.rs pins), then
+# the §6.2 and §6.4 campaigns.
 repro-tables:
-    cargo run --release -p sympl-bench --bin table1
-    cargo run --release -p sympl-bench --bin table2 -- --quick
-    cargo run --release -p sympl-bench --bin table3
-    cargo run --release -p sympl-bench --bin fig2_fig3
+    cargo run --release -p symplfied -- repro
     cargo run --release -p symplfied -- campaign --workload tcas --quick --tasks 16
     cargo run --release -p symplfied -- campaign --workload replace --quick --tasks 16
