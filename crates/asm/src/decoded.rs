@@ -346,8 +346,9 @@ impl SuperOp {
 }
 
 /// Counters describing one decode: emitted ops, fused pairs, pooled
-/// strings. Surfaced in benchmark tables (`decode_<workload>` rows) and the
-/// snapshot listing header.
+/// strings. Surfaced in the listing header the decoded snapshots pin
+/// (`tests/decoded_snapshot`) and, for `ops`, in the repo benchmark's
+/// `asm.decoded_ops` row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DecodeStats {
     /// Number of [`DecodedOp`]s emitted (always the instruction count).

@@ -257,13 +257,13 @@ pub struct ClusterConfig {
     pub max_findings_per_task: usize,
     /// A per-point worker allowance that does not change how a point is
     /// searched: every point search is sequential. Kept because the
-    /// benchmark harness sets it and [`ClusterConfig::point_share`] feeds
-    /// the campaign key and task frames.
+    /// benchmark harness sets it and task frames carry
+    /// [`ClusterConfig::point_share`].
     pub point_workers_hint: Option<usize>,
 }
 
 impl ClusterConfig {
-    /// The per-point worker share the campaign key and task frames carry:
+    /// The per-point worker share task frames carry:
     /// [`ClusterConfig::point_workers_hint`] when set, else hardware
     /// threads / `workers` (at least 1). It does not change how a point is
     /// searched.

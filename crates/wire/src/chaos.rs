@@ -40,11 +40,14 @@ pub enum ChaosMode {
     },
     /// Forward every frame, but send frame number `frame` (0-based)
     /// *twice* — duplicate delivery at the frame layer. A doubled
-    /// heartbeat is harmless (liveness just re-arms); a doubled result
-    /// frame arrives when the coordinator expects nothing and must be
-    /// handled without corrupting the merged report (the connection is
-    /// failed and the duplicate discarded — results are keyed by task,
-    /// never double-counted).
+    /// heartbeat is harmless (liveness just re-arms). A doubled result
+    /// is read while the connection is idle or already running its next
+    /// task. The coordinator refuses it as stale — it names another
+    /// shard, another point count, or equals the last result booked on
+    /// that connection — fails the connection and re-queues the task in
+    /// flight, so the merged report never counts it. The equality check
+    /// is what tells a repeated split half from its equally long
+    /// sibling, which shares the parent's id.
     DuplicateFrame {
         /// Index of the worker→coordinator frame to send twice.
         frame: usize,

@@ -55,8 +55,12 @@ pub const CHECKPOINT_VERSION: u64 = 1;
 /// A deterministic FNV-128 digest of everything that identifies a
 /// campaign: the program (by [`program_digest`]), the input stream, the
 /// predicate, the full search limits, the task budget and finding cap,
-/// the resolved point-workers share, the shard count, and every injection
-/// point in order. Two [`CampaignJob`]s with the same key shard into the
+/// the shard count, and every injection point in order. In the slot where
+/// the resolved point-workers share used to go it hashes a constant `1`
+/// (as [`sympl_check::probe_digest`] does): every point search is
+/// sequential whatever the share says, and the share defaults to this
+/// host's thread count, which must not make a checkpoint stale on another
+/// host. Two [`CampaignJob`]s with the same key shard into the
 /// same tasks and run them to the same outcomes, which is what makes a
 /// checkpoint written by one coordinator safe for another to resume; a
 /// checkpoint whose key differs is stale and is refused.
@@ -74,7 +78,7 @@ pub fn campaign_key(job: &CampaignJob<'_>) -> Result<u128, CodecError> {
     job.config.search.encode(&mut buf);
     job.config.task_budget.encode(&mut buf);
     job.config.max_findings_per_task.encode(&mut buf);
-    job.config.point_share().encode(&mut buf);
+    1usize.encode(&mut buf);
     job.config.tasks.encode(&mut buf);
     job.campaign.points.encode(&mut buf);
     let mut h = Fnv128Hasher::new();
@@ -370,6 +374,20 @@ mod tests {
             job(&eight),
             "worker count must not move the campaign key"
         );
+        // Nor may the host: an unset point-workers hint resolves to this
+        // host's threads divided by `workers`, which differs between 1
+        // and 64 workers on any host with two or more threads.
+        for workers in [1, 64] {
+            let unpinned = ClusterConfig {
+                point_workers_hint: None,
+                ..config(workers)
+            };
+            assert_eq!(
+                job(&unpinned),
+                job(&two),
+                "the host's thread count must not move the campaign key"
+            );
+        }
         // Stability across repeated derivation (no hidden state).
         assert_eq!(job(&two), job(&two));
         // The key still guards everything outcome-shaping: a different

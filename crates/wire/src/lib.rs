@@ -49,8 +49,8 @@
 //! ([`sympl_cluster::run_task_spec`]), and result pooling
 //! ([`sympl_cluster::pool_results`]) are the *same functions* the
 //! in-process pool uses; the coordinator ships the resolved point-workers
-//! share with every task (it feeds the campaign key; every point search
-//! is sequential whatever it says). A distributed campaign whose point
+//! share with every task (every point search is sequential whatever it
+//! says, and the campaign key hashes a constant in its place). A distributed campaign whose point
 //! searches are not cut by a wall-clock budget therefore reproduces the in-process campaign's
 //! [`sympl_cluster::CampaignReport`] verbatim — same per-task outcome
 //! counts, same findings in the same canonical order, same witness
@@ -67,9 +67,11 @@
 
 pub mod chaos;
 mod checkpoint;
+mod coordinator;
 mod frame;
 mod proto;
 pub mod service;
+mod spawn;
 mod transport;
 
 use std::fmt;
@@ -88,11 +90,11 @@ pub use proto::{decode_message, encode_message, Message, TaskFrame};
 pub use service::{
     join_coordinator, ClientStats, FairScheduler, ServeOptions, ServiceStats, DEFAULT_MAX_CLIENTS,
 };
+pub use spawn::{spawn_loopback_workers, SpawnedWorkers};
 pub use transport::{
     backoff_delay, liveness_deadline, run_distributed, run_distributed_with, shutdown_worker,
-    spawn_loopback_workers, CampaignJob, ChaosPlan, DistOptions, ProgramResolver, SpawnedWorkers,
-    WorkerServer, DEFAULT_HEARTBEAT_INTERVAL, LISTENING_PREFIX, MAX_SPLIT_DEPTH,
-    MIN_HEARTBEAT_INTERVAL,
+    CampaignJob, ChaosPlan, DistOptions, ProgramResolver, WorkerServer, DEFAULT_HEARTBEAT_INTERVAL,
+    LISTENING_PREFIX, MAX_SPLIT_DEPTH, MIN_HEARTBEAT_INTERVAL,
 };
 
 pub use sympl_symbolic::CodecError;

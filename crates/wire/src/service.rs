@@ -33,7 +33,7 @@
 //! `docs/OPERATIONS.md` for running the service.
 
 use std::collections::{HashMap, VecDeque};
-use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -45,7 +45,8 @@ use sympl_detect::DetectorSet;
 
 use crate::proto::{Message, TaskFrame};
 use crate::transport::{
-    lock_recovering, send_message, Conn, ProgramResolver, WorkerServer, MIN_HEARTBEAT_INTERVAL,
+    lock_recovering, send_message, wake_addr, Conn, ProgramResolver, WorkerServer,
+    MIN_HEARTBEAT_INTERVAL,
 };
 use crate::{program_digest, WireError};
 
@@ -891,15 +892,7 @@ impl WorkerServer {
         resolve: &ProgramResolver<'_>,
         opts: &ServeOptions,
     ) -> Result<ServiceStats, WireError> {
-        let mut wake_addr = self.listener.local_addr().map_err(WireError::Io)?;
-        // A wildcard bind is reached through loopback.
-        if wake_addr.ip().is_unspecified() {
-            wake_addr.set_ip(if wake_addr.is_ipv4() {
-                Ipv4Addr::LOCALHOST.into()
-            } else {
-                Ipv6Addr::LOCALHOST.into()
-            });
-        }
+        let wake_addr = wake_addr(&self.listener).map_err(WireError::Io)?;
         let service = Service::new(resolve, opts.clone());
         let result = std::thread::scope(|scope| {
             let service = &service;

@@ -3,8 +3,9 @@
 //! The coordinator ([`run_distributed`] / [`run_distributed_with`])
 //! shards a campaign with the same [`sympl_cluster::shard_specs`]
 //! partition as the in-process pool, opens one connection per worker
-//! address, and drives a request/response loop per worker off a shared
-//! task queue. Supervision is heartbeat-based: every in-flight task's
+//! address, and drives them all from one thread: every decision is the
+//! [`crate::coordinator`] core's, fed the frames the connection threads
+//! read. Supervision is heartbeat-based: every in-flight task's
 //! worker must beat at the cadence the task frame carries, and a
 //! connection silent past [`liveness_deadline`] is declared dead — its
 //! task is re-queued for the survivors after a deterministic
@@ -20,26 +21,23 @@
 //! conversation — listened sessions and joined connections alike — is
 //! [`crate::service`].
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead as _, BufReader, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use sympl_asm::Program;
 use sympl_check::Predicate;
-use sympl_cluster::{
-    merge_part_results, pool_results, shard_specs, split_preserves_outcome, split_spec,
-    CampaignReport, ClusterConfig, Finding, TaskResult, TaskSpec,
-};
+use sympl_cluster::{shard_specs, split_preserves_outcome, CampaignReport, ClusterConfig};
 use sympl_detect::DetectorSet;
 use sympl_inject::Campaign;
 
 use crate::checkpoint::{campaign_key, load_checkpoint, CheckpointWriter};
+use crate::coordinator::{Action, ConnId, CoordinatorCore, CoreConfig, Event, Outgoing};
 use crate::frame::{handshake, read_frame, write_frame};
 use crate::proto::{decode_message, encode_message, Message, TaskFrame};
 use crate::{program_digest, WireError};
@@ -83,10 +81,6 @@ pub fn backoff_delay(attempts: usize) -> Duration {
     base.saturating_mul(1u32 << (attempts - 1).min(16)).min(cap)
 }
 
-/// How often an idle coordinator connection re-polls the queue (and the
-/// coordinator's join listener re-polls for late workers).
-const IDLE_POLL: Duration = Duration::from_millis(5);
-
 /// The shortest a successful [`run_distributed_with`] call takes: a
 /// campaign that pools sooner holds its (already complete) report until
 /// this much time has passed since the call began. Campaigns of any real
@@ -110,10 +104,9 @@ const CAMPAIGN_WALL_FLOOR: Duration = Duration::from_millis(250);
 pub const MAX_SPLIT_DEPTH: usize = 6;
 
 /// Locks a mutex, recovering the guard from a poisoned lock: a panic on
-/// one dispatch thread must degrade the campaign, not crash the
-/// coordinator. Every structure guarded this way (queue, results, fatal
-/// error, checkpoint writer) is valid after any partial update — pushes
-/// and pops are atomic at the element level.
+/// one of the service's session threads must end that session, not
+/// crash the daemon. Every structure guarded this way is valid after any
+/// partial update — pushes and pops are atomic at the element level.
 pub(crate) fn lock_recovering<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -340,9 +333,11 @@ pub struct DistOptions<'a> {
     pub resume: Option<&'a Path>,
     /// Accept late-joining workers on this listener for the duration of
     /// the campaign: a `Register` frame admits the connection into the
-    /// same queue/results machinery as the pre-listed workers. The
-    /// listener is switched to non-blocking and polled; it outlives the
-    /// run (the caller owns it).
+    /// same queue/results machinery as the pre-listed workers. A thread
+    /// blocks in `accept` on it — so it must be in blocking mode, as
+    /// `TcpListener::bind` returns it — and is woken by a connection to
+    /// the listener when the campaign ends. The coordinator never changes
+    /// its mode; it outlives the run (the caller owns it).
     pub join_listener: Option<&'a TcpListener>,
     /// Let idle workers trigger wire-level shard splitting: when the
     /// queue is empty but shards are in flight, the largest in-flight
@@ -381,430 +376,9 @@ impl Default for DistOptions<'_> {
     }
 }
 
-/// A queued task: its spec, the contiguous range of the *parent* shard's
-/// point list it covers (the whole list for an unsplit shard), its split
-/// depth, how many workers have already failed it, and the deterministic
-/// earliest instant it may be handed out again ([`backoff_delay`]).
-struct QueuedTask {
-    spec: TaskSpec,
-    /// `[start, end)` offsets into the parent shard's original point
-    /// list. Split halves carry the parent's id; the range is what lets
-    /// the coordinator re-assemble them in canonical order.
-    range: (usize, usize),
-    /// How many times this entry's ancestry has been halved.
-    depth: usize,
-    attempts: usize,
-    ready_at: Instant,
-}
-
-enum Popped {
-    Ready(QueuedTask),
-    /// Tasks exist but all are still backing off.
-    Delayed,
-    Empty,
-}
-
-fn pop_task(queue: &Mutex<VecDeque<QueuedTask>>, in_flight: &AtomicUsize) -> Popped {
-    let mut q = lock_recovering(queue);
-    if q.is_empty() {
-        return Popped::Empty;
-    }
-    let now = Instant::now();
-    let Some(idx) = q.iter().position(|t| t.ready_at <= now) else {
-        return Popped::Delayed;
-    };
-    let task = q.remove(idx).expect("position() index in bounds");
-    // Under the queue lock, so an observer can never see "queue empty and
-    // nothing in flight" while this task is still going to come back.
-    in_flight.fetch_add(1, Ordering::SeqCst);
-    Popped::Ready(task)
-}
-
-/// Per-connection membership state the coordinator's split logic reads:
-/// what the worker is chewing on (so an idle peer can pick the biggest
-/// victim) and the one-shot split request flag the dispatch loop polls.
-#[derive(Default)]
-struct WorkerSlot {
-    /// Points in the worker's in-flight task; 0 when idle.
-    in_flight_points: AtomicUsize,
-    /// Split depth of the in-flight task.
-    in_flight_depth: AtomicUsize,
-    /// Set by an idle worker to ask this one to give up half its shard.
-    split_requested: AtomicBool,
-    /// The connection is gone; never pick this slot again.
-    gone: AtomicBool,
-}
-
-/// A completed split part, keyed in the assembly map by its start offset:
-/// `(end, result, findings)`.
-type PartEntry = (usize, TaskResult, Vec<Finding>);
-
-/// Everything the coordinator's worker threads share. Pre-listed
-/// connections and late joiners run the identical [`Self::worker_loop`];
-/// membership only changes who is pulling from the queue, never what the
-/// merged report contains.
-struct Coordinator<'a> {
-    job: &'a CampaignJob<'a>,
-    opts: &'a DistOptions<'a>,
-    digest: u128,
-    point_workers: usize,
-    heartbeat_interval: Duration,
-    liveness: Duration,
-    split_enabled: bool,
-    /// Pre-listed worker count (the retry budget's base; joiners extend
-    /// it, so a campaign that grew can tolerate more failures per task).
-    base_workers: usize,
-    /// Original point count of each shard, by task id.
-    task_points: Vec<usize>,
-    queue: Mutex<VecDeque<QueuedTask>>,
-    /// Completed split parts awaiting their siblings: task id → start
-    /// offset → part. A shard leaves this map the moment its parts cover
-    /// `[0, task_points[id])` contiguously, merged in offset order.
-    parts: Mutex<HashMap<usize, BTreeMap<usize, PartEntry>>>,
-    results: Mutex<Vec<(TaskResult, Vec<Finding>)>>,
-    writer: Mutex<Option<CheckpointWriter>>,
-    fatal: Mutex<Option<WireError>>,
-    abort: AtomicBool,
-    /// The queue drained with nothing in flight: joiner admission stops.
-    finished: AtomicBool,
-    delayed_join_fired: AtomicBool,
-    in_flight: AtomicUsize,
-    completed: AtomicUsize,
-    tasks_retried: AtomicUsize,
-    workers_lost: AtomicUsize,
-    workers_joined: AtomicUsize,
-    tasks_split: AtomicUsize,
-    /// Worker threads alive (connected or still connecting) — the accept
-    /// thread's liveness signal.
-    active_workers: AtomicUsize,
-    membership: Mutex<Vec<Arc<WorkerSlot>>>,
-}
-
-impl Coordinator<'_> {
-    fn add_slot(&self) -> Arc<WorkerSlot> {
-        let slot = Arc::new(WorkerSlot::default());
-        lock_recovering(&self.membership).push(Arc::clone(&slot));
-        slot
-    }
-
-    /// A task that failed on this many workers is declared poisonous and
-    /// aborts the campaign instead of cycling forever. Read at failure
-    /// time: a fleet that grew mid-campaign has more distinct workers a
-    /// task could still succeed on.
-    fn max_attempts(&self) -> usize {
-        (self.base_workers + self.workers_joined.load(Ordering::Relaxed)).max(1)
-    }
-
-    /// Picks the busiest splittable in-flight shard and asks its worker
-    /// to give half up. Called by idle workers; at most one outstanding
-    /// request per victim.
-    fn request_split(&self) {
-        let membership = lock_recovering(&self.membership);
-        let victim = membership
-            .iter()
-            .filter(|s| {
-                !s.gone.load(Ordering::Relaxed) && !s.split_requested.load(Ordering::Relaxed)
-            })
-            .filter(|s| {
-                s.in_flight_points.load(Ordering::Relaxed) >= 2
-                    && s.in_flight_depth.load(Ordering::Relaxed) < MAX_SPLIT_DEPTH
-            })
-            .max_by_key(|s| s.in_flight_points.load(Ordering::Relaxed));
-        if let Some(victim) = victim {
-            victim.split_requested.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Accepts `Register` connections for the duration of the campaign,
-    /// spawning an ordinary worker loop per admitted joiner on the same
-    /// scope as the pre-listed workers.
-    fn accept_joiners<'s>(&'s self, scope: &'s std::thread::Scope<'s, '_>, listener: &TcpListener) {
-        if let Err(e) = listener.set_nonblocking(true) {
-            eprintln!("sympl-wire coordinator: join listener unusable: {e}");
-            return;
-        }
-        let mut no_workers_since: Option<Instant> = None;
-        loop {
-            if self.finished.load(Ordering::Relaxed) || self.abort.load(Ordering::Relaxed) {
-                return;
-            }
-            // All workers gone and none joining: give a departed fleet one
-            // liveness window to be replaced, then stop so the campaign
-            // can fail with `NoWorkersLeft` instead of waiting forever.
-            if self.active_workers.load(Ordering::SeqCst) == 0 {
-                let since = *no_workers_since.get_or_insert_with(Instant::now);
-                if since.elapsed() >= self.liveness {
-                    return;
-                }
-            } else {
-                no_workers_since = None;
-            }
-            match listener.accept() {
-                Ok((stream, peer)) => match self.admit(stream) {
-                    Ok(conn) => {
-                        self.workers_joined.fetch_add(1, Ordering::Relaxed);
-                        self.active_workers.fetch_add(1, Ordering::SeqCst);
-                        let slot = self.add_slot();
-                        let label = format!("joined worker {peer}");
-                        scope.spawn(move || {
-                            self.worker_loop(conn, &slot, &label);
-                            self.active_workers.fetch_sub(1, Ordering::SeqCst);
-                        });
-                    }
-                    // A malformed preamble, version mismatch, or a frame
-                    // other than Register: refuse this connection, keep
-                    // the listener.
-                    Err(e) => {
-                        eprintln!("sympl-wire coordinator: join from {peer} refused: {e}");
-                    }
-                },
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(IDLE_POLL);
-                }
-                Err(e) => {
-                    eprintln!("sympl-wire coordinator: join listener failed: {e}");
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Handshakes a join connection and runs the admission exchange:
-    /// expect `Register`, answer `Welcome` with the campaign's program
-    /// identity.
-    fn admit(&self, stream: TcpStream) -> Result<Conn, WireError> {
-        let mut conn = Conn::establish(stream)?;
-        conn.set_read_timeout(Some(Duration::from_secs(5)))?;
-        match conn.recv()? {
-            Message::Register { worker } => {
-                eprintln!("sympl-wire coordinator: admitted worker `{worker}`");
-            }
-            _ => return Err(WireError::UnexpectedMessage("register")),
-        }
-        conn.send(&Message::Welcome {
-            program_id: self.job.program_id.to_owned(),
-            program_digest: self.digest,
-        })?;
-        conn.set_read_timeout(None)?;
-        Ok(conn)
-    }
-
-    /// One worker connection's dispatch loop — identical for pre-listed
-    /// workers and admitted joiners.
-    fn worker_loop(&self, mut conn: Conn, slot: &WorkerSlot, label: &str) {
-        loop {
-            if self.abort.load(Ordering::Relaxed) {
-                slot.gone.store(true, Ordering::Relaxed);
-                return;
-            }
-            let task = match pop_task(&self.queue, &self.in_flight) {
-                Popped::Ready(task) => task,
-                Popped::Delayed => {
-                    std::thread::sleep(IDLE_POLL);
-                    continue;
-                }
-                Popped::Empty => {
-                    if self.in_flight.load(Ordering::SeqCst) > 0 {
-                        // Another worker may yet fail and re-queue its
-                        // task — stay available, and if splitting is on,
-                        // ask the biggest in-flight shard to share.
-                        if self.split_enabled {
-                            self.request_split();
-                        }
-                        std::thread::sleep(IDLE_POLL);
-                        continue;
-                    }
-                    self.finished.store(true, Ordering::Relaxed);
-                    slot.gone.store(true, Ordering::Relaxed);
-                    if self.opts.shutdown_workers {
-                        let _ = conn.send(&Message::Shutdown);
-                    }
-                    return;
-                }
-            };
-            let splittable =
-                self.split_enabled && task.spec.points.len() >= 2 && task.depth < MAX_SPLIT_DEPTH;
-            slot.in_flight_points
-                .store(task.spec.points.len(), Ordering::Relaxed);
-            slot.in_flight_depth.store(task.depth, Ordering::Relaxed);
-            // A panicking dispatch degrades this worker (its task is
-            // re-queued below) instead of crashing the coordinator with a
-            // poisoned lock.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                dispatch_task(
-                    &mut conn,
-                    self.job,
-                    self.digest,
-                    self.point_workers,
-                    &task.spec,
-                    self.heartbeat_interval,
-                    self.liveness,
-                    &self.abort,
-                    slot,
-                    splittable,
-                )
-            }))
-            .unwrap_or_else(|_| {
-                Err(WireError::Io(io::Error::other(
-                    "coordinator dispatch thread panicked",
-                )))
-            });
-            slot.in_flight_points.store(0, Ordering::Relaxed);
-            slot.split_requested.store(false, Ordering::Relaxed);
-            match outcome {
-                Ok(DispatchOutcome::Done(result, findings)) => {
-                    self.complete(&task, result, findings);
-                    self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                }
-                Ok(DispatchOutcome::SplitCancelled) => {
-                    self.requeue_halves(task);
-                    self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                }
-                Err(e) => {
-                    if self.abort.load(Ordering::Relaxed) {
-                        // The campaign is aborting; nothing to re-queue
-                        // for.
-                        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                        slot.gone.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                    if task.attempts + 1 >= self.max_attempts() {
-                        *lock_recovering(&self.fatal) = Some(e);
-                        self.abort.store(true, Ordering::Relaxed);
-                    } else {
-                        let attempts = task.attempts + 1;
-                        let delay = backoff_delay(attempts);
-                        eprintln!(
-                            "sympl-wire coordinator: worker {label} failed task {} \
-                             (attempt {attempts}): {e}; re-queueing after {delay:?}",
-                            task.spec.id,
-                        );
-                        lock_recovering(&self.queue).push_front(QueuedTask {
-                            ready_at: Instant::now() + delay,
-                            attempts,
-                            ..task
-                        });
-                        self.tasks_retried.fetch_add(1, Ordering::Relaxed);
-                        self.workers_lost.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // Re-queue before the decrement (see in_flight above),
-                    // then abandon this connection; the rest of the queue
-                    // is the other workers'.
-                    self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                    slot.gone.store(true, Ordering::Relaxed);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Splits a cancelled task's spec in two and re-queues both halves at
-    /// the front of the queue — the requesting idle worker grabs one, the
-    /// cancelled worker's loop comes back for the other.
-    fn requeue_halves(&self, task: QueuedTask) {
-        match split_spec(&task.spec) {
-            Some((left, right)) => {
-                let mid = task.range.0 + left.points.len();
-                let now = Instant::now();
-                {
-                    let mut q = lock_recovering(&self.queue);
-                    q.push_front(QueuedTask {
-                        spec: right,
-                        range: (mid, task.range.1),
-                        depth: task.depth + 1,
-                        attempts: task.attempts,
-                        ready_at: now,
-                    });
-                    q.push_front(QueuedTask {
-                        spec: left,
-                        range: (task.range.0, mid),
-                        depth: task.depth + 1,
-                        attempts: task.attempts,
-                        ready_at: now,
-                    });
-                }
-                self.tasks_split.fetch_add(1, Ordering::Relaxed);
-            }
-            // A stale split request on an unsplittable task: just put it
-            // back whole.
-            None => lock_recovering(&self.queue).push_front(task),
-        }
-    }
-
-    /// Books a finished dispatch: a whole shard finalizes directly; a
-    /// split part waits in the assembly map until its siblings cover the
-    /// parent's full point range, then the parts merge (in offset order —
-    /// canonical point order) and finalize as one shard.
-    fn complete(&self, task: &QueuedTask, result: TaskResult, findings: Vec<Finding>) {
-        let id = task.spec.id;
-        let total = self.task_points[id];
-        if task.range == (0, total) {
-            self.finalize(result, findings);
-            return;
-        }
-        let merged = {
-            let mut parts = lock_recovering(&self.parts);
-            let entry = parts.entry(id).or_default();
-            // First writer wins per range start: duplicate delivery (or a
-            // cancelled-then-retried part) can never double-count.
-            entry
-                .entry(task.range.0)
-                .or_insert((task.range.1, result, findings));
-            let mut cursor = 0usize;
-            while let Some(&(end, ..)) = entry.get(&cursor) {
-                cursor = end;
-            }
-            if cursor == total {
-                parts.remove(&id)
-            } else {
-                None
-            }
-        };
-        if let Some(map) = merged {
-            let parts: Vec<_> = map.into_values().map(|(_, r, f)| (r, f)).collect();
-            if let Some((result, findings)) = merge_part_results(parts) {
-                self.finalize(result, findings);
-            }
-        }
-    }
-
-    /// Checkpoints, pools, and counts one completed shard, firing the
-    /// chaos hooks that key off campaign progress.
-    fn finalize(&self, result: TaskResult, findings: Vec<Finding>) {
-        let entry = (result, findings);
-        {
-            let mut w = lock_recovering(&self.writer);
-            if let Some(writer) = w.as_mut() {
-                if let Err(e) = writer.append(&entry) {
-                    eprintln!(
-                        "sympl-wire coordinator: checkpoint append failed ({e}); \
-                         checkpointing disabled"
-                    );
-                    *w = None;
-                }
-            }
-        }
-        lock_recovering(&self.results).push(entry);
-        let n = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
-        if let Some(on_result) = self.opts.chaos.on_result {
-            on_result(n);
-        }
-        if let Some((threshold, hook)) = self.opts.chaos.delayed_join {
-            if n >= threshold && !self.delayed_join_fired.swap(true, Ordering::Relaxed) {
-                hook();
-            }
-        }
-        if self
-            .opts
-            .chaos
-            .abort_after_results
-            .is_some_and(|cap| n >= cap)
-            && !self.abort.swap(true, Ordering::Relaxed)
-        {
-            *lock_recovering(&self.fatal) = Some(WireError::CoordinatorAborted { completed: n });
-        }
-    }
-}
+/// What a connection thread posts to the coordinator thread: an event,
+/// and with [`Event::Connected`] the connection's write half.
+type Posted = (Event, Option<TcpStream>);
 
 /// Runs a campaign across remote workers with default options — the
 /// supervision layer (heartbeats, liveness, deterministic backoff,
@@ -837,6 +411,12 @@ pub fn run_distributed(
 /// [`CampaignReport::outcome_digest`] is identical to an uninterrupted
 /// run's.
 ///
+/// Every decision is the [`CoordinatorCore`]'s: this function owns it on
+/// the calling thread, which waits on one channel until the core's next
+/// deadline. One thread per connection only reads frames (after the
+/// connect and hello, or the join admission) and posts them; the join
+/// listener's thread only accepts.
+///
 /// # Errors
 ///
 /// [`WireError::NoWorkersLeft`] when tasks remain but every worker
@@ -851,21 +431,17 @@ pub fn run_distributed_with(
 ) -> Result<CampaignReport, WireError> {
     let start = Instant::now();
     let digest = program_digest(job.program);
-    let point_workers = job.config.point_share();
     let heartbeat_interval = opts.heartbeat_interval.max(MIN_HEARTBEAT_INTERVAL);
     let liveness = liveness_deadline(heartbeat_interval);
-
     let specs = shard_specs(job.campaign, job.config.tasks);
     let tasks_total = specs.len();
 
     // Resume: seed completed tasks from the checkpoint, keyed so a
     // checkpoint from a different program/config/campaign is refused.
-    let key = if opts.checkpoint.is_some() || opts.resume.is_some() {
-        Some(campaign_key(job)?)
-    } else {
-        None
-    };
-    let mut seeded: Vec<(TaskResult, Vec<Finding>)> = Vec::new();
+    let key = (opts.checkpoint.is_some() || opts.resume.is_some())
+        .then(|| campaign_key(job))
+        .transpose()?;
+    let mut seeded = Vec::new();
     if let Some(path) = opts.resume {
         let file = load_checkpoint(path)?;
         let key = key.expect("resume implies a campaign key");
@@ -881,47 +457,15 @@ pub fn run_distributed_with(
                 file.tasks_total
             )));
         }
-        let mut have = vec![false; tasks_total];
-        for (result, findings) in file.entries {
-            if result.id < tasks_total && !have[result.id] {
-                have[result.id] = true;
-                seeded.push((result, findings));
-            }
-        }
+        seeded = file.entries;
     }
-    let resumed_tasks = seeded.len();
-    let done = {
-        let mut done = vec![false; tasks_total];
-        for (result, _) in &seeded {
-            done[result.id] = true;
-        }
-        done
-    };
-
-    let writer: Mutex<Option<CheckpointWriter>> = Mutex::new(match opts.checkpoint {
-        Some(path) => {
-            let mut w =
-                CheckpointWriter::create(path, key.expect("checkpoint implies key"), tasks_total)?;
-            // Carried-over entries are rewritten so the new file is
-            // self-contained.
-            for entry in &seeded {
-                w.append(entry)?;
-            }
-            Some(w)
-        }
-        None => None,
-    });
-
-    // The original point count of every shard, by task id — what the
-    // part-assembly map checks contiguous coverage against.
-    let task_points: Vec<usize> = specs.iter().map(|s| s.points.len()).collect();
 
     // Splitting is only exactness-preserving when the finding cap can
     // never bind and there is no wall-clock task budget; otherwise the
     // digest could move with the split schedule, so the option is refused
     // wholesale (any sub-range of a shard that passes the gate passes it
     // too, so the guarantee survives recursive splitting).
-    let split_enabled = opts.split_idle && {
+    let split = opts.split_idle && {
         let ok = specs
             .iter()
             .all(|spec| split_preserves_outcome(spec, job.config));
@@ -933,388 +477,236 @@ pub fn run_distributed_with(
         }
         ok
     };
-
-    let co = Coordinator {
-        job,
-        opts,
-        digest,
-        point_workers,
-        heartbeat_interval,
+    let cfg = CoreConfig {
+        listed: workers_at.len(),
         liveness,
-        split_enabled,
-        base_workers: workers_at.len(),
-        task_points,
-        queue: Mutex::new(
-            specs
-                .into_iter()
-                .filter(|spec| !done[spec.id])
-                .map(|spec| QueuedTask {
-                    range: (0, spec.points.len()),
-                    spec,
-                    depth: 0,
-                    attempts: 0,
-                    ready_at: start,
-                })
-                .collect(),
-        ),
-        parts: Mutex::new(HashMap::new()),
-        results: Mutex::new(seeded),
-        writer,
-        fatal: Mutex::new(None),
-        abort: AtomicBool::new(false),
-        finished: AtomicBool::new(false),
-        delayed_join_fired: AtomicBool::new(false),
-        in_flight: AtomicUsize::new(0),
-        completed: AtomicUsize::new(resumed_tasks),
-        tasks_retried: AtomicUsize::new(0),
-        workers_lost: AtomicUsize::new(0),
-        workers_joined: AtomicUsize::new(0),
-        tasks_split: AtomicUsize::new(0),
-        active_workers: AtomicUsize::new(0),
-        membership: Mutex::new(Vec::new()),
+        split,
+        shutdown_workers: opts.shutdown_workers,
+        join_window: opts.join_listener.is_some(),
+        abort_after: opts.chaos.abort_after_results,
     };
+    let mut core = CoordinatorCore::new(cfg, specs, seeded);
+    // Carried-over entries are rewritten so the new file is
+    // self-contained.
+    let mut checkpoint = (opts.checkpoint.map(|path| {
+        let key = key.expect("checkpoint implies key");
+        let mut w = CheckpointWriter::create(path, key, tasks_total)?;
+        core.results()
+            .iter()
+            .try_for_each(|entry| w.append(entry))?;
+        Ok::<_, WireError>(w)
+    }))
+    .transpose()?;
 
-    // The session identity announced to each worker's campaign service.
-    // One campaign, one label — every per-worker connection belongs to
-    // the same logical client.
-    let client_label = opts
+    // One campaign, one client label for every per-worker session.
+    let label = opts
         .client_label
         .clone()
         .unwrap_or_else(|| format!("coordinator-pid{}", std::process::id()));
-    let client_priority = opts.client_priority.max(1);
+    let priority = opts.client_priority.max(1);
+    let welcome = Message::Welcome {
+        program_id: job.program_id.to_owned(),
+        program_digest: digest,
+    };
+    let task_frame = |spec| {
+        Message::Task(TaskFrame {
+            program_id: job.program_id.to_owned(),
+            program_digest: digest,
+            input: job.input.to_vec(),
+            spec,
+            predicate: job.predicate.clone(),
+            search: job.config.search.clone(),
+            task_budget: job.config.task_budget,
+            max_findings: job.config.max_findings_per_task,
+            point_workers: job.config.point_share(),
+            heartbeat_interval,
+        })
+    };
 
+    let (tx, rx) = mpsc::channel();
+    let stop_accepting = AtomicBool::new(false);
+    let mut elapsed = Duration::ZERO;
     std::thread::scope(|scope| {
-        let co = &co;
-        let client_label = client_label.as_str();
-        for addr in workers_at {
-            co.active_workers.fetch_add(1, Ordering::SeqCst);
-            scope.spawn(move || {
-                match TcpStream::connect(addr.as_str())
-                    .map_err(WireError::from)
-                    .and_then(Conn::establish)
-                    .and_then(|mut conn| {
-                        client_handshake(&mut conn, client_label, client_priority, co.liveness)?;
-                        Ok(conn)
-                    }) {
-                    Ok(conn) => {
-                        let slot = co.add_slot();
-                        co.worker_loop(conn, &slot, addr);
-                    }
+        for (conn, addr) in workers_at.iter().enumerate() {
+            let (tx, label) = (tx.clone(), label.as_str());
+            scope.spawn(
+                move || match client_hello(addr, label, priority, liveness) {
+                    Ok((writer, c)) => read_frames(conn, false, writer, c, &tx),
                     Err(e) => {
                         eprintln!("sympl-wire coordinator: cannot reach worker {addr}: {e}");
-                        co.workers_lost.fetch_add(1, Ordering::Relaxed);
+                        let _ = tx.send((Event::Unreachable, None));
                     }
-                }
-                co.active_workers.fetch_sub(1, Ordering::SeqCst);
-            });
+                },
+            );
         }
         if let Some(listener) = opts.join_listener {
-            scope.spawn(move || co.accept_joiners(scope, listener));
+            let (tx, welcome, stop) = (tx.clone(), &welcome, &stop_accepting);
+            scope.spawn(move || {
+                for (conn, stream) in (workers_at.len()..).zip(listener.incoming()) {
+                    let stream = match stream {
+                        Ok(stream) if !stop.load(Ordering::SeqCst) => stream,
+                        Ok(_) => return,
+                        Err(e) => return eprintln!("sympl-wire coordinator: accept failed: {e}"),
+                    };
+                    let tx = tx.clone();
+                    scope.spawn(move || match admit(stream, welcome) {
+                        Ok((writer, c)) => read_frames(conn, true, writer, c, &tx),
+                        // A malformed preamble, version mismatch, or a
+                        // frame other than Register: refuse this
+                        // connection, keep the listener.
+                        Err(e) => eprintln!("sympl-wire coordinator: join refused: {e}"),
+                    });
+                }
+            });
+        }
+
+        // The coordinator thread: the core's only owner. Its own sender
+        // goes at `Finish`; the loop then drains until every connection
+        // thread is gone, letting the core release late arrivals.
+        let mut tx = Some(tx);
+        let mut writers: BTreeMap<ConnId, TcpStream> = BTreeMap::new();
+        let mut pending = VecDeque::from([Event::Tick]);
+        let mut join_fired = false;
+        loop {
+            let (event, writer) = if let Some(event) = pending.pop_front() {
+                (event, None)
+            } else if let Some(at) = core.next_deadline().filter(|_| tx.is_some()) {
+                let wait = at.saturating_sub(start.elapsed());
+                rx.recv_timeout(wait).unwrap_or((Event::Tick, None))
+            } else if let Ok(posted) = rx.recv() {
+                posted
+            } else {
+                break;
+            };
+            if let (Event::Connected { conn, .. }, Some(writer)) = (&event, writer) {
+                writers.insert(*conn, writer);
+            }
+            for action in core.on_event(start.elapsed(), event) {
+                match action {
+                    Action::Send(conn, out) => {
+                        let message = match out {
+                            Outgoing::Task(spec) => task_frame(spec),
+                            Outgoing::Cancel => Message::Cancel,
+                            Outgoing::Shutdown => Message::Shutdown,
+                        };
+                        let sent = writers.get_mut(&conn).map(|w| send_message(w, &message));
+                        if let Some(Err(e)) = sent {
+                            pending.push_back(Event::Closed(conn, e));
+                        }
+                    }
+                    Action::Drop(conn) => {
+                        drop(writers.remove(&conn).map(|w| w.shutdown(Shutdown::Both)));
+                    }
+                    Action::Checkpoint(index) => {
+                        let entry = &core.results()[index];
+                        if let Some(Err(e)) = checkpoint.as_mut().map(|w| w.append(entry)) {
+                            eprintln!(
+                                "sympl-wire coordinator: checkpoint append failed ({e}); \
+                                 checkpointing disabled"
+                            );
+                            checkpoint = None;
+                        }
+                    }
+                    Action::Booked(n) => {
+                        if let Some(on_result) = opts.chaos.on_result {
+                            on_result(n);
+                        }
+                        if let Some((threshold, hook)) = opts.chaos.delayed_join {
+                            if n >= threshold && !std::mem::replace(&mut join_fired, true) {
+                                hook();
+                            }
+                        }
+                    }
+                    Action::Finish => {
+                        elapsed = start.elapsed();
+                        tx = None;
+                        if let Some(listener) = opts.join_listener {
+                            // Wake the blocking accept so its thread ends.
+                            stop_accepting.store(true, Ordering::SeqCst);
+                            let woken = wake_addr(listener).and_then(TcpStream::connect);
+                            if let Err(e) = woken {
+                                eprintln!("sympl-wire coordinator: cannot wake the listener: {e}");
+                            }
+                        }
+                    }
+                }
+            }
         }
     });
 
-    if let Some(err) = co
-        .fatal
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-    {
-        return Err(err);
-    }
-    let pending = co
-        .queue
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .len();
-    if pending > 0 {
-        return Err(WireError::NoWorkersLeft { pending });
-    }
-    let lost = co.workers_lost.load(Ordering::Relaxed);
-    let mut report = pool_results(
-        co.results
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner),
-        start.elapsed(),
-    );
-    report.degraded = lost > 0;
-    report.workers_lost = lost;
-    report.tasks_retried = co.tasks_retried.load(Ordering::Relaxed);
-    report.resumed_tasks = resumed_tasks;
-    report.workers_joined = co.workers_joined.load(Ordering::Relaxed);
-    report.tasks_split = co.tasks_split.load(Ordering::Relaxed);
+    let report = core.into_outcome(elapsed)?;
     if let Some(rest) = CAMPAIGN_WALL_FLOOR.checked_sub(start.elapsed()) {
         std::thread::sleep(rest);
     }
     Ok(report)
 }
 
-/// The coordinator's half of the v4 session hello: announce a client
-/// label + scheduling priority, wait (boundedly) for the service's
-/// `ClientAccept`. A typed `Error` answer — the service's capacity
-/// refusal — surfaces as [`WireError::Remote`], so a full fleet fails
-/// the connection loudly instead of hanging the campaign.
-fn client_handshake(
-    conn: &mut Conn,
+/// A connection thread after its hello: announces the connection, then
+/// posts every frame it reads until the stream fails or is shut down.
+fn read_frames(conn: ConnId, joined: bool, writer: TcpStream, mut c: Conn, tx: &Sender<Posted>) {
+    let mut posted = (Event::Connected { conn, joined }, Some(writer));
+    while tx.send(posted).is_ok() {
+        posted = match c.recv() {
+            Ok(message) => (Event::Frame(conn, Box::new(message)), None),
+            Err(e) => return drop(tx.send((Event::Closed(conn, e), None))),
+        };
+    }
+}
+
+/// The address that reaches `listener` from this host: a wildcard bind
+/// is reached through loopback.
+pub(crate) fn wake_addr(listener: &TcpListener) -> io::Result<SocketAddr> {
+    let mut addr = listener.local_addr()?;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(if addr.is_ipv4() {
+            Ipv4Addr::LOCALHOST.into()
+        } else {
+            Ipv6Addr::LOCALHOST.into()
+        });
+    }
+    Ok(addr)
+}
+
+/// Handshakes a join connection and runs the admission exchange: expect
+/// `Register`, answer with the campaign's `Welcome`.
+fn admit(stream: TcpStream, welcome: &Message) -> Result<(TcpStream, Conn), WireError> {
+    let mut conn = Conn::establish(stream)?;
+    conn.set_read_timeout(Some(Duration::from_secs(5)))?;
+    match conn.recv()? {
+        Message::Register { worker } => {
+            eprintln!("sympl-wire coordinator: admitted worker `{worker}`");
+        }
+        _ => return Err(WireError::UnexpectedMessage("register")),
+    }
+    conn.send(welcome)?;
+    conn.set_read_timeout(None)?;
+    Ok((conn.clone_writer()?, conn))
+}
+
+/// Connects to a listed worker and runs the coordinator's half of the
+/// v4 session hello: announce a client label + scheduling priority, wait
+/// (boundedly) for the service's `ClientAccept`. A typed `Error` answer —
+/// the service's capacity refusal — surfaces as [`WireError::Remote`], so
+/// a full fleet fails the connection loudly instead of hanging the
+/// campaign.
+fn client_hello(
+    addr: &str,
     label: &str,
     priority: u64,
     liveness: Duration,
-) -> Result<(), WireError> {
+) -> Result<(TcpStream, Conn), WireError> {
+    let mut conn = Conn::establish(TcpStream::connect(addr)?)?;
     conn.send(&Message::ClientHello {
         client: label.to_owned(),
-        priority: priority.max(1),
+        priority,
     })?;
     conn.set_read_timeout(Some(liveness.max(Duration::from_secs(5))))?;
     match conn.recv()? {
-        Message::ClientAccept { .. } => {
-            conn.set_read_timeout(None)?;
-            Ok(())
-        }
-        Message::Error(msg) => Err(WireError::Remote(msg)),
-        _ => Err(WireError::UnexpectedMessage("client accept")),
+        Message::ClientAccept { .. } => conn.set_read_timeout(None)?,
+        Message::Error(msg) => return Err(WireError::Remote(msg)),
+        _ => return Err(WireError::UnexpectedMessage("client accept")),
     }
-}
-
-/// Why a `Cancel` frame went out mid-dispatch: a campaign abort discards
-/// the task; a split request wants the worker's shard back to halve it.
-#[derive(Clone, Copy, PartialEq)]
-enum CancelReason {
-    Abort,
-    Split,
-}
-
-/// What one supervised dispatch produced.
-enum DispatchOutcome {
-    /// The worker answered `TaskDone` (possibly racing a split request —
-    /// a completed shard beats a split, so the result stands).
-    Done(TaskResult, Vec<Finding>),
-    /// The worker acknowledged a split-`Cancel`: its partial work is
-    /// discarded and the shard's points are free to re-queue as halves.
-    SplitCancelled,
-}
-
-/// Sends one task to a worker and supervises it to completion: heartbeats
-/// re-arm the liveness deadline, silence past it fails the connection,
-/// a campaign abort sends `Cancel` and waits (boundedly) for the worker
-/// to acknowledge, and — when `splittable` — a split request on `slot`
-/// sends the same `Cancel` to reclaim the shard for halving.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_task(
-    conn: &mut Conn,
-    job: &CampaignJob<'_>,
-    digest: u128,
-    point_workers: usize,
-    spec: &TaskSpec,
-    heartbeat_interval: Duration,
-    liveness: Duration,
-    abort: &AtomicBool,
-    slot: &WorkerSlot,
-    splittable: bool,
-) -> Result<DispatchOutcome, WireError> {
-    conn.send(&Message::Task(TaskFrame {
-        program_id: job.program_id.to_owned(),
-        program_digest: digest,
-        input: job.input.to_vec(),
-        spec: spec.clone(),
-        predicate: job.predicate.clone(),
-        search: job.config.search.clone(),
-        task_budget: job.config.task_budget,
-        max_findings: job.config.max_findings_per_task,
-        point_workers,
-        heartbeat_interval,
-    }))?;
-    let poll = (liveness / 8).clamp(Duration::from_millis(5), Duration::from_millis(100));
-    let mut last_signal = Instant::now();
-    let mut cancel_sent: Option<(Instant, CancelReason)> = None;
-    loop {
-        if cancel_sent.is_none() {
-            // An abort outranks a split: both send Cancel, but an abort
-            // discards the answer while a split re-queues the points.
-            if abort.load(Ordering::Relaxed) {
-                conn.send(&Message::Cancel)?;
-                cancel_sent = Some((Instant::now(), CancelReason::Abort));
-            } else if splittable && slot.split_requested.load(Ordering::Relaxed) {
-                conn.send(&Message::Cancel)?;
-                cancel_sent = Some((Instant::now(), CancelReason::Split));
-            }
-        }
-        if let Some((sent, _)) = cancel_sent {
-            // Bounded wait for the worker's acknowledgement, heartbeats
-            // notwithstanding — the abort must not block on a wedged peer.
-            if sent.elapsed() >= liveness {
-                return Err(WireError::TaskCancelled);
-            }
-        }
-        match conn.poll_recv(Some(poll), liveness)? {
-            None => {
-                if last_signal.elapsed() >= liveness {
-                    return Err(WireError::LivenessExpired {
-                        silent_for: last_signal.elapsed(),
-                    });
-                }
-            }
-            Some(Message::Heartbeat) => last_signal = Instant::now(),
-            Some(Message::TaskDone { result, findings }) => {
-                // A result that does not describe the dispatched shard —
-                // a duplicated or stale frame from an earlier task — must
-                // never be booked as this task's answer; fail the
-                // connection so the shard re-queues and re-runs cleanly.
-                if result.id != spec.id || result.points_total != spec.points.len() {
-                    return Err(WireError::UnexpectedMessage("stale result"));
-                }
-                return match cancel_sent {
-                    // The completion raced our abort-Cancel; the campaign
-                    // is aborting, so the result is discarded either way.
-                    Some((_, CancelReason::Abort)) => Err(WireError::TaskCancelled),
-                    // A completion racing a split-Cancel wins: the shard
-                    // is done, there is nothing left to split.
-                    _ => Ok(DispatchOutcome::Done(result, findings)),
-                };
-            }
-            Some(Message::Error(msg)) => {
-                return match cancel_sent {
-                    Some((_, CancelReason::Abort)) => Err(WireError::TaskCancelled),
-                    Some((_, CancelReason::Split)) => Ok(DispatchOutcome::SplitCancelled),
-                    None => Err(WireError::Remote(msg)),
-                };
-            }
-            Some(
-                Message::Task(_)
-                | Message::Shutdown
-                | Message::Cancel
-                | Message::Register { .. }
-                | Message::Welcome { .. }
-                | Message::ClientHello { .. }
-                | Message::ClientAccept { .. },
-            ) => {
-                return Err(WireError::UnexpectedMessage("task"));
-            }
-        }
-    }
-}
-
-/// Worker processes spawned on loopback for tests, demos, and CI; killed
-/// on drop if still running.
-pub struct SpawnedWorkers {
-    /// The workers' bound addresses, ready for [`run_distributed`].
-    pub addrs: Vec<String>,
-    children: Vec<Child>,
-}
-
-impl SpawnedWorkers {
-    /// SIGKILLs worker `idx` (by position in [`SpawnedWorkers::addrs`])
-    /// and removes it from the set, returning its address. The chaos
-    /// suite calls this mid-campaign; a later [`SpawnedWorkers::join`]
-    /// only waits on the survivors.
-    ///
-    /// # Errors
-    ///
-    /// Any kill/wait error.
-    ///
-    /// # Panics
-    ///
-    /// When `idx` is out of bounds.
-    pub fn kill_one(&mut self, idx: usize) -> io::Result<String> {
-        let mut child = self.children.remove(idx);
-        let addr = self.addrs.remove(idx);
-        // Always reap, even when the kill itself errors, so a half-dead
-        // child can't linger as a zombie.
-        let killed = child.kill();
-        let waited = child.wait();
-        killed.and(waited)?;
-        Ok(addr)
-    }
-
-    /// Waits for every worker process to exit (after a campaign run with
-    /// `shutdown_workers = true`), for up to ~10 seconds per worker.
-    ///
-    /// A worker whose coordinator connection was abandoned mid-campaign
-    /// (failure → re-queue) never receives a `Shutdown` frame and sits in
-    /// its accept loop; rather than hang forever, such a worker is killed
-    /// and reported as an error — the campaign's results are unaffected,
-    /// but a clean-shutdown assertion (the integration tests') should see
-    /// it.
-    ///
-    /// # Errors
-    ///
-    /// Any wait error, a worker exiting unsuccessfully, or a worker that
-    /// had to be killed after the grace period.
-    pub fn join(mut self) -> io::Result<()> {
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        // Pop children one at a time so an early error return leaves the
-        // rest inside `self` for `Drop` to kill — a lazy `drain` would
-        // leak them as orphan processes instead.
-        while let Some(mut child) = self.children.pop() {
-            let status = loop {
-                if let Some(status) = child.try_wait()? {
-                    break status;
-                }
-                if std::time::Instant::now() >= deadline {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return Err(io::Error::other(
-                        "worker did not exit after shutdown; killed",
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            };
-            if !status.success() {
-                return Err(io::Error::other(format!("worker exited with {status}")));
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Drop for SpawnedWorkers {
-    fn drop(&mut self) {
-        for child in &mut self.children {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-/// Spawns `n` worker processes of `exe` on 127.0.0.1, waiting for each to
-/// print its [`LISTENING_PREFIX`] readiness line. `args` is the argument
-/// prefix that puts the executable into worker mode listening on
-/// `127.0.0.1:0` (`["serve", "--listen", "127.0.0.1:0"]` for the
-/// `symplfied` CLI).
-///
-/// # Errors
-///
-/// Any spawn error, or a worker exiting / closing stdout before
-/// announcing readiness.
-pub fn spawn_loopback_workers(exe: &Path, args: &[String], n: usize) -> io::Result<SpawnedWorkers> {
-    let mut workers = SpawnedWorkers {
-        addrs: Vec::with_capacity(n),
-        children: Vec::with_capacity(n),
-    };
-    for _ in 0..n {
-        let mut child = Command::new(exe)
-            .args(args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()?;
-        let stdout = child
-            .stdout
-            .take()
-            .ok_or_else(|| io::Error::other("worker stdout not captured"))?;
-        let mut lines = BufReader::new(stdout).lines();
-        let addr = loop {
-            let Some(line) = lines.next() else {
-                let _ = child.kill();
-                return Err(io::Error::other(
-                    "worker exited before announcing its address",
-                ));
-            };
-            let line = line?;
-            if let Some(addr) = line.strip_prefix(LISTENING_PREFIX) {
-                break addr.trim().to_owned();
-            }
-        };
-        workers.addrs.push(addr);
-        workers.children.push(child);
-    }
-    Ok(workers)
+    Ok((conn.clone_writer()?, conn))
 }
 
 #[cfg(test)]
@@ -1939,8 +1331,8 @@ mod tests {
         let join_addr = listener.local_addr().unwrap().to_string();
         let joiner: Mutex<Option<std::thread::JoinHandle<Result<(), WireError>>>> =
             Mutex::new(None);
-        // The hook runs on the only worker's dispatch thread, between two
-        // of its tasks, and does not return until the coordinator has
+        // The hook runs on the coordinator thread once the first result is
+        // booked, and does not return until the coordinator has
         // welcomed the joiner (a joiner resolves the welcomed program id
         // the moment `Welcome` arrives — that resolve is the signal). So
         // the admission cannot lose a race against the end of the
@@ -2000,10 +1392,10 @@ mod tests {
         // worker would sit idle for the whole campaign. The state cap is
         // sized per build profile so the unsplit shard runs for about a
         // second either way (eight points of 120+ ms each), while the
-        // split round-trip — the idle worker asks at once, the victim's
-        // dispatch loop notices within one 100 ms poll, the victim acks
-        // after its current point — is over in a quarter of that, long
-        // before the shard could complete.
+        // split round-trip — the coordinator sends the victim its Cancel
+        // the moment the other worker is idle, the victim acks after its
+        // current point — is over in a quarter of that, long before the
+        // shard could complete.
         let max_states = if cfg!(debug_assertions) {
             40_000
         } else {
