@@ -32,7 +32,10 @@
 //!   tracked per [`SearchLimits`] and reported in the [`SearchReport`],
 //!   along with throughput and peak-frontier-footprint figures
 //!   (`peak_frontier_len` / `peak_frontier_bytes` / `spilled_states`) for
-//!   campaign summaries and benchmark tables.
+//!   campaign summaries and benchmark tables. The state cap also reaches
+//!   the frontier as a pop budget, so a state-capped BFS stores only the
+//!   states it will expand (see [`crate::frontier`]'s state-capped BFS
+//!   section); the report reads as if every queued state had been kept.
 //!
 //! [`Fingerprint`]: sympl_machine::Fingerprint
 
@@ -219,8 +222,11 @@ impl<'a> Explorer<'a> {
         // Fingerprints only (16 bytes per visited state), bucketed by one
         // finaliser pass over all 128 digest bits — no SipHash per probe.
         let mut visited = FingerprintSet::default();
-        let mut frontier: Box<dyn FrontierQueue<usize>> =
-            self.policy().build(self.limits.max_frontier_bytes);
+        // The state cap doubles as the frontier's pop budget: a queue that
+        // pops in push order need not store what it will never serve.
+        let mut frontier: Box<dyn FrontierQueue<usize>> = self
+            .policy()
+            .build_budgeted(self.limits.max_frontier_bytes, self.limits.max_states);
 
         for s in seeds {
             let pc = s.pc();
@@ -292,6 +298,14 @@ impl<'a> Explorer<'a> {
                 report.peak_frontier_len = report.peak_frontier_len.max(frontier.len());
                 report.peak_frontier_bytes =
                     report.peak_frontier_bytes.max(frontier.approx_bytes());
+            }
+
+            // States still counted but not served lie beyond the pop
+            // budget: this is where an unbudgeted queue would have handed
+            // out the (cap+1)-th state.
+            if !frontier.is_empty() {
+                report.hit_state_cap = true;
+                break 'rounds;
             }
 
             // The frontier drained. A restarting policy (iterative

@@ -54,6 +54,27 @@
 //! priority and iterative-deepening policies ignore it (a heap spill would
 //! break the global order, and iterative deepening's frontier is O(depth)
 //! by design — pick one of them *or* a spilling Bfs/Dfs window, not both).
+//!
+//! # State-capped BFS
+//!
+//! A breadth-first search capped at `max_states` expands states in push
+//! order, so a successor enqueued once `popped + queued ≥ max_states`
+//! can never be expanded: the cap stops the search first. The engine
+//! hands its state cap to the frontier as a *pop budget*
+//! ([`FrontierPolicy::build_budgeted`]), and the in-RAM FIFO
+//! ([`FifoQueue::with_pop_budget`]) drops such a state instead of storing
+//! it. It still counts the state in [`FrontierQueue::len`] and
+//! [`FrontierQueue::approx_bytes`], so a report's `peak_frontier_len` and
+//! `peak_frontier_bytes` read exactly as for an unbudgeted queue: they
+//! describe the open set, stored or not. Once the budget is spent,
+//! [`FrontierQueue::pop`] returns `None` while `len()` stays above zero,
+//! and the engine reads that as the state cap — at exactly the point where
+//! an unbudgeted queue would hand it the (cap+1)-th state. The engine
+//! still fingerprints and records every successor, so duplicate counts and
+//! witness traces do not move. Only the unspilled FIFO takes the budget:
+//! LIFO, priority and iterative deepening do not pop in push order, and a
+//! spilling window keeps writing every state it is given, because its
+//! `spilled_states` count is part of a report's identity.
 
 use std::collections::{BinaryHeap, VecDeque};
 use std::io::Write as _;
@@ -164,14 +185,27 @@ impl FrontierPolicy {
     /// Builds a frontier queue implementing this policy. `max_frontier_bytes`
     /// bounds the in-RAM window for Bfs/Dfs (overflow spills to disk); the
     /// priority and iterative-deepening policies ignore it (see the module
-    /// docs).
+    /// docs). The queue has no pop budget.
     #[must_use]
     pub fn build<M: Clone + 'static>(
         &self,
         max_frontier_bytes: Option<usize>,
     ) -> Box<dyn FrontierQueue<M>> {
+        self.build_budgeted(max_frontier_bytes, usize::MAX)
+    }
+
+    /// [`build`](Self::build) for a search that expands at most
+    /// `pop_budget` states: an unspilled Bfs queue stores only the states
+    /// it can still serve (see the module docs' state-capped BFS section);
+    /// every other policy ignores the budget.
+    #[must_use]
+    pub fn build_budgeted<M: Clone + 'static>(
+        &self,
+        max_frontier_bytes: Option<usize>,
+        pop_budget: usize,
+    ) -> Box<dyn FrontierQueue<M>> {
         match (*self, max_frontier_bytes) {
-            (FrontierPolicy::Bfs, None) => Box::new(FifoQueue::new()),
+            (FrontierPolicy::Bfs, None) => Box::new(FifoQueue::with_pop_budget(pop_budget)),
             (FrontierPolicy::Bfs, Some(budget)) => {
                 Box::new(SpillingFrontier::new(SpillOrder::Fifo, budget))
             }
@@ -212,10 +246,15 @@ pub trait FrontierQueue<M> {
 
     /// Removes and returns the next state to expand, or `None` when the
     /// frontier is empty (see [`next_round`](Self::next_round) before
-    /// concluding the search space is swept).
+    /// concluding the search space is swept) or its pop budget is spent.
+    /// Only the latter leaves [`len`](Self::len) above zero: a queue
+    /// returns `None` with states still counted only when those states lie
+    /// beyond its pop budget.
     fn pop(&mut self) -> Option<(MachineState, M)>;
 
-    /// Number of states in the frontier (including any spilled to disk).
+    /// Number of states in the frontier (including any spilled to disk,
+    /// and any pushed beyond the pop budget, which are counted but not
+    /// stored).
     fn len(&self) -> usize;
 
     /// Whether the frontier holds no states.
@@ -224,7 +263,9 @@ pub trait FrontierQueue<M> {
     }
 
     /// Approximate bytes of frontier state held **in RAM** (spilled states
-    /// excluded — that is the budget a spilling frontier enforces).
+    /// excluded — that is the budget a spilling frontier enforces). States
+    /// pushed beyond the pop budget count as if they were held, so the
+    /// figure does not depend on the budget.
     fn approx_bytes(&self) -> usize;
 
     /// Round control for restarting policies: called when [`pop`](Self::pop)
@@ -248,20 +289,42 @@ pub trait FrontierQueue<M> {
 // In-RAM disciplines
 // ---------------------------------------------------------------------
 
-/// The FIFO (breadth-first) frontier.
-#[derive(Debug, Default)]
+/// The FIFO (breadth-first) frontier, optionally with a pop budget: it
+/// serves at most that many states, so it stores a push only while
+/// `popped + stored` is below the budget and counts the rest without
+/// keeping them (see the module docs' state-capped BFS section).
+#[derive(Debug)]
 pub struct FifoQueue<M> {
     items: VecDeque<(MachineState, M)>,
     bytes: usize,
+    pop_budget: usize,
+    popped: usize,
+    /// States pushed beyond the pop budget: in `len`, never stored.
+    dropped: usize,
+}
+
+impl<M> Default for FifoQueue<M> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<M> FifoQueue<M> {
-    /// An empty FIFO frontier.
+    /// An empty FIFO frontier with no pop budget.
     #[must_use]
     pub fn new() -> Self {
+        Self::with_pop_budget(usize::MAX)
+    }
+
+    /// An empty FIFO frontier that serves at most `pop_budget` states.
+    #[must_use]
+    pub fn with_pop_budget(pop_budget: usize) -> Self {
         FifoQueue {
             items: VecDeque::new(),
             bytes: 0,
+            pop_budget,
+            popped: 0,
+            dropped: 0,
         }
     }
 }
@@ -269,17 +332,22 @@ impl<M> FifoQueue<M> {
 impl<M> FrontierQueue<M> for FifoQueue<M> {
     fn push(&mut self, state: MachineState, meta: M) {
         self.bytes += state.approx_bytes();
-        self.items.push_back((state, meta));
+        if self.popped + self.items.len() >= self.pop_budget {
+            self.dropped += 1;
+        } else {
+            self.items.push_back((state, meta));
+        }
     }
 
     fn pop(&mut self) -> Option<(MachineState, M)> {
         let item = self.items.pop_front()?;
+        self.popped += 1;
         self.bytes -= item.0.approx_bytes();
         Some(item)
     }
 
     fn len(&self) -> usize {
-        self.items.len()
+        self.items.len() + self.dropped
     }
 
     fn approx_bytes(&self) -> usize {
@@ -812,6 +880,112 @@ mod tests {
         assert_eq!(lifo_metas, vec![4, 3, 2, 1, 0]);
         assert_eq!(fifo.approx_bytes(), 0, "byte accounting drains to zero");
         assert_eq!(lifo.approx_bytes(), 0);
+    }
+
+    #[test]
+    fn budgeted_fifo_counts_the_pushes_it_does_not_store() {
+        let mut q = FifoQueue::with_pop_budget(3);
+        let mut all_bytes = 0;
+        for i in 0..5u64 {
+            all_bytes += state(i).approx_bytes();
+            q.push(state(i), i);
+        }
+        assert_eq!(q.len(), 5, "every push is counted");
+        assert_eq!(q.approx_bytes(), all_bytes, "and charged");
+        assert_eq!(q.items.len(), 3, "only the servable ones are stored");
+        let served: Vec<u64> = drain(&mut q).into_iter().map(|(_, m)| m).collect();
+        assert_eq!(served, vec![0, 1, 2]);
+        assert_eq!(q.len(), 2, "the two beyond the budget stay counted");
+        assert_eq!(
+            q.approx_bytes(),
+            state(3).approx_bytes() + state(4).approx_bytes()
+        );
+        q.push(state(5), 5);
+        assert_eq!(q.len(), 3);
+        assert!(q.pop().is_none(), "a spent budget serves nothing more");
+    }
+
+    #[test]
+    fn budgeted_fifo_refuses_a_pop_with_states_counted_only_past_its_budget() {
+        // Interleaved pushes and pops against the plain queue: until the
+        // budget is spent both serve the same states; after it, the
+        // budgeted queue answers `None` with the rest still counted.
+        for budget in 0..8usize {
+            let mut budgeted = FifoQueue::with_pop_budget(budget);
+            let mut plain = FifoQueue::new();
+            let mut next = 0u64;
+            let mut served = 0usize;
+            'rounds: for round in 0..6 {
+                for _ in 0..3 {
+                    budgeted.push(state(next), next);
+                    plain.push(state(next), next);
+                    next += 1;
+                }
+                for _ in 0..(1 + round % 3) {
+                    assert_eq!(budgeted.len(), plain.len(), "budget {budget}");
+                    assert_eq!(budgeted.approx_bytes(), plain.approx_bytes());
+                    let want = plain.pop().map(|(_, m)| m);
+                    let got = budgeted.pop().map(|(_, m)| m);
+                    if served < budget {
+                        assert_eq!(got, want, "budget {budget}: same order");
+                        served += 1;
+                    } else {
+                        assert_eq!(got, None, "budget {budget}: spent");
+                        assert!(budgeted.len() > 0, "None with states counted");
+                        break 'rounds;
+                    }
+                }
+            }
+            assert!(served <= budget);
+        }
+    }
+
+    #[test]
+    fn unlimited_pop_budget_is_the_plain_fifo() {
+        let mut budgeted = FifoQueue::with_pop_budget(usize::MAX);
+        let mut plain = FifoQueue::new();
+        let mut reference: VecDeque<u64> = VecDeque::new();
+        for i in 0..40u64 {
+            budgeted.push(state(i % 7), i);
+            plain.push(state(i % 7), i);
+            reference.push_back(i);
+            if i % 3 == 0 {
+                let want = reference.pop_front();
+                assert_eq!(budgeted.pop().map(|(_, m)| m), want);
+                assert_eq!(plain.pop().map(|(_, m)| m), want);
+            }
+            assert_eq!(budgeted.len(), reference.len());
+            assert_eq!(budgeted.approx_bytes(), plain.approx_bytes());
+        }
+        let rest: Vec<u64> = drain(&mut budgeted).into_iter().map(|(_, m)| m).collect();
+        assert_eq!(rest, Vec::from(reference));
+        assert_eq!((budgeted.len(), budgeted.approx_bytes()), (0, 0));
+        assert!(budgeted.pop().is_none());
+    }
+
+    #[test]
+    fn only_the_unspilled_bfs_queue_takes_a_pop_budget() {
+        let policies = [
+            (FrontierPolicy::Bfs, None, true),
+            (FrontierPolicy::Bfs, Some(usize::MAX), false),
+            (FrontierPolicy::Dfs, None, false),
+            (
+                FrontierPolicy::Priority(PriorityHeuristic::Depth),
+                None,
+                false,
+            ),
+            (FrontierPolicy::iterative_deepening(), None, false),
+        ];
+        for (policy, spill, budgeted) in policies {
+            let mut q: Box<dyn FrontierQueue<usize>> = policy.build_budgeted(spill, 2);
+            for i in 0..5u64 {
+                q.seed(state(i), i as usize);
+            }
+            let served = drain(q.as_mut()).len();
+            let label = format!("{policy:?} spill={spill:?}");
+            assert_eq!(served, if budgeted { 2 } else { 5 }, "{label}");
+            assert_eq!(q.len(), if budgeted { 3 } else { 0 }, "{label}");
+        }
     }
 
     #[test]

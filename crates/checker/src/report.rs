@@ -128,14 +128,18 @@ pub struct SearchReport {
     /// Kept because the benchmark harness reads it.
     pub steals: usize,
     /// Largest number of states the frontier held at once (including any
-    /// spilled to disk).
+    /// spilled to disk). This is the open set, stored or not: a
+    /// state-capped BFS drops the states beyond its cap but still counts
+    /// them here (see [`crate::frontier`]).
     pub peak_frontier_len: usize,
     /// Largest approximate number of bytes of frontier state held **in
     /// RAM** at once ([`MachineState::approx_bytes`] per queued state;
     /// spilled states excluded). This is the figure a
     /// [`crate::SearchLimits::max_frontier_bytes`] budget bounds — compare
     /// it across a spilling and an unbounded run of the same search to see
-    /// the spill working.
+    /// the spill working. Like `peak_frontier_len` it covers the open set,
+    /// stored or not, so a state-capped BFS reports the bytes its dropped
+    /// states would have held.
     pub peak_frontier_bytes: usize,
     /// States the frontier wrote to disk over the whole search (0 unless a
     /// `max_frontier_bytes` budget forced spilling).

@@ -216,11 +216,14 @@ pub struct TaskResult {
     /// bytes carry it.
     pub steals: usize,
     /// Largest frontier (in states, including any spilled to disk) any of
-    /// this task's point searches held at once.
+    /// this task's point searches held at once: the open set, stored or
+    /// not (a state-capped BFS counts the states beyond its cap that it
+    /// drops).
     pub peak_frontier_len: usize,
     /// Largest approximate in-RAM frontier footprint (bytes) any of this
     /// task's point searches held at once — the figure a
-    /// `SearchLimits::max_frontier_bytes` budget bounds.
+    /// `SearchLimits::max_frontier_bytes` budget bounds. It covers the
+    /// open set, stored or not, like `peak_frontier_len`.
     pub peak_frontier_bytes: usize,
     /// Frontier states this task's searches spilled to disk.
     pub spilled_states: usize,

@@ -1766,7 +1766,7 @@ mod decoded_equivalence {
         ]
     }
 
-    fn program_strategy() -> impl Strategy<Value = Program> {
+    pub(super) fn program_strategy() -> impl Strategy<Value = Program> {
         (4usize..=16)
             .prop_flat_map(|len| prop::collection::vec(instr_strategy(len), len..len + 1))
             .prop_map(|instrs| {
@@ -1777,7 +1777,7 @@ mod decoded_equivalence {
 
     /// Detectors for the `check` instructions the generator emits (ids 1
     /// and 2), so `step_check`'s detected/ok fork is exercised.
-    fn detectors() -> DetectorSet {
+    pub(super) fn detectors() -> DetectorSet {
         let mut set = DetectorSet::new();
         set.insert(Detector::parse("det(1, $(2), >=, (3))").unwrap());
         set.insert(Detector::parse("det(2, $(3), ==, ($1))").unwrap());
@@ -1788,7 +1788,7 @@ mod decoded_equivalence {
     /// random `state_ops` sequence (shared with the digest/codec suites),
     /// with the status forced back to `Running` and the pc anywhere in
     /// `0..=len` (one past the end exercises the illegal-fetch path).
-    fn start_states(input: &[i64], ops: &[Op], pc: usize) -> Vec<MachineState> {
+    pub(super) fn start_states(input: &[i64], ops: &[Op], pc: usize) -> Vec<MachineState> {
         let mut pool = state_ops::run_ops(input, ops);
         for state in &mut pool {
             state.set_status(Status::Running);
@@ -1890,6 +1890,234 @@ mod decoded_equivalence {
                 prop_assert_eq!(reference.fingerprint(), fast.fingerprint());
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// State-capped BFS pop budget: a BFS frontier built with the search's
+// state cap stores only the states it will expand. It must leave every
+// report field as it was. The reference is the same search with
+// `max_frontier_bytes: Some(usize::MAX)`, a spilling window that never
+// fills and so stores every state in FIFO order with no pop budget.
+// ---------------------------------------------------------------------
+
+mod capped_bfs_budget {
+    use super::decoded_equivalence::{detectors, program_strategy, start_states};
+    use super::state_ops;
+    use super::*;
+    use std::time::Duration;
+    use symplfied::apps::Workload;
+    use symplfied::asm::Program;
+    use symplfied::check::{Explorer, SearchReport};
+    use symplfied::cluster::{run_cluster, CampaignReport, ClusterConfig, TaskResult};
+    use symplfied::inject::{prepare_cached, Campaign, ErrorClass, PrefixCache};
+
+    /// The reference configuration: the same limits, unbudgeted FIFO.
+    fn reference_limits(limits: &SearchLimits) -> SearchLimits {
+        SearchLimits {
+            max_frontier_bytes: Some(usize::MAX),
+            ..limits.clone()
+        }
+    }
+
+    /// A report with its wall-clock fields cleared.
+    fn untimed(mut report: SearchReport) -> SearchReport {
+        report.elapsed = Duration::ZERO;
+        report.states_per_second = 0.0;
+        report
+    }
+
+    /// Runs `seeds` under `limits` budgeted and as the reference, and
+    /// requires equal reports, timing excluded. Returns the budgeted one.
+    fn assert_budget_exact(
+        program: &Program,
+        dets: &DetectorSet,
+        seeds: &[MachineState],
+        predicate: &Predicate,
+        limits: &SearchLimits,
+        label: &str,
+    ) -> SearchReport {
+        assert!(limits.max_frontier_bytes.is_none() && limits.max_time.is_none());
+        let explore = |limits: SearchLimits| {
+            untimed(
+                Explorer::new(program, dets)
+                    .with_limits(limits)
+                    .explore(seeds.to_vec(), predicate),
+            )
+        };
+        let budgeted = explore(limits.clone());
+        let reference = explore(reference_limits(limits));
+        assert_eq!(
+            reference.spilled_states, 0,
+            "{label}: the window never fills"
+        );
+        assert_eq!(budgeted, reference, "{label}");
+        budgeted
+    }
+
+    /// Every register-file point of `w` at `max_states`, collecting every
+    /// terminal so each witness trace is compared.
+    fn assert_points_exact(w: &Workload, max_states: usize) {
+        let limits = SearchLimits {
+            exec: ExecLimits::with_max_steps(w.max_steps),
+            max_states,
+            max_solutions: usize::MAX,
+            max_time: None,
+            ..SearchLimits::default()
+        };
+        let campaign = Campaign::new(&w.program, ErrorClass::RegisterFile);
+        let cache = PrefixCache::new(&w.program, &w.detectors, &w.input, &limits.exec);
+        let mut capped = 0usize;
+        for (n, point) in campaign.points.iter().enumerate() {
+            let seeds = prepare_cached(&cache, point).seeds;
+            let label = format!("{} point {n} ({point:?}) cap {max_states}", w.name);
+            let report = assert_budget_exact(
+                &w.program,
+                &w.detectors,
+                &seeds,
+                &Predicate::Any,
+                &limits,
+                &label,
+            );
+            capped += usize::from(report.hit_state_cap);
+        }
+        assert!(capped > 0, "{}: the cap must bind somewhere", w.name);
+    }
+
+    #[test]
+    fn tcas_register_points_at_a_small_cap() {
+        let w = symplfied::apps::tcas();
+        assert_points_exact(&w, 300);
+        assert_points_exact(&w, 0);
+    }
+
+    #[test]
+    fn replace_register_points_at_a_small_cap() {
+        let w = symplfied::apps::replace();
+        assert_points_exact(&w, 300);
+        assert_points_exact(&w, 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Generated programs from random start states, at caps 0, n/2
+        /// and n-1, n, n+1 around the search's exhaustive state count n,
+        /// with and without a solution cap.
+        #[test]
+        fn generated_programs_around_their_exhaustive_count(
+            program in program_strategy(),
+            ops in prop::collection::vec(state_ops::op_strategy(), 0..12),
+            input in prop::collection::vec(-6i64..=6, 0..4),
+            pc_seed in 0usize..=16,
+            err_regs in prop::collection::vec(1u8..8, 0..3),
+            max_solutions in prop_oneof![Just(1usize), Just(3), Just(usize::MAX)],
+        ) {
+            let dets = detectors();
+            let pc = pc_seed.min(program.instrs().len());
+            // `err` registers make compares, loads and jumps fork, and a
+            // mapped low memory lets loads succeed, so the frontier grows
+            // wide enough for the budget to bind.
+            let mut seeds = start_states(&input, &ops, pc);
+            for seed in &mut seeds {
+                seed.load_memory((0..8).map(|w| (w * 8, w as i64)));
+                for &r in &err_regs {
+                    seed.set_reg(Reg::r(r), Value::Err);
+                }
+            }
+            let limits = SearchLimits {
+                exec: ExecLimits::with_max_steps(40),
+                max_states: 5_000,
+                max_solutions: usize::MAX,
+                max_time: None,
+                ..SearchLimits::default()
+            };
+            let full = Explorer::new(&program, &dets)
+                .with_limits(limits.clone())
+                .explore(seeds.clone(), &Predicate::Any);
+            if !full.exhausted {
+                // No exhaustive count to bracket.
+                return Ok(());
+            }
+            let n = full.states_explored;
+            let mut caps = vec![0, n / 2, n, n + 1];
+            if n > 0 {
+                caps.push(n - 1);
+            }
+            for max_states in caps {
+                let capped = SearchLimits { max_states, max_solutions, ..limits.clone() };
+                let label = format!("cap {max_states} around n = {n}");
+                let report = assert_budget_exact(
+                    &program, &dets, &seeds, &Predicate::Any, &capped, &label,
+                );
+                if max_states >= n && max_solutions == usize::MAX {
+                    prop_assert!(report.exhausted, "{}", label);
+                }
+            }
+        }
+    }
+
+    /// Per-task results with the wall-clock field cleared.
+    fn untimed_tasks(report: &CampaignReport) -> Vec<TaskResult> {
+        report
+            .tasks
+            .iter()
+            .map(|t| TaskResult {
+                elapsed: Duration::ZERO,
+                ..t.clone()
+            })
+            .collect()
+    }
+
+    /// The replace campaign at the repo benchmark's configuration (every
+    /// register point, 16 tasks, 120 000 states per point, 10 findings per
+    /// task): equal outcome digests and per-task results. Release only: a
+    /// debug build needs minutes for it.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-only: run with --release")]
+    fn replace_campaign_at_the_benchmark_config() {
+        let w = symplfied::apps::replace();
+        let golden = symplfied::apps::golden(&w);
+        let predicate = Predicate::WrongOutput {
+            expected: golden.output_ints(),
+        };
+        let campaign = Campaign::new(&w.program, ErrorClass::RegisterFile);
+        assert_eq!(campaign.points.len(), 159);
+        let config = ClusterConfig {
+            workers: 2,
+            tasks: 16,
+            search: SearchLimits {
+                exec: ExecLimits::with_max_steps(w.max_steps),
+                max_states: 120_000,
+                max_solutions: 10,
+                max_time: None,
+                ..SearchLimits::default()
+            },
+            task_budget: None,
+            max_findings_per_task: 10,
+            point_workers_hint: Some(1),
+        };
+        let run = |config: &ClusterConfig| {
+            run_cluster(
+                &w.program,
+                &w.detectors,
+                &w.input,
+                &campaign,
+                &predicate,
+                config,
+            )
+        };
+        let budgeted = run(&config);
+        let reference = run(&ClusterConfig {
+            search: reference_limits(&config.search),
+            ..config.clone()
+        });
+        assert!(
+            budgeted.tasks.iter().any(|t| !t.completed),
+            "the state cap must bind"
+        );
+        assert_eq!(budgeted.outcome_digest(), reference.outcome_digest());
+        assert_eq!(untimed_tasks(&budgeted), untimed_tasks(&reference));
     }
 }
 
