@@ -943,22 +943,23 @@ mod tests {
     #[test]
     fn unlimited_pop_budget_is_the_plain_fifo() {
         let mut budgeted = FifoQueue::with_pop_budget(usize::MAX);
-        let mut plain = FifoQueue::new();
-        let mut reference: VecDeque<u64> = VecDeque::new();
+        let mut reference: VecDeque<(u64, usize)> = VecDeque::new();
         for i in 0..40u64 {
-            budgeted.push(state(i % 7), i);
-            plain.push(state(i % 7), i);
-            reference.push_back(i);
+            let s = state(i % 7);
+            reference.push_back((i, s.approx_bytes()));
+            budgeted.push(s, i);
             if i % 3 == 0 {
-                let want = reference.pop_front();
+                let want = reference.pop_front().map(|(m, _)| m);
                 assert_eq!(budgeted.pop().map(|(_, m)| m), want);
-                assert_eq!(plain.pop().map(|(_, m)| m), want);
             }
             assert_eq!(budgeted.len(), reference.len());
-            assert_eq!(budgeted.approx_bytes(), plain.approx_bytes());
+            assert_eq!(
+                budgeted.approx_bytes(),
+                reference.iter().map(|&(_, b)| b).sum::<usize>()
+            );
         }
         let rest: Vec<u64> = drain(&mut budgeted).into_iter().map(|(_, m)| m).collect();
-        assert_eq!(rest, Vec::from(reference));
+        assert_eq!(rest, reference.iter().map(|&(m, _)| m).collect::<Vec<_>>());
         assert_eq!((budgeted.len(), budgeted.approx_bytes()), (0, 0));
         assert!(budgeted.pop().is_none());
     }

@@ -41,7 +41,7 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::cow::CowMemory;
 use crate::fingerprint::{Fingerprint, Fnv128Hasher, ZobristComponent};
@@ -172,11 +172,6 @@ impl RegFile {
         (0..NUM_REGS).map(|i| (i, self.get(i)))
     }
 
-    /// The indices of the registers that do not read `Int(0)`, in order.
-    fn nonzero(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..NUM_REGS).filter(|&i| self.ints[i] != 0 || (self.errs >> i) & 1 != 0)
-    }
-
     /// The registers as the tagged array this file stands for.
     fn values(&self) -> [Value; NUM_REGS] {
         std::array::from_fn(|i| self.get(i))
@@ -265,7 +260,7 @@ impl MachineState {
             constraints: ConstraintMap::new(),
             steps: 0,
             status: Status::Running,
-            reg_digest: Self::fold_regs(&RegFile::ZERO),
+            reg_digest: Self::refold_regs(&RegFile::ZERO),
             out_digest: ZobristComponent::new(),
             out_errs: 0,
             input_digest: Self::fold_input(&input),
@@ -277,20 +272,6 @@ impl MachineState {
     /// `reg_digest` tracks write-by-write.
     fn refold_regs(regs: &RegFile) -> ZobristComponent {
         ZobristComponent::refold(regs.cells())
-    }
-
-    /// [`refold_regs`](Self::refold_regs) for building a state: the fold
-    /// of the all-zero file is computed once per process, and each
-    /// non-zero cell rolls onto it the way a register write does (its
-    /// zero cell XORs out, its value XORs in). A decoded state has a few
-    /// non-zero registers, so this hashes a few cells instead of 32.
-    fn fold_regs(regs: &RegFile) -> ZobristComponent {
-        static ZERO_FOLD: OnceLock<ZobristComponent> = OnceLock::new();
-        let mut fold = *ZERO_FOLD.get_or_init(|| Self::refold_regs(&RegFile::ZERO));
-        for i in regs.nonzero() {
-            fold.update(&i, &Value::Int(0), &regs.get(i));
-        }
-        fold
     }
 
     /// FNV-128 of the input stream. The stream is immutable after
@@ -613,7 +594,7 @@ impl MachineState {
             .count() as u32;
         MachineState {
             pc: d.pc,
-            reg_digest: Self::fold_regs(&d.regs),
+            reg_digest: Self::refold_regs(&d.regs),
             regs: Arc::new(d.regs),
             mem,
             input_pos: d.input_pos,
@@ -865,46 +846,6 @@ impl fmt::Display for MachineState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fold_regs_matches_refold_on_random_register_files() {
-        // splitmix64: random files with a varying share of zero, small,
-        // large and `err` cells ($0 stays 0, as every writer keeps it).
-        let mut seed = 0x5EED_u64;
-        let mut next = move || {
-            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = seed;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        for case in 0..500 {
-            let mut regs = RegFile::ZERO;
-            let density = case % 33;
-            for i in 1..NUM_REGS {
-                let r = next();
-                if (r % 32) as usize >= density {
-                    continue;
-                }
-                let v = match (r >> 8) % 4 {
-                    0 => Value::Err,
-                    1 => Value::Int(((r >> 16) % 17) as i64 - 8),
-                    2 => Value::Int(0),
-                    _ => Value::Int((r >> 1) as i64),
-                };
-                regs.set(i, v);
-            }
-            assert_eq!(
-                MachineState::fold_regs(&regs),
-                MachineState::refold_regs(&regs),
-                "case {case}: {regs:?}"
-            );
-        }
-        assert_eq!(
-            MachineState::fold_regs(&RegFile::ZERO),
-            MachineState::refold_regs(&RegFile::ZERO)
-        );
-    }
 
     #[test]
     fn zero_register_semantics() {

