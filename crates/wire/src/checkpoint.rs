@@ -338,34 +338,18 @@ mod tests {
     /// whole shards either way).
     #[test]
     fn campaign_key_is_independent_of_the_fleet() {
-        use sympl_asm::parse_program;
-        use sympl_check::{Predicate, SearchLimits};
+        use crate::transport::tests::{deterministic_config, factorial_campaign, factorial_job};
         use sympl_cluster::ClusterConfig;
-        use sympl_inject::{Campaign, ErrorClass};
 
-        let program = parse_program("read $1\nprint $1\nhalt").unwrap();
-        let campaign = Campaign::new(&program, ErrorClass::RegisterFile);
-        let predicate = Predicate::OutputContainsErr;
+        let (program, campaign, predicate) = factorial_campaign();
         // The determinism regime: a pinned point-workers share, so the
         // in-process `workers` knob cannot reshape per-point searches.
         let config = |workers: usize| ClusterConfig {
             workers,
-            tasks: 4,
-            search: SearchLimits::default(),
-            task_budget: None,
-            max_findings_per_task: 10,
-            point_workers_hint: Some(1),
+            ..deterministic_config(4)
         };
         let job = |config: &ClusterConfig| -> u128 {
-            campaign_key(&CampaignJob {
-                program: &program,
-                program_id: "echo",
-                input: &[4],
-                campaign: &campaign,
-                predicate: &predicate,
-                config,
-            })
-            .unwrap()
+            campaign_key(&factorial_job(&program, &campaign, &predicate, config)).unwrap()
         };
         let two = config(2);
         let eight = config(8);

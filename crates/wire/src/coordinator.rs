@@ -497,4 +497,4 @@ impl CoordinatorCore {
 }
 
 #[cfg(test)]
-mod explorer;
+pub(crate) mod explorer;

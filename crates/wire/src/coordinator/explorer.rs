@@ -24,11 +24,9 @@ use std::hash::{Hash, Hasher};
 use std::io;
 use std::rc::Rc;
 
-use sympl_asm::{parse_program, Program};
+use sympl_asm::Program;
 use sympl_check::{Predicate, SearchLimits};
-use sympl_cluster::{
-    run_cluster, run_task_spec, shard_specs, split_preserves_outcome, ClusterConfig,
-};
+use sympl_cluster::{run_task_spec, shard_specs, split_preserves_outcome, ClusterConfig};
 use sympl_detect::DetectorSet;
 use sympl_inject::{Campaign, ErrorClass};
 use sympl_machine::ExecLimits;
@@ -129,14 +127,26 @@ struct World {
     spent: Spent,
     /// Checkpoint records appended so far (carried across a resume).
     records: Vec<Entry>,
-    trail: Trail,
+    trail: Trail<Move>,
 }
 
 /// The moves that led to a world, newest first, shared between siblings.
-#[derive(Clone, Default)]
-struct Trail(Option<Rc<(Move, Trail)>>);
+#[derive(Clone)]
+pub(crate) struct Trail<M>(Option<Rc<(M, Trail<M>)>>);
 
-impl fmt::Debug for Trail {
+impl<M> Default for Trail<M> {
+    fn default() -> Self {
+        Trail(None)
+    }
+}
+
+impl<M: Clone> Trail<M> {
+    pub(crate) fn then(&self, m: M) -> Self {
+        Trail(Some(Rc::new((m, self.clone()))))
+    }
+}
+
+impl<M: fmt::Debug + Copy> fmt::Debug for Trail<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut moves = Vec::new();
         let mut at = self;
@@ -293,7 +303,7 @@ impl World {
     }
 
     fn apply(&mut self, model: &Model, m: Move) -> Step {
-        self.trail = Trail(Some(Rc::new((m, self.trail.clone()))));
+        self.trail = self.trail.then(m);
         let mut again = None;
         let event = match m {
             Move::Connect(c) => {
@@ -478,7 +488,7 @@ impl World {
 }
 
 /// A multiply-xor hasher: the visited set needs speed, not resistance.
-struct KeyHasher(u64);
+pub(crate) struct KeyHasher(pub(crate) u64);
 
 impl Hasher for KeyHasher {
     fn finish(&self) -> u64 {
@@ -500,12 +510,7 @@ impl Hasher for KeyHasher {
 
 #[test]
 fn every_small_schedule_reproduces_the_in_process_digest() {
-    let program = parse_program(
-        "ori $2 $0 #1\nread $1\nmov $3, $1\nori $4 $0 #1\n\
-         loop: setgt $5 $3 $4\nbeq $5 0 exit\nmult $2 $2 $3\nsubi $3 $3 #1\nbeq $0 #0 loop\n\
-         exit: prints \"Factorial = \"\nprint $2\nhalt",
-    )
-    .unwrap();
+    let program = crate::transport::tests::factorial();
     let campaign = Campaign::new(&program, ErrorClass::RegisterFile);
     let search = SearchLimits {
         exec: ExecLimits::with_max_steps(300),
@@ -513,22 +518,12 @@ fn every_small_schedule_reproduces_the_in_process_digest() {
         ..SearchLimits::default()
     };
     let config = ClusterConfig {
-        workers: 2,
-        tasks: 3,
         max_findings_per_task: campaign.len() * search.max_solutions,
         search,
-        task_budget: None,
-        point_workers_hint: Some(1),
+        ..crate::transport::tests::deterministic_config(3)
     };
     let predicate = Predicate::OutputContainsErr;
-    let local = run_cluster(
-        &program,
-        &DetectorSet::new(),
-        &[4],
-        &campaign,
-        &predicate,
-        &config,
-    );
+    let local = crate::transport::tests::in_process(&program, &[4], &campaign, &predicate, &config);
     let specs = shard_specs(&campaign, config.tasks);
     // The two-point shard splits into halves of equal length: the case
     // where only the duplicate check tells a repeated reply from the

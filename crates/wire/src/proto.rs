@@ -66,6 +66,7 @@ pub struct TaskFrame {
 
 /// A protocol message (one frame payload).
 #[derive(Debug)]
+#[cfg_attr(test, derive(Clone))]
 pub enum Message {
     /// Coordinator → worker: run this task.
     Task(TaskFrame),

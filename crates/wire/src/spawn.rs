@@ -12,7 +12,7 @@ use crate::transport::LISTENING_PREFIX;
 /// Worker processes spawned on loopback for tests, demos, and CI; killed
 /// on drop if still running.
 pub struct SpawnedWorkers {
-    /// The workers' bound addresses, ready for [`run_distributed`].
+    /// The workers' bound addresses, ready for [`crate::run_distributed`].
     pub addrs: Vec<String>,
     children: Vec<Child>,
 }

@@ -22,7 +22,8 @@
 //! [`crate::service`].
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, BufRead as _, BufReader, Write as _};
+use std::io::ErrorKind::{TimedOut, WouldBlock};
+use std::io::{self, BufRead as _, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -143,8 +144,9 @@ impl Conn {
             .map_err(WireError::Io)
     }
 
-    /// A second handle on the write half (the service's reply outbox
-    /// writes from the executor thread while the session thread reads).
+    /// A second handle on the write half: the service writes a session's
+    /// frames through it from whichever thread the core's write decision
+    /// fell to, while the session thread reads.
     pub(crate) fn clone_writer(&self) -> Result<TcpStream, WireError> {
         self.writer.try_clone().map_err(WireError::Io)
     }
@@ -170,16 +172,9 @@ impl Conn {
     ) -> Result<Option<Message>, WireError> {
         self.set_read_timeout(wait.map(|wait| wait.max(Duration::from_millis(1))))?;
         match self.reader.fill_buf() {
-            Ok(buf) => {
-                if buf.is_empty() {
-                    return Err(WireError::Disconnected);
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Ok(None)
-            }
+            Ok([]) => return Err(WireError::Disconnected),
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => return Ok(None),
             Err(e) => return Err(e.into()),
         }
         self.set_read_timeout(Some(grace.max(Duration::from_millis(1))))?;
@@ -188,7 +183,7 @@ impl Conn {
 }
 
 /// Encodes `message` and writes it to `writer` as one frame.
-pub(crate) fn send_message(writer: &mut TcpStream, message: &Message) -> Result<(), WireError> {
+pub(crate) fn send_message(writer: &mut impl Write, message: &Message) -> Result<(), WireError> {
     write_frame(writer, &encode_message(message)?)
 }
 
@@ -411,7 +406,7 @@ pub fn run_distributed(
 /// [`CampaignReport::outcome_digest`] is identical to an uninterrupted
 /// run's.
 ///
-/// Every decision is the [`CoordinatorCore`]'s: this function owns it on
+/// Every decision is the `CoordinatorCore`'s: this function owns it on
 /// the calling thread, which waits on one channel until the core's next
 /// deadline. One thread per connection only reads frames (after the
 /// connect and hello, or the join admission) and posts them; the join
@@ -525,19 +520,20 @@ pub fn run_distributed_with(
 
     let (tx, rx) = mpsc::channel();
     let stop_accepting = AtomicBool::new(false);
+    let hellos: Mutex<BTreeMap<ConnId, TcpStream>> = Mutex::default();
     let mut elapsed = Duration::ZERO;
     std::thread::scope(|scope| {
         for (conn, addr) in workers_at.iter().enumerate() {
-            let (tx, label) = (tx.clone(), label.as_str());
-            scope.spawn(
-                move || match client_hello(addr, label, priority, liveness) {
+            let (tx, label, hellos) = (tx.clone(), label.as_str(), &hellos);
+            scope.spawn(move || {
+                match client_hello(addr, label, priority, liveness, (conn, hellos)) {
                     Ok((writer, c)) => read_frames(conn, false, writer, c, &tx),
                     Err(e) => {
                         eprintln!("sympl-wire coordinator: cannot reach worker {addr}: {e}");
                         let _ = tx.send((Event::Unreachable, None));
                     }
-                },
-            );
+                }
+            });
         }
         if let Some(listener) = opts.join_listener {
             let (tx, welcome, stop) = (tx.clone(), &welcome, &stop_accepting);
@@ -568,9 +564,18 @@ pub fn run_distributed_with(
         let mut pending = VecDeque::from([Event::Tick]);
         let mut join_fired = false;
         loop {
+            // Once the campaign is over, a listed worker still in its hello
+            // at the liveness deadline is cut off: its thread then posts
+            // `Unreachable`, as a failed hello does.
+            let over = tx.is_none().then_some(liveness);
+            if over.is_some_and(|at| at <= start.elapsed()) {
+                let cut = std::mem::take(&mut *lock_recovering(&hellos));
+                cut.values().for_each(|s| drop(s.shutdown(Shutdown::Both)));
+            }
+            let cut_at = over.filter(|_| !lock_recovering(&hellos).is_empty());
             let (event, writer) = if let Some(event) = pending.pop_front() {
                 (event, None)
-            } else if let Some(at) = core.next_deadline().filter(|_| tx.is_some()) {
+            } else if let Some(at) = core.next_deadline().filter(|_| tx.is_some()).or(cut_at) {
                 let wait = at.saturating_sub(start.elapsed());
                 rx.recv_timeout(wait).unwrap_or((Event::Tick, None))
             } else if let Ok(posted) = rx.recv() {
@@ -688,29 +693,36 @@ fn admit(stream: TcpStream, welcome: &Message) -> Result<(TcpStream, Conn), Wire
 /// (boundedly) for the service's `ClientAccept`. A typed `Error` answer —
 /// the service's capacity refusal — surfaces as [`WireError::Remote`], so
 /// a full fleet fails the connection loudly instead of hanging the
-/// campaign.
+/// campaign. Until the hello ends, the socket waits in `hellos` under
+/// connection `id`, where the coordinator can cut it off.
 fn client_hello(
     addr: &str,
     label: &str,
     priority: u64,
     liveness: Duration,
+    (id, hellos): (ConnId, &Mutex<BTreeMap<ConnId, TcpStream>>),
 ) -> Result<(TcpStream, Conn), WireError> {
-    let mut conn = Conn::establish(TcpStream::connect(addr)?)?;
-    conn.send(&Message::ClientHello {
-        client: label.to_owned(),
-        priority,
-    })?;
-    conn.set_read_timeout(Some(liveness.max(Duration::from_secs(5))))?;
-    match conn.recv()? {
-        Message::ClientAccept { .. } => conn.set_read_timeout(None)?,
-        Message::Error(msg) => return Err(WireError::Remote(msg)),
-        _ => return Err(WireError::UnexpectedMessage("client accept")),
-    }
-    Ok((conn.clone_writer()?, conn))
+    let stream = TcpStream::connect(addr)?;
+    lock_recovering(hellos).insert(id, stream.try_clone()?);
+    let hello = Conn::establish(stream).and_then(|mut conn| {
+        conn.send(&Message::ClientHello {
+            client: label.to_owned(),
+            priority,
+        })?;
+        conn.set_read_timeout(Some(liveness.max(Duration::from_secs(5))))?;
+        match conn.recv()? {
+            Message::ClientAccept { .. } => conn.set_read_timeout(None)?,
+            Message::Error(msg) => return Err(WireError::Remote(msg)),
+            _ => return Err(WireError::UnexpectedMessage("client accept")),
+        }
+        Ok((conn.clone_writer()?, conn))
+    });
+    lock_recovering(hellos).remove(&id);
+    hello
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::chaos::{ChaosMode, ChaosProxy};
     use crate::service::join_coordinator;
@@ -720,7 +732,7 @@ mod tests {
     use sympl_inject::{Campaign, ErrorClass};
     use sympl_machine::ExecLimits;
 
-    fn factorial() -> Program {
+    pub(crate) fn factorial() -> Program {
         parse_program(
             "ori $2 $0 #1\nread $1\nmov $3, $1\nori $4 $0 #1\n\
              loop: setgt $5 $3 $4\nbeq $5 0 exit\nmult $2 $2 $3\nsubi $3 $3 #1\nbeq $0 #0 loop\n\
@@ -733,7 +745,7 @@ mod tests {
     /// milliseconds under a generous step budget) that membership events
     /// — a late join, an idle worker's split request — land while a
     /// shard is still in flight.
-    fn slow_program() -> Program {
+    pub(crate) fn slow_program() -> Program {
         parse_program(
             "read $1\nmov $4 $1\nouter: ori $2 $0 #0\n\
              inner: addi $2 $2 #1\nsetgt $3 $2 $1\nbeq $3 0 inner\n\
@@ -743,7 +755,7 @@ mod tests {
         .unwrap()
     }
 
-    fn resolver(id: &str) -> Option<(Program, DetectorSet)> {
+    pub(crate) fn resolver(id: &str) -> Option<(Program, DetectorSet)> {
         match id {
             "factorial" => Some((factorial(), DetectorSet::new())),
             "slowprog" => Some((slow_program(), DetectorSet::new())),
@@ -751,7 +763,7 @@ mod tests {
         }
     }
 
-    fn deterministic_config(tasks: usize) -> ClusterConfig {
+    pub(crate) fn deterministic_config(tasks: usize) -> ClusterConfig {
         ClusterConfig {
             workers: 2,
             tasks,
@@ -762,6 +774,71 @@ mod tests {
             task_budget: None,
             max_findings_per_task: 10,
             point_workers_hint: Some(1),
+        }
+    }
+
+    /// The factorial program, its register-file campaign, and the
+    /// predicate most tests check.
+    pub(crate) fn factorial_campaign() -> (Program, Campaign, Predicate) {
+        let program = factorial();
+        let campaign = Campaign::new(&program, ErrorClass::RegisterFile);
+        (program, campaign, Predicate::OutputContainsErr)
+    }
+
+    /// The factorial campaign over input 4 most tests distribute.
+    pub(crate) fn factorial_job<'a>(
+        program: &'a Program,
+        campaign: &'a Campaign,
+        predicate: &'a Predicate,
+        config: &'a ClusterConfig,
+    ) -> CampaignJob<'a> {
+        let (program_id, input) = ("factorial", &[4][..]);
+        CampaignJob {
+            program,
+            program_id,
+            input,
+            campaign,
+            predicate,
+            config,
+        }
+    }
+
+    /// A campaign run in-process on `input`: the report to reproduce.
+    pub(crate) fn in_process(
+        program: &Program,
+        input: &[i64],
+        campaign: &Campaign,
+        predicate: &Predicate,
+        config: &ClusterConfig,
+    ) -> CampaignReport {
+        run_cluster(
+            program,
+            &DetectorSet::new(),
+            input,
+            campaign,
+            predicate,
+            config,
+        )
+    }
+
+    /// A hand-rolled worker's first session on `listener`: preamble,
+    /// `ClientHello` in, `ClientAccept` out, and one task frame read.
+    fn accept_one_task(listener: &TcpListener) -> TcpStream {
+        let (mut stream, _) = listener.accept().unwrap();
+        handshake(&mut stream).unwrap();
+        let _ = read_frame(&mut stream).unwrap(); // ClientHello
+        let accept = encode_message(&Message::ClientAccept { client_id: 1 }).unwrap();
+        write_frame(&mut stream, &accept).unwrap();
+        let _ = read_frame(&mut stream).unwrap(); // the task
+        stream
+    }
+
+    /// Shutdown on success and a 30 ms cadence, so liveness is ≈ 1.12 s.
+    fn fast<'a>() -> DistOptions<'a> {
+        DistOptions {
+            shutdown_workers: true,
+            heartbeat_interval: Duration::from_millis(30),
+            ..DistOptions::default()
         }
     }
 
@@ -827,30 +904,14 @@ mod tests {
 
     #[test]
     fn distributed_campaign_reproduces_in_process_report() {
-        let program = factorial();
-        let campaign = Campaign::new(&program, ErrorClass::RegisterFile);
-        let predicate = Predicate::OutputContainsErr;
+        let (program, campaign, predicate) = factorial_campaign();
         let config = deterministic_config(5);
 
-        let local = run_cluster(
-            &program,
-            &DetectorSet::new(),
-            &[4],
-            &campaign,
-            &predicate,
-            &config,
-        );
+        let local = in_process(&program, &[4], &campaign, &predicate, &config);
 
         let (addr_a, join_a) = start_worker();
         let (addr_b, join_b) = start_worker();
-        let job = CampaignJob {
-            program: &program,
-            program_id: "factorial",
-            input: &[4],
-            campaign: &campaign,
-            predicate: &predicate,
-            config: &config,
-        };
+        let job = factorial_job(&program, &campaign, &predicate, &config);
         let called = Instant::now();
         let distributed = run_distributed(&job, &[addr_a, addr_b], true).unwrap();
         // The wall floor paces the call, never the report's own clock.
@@ -879,9 +940,7 @@ mod tests {
 
     #[test]
     fn dropped_worker_has_its_task_requeued() {
-        let program = factorial();
-        let campaign = Campaign::new(&program, ErrorClass::RegisterFile);
-        let predicate = Predicate::OutputContainsErr;
+        let (program, campaign, predicate) = factorial_campaign();
         let config = deterministic_config(4);
 
         // A flaky "worker" that handshakes, admits the session, accepts
@@ -891,36 +950,17 @@ mod tests {
         let flaky_addr = flaky_listener.local_addr().unwrap().to_string();
         let (real_addr, real) = HeldWorker::bind();
         let flaky = std::thread::spawn(move || {
-            let (mut stream, _) = flaky_listener.accept().unwrap();
-            handshake(&mut stream).unwrap();
-            let _ = read_frame(&mut stream).unwrap(); // ClientHello
-            let accept = encode_message(&Message::ClientAccept { client_id: 1 }).unwrap();
-            write_frame(&mut stream, &accept).unwrap();
-            let _ = read_frame(&mut stream).unwrap(); // the task
+            let _stream = accept_one_task(&flaky_listener);
             real.release()
             // The stream drops here with the task unanswered.
         });
 
-        let job = CampaignJob {
-            program: &program,
-            program_id: "factorial",
-            input: &[4],
-            campaign: &campaign,
-            predicate: &predicate,
-            config: &config,
-        };
+        let job = factorial_job(&program, &campaign, &predicate, &config);
         let distributed = run_distributed(&job, &[flaky_addr, real_addr], true).unwrap();
         let real_join = flaky.join().unwrap();
         real_join.join().unwrap().unwrap();
 
-        let local = run_cluster(
-            &program,
-            &DetectorSet::new(),
-            &[4],
-            &campaign,
-            &predicate,
-            &config,
-        );
+        let local = in_process(&program, &[4], &campaign, &predicate, &config);
         assert_eq!(
             distributed.outcome_digest(),
             local.outcome_digest(),
@@ -934,9 +974,7 @@ mod tests {
 
     #[test]
     fn stalled_worker_trips_the_liveness_deadline_without_a_task_budget() {
-        let program = factorial();
-        let campaign = Campaign::new(&program, ErrorClass::RegisterFile);
-        let predicate = Predicate::OutputContainsErr;
+        let (program, campaign, predicate) = factorial_campaign();
         // task_budget is None (see deterministic_config): before the
         // heartbeat layer this was the read-deadline hole — a wedged
         // worker could hang the campaign forever.
@@ -951,12 +989,7 @@ mod tests {
         let unwedge_thread = std::sync::Arc::clone(&unwedge);
         let (real_addr, real) = HeldWorker::bind();
         let wedged = std::thread::spawn(move || {
-            let (mut stream, _) = wedged_listener.accept().unwrap();
-            handshake(&mut stream).unwrap();
-            let _ = read_frame(&mut stream).unwrap(); // ClientHello
-            let accept = encode_message(&Message::ClientAccept { client_id: 1 }).unwrap();
-            write_frame(&mut stream, &accept).unwrap();
-            let _ = read_frame(&mut stream).unwrap(); // the task
+            let _stream = accept_one_task(&wedged_listener);
             let real_join = real.release();
             while !unwedge_thread.load(Ordering::Relaxed) {
                 std::thread::sleep(Duration::from_millis(10));
@@ -964,20 +997,9 @@ mod tests {
             real_join
         });
 
-        let job = CampaignJob {
-            program: &program,
-            program_id: "factorial",
-            input: &[4],
-            campaign: &campaign,
-            predicate: &predicate,
-            config: &config,
-        };
-        // A fast cadence keeps the test quick: liveness ≈ 1.12 s.
-        let opts = DistOptions {
-            shutdown_workers: true,
-            heartbeat_interval: Duration::from_millis(30),
-            ..DistOptions::default()
-        };
+        let job = factorial_job(&program, &campaign, &predicate, &config);
+        // A fast cadence keeps the test quick.
+        let opts = fast();
         let started = Instant::now();
         let distributed = run_distributed_with(&job, &[wedged_addr, real_addr], &opts).unwrap();
         assert!(
@@ -989,40 +1011,17 @@ mod tests {
         let real_join = wedged.join().unwrap();
         real_join.join().unwrap().unwrap();
 
-        let local = run_cluster(
-            &program,
-            &DetectorSet::new(),
-            &[4],
-            &campaign,
-            &predicate,
-            &config,
-        );
+        let local = in_process(&program, &[4], &campaign, &predicate, &config);
         assert_eq!(distributed.outcome_digest(), local.outcome_digest());
         assert!(distributed.degraded);
     }
 
     #[test]
     fn chaos_proxy_drop_and_stall_both_requeue_to_the_survivor() {
-        let program = factorial();
-        let campaign = Campaign::new(&program, ErrorClass::RegisterFile);
-        let predicate = Predicate::OutputContainsErr;
+        let (program, campaign, predicate) = factorial_campaign();
         let config = deterministic_config(4);
-        let local = run_cluster(
-            &program,
-            &DetectorSet::new(),
-            &[4],
-            &campaign,
-            &predicate,
-            &config,
-        );
-        let job = CampaignJob {
-            program: &program,
-            program_id: "factorial",
-            input: &[4],
-            campaign: &campaign,
-            predicate: &predicate,
-            config: &config,
-        };
+        let local = in_process(&program, &[4], &campaign, &predicate, &config);
+        let job = factorial_job(&program, &campaign, &predicate, &config);
 
         for mode in [
             // Drop after the preamble: the first worker→coordinator frame
@@ -1040,17 +1039,17 @@ mod tests {
             let (victim_addr, victim_join) = start_worker();
             let (real_addr, real_join) = start_worker();
             let proxy = ChaosProxy::start(victim_addr.clone(), mode).unwrap();
-            let opts = DistOptions {
-                shutdown_workers: true,
-                heartbeat_interval: Duration::from_millis(30),
-                ..DistOptions::default()
-            };
+            let opts = fast();
             let started = Instant::now();
             let distributed =
                 run_distributed_with(&job, &[proxy.addr.clone(), real_addr], &opts).unwrap();
+            // A dropped hello fails at once; one still stalled when the
+            // campaign ends is cut at the liveness deadline (≈ 1.12 s
+            // here), not at the hello's 5 s.
             assert!(
-                started.elapsed() < Duration::from_secs(15),
-                "{mode:?}: the chaos leg must fail fast via supervision"
+                started.elapsed() < Duration::from_secs(2),
+                "{mode:?}: the chaos leg took {:?}",
+                started.elapsed()
             );
             assert_eq!(
                 distributed.outcome_digest(),
@@ -1061,9 +1060,7 @@ mod tests {
             real_join.join().unwrap().unwrap();
             // The victim worker behind the proxy never got a Shutdown;
             // send one directly so its serve loop exits.
-            let stream = TcpStream::connect(victim_addr.as_str()).unwrap();
-            let mut conn = Conn::establish(stream).unwrap();
-            conn.send(&Message::Shutdown).unwrap();
+            shutdown_worker(&victim_addr).unwrap();
             victim_join.join().unwrap().unwrap();
             proxy.join();
         }
@@ -1071,26 +1068,10 @@ mod tests {
 
     #[test]
     fn aborted_coordinator_resumes_from_its_checkpoint_to_the_same_digest() {
-        let program = factorial();
-        let campaign = Campaign::new(&program, ErrorClass::RegisterFile);
-        let predicate = Predicate::OutputContainsErr;
+        let (program, campaign, predicate) = factorial_campaign();
         let config = deterministic_config(6);
-        let local = run_cluster(
-            &program,
-            &DetectorSet::new(),
-            &[4],
-            &campaign,
-            &predicate,
-            &config,
-        );
-        let job = CampaignJob {
-            program: &program,
-            program_id: "factorial",
-            input: &[4],
-            campaign: &campaign,
-            predicate: &predicate,
-            config: &config,
-        };
+        let local = in_process(&program, &[4], &campaign, &predicate, &config);
+        let job = factorial_job(&program, &campaign, &predicate, &config);
         let ck = temp_path("abort-resume");
 
         // Leg 1: checkpointing coordinator "crashes" after 2 results.
@@ -1142,18 +1123,9 @@ mod tests {
 
     #[test]
     fn stale_checkpoints_are_refused() {
-        let program = factorial();
-        let campaign = Campaign::new(&program, ErrorClass::RegisterFile);
-        let predicate = Predicate::OutputContainsErr;
+        let (program, campaign, predicate) = factorial_campaign();
         let config = deterministic_config(3);
-        let job = CampaignJob {
-            program: &program,
-            program_id: "factorial",
-            input: &[4],
-            campaign: &campaign,
-            predicate: &predicate,
-            config: &config,
-        };
+        let job = factorial_job(&program, &campaign, &predicate, &config);
         let ck = temp_path("stale");
         // A checkpoint written under a *different* campaign key (other
         // input stream → other key).
@@ -1172,21 +1144,15 @@ mod tests {
 
     #[test]
     fn unknown_program_and_digest_mismatch_are_remote_errors() {
-        let program = factorial();
-        let campaign = Campaign::new(&program, ErrorClass::RegisterFile);
-        let predicate = Predicate::OutputContainsErr;
+        let (program, campaign, predicate) = factorial_campaign();
         let config = deterministic_config(2);
 
         // Unknown id: the single worker refuses every attempt, so the
         // campaign aborts with the remote error.
         let (addr, join) = start_worker();
         let job = CampaignJob {
-            program: &program,
             program_id: "no-such-workload",
-            input: &[4],
-            campaign: &campaign,
-            predicate: &predicate,
-            config: &config,
+            ..factorial_job(&program, &campaign, &predicate, &config)
         };
         let err = run_distributed(&job, std::slice::from_ref(&addr), false).unwrap_err();
         assert!(
@@ -1197,14 +1163,7 @@ mod tests {
         // Digest mismatch: same id, different program body.
         let other = parse_program("read $1\nprint $1\nhalt").unwrap();
         let other_campaign = Campaign::new(&other, ErrorClass::RegisterFile);
-        let job = CampaignJob {
-            program: &other,
-            program_id: "factorial",
-            input: &[4],
-            campaign: &other_campaign,
-            predicate: &predicate,
-            config: &config,
-        };
+        let job = factorial_job(&other, &other_campaign, &predicate, &config);
         let err = run_distributed(&job, std::slice::from_ref(&addr), false).unwrap_err();
         assert!(
             matches!(err, WireError::Remote(ref m) if m.contains("digest mismatch")),
@@ -1212,31 +1171,20 @@ mod tests {
         );
 
         // Shut the worker down via a bare connection.
-        let stream = TcpStream::connect(addr.as_str()).unwrap();
-        let mut conn = Conn::establish(stream).unwrap();
-        conn.send(&Message::Shutdown).unwrap();
+        shutdown_worker(&addr).unwrap();
         join.join().unwrap().unwrap();
     }
 
     #[test]
     fn no_reachable_workers_is_an_error() {
-        let program = factorial();
-        let campaign = Campaign::new(&program, ErrorClass::RegisterFile);
-        let predicate = Predicate::OutputContainsErr;
+        let (program, campaign, predicate) = factorial_campaign();
         let config = deterministic_config(3);
         // A bound-then-dropped listener leaves a refused port behind.
         let dead_addr = {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().to_string()
         };
-        let job = CampaignJob {
-            program: &program,
-            program_id: "factorial",
-            input: &[4],
-            campaign: &campaign,
-            predicate: &predicate,
-            config: &config,
-        };
+        let job = factorial_job(&program, &campaign, &predicate, &config);
         let err = run_distributed(&job, &[dead_addr], false).unwrap_err();
         assert!(
             matches!(err, WireError::NoWorkersLeft { pending: 3 }),
@@ -1247,17 +1195,15 @@ mod tests {
     /// A slow-campaign config: one long-searching shard set under a step
     /// budget big enough that splits and joins can land mid-flight.
     fn slow_config(tasks: usize, max_states: usize) -> ClusterConfig {
+        let exec = ExecLimits::with_max_steps(20_000);
+        let search = SearchLimits {
+            exec,
+            max_states,
+            ..SearchLimits::default()
+        };
         ClusterConfig {
-            workers: 2,
-            tasks,
-            search: SearchLimits {
-                exec: ExecLimits::with_max_steps(20_000),
-                max_states,
-                ..SearchLimits::default()
-            },
-            task_budget: None,
-            max_findings_per_task: 10,
-            point_workers_hint: Some(1),
+            search,
+            ..deterministic_config(tasks)
         }
     }
 
@@ -1278,26 +1224,10 @@ mod tests {
         drop(s);
 
         // 3: a real coordinator still completes a full campaign.
-        let program = factorial();
-        let campaign = Campaign::new(&program, ErrorClass::RegisterFile);
-        let predicate = Predicate::OutputContainsErr;
+        let (program, campaign, predicate) = factorial_campaign();
         let config = deterministic_config(3);
-        let local = run_cluster(
-            &program,
-            &DetectorSet::new(),
-            &[4],
-            &campaign,
-            &predicate,
-            &config,
-        );
-        let job = CampaignJob {
-            program: &program,
-            program_id: "factorial",
-            input: &[4],
-            campaign: &campaign,
-            predicate: &predicate,
-            config: &config,
-        };
+        let local = in_process(&program, &[4], &campaign, &predicate, &config);
+        let job = factorial_job(&program, &campaign, &predicate, &config);
         let distributed = run_distributed(&job, std::slice::from_ref(&addr), true).unwrap();
         join.join().unwrap().unwrap();
         assert_eq!(distributed.outcome_digest(), local.outcome_digest());
@@ -1310,21 +1240,11 @@ mod tests {
         let campaign = Campaign::new(&program, ErrorClass::RegisterFile);
         let predicate = Predicate::OutputContainsErr;
         let config = slow_config(6, 2_000);
-        let local = run_cluster(
-            &program,
-            &DetectorSet::new(),
-            &[12],
-            &campaign,
-            &predicate,
-            &config,
-        );
+        let local = in_process(&program, &[12], &campaign, &predicate, &config);
         let job = CampaignJob {
-            program: &program,
             program_id: "slowprog",
             input: &[12],
-            campaign: &campaign,
-            predicate: &predicate,
-            config: &config,
+            ..factorial_job(&program, &campaign, &predicate, &config)
         };
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1354,14 +1274,12 @@ mod tests {
 
         let (addr, worker_join) = start_worker();
         let opts = DistOptions {
-            shutdown_workers: true,
-            heartbeat_interval: Duration::from_millis(30),
             join_listener: Some(&listener),
             chaos: ChaosPlan {
                 delayed_join: Some((1, &spawn_joiner)),
                 ..ChaosPlan::default()
             },
-            ..DistOptions::default()
+            ..fast()
         };
         let report = run_distributed_with(&job, std::slice::from_ref(&addr), &opts).unwrap();
         worker_join.join().unwrap().unwrap();
@@ -1405,29 +1323,17 @@ mod tests {
         // Lift the finding cap past every point's worst case so splitting
         // is exactness-preserving (the split gate's requirement).
         config.max_findings_per_task = campaign.len() * config.search.max_solutions;
-        let local = run_cluster(
-            &program,
-            &DetectorSet::new(),
-            &[60],
-            &campaign,
-            &predicate,
-            &config,
-        );
+        let local = in_process(&program, &[60], &campaign, &predicate, &config);
         let job = CampaignJob {
-            program: &program,
             program_id: "slowprog",
             input: &[60],
-            campaign: &campaign,
-            predicate: &predicate,
-            config: &config,
+            ..factorial_job(&program, &campaign, &predicate, &config)
         };
         let (addr_a, join_a) = start_worker();
         let (addr_b, join_b) = start_worker();
         let opts = DistOptions {
-            shutdown_workers: true,
-            heartbeat_interval: Duration::from_millis(30),
             split_idle: true,
-            ..DistOptions::default()
+            ..fast()
         };
         let report = run_distributed_with(&job, &[addr_a, addr_b], &opts).unwrap();
         join_a.join().unwrap().unwrap();
@@ -1447,28 +1353,12 @@ mod tests {
 
     #[test]
     fn split_idle_is_refused_when_the_finding_cap_binds() {
-        let program = factorial();
-        let campaign = Campaign::new(&program, ErrorClass::RegisterFile);
-        let predicate = Predicate::OutputContainsErr;
+        let (program, campaign, predicate) = factorial_campaign();
         // The default cap (10) can bind on a whole-campaign shard, so the
         // coordinator must ignore --split-idle and still finish clean.
         let config = deterministic_config(2);
-        let local = run_cluster(
-            &program,
-            &DetectorSet::new(),
-            &[4],
-            &campaign,
-            &predicate,
-            &config,
-        );
-        let job = CampaignJob {
-            program: &program,
-            program_id: "factorial",
-            input: &[4],
-            campaign: &campaign,
-            predicate: &predicate,
-            config: &config,
-        };
+        let local = in_process(&program, &[4], &campaign, &predicate, &config);
+        let job = factorial_job(&program, &campaign, &predicate, &config);
         let (addr_a, join_a) = start_worker();
         let (addr_b, join_b) = start_worker();
         let opts = DistOptions {
@@ -1485,26 +1375,10 @@ mod tests {
 
     #[test]
     fn duplicated_result_frame_does_not_corrupt_the_report() {
-        let program = factorial();
-        let campaign = Campaign::new(&program, ErrorClass::RegisterFile);
-        let predicate = Predicate::OutputContainsErr;
+        let (program, campaign, predicate) = factorial_campaign();
         let config = deterministic_config(4);
-        let local = run_cluster(
-            &program,
-            &DetectorSet::new(),
-            &[4],
-            &campaign,
-            &predicate,
-            &config,
-        );
-        let job = CampaignJob {
-            program: &program,
-            program_id: "factorial",
-            input: &[4],
-            campaign: &campaign,
-            predicate: &predicate,
-            config: &config,
-        };
+        let local = in_process(&program, &[4], &campaign, &predicate, &config);
+        let job = factorial_job(&program, &campaign, &predicate, &config);
 
         // Worker→coordinator frame 0 through the proxy is the session's
         // ClientAccept and frame 1 the victim's first TaskDone (the 10 s
@@ -1554,9 +1428,7 @@ mod tests {
             .unwrap();
         // The victim behind the proxy never got a Shutdown; send one
         // directly so its serve loop exits.
-        let stream = TcpStream::connect(victim_addr.as_str()).unwrap();
-        let mut conn = Conn::establish(stream).unwrap();
-        conn.send(&Message::Shutdown).unwrap();
+        shutdown_worker(&victim_addr).unwrap();
         victim_join.join().unwrap().unwrap();
         proxy.join();
     }
