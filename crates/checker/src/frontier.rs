@@ -61,9 +61,10 @@
 //! order, so a successor enqueued once `popped + queued ≥ max_states`
 //! can never be expanded: the cap stops the search first. The engine
 //! hands its state cap to the frontier as a *pop budget*
-//! ([`FrontierPolicy::build_budgeted`]), and the in-RAM FIFO
-//! ([`FifoQueue::with_pop_budget`]) drops such a state instead of storing
-//! it. It still counts the state in [`FrontierQueue::len`] and
+//! ([`FrontierPolicy::build_budgeted`]), and both FIFO queues — the
+//! in-RAM [`FifoQueue::with_pop_budget`] and the spilling
+//! [`SpillingFrontier::with_pop_budget`] — drop such a state instead of
+//! storing it. They still count the state in [`FrontierQueue::len`] and
 //! [`FrontierQueue::approx_bytes`], so a report's `peak_frontier_len` and
 //! `peak_frontier_bytes` read exactly as for an unbudgeted queue: they
 //! describe the open set, stored or not. Once the budget is spent,
@@ -71,10 +72,19 @@
 //! and the engine reads that as the state cap — at exactly the point where
 //! an unbudgeted queue would hand it the (cap+1)-th state. The engine
 //! still fingerprints and records every successor, so duplicate counts and
-//! witness traces do not move. Only the unspilled FIFO takes the budget:
-//! LIFO, priority and iterative deepening do not pop in push order, and a
-//! spilling window keeps writing every state it is given, because its
-//! `spilled_states` count is part of a report's identity.
+//! witness traces do not move.
+//!
+//! The spilling FIFO never encodes or writes a dropped state. Dropped
+//! states form a suffix of the queue (it is FIFO, and once the budget is
+//! spent it stays spent), so each is counted where the unbudgeted queue
+//! would have put it: in the RAM window's tail, or in the back segment's
+//! tail, where it adds to [`FrontierQueue::spilled_states`] and to the
+//! segment's byte figure that decides when the next segment starts. A
+//! replayed segment hands its counted tail on to the window, and a segment
+//! of dropped states only never opens a file and is never replayed. So
+//! `spilled_states` — states pushed past the RAM window, stored or not —
+//! reads exactly as for an unbudgeted queue too. LIFO, priority and
+//! iterative deepening do not pop in push order and ignore the budget.
 
 use std::collections::{BinaryHeap, VecDeque};
 use std::io::Write as _;
@@ -195,9 +205,9 @@ impl FrontierPolicy {
     }
 
     /// [`build`](Self::build) for a search that expands at most
-    /// `pop_budget` states: an unspilled Bfs queue stores only the states
-    /// it can still serve (see the module docs' state-capped BFS section);
-    /// every other policy ignores the budget.
+    /// `pop_budget` states: a Bfs queue, spilling or not, stores only the
+    /// states it can still serve (see the module docs' state-capped BFS
+    /// section); every other policy ignores the budget.
     #[must_use]
     pub fn build_budgeted<M: Clone + 'static>(
         &self,
@@ -206,9 +216,11 @@ impl FrontierPolicy {
     ) -> Box<dyn FrontierQueue<M>> {
         match (*self, max_frontier_bytes) {
             (FrontierPolicy::Bfs, None) => Box::new(FifoQueue::with_pop_budget(pop_budget)),
-            (FrontierPolicy::Bfs, Some(budget)) => {
-                Box::new(SpillingFrontier::new(SpillOrder::Fifo, budget))
-            }
+            (FrontierPolicy::Bfs, Some(window)) => Box::new(SpillingFrontier::with_pop_budget(
+                SpillOrder::Fifo,
+                window,
+                pop_budget,
+            )),
             (FrontierPolicy::Dfs, None) => Box::new(LifoQueue::new()),
             (FrontierPolicy::Dfs, Some(budget)) => {
                 Box::new(SpillingFrontier::new(SpillOrder::Lifo, budget))
@@ -278,8 +290,10 @@ pub trait FrontierQueue<M> {
         None
     }
 
-    /// Cumulative number of states this frontier has written to disk
-    /// (always 0 for purely in-RAM policies).
+    /// Cumulative number of states this frontier pushed past its in-RAM
+    /// window into a disk segment, including those beyond the pop budget,
+    /// which are counted there but never written (always 0 for purely
+    /// in-RAM policies).
     fn spilled_states(&self) -> usize {
         0
     }
@@ -585,14 +599,22 @@ pub enum SpillOrder {
 static SPILL_DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 struct Segment<M> {
-    path: PathBuf,
+    /// The segment file, created with its first stored state: a segment
+    /// of unstored states only never touches the disk.
+    path: Option<PathBuf>,
     metas: VecDeque<M>,
+    /// States pushed past a FIFO pop budget: counted at the segment's
+    /// tail, after every stored state, but never encoded.
+    unstored: usize,
+    /// Their in-RAM bytes (part of `approx_bytes`).
+    unstored_bytes: usize,
     /// Approximate **in-RAM** bytes of the states in this segment — what
     /// the window will grow by when the segment replays. Segments are
     /// capped on this figure (not the much smaller encoded size) so a
     /// refill roughly half-fills, never floods, the budgeted window.
     approx_bytes: usize,
-    /// Open only on the newest FIFO segment (still being appended to).
+    /// Open from the first stored state until a newer segment starts (or,
+    /// for LIFO, until the spill that filled it ends).
     writer: Option<std::io::BufWriter<std::fs::File>>,
 }
 
@@ -607,6 +629,9 @@ struct Segment<M> {
 pub struct SpillingFrontier<M> {
     order: SpillOrder,
     ram: VecDeque<(MachineState, M)>,
+    /// States pushed past the pop budget counted at the window's tail
+    /// (their bytes are in `ram_bytes`).
+    ram_unstored: usize,
     ram_bytes: usize,
     budget: usize,
     /// Approximate in-RAM bytes per segment before a new one starts; sized
@@ -618,10 +643,17 @@ pub struct SpillingFrontier<M> {
     segments: VecDeque<Segment<M>>,
     seg_counter: u64,
     spilled: usize,
+    /// FIFO only: the most states the queue will ever serve, and how many
+    /// it has stored so far.
+    pop_budget: usize,
+    kept: usize,
     encode_buf: Vec<u8>,
     /// One decoding context for the search's lifetime, so every replayed
     /// state shares one input allocation and its digest.
     decoder: StateDecoder,
+    /// States encoded into segment files so far.
+    #[cfg(test)]
+    encoded: usize,
 }
 
 impl<M> SpillingFrontier<M> {
@@ -629,10 +661,25 @@ impl<M> SpillingFrontier<M> {
     /// roughly `max_frontier_bytes`.
     #[must_use]
     pub fn new(order: SpillOrder, max_frontier_bytes: usize) -> Self {
+        Self::with_pop_budget(order, max_frontier_bytes, usize::MAX)
+    }
+
+    /// [`new`](Self::new) for a search that expands at most `pop_budget`
+    /// states: in FIFO order the queue stores (in RAM or on disk) only the
+    /// states it can still serve and counts the rest without encoding them
+    /// (see the module docs' state-capped BFS section). LIFO order ignores
+    /// the budget.
+    #[must_use]
+    pub fn with_pop_budget(
+        order: SpillOrder,
+        max_frontier_bytes: usize,
+        pop_budget: usize,
+    ) -> Self {
         let budget = max_frontier_bytes.max(4096);
         SpillingFrontier {
             order,
             ram: VecDeque::new(),
+            ram_unstored: 0,
             ram_bytes: 0,
             budget,
             seg_cap: (budget / 2).max(4096),
@@ -640,8 +687,15 @@ impl<M> SpillingFrontier<M> {
             segments: VecDeque::new(),
             seg_counter: 0,
             spilled: 0,
+            pop_budget: match order {
+                SpillOrder::Fifo => pop_budget,
+                SpillOrder::Lifo => usize::MAX,
+            },
+            kept: 0,
             encode_buf: Vec::new(),
             decoder: StateDecoder::default(),
+            #[cfg(test)]
+            encoded: 0,
         }
     }
 
@@ -657,39 +711,66 @@ impl<M> SpillingFrontier<M> {
         })
     }
 
-    /// Opens a fresh segment file at the back of the strata, closing the
-    /// previous back segment's writer if it was still open.
-    fn start_segment(&mut self) {
+    /// Closes the back segment's file for appending, if it is open.
+    fn seal_back_segment(&mut self) {
         if let Some(seg) = self.segments.back_mut() {
             if let Some(mut w) = seg.writer.take() {
                 w.flush().expect("failed to flush a frontier spill segment");
             }
         }
-        let n = self.seg_counter;
-        self.seg_counter += 1;
-        let path = self.spill_dir().join(format!("seg-{n}.bin"));
-        let file = std::fs::File::create(&path).expect("failed to create a frontier spill segment");
+    }
+
+    /// Starts a fresh segment at the back of the strata, sealing the
+    /// previous back segment. Its file is created with its first stored
+    /// state.
+    fn start_segment(&mut self) {
+        self.seal_back_segment();
         self.segments.push_back(Segment {
-            path,
+            path: None,
             metas: VecDeque::new(),
+            unstored: 0,
+            unstored_bytes: 0,
             approx_bytes: 0,
-            writer: Some(std::io::BufWriter::new(file)),
+            writer: None,
         });
+    }
+
+    /// The back segment, after starting a new one if it is at the cap.
+    /// It is never a sealed one: a LIFO spill starts its own segment, and
+    /// only a newer segment seals a FIFO one.
+    fn back_segment(&mut self) -> &mut Segment<M> {
+        let seg_cap = self.seg_cap;
+        if self
+            .segments
+            .back()
+            .is_none_or(|seg| seg.approx_bytes >= seg_cap)
+        {
+            self.start_segment();
+        }
+        self.segments.back_mut().expect("segment just ensured")
     }
 
     /// Encodes one state onto the back segment (opening a new one at the
     /// cap), recording its meta in the segment's RAM-side queue.
     fn append_to_back_segment(&mut self, state: &MachineState, meta: M) {
-        let needs_new = match self.segments.back() {
-            Some(seg) => seg.writer.is_none() || seg.approx_bytes >= self.seg_cap,
-            None => true,
-        };
-        if needs_new {
-            self.start_segment();
+        if self.back_segment().path.is_none() {
+            let n = self.seg_counter;
+            self.seg_counter += 1;
+            let path = self.spill_dir().join(format!("seg-{n}.bin"));
+            let file =
+                std::fs::File::create(&path).expect("failed to create a frontier spill segment");
+            let seg = self.segments.back_mut().expect("segment just ensured");
+            seg.writer = Some(std::io::BufWriter::new(file));
+            seg.path = Some(path);
         }
         self.encode_buf.clear();
         encode_state(state, &mut self.encode_buf);
+        #[cfg(test)]
+        {
+            self.encoded += 1;
+        }
         let seg = self.segments.back_mut().expect("segment just ensured");
+        debug_assert_eq!(seg.unstored, 0, "stored states precede unstored ones");
         seg.writer
             .as_mut()
             .expect("back segment writer open")
@@ -701,15 +782,20 @@ impl<M> SpillingFrontier<M> {
     }
 
     /// Decodes a whole segment back into the (empty) RAM window, in file
-    /// order, and deletes the file. Decoded states re-derive their rolling
-    /// fingerprint folds (`MachineState::from_decoded`), which the codec
-    /// round-trip property tests pin to `fingerprint_from_scratch`.
+    /// order, and deletes the file; its unstored tail moves to the
+    /// window's. Decoded states re-derive their rolling fingerprint folds
+    /// (`MachineState::from_decoded`), which the codec round-trip property
+    /// tests pin to `fingerprint_from_scratch`.
     fn replay(&mut self, mut seg: Segment<M>) {
-        debug_assert!(self.ram.is_empty(), "replay only refills a drained window");
+        debug_assert!(
+            self.ram.is_empty() && self.ram_unstored == 0,
+            "replay only refills a drained window"
+        );
         if let Some(mut w) = seg.writer.take() {
             w.flush().expect("failed to flush a frontier spill segment");
         }
-        let bytes = std::fs::read(&seg.path).expect("failed to read back a frontier spill segment");
+        let path = seg.path.expect("a replayed segment holds stored states");
+        let bytes = std::fs::read(&path).expect("failed to read back a frontier spill segment");
         let mut pos = 0usize;
         while pos < bytes.len() {
             let (state, consumed) = self
@@ -723,22 +809,28 @@ impl<M> SpillingFrontier<M> {
             self.ram.push_back((state, meta));
         }
         debug_assert!(seg.metas.is_empty(), "one spilled state per meta");
-        let _ = std::fs::remove_file(&seg.path);
+        let _ = std::fs::remove_file(&path);
+        self.ram_unstored = seg.unstored;
+        self.ram_bytes += seg.unstored_bytes;
     }
 
-    /// Refills the RAM window from the next stratum, if any.
+    /// Refills the RAM window from the next stratum, if it holds a state
+    /// the queue can serve. Unstored states lie past the pop budget, so
+    /// once one is next in line nothing is replayed.
     fn refill(&mut self) -> bool {
+        let next = match self.order {
+            SpillOrder::Fifo => self.segments.front(),
+            SpillOrder::Lifo => self.segments.back(),
+        };
+        if self.ram_unstored > 0 || next.is_none_or(|seg| seg.metas.is_empty()) {
+            return false;
+        }
         let seg = match self.order {
             SpillOrder::Fifo => self.segments.pop_front(),
             SpillOrder::Lifo => self.segments.pop_back(),
         };
-        match seg {
-            Some(seg) => {
-                self.replay(seg);
-                true
-            }
-            None => false,
-        }
+        self.replay(seg.expect("checked above"));
+        true
     }
 
     fn ram_push(&mut self, state: MachineState, meta: M) {
@@ -763,13 +855,26 @@ impl<M> FrontierQueue<M> for SpillingFrontier<M> {
     fn push(&mut self, state: MachineState, meta: M) {
         match self.order {
             SpillOrder::Fifo => {
+                let stored = self.kept < self.pop_budget;
+                self.kept += usize::from(stored);
                 // Pushes are the newest states. Once any stratum exists (or
                 // the window is full) they must go behind it, or they would
                 // jump the queue.
-                if self.segments.is_empty() && self.ram_bytes < self.budget {
-                    self.ram_push(state, meta);
-                } else {
-                    self.append_to_back_segment(&state, meta);
+                let to_ram = self.segments.is_empty() && self.ram_bytes < self.budget;
+                match (to_ram, stored) {
+                    (true, true) => self.ram_push(state, meta),
+                    (false, true) => self.append_to_back_segment(&state, meta),
+                    (true, false) => {
+                        self.ram_bytes += state.approx_bytes();
+                        self.ram_unstored += 1;
+                    }
+                    (false, false) => {
+                        let seg = self.back_segment();
+                        seg.approx_bytes += state.approx_bytes();
+                        seg.unstored_bytes += state.approx_bytes();
+                        seg.unstored += 1;
+                        self.spilled += 1;
+                    }
                 }
             }
             SpillOrder::Lifo => {
@@ -784,41 +889,31 @@ impl<M> FrontierQueue<M> for SpillingFrontier<M> {
                         let (s, m) = self.ram_pop_front().expect("counted above");
                         self.append_to_back_segment(&s, m);
                     }
-                    if let Some(seg) = self.segments.back_mut() {
-                        if let Some(mut w) = seg.writer.take() {
-                            w.flush().expect("failed to flush a frontier spill segment");
-                        }
-                    }
+                    self.seal_back_segment();
                 }
             }
         }
     }
 
     fn pop(&mut self) -> Option<(MachineState, M)> {
-        match self.order {
-            SpillOrder::Fifo => {
-                if let Some(item) = self.ram_pop_front() {
-                    return Some(item);
-                }
-                if self.refill() {
-                    return self.ram_pop_front();
-                }
-                None
-            }
-            SpillOrder::Lifo => {
-                if let Some(item) = self.ram_pop_back() {
-                    return Some(item);
-                }
-                if self.refill() {
-                    return self.ram_pop_back();
-                }
-                None
-            }
+        let pop_end = match self.order {
+            SpillOrder::Fifo => Self::ram_pop_front,
+            SpillOrder::Lifo => Self::ram_pop_back,
+        };
+        match pop_end(self) {
+            Some(item) => Some(item),
+            None if self.refill() => pop_end(self),
+            None => None,
         }
     }
 
     fn len(&self) -> usize {
-        self.ram.len() + self.segments.iter().map(|s| s.metas.len()).sum::<usize>()
+        let spilled: usize = self
+            .segments
+            .iter()
+            .map(|s| s.metas.len() + s.unstored)
+            .sum();
+        self.ram.len() + self.ram_unstored + spilled
     }
 
     fn approx_bytes(&self) -> usize {
@@ -834,7 +929,9 @@ impl<M> Drop for SpillingFrontier<M> {
     fn drop(&mut self) {
         for seg in &mut self.segments {
             drop(seg.writer.take());
-            let _ = std::fs::remove_file(&seg.path);
+            if let Some(path) = &seg.path {
+                let _ = std::fs::remove_file(path);
+            }
         }
         if let Some(dir) = &self.dir {
             let _ = std::fs::remove_dir(dir);
@@ -965,11 +1062,13 @@ mod tests {
     }
 
     #[test]
-    fn only_the_unspilled_bfs_queue_takes_a_pop_budget() {
+    fn only_the_bfs_queues_take_a_pop_budget() {
         let policies = [
             (FrontierPolicy::Bfs, None, true),
-            (FrontierPolicy::Bfs, Some(usize::MAX), false),
+            (FrontierPolicy::Bfs, Some(usize::MAX), true),
+            (FrontierPolicy::Bfs, Some(0), true),
             (FrontierPolicy::Dfs, None, false),
+            (FrontierPolicy::Dfs, Some(0), false),
             (
                 FrontierPolicy::Priority(PriorityHeuristic::Depth),
                 None,
@@ -987,6 +1086,108 @@ mod tests {
             assert_eq!(served, if budgeted { 2 } else { 5 }, "{label}");
             assert_eq!(q.len(), if budgeted { 3 } else { 0 }, "{label}");
         }
+    }
+
+    /// A state of `cells` memory words, distinct per `tag`.
+    fn sized_state(tag: u64, cells: u64) -> MachineState {
+        let mut s = MachineState::new();
+        s.load_memory((0..cells).map(|i| (i * 8, (i ^ tag) as i64)));
+        s.set_reg(Reg::r(3), Value::Int(tag as i64));
+        s
+    }
+
+    /// splitmix64: a fixed, dependency-free stream for scripted tests.
+    fn splitmix(seed: &mut u64) -> u64 {
+        *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn budgeted_spilling_fifo_matches_the_unbudgeted_one() {
+        // Random push/pop scripts through a budgeted and an unbudgeted
+        // spilling FIFO with the smallest window (a few states), at every
+        // budget from 0 to one past the number of pushes.
+        let mut seed = 46u64;
+        let (mut mixed_segments, mut unstored_only_segments) = (0usize, 0usize);
+        for _ in 0..6 {
+            // `Some(cells)` pushes a state of that many memory words; the
+            // trailing pops drain both queues.
+            let mut script: Vec<Option<u64>> = (0..90)
+                .map(|_| (splitmix(&mut seed) % 5 < 3).then(|| splitmix(&mut seed) % 96))
+                .collect();
+            let n = script.iter().flatten().count();
+            script.extend(std::iter::repeat_n(None, n));
+            for budget in 0..=n + 1 {
+                let mut budgeted: SpillingFrontier<usize> =
+                    SpillingFrontier::with_pop_budget(SpillOrder::Fifo, 0, budget);
+                let mut plain: SpillingFrontier<usize> = SpillingFrontier::new(SpillOrder::Fifo, 0);
+                let (mut pushed, mut served, mut unstored_spills) = (0usize, 0usize, 0usize);
+                for op in &script {
+                    let label = format!("budget {budget}, {pushed} pushed, {served} served");
+                    if let Some(cells) = *op {
+                        let spilled = plain.spilled_states();
+                        let state = sized_state(pushed as u64, cells);
+                        budgeted.push(state.clone(), pushed);
+                        plain.push(state, pushed);
+                        if pushed >= budget && plain.spilled_states() > spilled {
+                            unstored_spills += 1;
+                        }
+                        pushed += 1;
+                    } else {
+                        let want = plain.pop();
+                        let got = budgeted.pop();
+                        if served == budget && want.is_some() {
+                            // The unbudgeted queue serves state budget+1.
+                            assert!(got.is_none(), "{label}: the budget is spent");
+                            assert!(budgeted.len() > 0, "{label}: None with states counted");
+                            break;
+                        }
+                        assert_eq!(got, want, "{label}: the same state and meta");
+                        served += usize::from(want.is_some());
+                    }
+                    assert_eq!(budgeted.len(), plain.len(), "{label}: len");
+                    assert_eq!(
+                        budgeted.approx_bytes(),
+                        plain.approx_bytes(),
+                        "{label}: bytes"
+                    );
+                    assert_eq!(
+                        budgeted.spilled_states(),
+                        plain.spilled_states(),
+                        "{label}: spilled_states"
+                    );
+                    assert_eq!(plain.encoded, plain.spilled_states(), "{label}");
+                    assert_eq!(
+                        budgeted.encoded + unstored_spills,
+                        budgeted.spilled_states(),
+                        "{label}: states past the budget are never encoded"
+                    );
+                    for seg in &budgeted.segments {
+                        if seg.unstored > 0 && seg.metas.is_empty() {
+                            assert!(seg.path.is_none(), "{label}: no file for unstored states");
+                            unstored_only_segments += 1;
+                        } else if seg.unstored > 0 {
+                            mixed_segments += 1;
+                        }
+                    }
+                }
+                if unstored_spills > 0 {
+                    assert!(budgeted.encoded < budgeted.spilled_states());
+                }
+                if budget == 0 {
+                    assert!(budgeted.dir.is_none(), "nothing stored, nothing on disk");
+                }
+                assert!(served <= budget);
+            }
+        }
+        assert!(mixed_segments > 0, "mixed segments must occur");
+        assert!(
+            unstored_only_segments > 0,
+            "unstored-only segments must occur"
+        );
     }
 
     #[test]

@@ -169,7 +169,8 @@ pub struct SubtreeSummary {
     pub peak_frontier_len: usize,
     /// Frontier peak (approximate in-RAM bytes) of the recorded search.
     pub peak_frontier_bytes: usize,
-    /// States the recorded search spilled to disk.
+    /// States the recorded search pushed past its RAM window, stored or
+    /// not (see [`SearchReport::spilled_states`]).
     pub spilled_states: usize,
     /// Worker threads of the recording engine: always 1, kept so SYMO
     /// record bytes do not move.

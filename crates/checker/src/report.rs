@@ -141,8 +141,11 @@ pub struct SearchReport {
     /// stored or not, so a state-capped BFS reports the bytes its dropped
     /// states would have held.
     pub peak_frontier_bytes: usize,
-    /// States the frontier wrote to disk over the whole search (0 unless a
-    /// `max_frontier_bytes` budget forced spilling).
+    /// States the frontier pushed past its RAM window into disk segments
+    /// over the whole search (0 unless a `max_frontier_bytes` budget forced
+    /// spilling). Like `peak_frontier_len` this is the open set, stored or
+    /// not: a state-capped BFS counts the states beyond its cap here but
+    /// never writes them (see [`crate::frontier`]).
     pub spilled_states: usize,
     /// Searches answered from a [`crate::MemoStore`] instead of expanding
     /// (0 or 1 for a single search; campaign pooling sums them). A memo hit
@@ -225,7 +228,7 @@ impl fmt::Display for SearchReport {
         )?;
         writeln!(
             f,
-            "frontier: peak {} state(s) / ~{} bytes in RAM, {} spilled to disk",
+            "frontier: peak {} state(s) / ~{} bytes in RAM, {} spilled",
             self.peak_frontier_len, self.peak_frontier_bytes, self.spilled_states
         )?;
         if self.memo_hits > 0 {

@@ -225,7 +225,10 @@ pub struct TaskResult {
     /// `SearchLimits::max_frontier_bytes` budget bounds. It covers the
     /// open set, stored or not, like `peak_frontier_len`.
     pub peak_frontier_bytes: usize,
-    /// Frontier states this task's searches spilled to disk.
+    /// Frontier states this task's searches pushed past their RAM window
+    /// into disk segments, stored or not: a state-capped BFS counts the
+    /// states beyond its cap there without writing them (see
+    /// `sympl_check::frontier`).
     pub spilled_states: usize,
     /// Point searches served whole from a cross-campaign [`MemoStore`]
     /// instead of being re-expanded. A served search replays its recorded
@@ -395,7 +398,8 @@ impl CampaignReport {
             .unwrap_or(0)
     }
 
-    /// Total frontier states the campaign's searches spilled to disk.
+    /// Total frontier states the campaign's searches pushed past their RAM
+    /// window, stored or not (see [`TaskResult::spilled_states`]).
     #[must_use]
     pub fn spilled_states(&self) -> usize {
         self.tasks.iter().map(|t| t.spilled_states).sum()

@@ -196,7 +196,9 @@ pub struct Verdict {
     /// search held at once — the figure a
     /// `SearchLimits::max_frontier_bytes` budget bounds.
     pub peak_frontier_bytes: usize,
-    /// Frontier states spilled to disk across all point searches.
+    /// Frontier states pushed past the RAM window across all point
+    /// searches, stored or not (a state-capped BFS counts the states beyond
+    /// its cap without writing them).
     pub spilled_states: usize,
     /// Point searches served whole from the attached [`MemoStore`]
     /// (0 without one). Served searches replay their recorded statistics,

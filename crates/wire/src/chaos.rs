@@ -14,6 +14,7 @@
 
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::mpsc::{self, Receiver};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -31,11 +32,13 @@ pub enum ChaosMode {
     /// frame and go silent for `hold` before dropping — the coordinator
     /// observes a wedged worker (partial bytes, then nothing) and must
     /// fail the connection via its liveness deadline, never by waiting
-    /// out the hold.
+    /// out the hold. The proxy stops holding as soon as the coordinator
+    /// hangs up, so a coordinator that gave up early is not kept waiting
+    /// on the proxy either.
     StallMidFrame {
         /// Intact frames to forward before the stall.
         after_frames: usize,
-        /// How long to hold the half-sent frame before dropping.
+        /// The longest the half-sent frame is held before dropping.
         hold: Duration,
     },
     /// Forward every frame, but send frame number `frame` (0-based)
@@ -95,15 +98,19 @@ fn proxy_one(listener: &TcpListener, upstream: &str, mode: ChaosMode) -> io::Res
     up.set_nodelay(true)?;
 
     // Coordinator→worker is forwarded verbatim on its own thread; the
-    // chaos is injected into the worker→coordinator direction only.
+    // chaos is injected into the worker→coordinator direction only. The
+    // thread holds `hang_up` until the coordinator's half ends; dropping
+    // it wakes a stall early.
     let down_for_copy = down.try_clone()?;
     let up_for_copy = up.try_clone()?;
+    let (hang_up, hung_up) = mpsc::channel::<()>();
     let forward = std::thread::spawn(move || {
+        let _hang_up = hang_up;
         let _ = io::copy(&mut &down_for_copy, &mut &up_for_copy);
         let _ = up_for_copy.shutdown(Shutdown::Write);
     });
 
-    let outcome = run_chaos_direction(&up, &down, mode);
+    let outcome = run_chaos_direction(&up, &down, mode, &hung_up);
 
     // Tear everything down so the copy thread unblocks whatever happens.
     let _ = down.shutdown(Shutdown::Both);
@@ -115,7 +122,13 @@ fn proxy_one(listener: &TcpListener, upstream: &str, mode: ChaosMode) -> io::Res
 /// Forwards the worker preamble then frames downstream, applying `mode`.
 /// Frames are re-emitted through [`write_frame`], so the proxy adds no
 /// write-splitting stall of its own to the conversation under test.
-fn run_chaos_direction(up: &TcpStream, down: &TcpStream, mode: ChaosMode) -> io::Result<()> {
+/// `hung_up` disconnects when the coordinator's half of `down` ends.
+fn run_chaos_direction(
+    up: &TcpStream,
+    down: &TcpStream,
+    mode: ChaosMode,
+    hung_up: &Receiver<()>,
+) -> io::Result<()> {
     let mut reader = BufReader::new(up.try_clone()?);
     let mut writer = down.try_clone()?;
 
@@ -145,7 +158,8 @@ fn run_chaos_direction(up: &TcpStream, down: &TcpStream, mode: ChaosMode) -> io:
                 let cut = framed.len() - payload.len().div_ceil(2);
                 writer.write_all(&framed[..cut])?;
                 writer.flush()?;
-                std::thread::sleep(hold);
+                // Hold until `hold` runs out or the coordinator hangs up.
+                let _ = hung_up.recv_timeout(hold);
                 return Ok(());
             }
             ChaosMode::DuplicateFrame { frame } if forwarded == frame => {

@@ -1895,10 +1895,10 @@ mod decoded_equivalence {
 
 // ---------------------------------------------------------------------
 // State-capped BFS pop budget: a BFS frontier built with the search's
-// state cap stores only the states it will expand. It must leave every
-// report field as it was. The reference is the same search with
-// `max_frontier_bytes: Some(usize::MAX)`, a spilling window that never
-// fills and so stores every state in FIFO order with no pop budget.
+// state cap — in RAM or spilling — stores only the states it will expand.
+// It must leave every report field as it was. The reference is a
+// test-local copy of the engine's expansion loop over the public,
+// unbudgeted `FrontierPolicy::build`, so it stores every state it is given.
 // ---------------------------------------------------------------------
 
 mod capped_bfs_budget {
@@ -1908,16 +1908,95 @@ mod capped_bfs_budget {
     use std::time::Duration;
     use symplfied::apps::Workload;
     use symplfied::asm::Program;
-    use symplfied::check::{Explorer, SearchReport};
-    use symplfied::cluster::{run_cluster, CampaignReport, ClusterConfig, TaskResult};
+    use symplfied::check::{Explorer, FrontierQueue, OutcomeCounts, SearchReport, Solution};
+    use symplfied::cluster::{run_cluster, shard_specs, CampaignReport, ClusterConfig, TaskResult};
     use symplfied::inject::{prepare_cached, Campaign, ErrorClass, PrefixCache};
+    use symplfied::machine::{FingerprintSet, SuccessorBuf};
 
-    /// The reference configuration: the same limits, unbudgeted FIFO.
-    fn reference_limits(limits: &SearchLimits) -> SearchLimits {
-        SearchLimits {
-            max_frontier_bytes: Some(usize::MAX),
-            ..limits.clone()
+    /// The spill windows every register-point and generated-program leg
+    /// runs at besides the in-RAM frontier.
+    const WINDOWS: [Option<usize>; 3] = [None, Some(4 << 10), Some(64 << 10)];
+
+    /// The engine's single-round expansion loop (`Explorer::explore`
+    /// without a memo store) over an unbudgeted frontier: every successor
+    /// is stored, in RAM or on disk, whether or not the cap lets it be
+    /// expanded. Its report is untimed.
+    fn reference_search(
+        program: &Program,
+        dets: &DetectorSet,
+        seeds: &[MachineState],
+        predicate: &Predicate,
+        limits: &SearchLimits,
+    ) -> SearchReport {
+        assert!(!limits.policy.is_iterative() && limits.max_time.is_none());
+        let mut report = SearchReport {
+            workers: 1,
+            ..SearchReport::default()
+        };
+        let mut terminals = OutcomeCounts::default();
+        let mut arena: Vec<(usize, usize)> = Vec::new();
+        let mut visited = FingerprintSet::default();
+        let mut frontier: Box<dyn FrontierQueue<usize>> =
+            limits.policy.build(limits.max_frontier_bytes);
+        for s in seeds {
+            if visited.insert(s.fingerprint()) {
+                arena.push((usize::MAX, s.pc()));
+                frontier.seed(s.clone(), arena.len() - 1);
+            }
         }
+        report.peak_frontier_len = frontier.len();
+        report.peak_frontier_bytes = frontier.approx_bytes();
+        let decoded = program.decoded();
+        let mut successors = SuccessorBuf::new();
+        let mut swept = false;
+        loop {
+            let Some((state, idx)) = frontier.pop() else {
+                swept = true;
+                break;
+            };
+            if report.states_explored >= limits.max_states {
+                report.hit_state_cap = true;
+                break;
+            }
+            report.states_explored += 1;
+            if state.status().is_terminal() {
+                terminals.record(&state);
+                if predicate.matches(&state) {
+                    let mut trace = Vec::new();
+                    let mut cursor = idx;
+                    loop {
+                        let (parent, pc) = arena[cursor];
+                        trace.push(pc);
+                        if parent == usize::MAX {
+                            break;
+                        }
+                        cursor = parent;
+                    }
+                    trace.reverse();
+                    report.solutions.push(Solution { trace, state });
+                    if report.solutions.len() >= limits.max_solutions {
+                        report.hit_solution_cap = true;
+                        break;
+                    }
+                }
+                continue;
+            }
+            state.step_into(decoded, dets, &limits.exec, &mut successors);
+            for succ in successors.drain() {
+                if visited.insert(succ.fingerprint()) {
+                    arena.push((idx, succ.pc()));
+                    frontier.push(succ, arena.len() - 1);
+                } else {
+                    report.duplicate_hits += 1;
+                }
+            }
+            report.peak_frontier_len = report.peak_frontier_len.max(frontier.len());
+            report.peak_frontier_bytes = report.peak_frontier_bytes.max(frontier.approx_bytes());
+        }
+        report.exhausted = swept;
+        report.spilled_states = frontier.spilled_states();
+        report.terminals = terminals;
+        report
     }
 
     /// A report with its wall-clock fields cleared.
@@ -1927,8 +2006,8 @@ mod capped_bfs_budget {
         report
     }
 
-    /// Runs `seeds` under `limits` budgeted and as the reference, and
-    /// requires equal reports, timing excluded. Returns the budgeted one.
+    /// Runs `seeds` under `limits` on the engine and as the reference, and
+    /// requires equal reports, timing excluded. Returns the engine's.
     fn assert_budget_exact(
         program: &Program,
         dets: &DetectorSet,
@@ -1937,51 +2016,60 @@ mod capped_bfs_budget {
         limits: &SearchLimits,
         label: &str,
     ) -> SearchReport {
-        assert!(limits.max_frontier_bytes.is_none() && limits.max_time.is_none());
-        let explore = |limits: SearchLimits| {
-            untimed(
-                Explorer::new(program, dets)
-                    .with_limits(limits)
-                    .explore(seeds.to_vec(), predicate),
-            )
-        };
-        let budgeted = explore(limits.clone());
-        let reference = explore(reference_limits(limits));
-        assert_eq!(
-            reference.spilled_states, 0,
-            "{label}: the window never fills"
+        let budgeted = untimed(
+            Explorer::new(program, dets)
+                .with_limits(limits.clone())
+                .explore(seeds.to_vec(), predicate),
         );
+        let reference = reference_search(program, dets, seeds, predicate, limits);
         assert_eq!(budgeted, reference, "{label}");
         budgeted
     }
 
-    /// Every register-file point of `w` at `max_states`, collecting every
-    /// terminal so each witness trace is compared.
+    /// Every register-file point of `w` at `max_states` and each of
+    /// [`WINDOWS`], collecting every terminal so each witness trace is
+    /// compared.
     fn assert_points_exact(w: &Workload, max_states: usize) {
-        let limits = SearchLimits {
-            exec: ExecLimits::with_max_steps(w.max_steps),
-            max_states,
-            max_solutions: usize::MAX,
-            max_time: None,
-            ..SearchLimits::default()
-        };
         let campaign = Campaign::new(&w.program, ErrorClass::RegisterFile);
-        let cache = PrefixCache::new(&w.program, &w.detectors, &w.input, &limits.exec);
-        let mut capped = 0usize;
-        for (n, point) in campaign.points.iter().enumerate() {
-            let seeds = prepare_cached(&cache, point).seeds;
-            let label = format!("{} point {n} ({point:?}) cap {max_states}", w.name);
-            let report = assert_budget_exact(
-                &w.program,
-                &w.detectors,
-                &seeds,
-                &Predicate::Any,
-                &limits,
-                &label,
-            );
-            capped += usize::from(report.hit_state_cap);
+        let exec = ExecLimits::with_max_steps(w.max_steps);
+        let cache = PrefixCache::new(&w.program, &w.detectors, &w.input, &exec);
+        for window in WINDOWS {
+            let limits = SearchLimits {
+                exec: exec.clone(),
+                max_states,
+                max_solutions: usize::MAX,
+                max_time: None,
+                max_frontier_bytes: window,
+                ..SearchLimits::default()
+            };
+            let (mut capped, mut spilled) = (0usize, 0usize);
+            for (n, point) in campaign.points.iter().enumerate() {
+                let seeds = prepare_cached(&cache, point).seeds;
+                let label = format!(
+                    "{} point {n} ({point:?}) cap {max_states} window {window:?}",
+                    w.name
+                );
+                let report = assert_budget_exact(
+                    &w.program,
+                    &w.detectors,
+                    &seeds,
+                    &Predicate::Any,
+                    &limits,
+                    &label,
+                );
+                capped += usize::from(report.hit_state_cap);
+                spilled += report.spilled_states;
+            }
+            if max_states > 0 {
+                assert!(capped > 0, "{}: the cap must bind somewhere", w.name);
+                assert_eq!(
+                    spilled > 0,
+                    window.is_some(),
+                    "{} window {window:?}",
+                    w.name
+                );
+            }
         }
-        assert!(capped > 0, "{}: the cap must bind somewhere", w.name);
     }
 
     #[test]
@@ -2003,7 +2091,7 @@ mod capped_bfs_budget {
 
         /// Generated programs from random start states, at caps 0, n/2
         /// and n-1, n, n+1 around the search's exhaustive state count n,
-        /// with and without a solution cap.
+        /// with and without a solution cap, in RAM and spilling.
         #[test]
         fn generated_programs_around_their_exhaustive_count(
             program in program_strategy(),
@@ -2012,6 +2100,7 @@ mod capped_bfs_budget {
             pc_seed in 0usize..=16,
             err_regs in prop::collection::vec(1u8..8, 0..3),
             max_solutions in prop_oneof![Just(1usize), Just(3), Just(usize::MAX)],
+            window in prop_oneof![Just(WINDOWS[0]), Just(WINDOWS[1]), Just(WINDOWS[2])],
         ) {
             let dets = detectors();
             let pc = pc_seed.min(program.instrs().len());
@@ -2030,6 +2119,7 @@ mod capped_bfs_budget {
                 max_states: 5_000,
                 max_solutions: usize::MAX,
                 max_time: None,
+                max_frontier_bytes: window,
                 ..SearchLimits::default()
             };
             let full = Explorer::new(&program, &dets)
@@ -2046,7 +2136,7 @@ mod capped_bfs_budget {
             }
             for max_states in caps {
                 let capped = SearchLimits { max_states, max_solutions, ..limits.clone() };
-                let label = format!("cap {max_states} around n = {n}");
+                let label = format!("cap {max_states} around n = {n}, window {window:?}");
                 let report = assert_budget_exact(
                     &program, &dets, &seeds, &Predicate::Any, &capped, &label,
                 );
@@ -2057,32 +2147,17 @@ mod capped_bfs_budget {
         }
     }
 
-    /// Per-task results with the wall-clock field cleared.
-    fn untimed_tasks(report: &CampaignReport) -> Vec<TaskResult> {
-        report
-            .tasks
-            .iter()
-            .map(|t| TaskResult {
-                elapsed: Duration::ZERO,
-                ..t.clone()
-            })
-            .collect()
-    }
-
     /// The replace campaign at the repo benchmark's configuration (every
     /// register point, 16 tasks, 120 000 states per point, 10 findings per
-    /// task): equal outcome digests and per-task results. Release only: a
-    /// debug build needs minutes for it.
-    #[test]
-    #[cfg_attr(debug_assertions, ignore = "release-only: run with --release")]
-    fn replace_campaign_at_the_benchmark_config() {
+    /// task), with the frontier window `max_frontier_bytes`.
+    fn replace_benchmark_config(
+        max_frontier_bytes: Option<usize>,
+    ) -> (Workload, Predicate, ClusterConfig) {
         let w = symplfied::apps::replace();
         let golden = symplfied::apps::golden(&w);
         let predicate = Predicate::WrongOutput {
             expected: golden.output_ints(),
         };
-        let campaign = Campaign::new(&w.program, ErrorClass::RegisterFile);
-        assert_eq!(campaign.points.len(), 159);
         let config = ClusterConfig {
             workers: 2,
             tasks: 16,
@@ -2091,33 +2166,115 @@ mod capped_bfs_budget {
                 max_states: 120_000,
                 max_solutions: 10,
                 max_time: None,
+                max_frontier_bytes,
                 ..SearchLimits::default()
             },
             task_budget: None,
             max_findings_per_task: 10,
             point_workers_hint: Some(1),
         };
-        let run = |config: &ClusterConfig| {
+        (w, predicate, config)
+    }
+
+    /// Every point search of the benchmark's replace campaign against the
+    /// reference, with the solution cap each search gets inside its task
+    /// (the task's remaining findings). Release only: a debug build needs
+    /// minutes for it.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-only: run with --release")]
+    fn replace_campaign_at_the_benchmark_config() {
+        let (w, predicate, config) = replace_benchmark_config(None);
+        let campaign = Campaign::new(&w.program, ErrorClass::RegisterFile);
+        assert_eq!(campaign.points.len(), 159);
+        let cache = PrefixCache::new(&w.program, &w.detectors, &w.input, &config.search.exec);
+        let mut capped = 0usize;
+        for spec in shard_specs(&campaign, config.tasks) {
+            let mut findings = 0usize;
+            for point in &spec.points {
+                if findings >= config.max_findings_per_task {
+                    break;
+                }
+                let prepared = prepare_cached(&cache, point);
+                if !prepared.activated || prepared.seeds.is_empty() {
+                    continue;
+                }
+                let limits = SearchLimits {
+                    max_solutions: config
+                        .search
+                        .max_solutions
+                        .min(config.max_findings_per_task - findings),
+                    ..config.search.clone()
+                };
+                let label = format!("task {} point {point:?}", spec.id);
+                let report = assert_budget_exact(
+                    &w.program,
+                    &w.detectors,
+                    &prepared.seeds,
+                    &predicate,
+                    &limits,
+                    &label,
+                );
+                capped += usize::from(report.hit_state_cap);
+                findings += report.solutions.len();
+            }
+        }
+        assert!(capped > 0, "the state cap must bind");
+    }
+
+    /// Per-task results with the wall-clock field cleared, and with the
+    /// two frontier fields a spill window moves.
+    fn untimed_tasks_but_window(report: &CampaignReport) -> Vec<TaskResult> {
+        report
+            .tasks
+            .iter()
+            .map(|t| TaskResult {
+                elapsed: Duration::ZERO,
+                peak_frontier_bytes: 0,
+                spilled_states: 0,
+                ..t.clone()
+            })
+            .collect()
+    }
+
+    /// The repo benchmark's `replace_spill` workload: the replace campaign
+    /// above under a 16 MiB frontier window. It spills the same states as
+    /// an unbudgeted window would (the pinned 218 376), and its findings
+    /// and tasks are the in-RAM campaign's but for the two frontier fields
+    /// a window moves. Release only.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-only: run with --release")]
+    fn replace_spill_at_the_benchmark_config() {
+        let run = |window| {
+            let (w, predicate, config) = replace_benchmark_config(window);
+            let campaign = Campaign::new(&w.program, ErrorClass::RegisterFile);
             run_cluster(
                 &w.program,
                 &w.detectors,
                 &w.input,
                 &campaign,
                 &predicate,
-                config,
+                &config,
             )
         };
-        let budgeted = run(&config);
-        let reference = run(&ClusterConfig {
-            search: reference_limits(&config.search),
-            ..config.clone()
-        });
+        let spilling = run(Some(16 << 20));
+        let in_ram = run(None);
+        assert_eq!(spilling.spilled_states(), 218_376);
+        assert_eq!(in_ram.spilled_states(), 0);
+        assert!(spilling.peak_frontier_bytes() < in_ram.peak_frontier_bytes());
         assert!(
-            budgeted.tasks.iter().any(|t| !t.completed),
+            spilling.tasks.iter().any(|t| !t.completed),
             "the state cap must bind"
         );
-        assert_eq!(budgeted.outcome_digest(), reference.outcome_digest());
-        assert_eq!(untimed_tasks(&budgeted), untimed_tasks(&reference));
+        // The benchmark's pinned digest, which hashes `spilled_states` too.
+        assert_eq!(
+            format!("{:032x}", spilling.outcome_digest()),
+            "b3038ac67edb4f9bccd1b93bf65b2ed2"
+        );
+        assert_eq!(spilling.findings, in_ram.findings);
+        assert_eq!(
+            untimed_tasks_but_window(&spilling),
+            untimed_tasks_but_window(&in_ram)
+        );
     }
 }
 
