@@ -14,7 +14,12 @@
 //!   representation this is what lets one task sweep millions of states.
 //!   `fingerprint()` is O(1) at the enqueue call site — the state carries
 //!   rolling Zobrist-style component digests updated per write — so dedup
-//!   costs O(writes) along a path, never O(|state|) per successor.
+//!   costs O(writes) along a path, never O(|state|) per successor. The set
+//!   keeps one table per watchdog step count, and a state is a duplicate
+//!   when it matches on `(steps, fingerprint)`. On a queue that serves in
+//!   push order (BFS, in RAM or spilling) the search forgets each layer
+//!   once no later state can reach it, so the set holds a few step levels,
+//!   not the whole search (see `visited.rs`).
 //! * **Single insertion point.** A state's fingerprint enters the visited
 //!   set exactly once, when the state is enqueued (the old `search()`
 //!   redundantly re-inserted on dequeue as well).
@@ -43,9 +48,10 @@ use std::time::Instant;
 
 use sympl_asm::Program;
 use sympl_detect::DetectorSet;
-use sympl_machine::{ExecLimits, FingerprintSet, MachineState, SuccessorBuf};
+use sympl_machine::{ExecLimits, MachineState, SuccessorBuf};
 
 use crate::memo::{probe_digest, MemoStore, SubtreeSummary};
+use crate::visited::VisitedSet;
 use crate::{
     FrontierPolicy, FrontierQueue, OutcomeCounts, Predicate, SearchLimits, SearchReport, Solution,
 };
@@ -184,7 +190,7 @@ impl<'a> Explorer<'a> {
         if let Some(served) = store.serve(digest) {
             return served;
         }
-        let (report, max_depth) = self.explore_core(seeds, predicate);
+        let (report, max_depth, _) = self.explore_core(seeds, predicate);
         // The sequential traversal is deterministic, so a state- or
         // solution-capped report truncates at the same state on every
         // identical search and is just as replayable as an exhausted one.
@@ -204,34 +210,41 @@ impl<'a> Explorer<'a> {
     }
 
     /// The expansion loop behind [`Explorer::explore`], memo-blind.
-    /// Returns the report plus the subtree depth: the deepest terminal's
-    /// step count beyond the shallowest seed's.
-    fn explore_core(&self, seeds: Vec<MachineState>, predicate: &Predicate) -> (SearchReport, u64) {
+    /// Returns the report, the subtree depth (the deepest terminal's step
+    /// count beyond the shallowest seed's) and the most fingerprints the
+    /// visited set held at once.
+    fn explore_core(
+        &self,
+        seeds: Vec<MachineState>,
+        predicate: &Predicate,
+    ) -> (SearchReport, u64, usize) {
         let start = Instant::now();
         let mut report = SearchReport::default();
         let mut terminals = OutcomeCounts::default();
         let base_steps = seeds.iter().map(MachineState::steps).min().unwrap_or(0);
         let mut deepest = base_steps;
 
-        // Parent arena for witness traces: (parent index or ROOT, pc).
-        // 32-bit cells halve what is otherwise the search's largest
-        // allocation; 2^32 entries would need a 64 GiB visited set.
+        // Parent arena for witness traces: (parent index or ROOT, pc), one
+        // entry per state ever queued. 32-bit cells halve what is
+        // otherwise the search's largest allocation; 2^32 entries would
+        // take 32 GiB of arena alone.
         // Survives iterative-deepening rounds: indices recorded in round 0
         // stay valid as re-seed metadata.
         let mut arena: Vec<(u32, u32)> = Vec::new();
-        // Fingerprints only (16 bytes per visited state), bucketed by one
-        // finaliser pass over all 128 digest bits — no SipHash per probe.
-        let mut visited = FingerprintSet::default();
         // The state cap doubles as the frontier's pop budget: a queue that
         // pops in push order need not store what it will never serve.
         let mut frontier: Box<dyn FrontierQueue<usize>> = self
             .policy()
             .build_budgeted(self.limits.max_frontier_bytes, self.limits.max_states);
+        // Fingerprints only (16 bytes per visited state), one table per
+        // step count; a queue that serves in push order lets it forget
+        // the layers below its step floor.
+        let mut visited = VisitedSet::new(frontier.serves_in_push_order());
 
         for s in seeds {
             let pc = s.pc();
             // The single insertion point: enqueue time.
-            if visited.insert(s.fingerprint()) {
+            if visited.insert(s.steps(), s.fingerprint()) {
                 let idx = push_trace_node(&mut arena, ROOT, pc);
                 frontier.seed(s, idx);
             }
@@ -257,6 +270,7 @@ impl<'a> Explorer<'a> {
         let mut swept = false;
         'rounds: loop {
             while let Some((state, idx)) = frontier.pop() {
+                visited.served(|| frontier.len());
                 if report.states_explored >= self.limits.max_states {
                     report.hit_state_cap = true;
                     break 'rounds;
@@ -288,7 +302,7 @@ impl<'a> Explorer<'a> {
                 state.step_into(decoded, self.detectors, &self.limits.exec, &mut successors);
                 let parent = trace_u32(idx, "arena index");
                 for succ in successors.drain() {
-                    if visited.insert(succ.fingerprint()) {
+                    if visited.insert(succ.steps(), succ.fingerprint()) {
                         let succ_idx = push_trace_node(&mut arena, parent, succ.pc());
                         frontier.push(succ, succ_idx);
                     } else {
@@ -322,7 +336,7 @@ impl<'a> Explorer<'a> {
                     report.solutions.clear();
                     arena.truncate(root_arena_len);
                     for (s, meta) in roots {
-                        if visited.insert(s.fingerprint()) {
+                        if visited.insert(s.steps(), s.fingerprint()) {
                             frontier.seed(s, meta);
                         }
                     }
@@ -341,7 +355,7 @@ impl<'a> Explorer<'a> {
         report.elapsed = start.elapsed();
         report.states_per_second = SearchReport::throughput(report.states_explored, report.elapsed);
         report.workers = 1;
-        (report, deepest - base_steps)
+        (report, deepest - base_steps, visited.peak_live())
     }
 }
 
@@ -756,6 +770,105 @@ mod tests {
         assert_eq!(e.policy(), FrontierPolicy::Dfs);
         assert_eq!(e.program().len(), 1);
         assert_eq!(e.detectors().len(), 0);
+    }
+
+    /// The most fingerprints the visited set held at once, beside the
+    /// report.
+    fn explore_counting_live(
+        explorer: &Explorer<'_>,
+        seeds: Vec<MachineState>,
+        predicate: &Predicate,
+    ) -> (SearchReport, usize) {
+        let (report, _, peak_live) = explorer.explore_core(seeds, predicate);
+        (report, peak_live)
+    }
+
+    #[test]
+    fn a_bfs_on_a_long_single_path_keeps_a_few_fingerprints() {
+        let p = parse_program("loop: addi $2, $2, 1\nbeq $0, 0, loop").unwrap();
+        let d = dets();
+        let limits = SearchLimits {
+            max_states: 20_000,
+            exec: ExecLimits::with_max_steps(1_000_000),
+            ..SearchLimits::default()
+        };
+        for window in [None, Some(4 << 10)] {
+            let e = Explorer::new(&p, &d).with_limits(SearchLimits {
+                max_frontier_bytes: window,
+                ..limits.clone()
+            });
+            let (report, peak_live) =
+                explore_counting_live(&e, vec![MachineState::new()], &Predicate::Any);
+            assert!(report.hit_state_cap, "{window:?}");
+            assert!(peak_live <= 3, "{window:?}: {peak_live} live at the peak");
+        }
+        // Any other order keeps every fingerprint.
+        for policy in [
+            FrontierPolicy::Dfs,
+            FrontierPolicy::Priority(PriorityHeuristic::Depth),
+            FrontierPolicy::iterative_deepening(),
+        ] {
+            let e = Explorer::new(&p, &d)
+                .with_limits(limits.clone())
+                .with_policy(policy);
+            let (report, peak_live) =
+                explore_counting_live(&e, vec![MachineState::new()], &Predicate::Any);
+            assert!(peak_live >= report.states_explored.min(64), "{policy:?}");
+        }
+    }
+
+    /// The repo benchmark's pooled sweep: the seeds of every tcas
+    /// register-file point in one search, which start at many different
+    /// step counts, searched for the catastrophic advisory.
+    fn pooled_tcas_sweep(max_states: usize) -> (SearchReport, usize) {
+        use sympl_inject::{prepare_cached, Campaign, ErrorClass, PrefixCache};
+        let w = sympl_apps::tcas();
+        let exec = ExecLimits::with_max_steps(w.max_steps);
+        let cache = PrefixCache::new(&w.program, &w.detectors, &w.input, &exec);
+        let campaign = Campaign::new(&w.program, ErrorClass::RegisterFile);
+        let seeds: Vec<MachineState> = (campaign.points.iter())
+            .flat_map(|p| prepare_cached(&cache, p).seeds)
+            .collect();
+        let first = seeds.iter().map(MachineState::steps).min();
+        let last = seeds.iter().map(MachineState::steps).max();
+        assert!(first < last, "the seeds sit at different step counts");
+        let e = Explorer::new(&w.program, &w.detectors).with_limits(SearchLimits {
+            exec,
+            max_states,
+            max_solutions: usize::MAX,
+            ..SearchLimits::default()
+        });
+        explore_counting_live(&e, seeds, &Predicate::ExactOutput { output: vec![2] })
+    }
+
+    #[test]
+    fn a_capped_pooled_sweep_retires_layers() {
+        // The peak (70 180 live, as in the exhaustive sweep) is reached
+        // within the first 200 000 states.
+        let (report, peak_live) = pooled_tcas_sweep(200_000);
+        assert!(report.hit_state_cap);
+        assert!(
+            peak_live * 2 < report.states_explored,
+            "{peak_live} live at the peak of {}",
+            report.states_explored
+        );
+    }
+
+    /// Release only: a debug build needs about a minute for it.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-only: run with --release")]
+    fn the_exhaustive_pooled_sweep_keeps_under_a_tenth_of_its_fingerprints() {
+        let (report, peak_live) = pooled_tcas_sweep(usize::MAX);
+        assert!(report.exhausted);
+        eprintln!(
+            "{peak_live} fingerprints live at the peak of {} states",
+            report.states_explored
+        );
+        assert!(
+            peak_live * 10 < report.states_explored,
+            "{peak_live} live at the peak of {}",
+            report.states_explored
+        );
     }
 
     #[test]

@@ -85,6 +85,23 @@
 //! `spilled_states` — states pushed past the RAM window, stored or not —
 //! reads exactly as for an unbudgeted queue too. LIFO, priority and
 //! iterative deepening do not pop in push order and ignore the budget.
+//!
+//! # Step-layered dedup
+//!
+//! The same push-order fact lets the engine forget most of its visited
+//! set. A state's watchdog step count is part of its identity, and no
+//! successor has fewer steps than its parent, so the engine's visited set
+//! keeps one fingerprint table per step count. On a queue whose
+//! [`FrontierQueue::serves_in_push_order`] holds, the search runs in
+//! generations: once every state queued when a generation began has been
+//! served and expanded, no later state can have fewer steps than the
+//! least pushed meanwhile, and every table below that floor is dropped.
+//! Both FIFO queues, in RAM and spilling, answer `true`; LIFO, priority
+//! and iterative deepening keep the whole set (iterative deepening still
+//! resets it each round). A state is a duplicate when it matches on step
+//! count and fingerprint. The fingerprint already hashes the step count,
+//! so this differs from fingerprint-only dedup only where two states with
+//! different counts share all 128 bits.
 
 use std::collections::{BinaryHeap, VecDeque};
 use std::io::Write as _;
@@ -241,7 +258,9 @@ impl FrontierPolicy {
 /// trace token `M` (the explorer's parent-arena index).
 ///
 /// Everything the engine does to a frontier goes through this trait —
-/// including iterative-deepening round control — so a new policy is a new
+/// including iterative-deepening round control, and whether the queue
+/// serves in push order, which decides the pop budget and whether the
+/// engine's visited set drops step layers — so a new policy is a new
 /// implementation here and nothing else.
 pub trait FrontierQueue<M> {
     /// Enqueues an initial (root) state. Differs from [`push`](Self::push)
@@ -296,6 +315,17 @@ pub trait FrontierQueue<M> {
     /// in-RAM policies).
     fn spilled_states(&self) -> usize {
         0
+    }
+
+    /// Whether this queue serves states in exactly the order they were
+    /// pushed (the FIFO disciplines, in RAM or spilling). Such a queue
+    /// expands a search generation by generation, which is what lets it
+    /// take a pop budget and lets the engine forget visited-set layers no
+    /// later state can reach (see the module docs' step-layered dedup
+    /// section). `false` by default: any order but push order keeps the
+    /// whole visited set.
+    fn serves_in_push_order(&self) -> bool {
+        false
     }
 }
 
@@ -366,6 +396,10 @@ impl<M> FrontierQueue<M> for FifoQueue<M> {
 
     fn approx_bytes(&self) -> usize {
         self.bytes
+    }
+
+    fn serves_in_push_order(&self) -> bool {
+        true
     }
 }
 
@@ -923,6 +957,10 @@ impl<M> FrontierQueue<M> for SpillingFrontier<M> {
     fn spilled_states(&self) -> usize {
         self.spilled
     }
+
+    fn serves_in_push_order(&self) -> bool {
+        self.order == SpillOrder::Fifo
+    }
 }
 
 impl<M> Drop for SpillingFrontier<M> {
@@ -1083,6 +1121,8 @@ mod tests {
             }
             let served = drain(q.as_mut()).len();
             let label = format!("{policy:?} spill={spill:?}");
+            // The budget and visited-set sweeping rest on one fact.
+            assert_eq!(q.serves_in_push_order(), budgeted, "{label}");
             assert_eq!(served, if budgeted { 2 } else { 5 }, "{label}");
             assert_eq!(q.len(), if budgeted { 3 } else { 0 }, "{label}");
         }

@@ -51,6 +51,7 @@ pub mod memo;
 mod predicate;
 mod report;
 mod search;
+mod visited;
 
 pub use explorer::Explorer;
 pub use frontier::{

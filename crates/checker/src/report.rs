@@ -99,7 +99,10 @@ pub struct SearchReport {
     pub states_explored: usize,
     /// Terminal states reached (matching or not).
     pub terminals: OutcomeCounts,
-    /// Successors skipped because an identical state was already seen.
+    /// Successors skipped because an identical state was already seen:
+    /// one with the same step count and 128-bit fingerprint. A BFS
+    /// forgets the step counts no later state can have, so the count is
+    /// the same as with a visited set that forgets nothing.
     pub duplicate_hits: usize,
     /// Whether the frontier emptied — the state space was fully explored
     /// within the watchdog bound. With zero solutions this constitutes the

@@ -75,6 +75,11 @@ const CLOSED_ROWS: usize = 16;
 /// next one times out.
 const WRITE_STALL: Duration = Duration::from_secs(1);
 
+/// How long a refused connection has to send its first frame: a bare
+/// `Shutdown` still drains a full service, anything else (or nothing by
+/// then) is answered with the refusal.
+const REFUSED_FIRST_FRAME: Duration = Duration::from_secs(1);
+
 /// The acknowledgement a cancelled task is answered with.
 const CANCELLED: &str = "task cancelled by the coordinator";
 
@@ -300,6 +305,9 @@ pub(crate) enum Event {
     /// A `Shutdown` frame, bare or mid-session: drain the service and end
     /// this session.
     Shutdown(SessionId),
+    /// A bare `Shutdown` on a connection the gate refused: drain the
+    /// service.
+    Drain,
     /// The session's connection ended or broke.
     Closed(SessionId),
     /// An [`Action::Write`] finished: `true` if every frame went out.
@@ -417,6 +425,7 @@ impl ServiceCore {
             Event::Task(id, task, program) => self.enqueue(id, *task, program),
             Event::Cancel(id) => self.cancel(id),
             Event::Shutdown(id) => self.close(id, true),
+            Event::Drain => self.drain(),
             Event::Closed(id) | Event::Wrote(id, false) => self.close(id, false),
             Event::Wrote(id, true) => {
                 self.sessions.entry(id).and_modify(|s| s.writing = false);
@@ -466,6 +475,15 @@ impl ServiceCore {
             Action::Serve(id)
         };
         self.out.push(verdict);
+    }
+
+    /// A drain request from outside any session: refuse new clients from
+    /// now on, and stop once the last session closes — at once if none is
+    /// open and no drain was under way.
+    fn drain(&mut self) {
+        if !std::mem::replace(&mut self.draining, true) && self.sessions.is_empty() {
+            self.out.push(Action::Wake);
+        }
     }
 
     fn hello(&mut self, id: SessionId, label: String, priority: u64, accept: bool) {
@@ -841,6 +859,22 @@ impl<'a> Service<'a> {
         self.post(Event::Closed(id));
     }
 
+    /// A connection the accept gate refused. Its first frame is read,
+    /// waiting at most [`REFUSED_FIRST_FRAME`]: a bare `Shutdown` is a
+    /// drain request even when the service is full, and anything else is
+    /// refused loudly with a typed `Error` frame instead of being hung.
+    fn refuse(&self, stream: TcpStream, peer: SocketAddr, max: usize) -> Result<(), WireError> {
+        let mut conn = Conn::establish(stream)?;
+        conn.set_read_timeout(Some(REFUSED_FIRST_FRAME))?;
+        if let Ok(Message::Shutdown) = conn.recv() {
+            self.post(Event::Drain);
+            return Ok(());
+        }
+        let full = format!("at capacity ({max}/{max} clients)");
+        eprintln!("sympl-wire service: refusing client from {peer}: {full}");
+        conn.send(&Message::Error(format!("service {full}; try again later")))
+    }
+
     /// An admitted session, whichever way it was admitted: registers the
     /// client (answering a listened client's hello with its
     /// `ClientAccept`), then posts every frame until `Shutdown` or
@@ -943,13 +977,8 @@ impl WorkerServer {
                         drop(scope.spawn(move || service.session(id, stream, peer)))
                     }
                     Some(Action::Refuse) => {
-                        // The accept gate: refuse loudly with a typed Error
-                        // frame instead of hanging the client.
                         let max = opts.max_clients.max(1);
-                        let full = format!("at capacity ({max}/{max} clients)");
-                        eprintln!("sympl-wire service: refusing client from {peer}: {full}");
-                        let refusal = Message::Error(format!("service {full}; try again later"));
-                        scope.spawn(move || Conn::establish(stream)?.send(&refusal));
+                        scope.spawn(move || service.refuse(stream, peer, max));
                     }
                     // The last session's wake-up call (or a client too
                     // late to be served): nothing left to wait for.
@@ -1411,6 +1440,29 @@ mod tests {
         drop(first);
         let stats = handle.join().unwrap().unwrap();
         assert_eq!(stats.refused_clients, 1);
+    }
+
+    #[test]
+    fn a_bare_shutdown_drains_a_full_service() {
+        let (addr, handle) = start_service(ServeOptions {
+            max_clients: 1,
+            status_interval: None,
+        });
+        let occupant = open_session(&addr, "occupant");
+        // The gate refuses the connection, reads its first frame anyway,
+        // and takes the bare `Shutdown` as a drain request: it hangs up
+        // without an `Error` frame.
+        let stream = TcpStream::connect(&addr).unwrap();
+        let mut teardown = Conn::establish(stream).unwrap();
+        teardown.send(&Message::Shutdown).unwrap();
+        teardown
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(matches!(teardown.recv(), Err(WireError::Disconnected)));
+        // Draining: the service ends with its last session.
+        drop(occupant);
+        let stats = join_within(handle, Duration::from_secs(5), "the drain must end");
+        assert_eq!((stats.refused_clients, stats.active_clients), (1, 0));
     }
 
     #[test]

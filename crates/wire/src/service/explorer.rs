@@ -6,14 +6,16 @@
 //! each pipelining up to two tasks (one refused at enqueue); every write
 //! completion, job end (a flagged job ends incomplete) and tick to the
 //! next deadline; at most one each of `Cancel`, hang-up, failed write and
-//! bare `Shutdown`; and, at every state, a third connection probed on a
-//! copy of the core. Checked throughout: replies leave in submission
+//! bare `Shutdown` (on a connection the gate admits, or refuses and reads
+//! later); and, at every state, a third connection probed on a copy of
+//! the core. Checked throughout: replies leave in submission
 //! order, once, each the one its task is owed (so a `Cancel` answers the
 //! oldest incomplete task); a closed session leaves nothing behind and
 //! its running job flagged; backlogged picks keep the [`FairScheduler`]'s
 //! one-round bound; work in flight owes a heartbeat within its tightest
-//! cadence of the last frame; a drain ends with its last session; and no
-//! state is stuck while anything is owed.
+//! cadence of the last frame; a bare `Shutdown` drains the service even
+//! when the gate refused its connection; a drain ends with its last
+//! session; and no state is stuck while anything is owed.
 
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
@@ -109,6 +111,8 @@ enum Move {
     FailWrite(usize),
     Finish,
     BareShutdown,
+    /// The refused connection's bare `Shutdown` is read.
+    ReadRefused,
     Tick,
 }
 
@@ -121,6 +125,8 @@ struct World {
     running: Option<usize>,
     flag: bool,
     spent: Spent,
+    /// A refused connection whose bare `Shutdown` is not yet read.
+    refused_shutdown: bool,
     /// A drain was requested, and it has ended.
     draining: bool,
     woke: bool,
@@ -142,6 +148,7 @@ impl World {
         let mut table = vec![
             (self.running.is_some(), Move::Finish),
             (!self.spent.shutdown, Move::BareShutdown),
+            (self.refused_shutdown, Move::ReadRefused),
             (self.next_deadline().is_some(), Move::Tick),
         ];
         for (c, client) in self.clients.iter().enumerate() {
@@ -316,10 +323,19 @@ impl World {
             }
             Move::BareShutdown => {
                 self.spent.shutdown = true;
-                if let Some(id) = self.admit() {
-                    self.draining = true;
-                    self.post(Event::Shutdown(id));
+                match self.admit() {
+                    Some(id) => {
+                        self.draining = true;
+                        self.post(Event::Shutdown(id));
+                    }
+                    // Refused at the gate: the frame is read later.
+                    None => self.refused_shutdown = !self.woke,
                 }
+            }
+            Move::ReadRefused => {
+                self.refused_shutdown = false;
+                self.draining = true;
+                self.post(Event::Drain);
             }
             Move::Tick => {
                 self.now = self.now.max(self.next_deadline().expect("a deadline"));
@@ -423,7 +439,7 @@ impl World {
             }
         }
         (self.running, self.flag, self.spent).hash(&mut h);
-        (self.draining, self.woke, self.window).hash(&mut h);
+        (self.refused_shutdown, self.draining, self.woke, self.window).hash(&mut h);
         h.finish()
     }
 }

@@ -1915,20 +1915,21 @@ mod capped_bfs_budget {
 
     /// The spill windows every register-point and generated-program leg
     /// runs at besides the in-RAM frontier.
-    const WINDOWS: [Option<usize>; 3] = [None, Some(4 << 10), Some(64 << 10)];
+    pub(super) const WINDOWS: [Option<usize>; 3] = [None, Some(4 << 10), Some(64 << 10)];
 
-    /// The engine's single-round expansion loop (`Explorer::explore`
-    /// without a memo store) over an unbudgeted frontier: every successor
-    /// is stored, in RAM or on disk, whether or not the cap lets it be
-    /// expanded. Its report is untimed.
-    fn reference_search(
+    /// The engine's expansion loop (`Explorer::explore` without a memo
+    /// store) over an unbudgeted frontier and one flat `FingerprintSet`:
+    /// every successor is stored, in RAM or on disk, whether or not the
+    /// cap lets it be expanded, and every fingerprint is kept until an
+    /// iterative-deepening round resets the set. Its report is untimed.
+    pub(super) fn reference_search(
         program: &Program,
         dets: &DetectorSet,
         seeds: &[MachineState],
         predicate: &Predicate,
         limits: &SearchLimits,
     ) -> SearchReport {
-        assert!(!limits.policy.is_iterative() && limits.max_time.is_none());
+        assert!(limits.max_time.is_none());
         let mut report = SearchReport {
             workers: 1,
             ..SearchReport::default()
@@ -1951,8 +1952,21 @@ mod capped_bfs_budget {
         let mut swept = false;
         loop {
             let Some((state, idx)) = frontier.pop() else {
-                swept = true;
-                break;
+                // Iterative deepening's next round: a fresh visited set
+                // and fresh per-round tallies, re-seeded from the roots.
+                let Some(roots) = frontier.next_round() else {
+                    swept = true;
+                    break;
+                };
+                visited.clear();
+                terminals = OutcomeCounts::default();
+                report.solutions.clear();
+                for (s, meta) in roots {
+                    if visited.insert(s.fingerprint()) {
+                        frontier.seed(s, meta);
+                    }
+                }
+                continue;
             };
             if report.states_explored >= limits.max_states {
                 report.hit_state_cap = true;
@@ -2000,7 +2014,7 @@ mod capped_bfs_budget {
     }
 
     /// A report with its wall-clock fields cleared.
-    fn untimed(mut report: SearchReport) -> SearchReport {
+    pub(super) fn untimed(mut report: SearchReport) -> SearchReport {
         report.elapsed = Duration::ZERO;
         report.states_per_second = 0.0;
         report
@@ -2275,6 +2289,158 @@ mod capped_bfs_budget {
             untimed_tasks_but_window(&spilling),
             untimed_tasks_but_window(&in_ram)
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Step-layered dedup: the engine's visited set keeps one fingerprint
+// table per step count and, on a queue that serves states in push order,
+// forgets the layers below the step floor of each BFS generation. Every
+// report field must equal `capped_bfs_budget::reference_search`'s, whose
+// one flat `FingerprintSet` forgets nothing, under every policy, in RAM
+// and spilling, from seeds that start at different step counts.
+// ---------------------------------------------------------------------
+
+mod step_layered_dedup {
+    use super::capped_bfs_budget::{reference_search, untimed, WINDOWS};
+    use super::decoded_equivalence::{detectors, program_strategy, start_states};
+    use super::state_ops;
+    use super::*;
+    use symplfied::asm::Program;
+    use symplfied::check::{Explorer, FrontierPolicy, PriorityHeuristic};
+    use symplfied::inject::{prepare_cached, Campaign, ErrorClass, PrefixCache};
+
+    /// Every policy with every window it honours: the Bfs and Dfs queues
+    /// in RAM and spilling; the others ignore a window. Iterative
+    /// deepening deepens by `round_depth` a round.
+    fn configs(round_depth: u64) -> Vec<(FrontierPolicy, Option<usize>)> {
+        let spilling = [FrontierPolicy::Bfs, FrontierPolicy::Dfs];
+        let in_ram = [
+            FrontierPolicy::Priority(PriorityHeuristic::ConstraintMapSize),
+            FrontierPolicy::Priority(PriorityHeuristic::Depth),
+            FrontierPolicy::Priority(PriorityHeuristic::OutputLen),
+            FrontierPolicy::IterativeDeepening {
+                initial_depth: round_depth,
+                depth_step: round_depth,
+            },
+        ];
+        let spilled = spilling.into_iter().flat_map(|p| WINDOWS.map(|w| (p, w)));
+        spilled.chain(in_ram.map(|p| (p, None))).collect()
+    }
+
+    /// The engine and the reference on `seeds` under every config, with
+    /// equal untimed reports required. Returns the engine's reports.
+    fn assert_layered_exact(
+        program: &Program,
+        dets: &DetectorSet,
+        seeds: &[MachineState],
+        predicate: &Predicate,
+        limits: &SearchLimits,
+        label: &str,
+    ) -> Vec<SearchReport> {
+        // Several iterative-deepening rounds before the watchdog bound.
+        let round_depth = (limits.exec.max_steps / 4).max(1);
+        let mut reports = Vec::new();
+        for (policy, window) in configs(round_depth) {
+            let limits = SearchLimits {
+                policy,
+                max_frontier_bytes: window,
+                ..limits.clone()
+            };
+            let layered = untimed(
+                Explorer::new(program, dets)
+                    .with_limits(limits.clone())
+                    .explore(seeds.to_vec(), predicate),
+            );
+            let flat = reference_search(program, dets, seeds, predicate, &limits);
+            assert_eq!(layered, flat, "{label}: {policy:?} window {window:?}");
+            reports.push(layered);
+        }
+        reports
+    }
+
+    /// The repo benchmark's pooled sweep: the seeds of every tcas
+    /// register-file point in one search for the catastrophic advisory.
+    /// Capped in a debug build, exhaustive in release.
+    #[test]
+    fn pooled_tcas_seeds_at_mixed_step_counts() {
+        let w = symplfied::apps::tcas();
+        let exec = ExecLimits::with_max_steps(w.max_steps);
+        let cache = PrefixCache::new(&w.program, &w.detectors, &w.input, &exec);
+        let campaign = Campaign::new(&w.program, ErrorClass::RegisterFile);
+        let seeds: Vec<MachineState> = (campaign.points.iter())
+            .flat_map(|p| prepare_cached(&cache, p).seeds)
+            .collect();
+        let steps: std::collections::BTreeSet<u64> = seeds.iter().map(|s| s.steps()).collect();
+        assert!(steps.len() > 10, "seeds at {} step counts", steps.len());
+        let max_states = if cfg!(debug_assertions) {
+            20_000
+        } else {
+            usize::MAX
+        };
+        let limits = SearchLimits {
+            exec,
+            max_states,
+            max_solutions: usize::MAX,
+            max_time: None,
+            ..SearchLimits::default()
+        };
+        let predicate = Predicate::ExactOutput { output: vec![2] };
+        let reports = assert_layered_exact(
+            &w.program,
+            &w.detectors,
+            &seeds,
+            &predicate,
+            &limits,
+            "tcas",
+        );
+        for report in &reports {
+            assert_eq!(report.exhausted, max_states == usize::MAX, "{report}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Generated programs from seeds at different pcs and step counts:
+        /// each start state once as generated and once `bumps` steps on,
+        /// so equal states that differ only in `steps` both stay.
+        #[test]
+        fn generated_programs_from_seeds_at_different_step_counts(
+            program in program_strategy(),
+            ops in prop::collection::vec(state_ops::op_strategy(), 0..10),
+            input in prop::collection::vec(-6i64..=6, 0..4),
+            pcs in prop::collection::vec(0usize..=16, 1..4),
+            bumps in prop::collection::vec(1u64..6, 1..4),
+            err_regs in prop::collection::vec(1u8..8, 0..3),
+            max_states in prop_oneof![Just(usize::MAX), Just(40usize), Just(400)],
+        ) {
+            let dets = detectors();
+            let len = program.instrs().len();
+            let mut seeds = Vec::new();
+            for (i, mut seed) in start_states(&input, &ops, 0).into_iter().enumerate() {
+                seed.set_pc(pcs[i % pcs.len()].min(len));
+                seed.load_memory((0..8).map(|w| (w * 8, w as i64)));
+                for &r in &err_regs {
+                    seed.set_reg(Reg::r(r), Value::Err);
+                }
+                let mut later = seed.clone();
+                for _ in 0..bumps[i % bumps.len()] {
+                    later.bump_steps();
+                }
+                seeds.extend([later, seed]);
+            }
+            let limits = SearchLimits {
+                exec: ExecLimits::with_max_steps(40),
+                max_states,
+                max_solutions: usize::MAX,
+                max_time: None,
+                ..SearchLimits::default()
+            };
+            assert_layered_exact(
+                &program, &dets, &seeds, &Predicate::Any, &limits, "generated",
+            );
+        }
     }
 }
 
