@@ -44,11 +44,13 @@
 //! — a spilling search expands states in the same order as its unbounded
 //! twin, which is what lets exhaustive searches whose frontier exceeds RAM
 //! reproduce the unbounded run's outcome counts and solution sets verbatim.
-//! Copy-on-write sharing of registers, memory and output does not survive
-//! a spill round-trip (each image is written flat); that trade is the
-//! point — RAM is the scarce resource. The input stream does survive: the
-//! frontier keeps one `StateDecoder`, so every replayed state shares one
-//! input allocation.
+//! Each record is written flat, whatever the state shared in RAM; that
+//! trade is the point — RAM is the scarce resource. The frontier keeps one
+//! `StateEncoder` and one `StateDecoder` for the search's lifetime, so a
+//! spill pays only for what consecutive states change: the encoder copies
+//! the bytes of a memory image or input it has just written, and replayed
+//! states share a memory image, input, register file or output stream with
+//! the state decoded before them while their records repeat it.
 //!
 //! The spill budget rides in `SearchLimits::max_frontier_bytes`; the
 //! priority and iterative-deepening policies ignore it (a heap spill would
@@ -108,7 +110,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sympl_machine::{encode_state, Fingerprint, MachineState, StateDecoder};
+use sympl_machine::{Fingerprint, MachineState, StateDecoder, StateEncoder};
 
 /// The frontier discipline configuration: which state the engine expands
 /// next. See the [module docs](self) for each policy's determinism
@@ -682,8 +684,9 @@ pub struct SpillingFrontier<M> {
     pop_budget: usize,
     kept: usize,
     encode_buf: Vec<u8>,
-    /// One decoding context for the search's lifetime, so every replayed
-    /// state shares one input allocation and its digest.
+    /// One encoding and one decoding context for the search's lifetime,
+    /// so consecutive spilled states pay only for what they change.
+    encoder: StateEncoder,
     decoder: StateDecoder,
     /// States encoded into segment files so far.
     #[cfg(test)]
@@ -727,6 +730,7 @@ impl<M> SpillingFrontier<M> {
             },
             kept: 0,
             encode_buf: Vec::new(),
+            encoder: StateEncoder::default(),
             decoder: StateDecoder::default(),
             #[cfg(test)]
             encoded: 0,
@@ -798,7 +802,7 @@ impl<M> SpillingFrontier<M> {
             seg.path = Some(path);
         }
         self.encode_buf.clear();
-        encode_state(state, &mut self.encode_buf);
+        self.encoder.encode(state, &mut self.encode_buf);
         #[cfg(test)]
         {
             self.encoded += 1;
@@ -817,9 +821,12 @@ impl<M> SpillingFrontier<M> {
 
     /// Decodes a whole segment back into the (empty) RAM window, in file
     /// order, and deletes the file; its unstored tail moves to the
-    /// window's. Decoded states re-derive their rolling fingerprint folds
-    /// (`MachineState::from_decoded`), which the codec round-trip property
-    /// tests pin to `fingerprint_from_scratch`.
+    /// window's. The search's one decoder hands each state the components
+    /// its record repeats from the state decoded before it, with their
+    /// folds, and moves the register and output folds over the cells that
+    /// differ; the codec stream property tests pin every decoded state to
+    /// a one-shot decode and its `fingerprint_from_scratch`, and so does
+    /// the debug assertion below.
     fn replay(&mut self, mut seg: Segment<M>) {
         debug_assert!(
             self.ram.is_empty() && self.ram_unstored == 0,

@@ -24,13 +24,22 @@
 //! Every record is length-free and self-delimiting, so states can be
 //! concatenated into segment files and decoded back one at a time —
 //! exactly what the disk-spilling frontier does ([`decode_state`] returns
-//! the bytes consumed). Copy-on-write sharing of the register file, the
-//! memory image and the output stream does not survive a round-trip: each
-//! decoded state owns them. The input stream does: a [`StateDecoder`]
-//! keeps the last input it decoded, with its digest, and hands the same
-//! allocation to every later state whose input is equal by content. Every
-//! state of one search reads the same input, so a spilling frontier that
-//! keeps one decoder allocates and digests its input once.
+//! the bytes consumed).
+//!
+//! The one-shot [`encode_state`] and [`decode_state`] share nothing: each
+//! state decoded by them owns its register file, memory image, input,
+//! output stream and constraint map. A stream of states goes through one
+//! [`StateEncoder`] and one [`StateDecoder`] instead, which write and read
+//! the same bytes but pay only for what consecutive states change. The
+//! encoder copies the bytes of the last memory image and input it wrote
+//! while the next state still shares that storage. The decoder hands the
+//! last decoded register file, memory image, input, output stream and
+//! constraint map, with their folds, to the next state whose record
+//! repeats that section's bytes, and otherwise moves the register and
+//! output folds over the cells that differ. So the states a spilling
+//! frontier decodes share one memory image and one input allocation for
+//! as long as their records repeat them, and a register file or output
+//! stream with the state before them when it is equal.
 //!
 //! The same bytes are [`MachineState`]'s [`Codec`] record, which is how a
 //! state rides inside wire frames and files; [`ExecLimits`] is declared
@@ -38,15 +47,16 @@
 
 use std::sync::Arc;
 
-use crate::state::{DecodedState, RegFile};
-use crate::{Exception, ExecLimits, MachineState, OutItem, Status};
-use sympl_asm::{Reg, NUM_REGS};
+use crate::cow::CowMemory;
+use crate::state::{fold_output_from, DecodedState, RegFile};
+use crate::{Exception, ExecLimits, MachineState, OutItem, Status, ZobristComponent};
+use sympl_asm::NUM_REGS;
 use sympl_symbolic::codec::{
     decode_constraint_map, decode_i64, decode_u64, decode_value, encode_constraint_map, encode_i64,
     encode_u64, encode_value, Codec,
 };
 use sympl_symbolic::codec_record;
-use sympl_symbolic::Value;
+use sympl_symbolic::{ConstraintMap, Value};
 
 pub use sympl_symbolic::CodecError;
 
@@ -64,8 +74,34 @@ const STATUS_TIMED_OUT: u8 = 6;
 const OUT_VAL: u8 = 0;
 const OUT_STR: u8 = 1;
 
-/// Appends the full observable content of `state` to `buf`.
+/// Appends the full observable content of `state` to `buf`. Builds
+/// nothing to keep: a caller writing a stream of states keeps one
+/// [`StateEncoder`] instead, which writes the same bytes.
 pub fn encode_state(state: &MachineState, buf: &mut Vec<u8>) {
+    encode_record(state, buf, None);
+}
+
+/// The encoding context of a stream of states: the bytes of the last
+/// memory image and input stream written, with the storage they were
+/// written from. A state that still shares that storage (a fork, or a
+/// state decoded by a stream [`StateDecoder`]) gets the bytes copied
+/// instead of its cells re-encoded. The bytes are [`encode_state`]'s.
+#[derive(Debug, Default)]
+pub struct StateEncoder {
+    mem: Option<(CowMemory, Vec<u8>)>,
+    input: Option<(Arc<[i64]>, Vec<u8>)>,
+}
+
+impl StateEncoder {
+    /// [`encode_state`] through this context.
+    pub fn encode(&mut self, state: &MachineState, buf: &mut Vec<u8>) {
+        encode_record(state, buf, Some(self));
+    }
+}
+
+/// The one encoder body: [`encode_state`] passes no context, a
+/// [`StateEncoder`] itself.
+fn encode_record(state: &MachineState, buf: &mut Vec<u8>, mut cache: Option<&mut StateEncoder>) {
     buf.push(VERSION);
     encode_u64(state.pc() as u64, buf);
     encode_u64(state.steps(), buf);
@@ -83,32 +119,51 @@ pub fn encode_state(state: &MachineState, buf: &mut Vec<u8>) {
     }
 
     // Non-zero register cells only ($0 is hard-wired and most registers in
-    // a forked state are untouched defaults).
-    let nonzero = || Reg::all().filter(|&r| state.reg(r) != Value::Int(0));
-    encode_u64(nonzero().count() as u64, buf);
-    for r in nonzero() {
-        buf.push(u8::from(r));
-        encode_value(state.reg(r), buf);
+    // a forked state are untouched defaults), in register order.
+    let regs = state.reg_file();
+    let mut nonzero = regs.nonzero();
+    encode_u64(u64::from(nonzero.count_ones()), buf);
+    while nonzero != 0 {
+        let i = nonzero.trailing_zeros() as usize;
+        buf.push(i as u8);
+        encode_value(regs.get(i), buf);
+        nonzero &= nonzero - 1;
     }
 
     // Memory image, ascending addresses delta-coded.
-    encode_u64(state.memory_len() as u64, buf);
-    let mut prev = 0u64;
-    for (i, (addr, value)) in state.memory_cells().enumerate() {
-        if i == 0 {
-            encode_u64(addr, buf);
-        } else {
-            encode_u64(addr - prev, buf);
-        }
-        prev = addr;
-        encode_value(value, buf);
-    }
+    encode_section(
+        buf,
+        cache.as_mut().map(|c| &mut c.mem),
+        state.memory_image(),
+        CowMemory::shares_storage_with,
+        |buf| {
+            encode_u64(state.memory_len() as u64, buf);
+            let mut prev = 0u64;
+            for (i, (addr, value)) in state.memory_cells().enumerate() {
+                if i == 0 {
+                    encode_u64(addr, buf);
+                } else {
+                    encode_u64(addr - prev, buf);
+                }
+                prev = addr;
+                encode_value(value, buf);
+            }
+        },
+    );
 
-    let input = state.input_stream();
-    encode_u64(input.len() as u64, buf);
-    for &v in input {
-        encode_i64(v, buf);
-    }
+    encode_section(
+        buf,
+        cache.as_mut().map(|c| &mut c.input),
+        state.input_arc(),
+        Arc::ptr_eq,
+        |buf| {
+            let input = state.input_stream();
+            encode_u64(input.len() as u64, buf);
+            for &v in input {
+                encode_i64(v, buf);
+            }
+        },
+    );
     encode_u64(state.input_cursor() as u64, buf);
 
     encode_u64(state.output().len() as u64, buf);
@@ -127,6 +182,32 @@ pub fn encode_state(state: &MachineState, buf: &mut Vec<u8>) {
     }
 
     encode_constraint_map(state.constraints(), buf);
+}
+
+/// Appends one section written by `encode`. With a context `kept`, the
+/// section's bytes are copied from it when they were written from storage
+/// `same` as `storage`, else written and kept with `storage`.
+fn encode_section<K: Clone>(
+    buf: &mut Vec<u8>,
+    kept: Option<&mut Option<(K, Vec<u8>)>>,
+    storage: &K,
+    same: fn(&K, &K) -> bool,
+    encode: impl FnOnce(&mut Vec<u8>),
+) {
+    let Some(kept) = kept else {
+        return encode(buf);
+    };
+    match kept {
+        Some((from, bytes)) if same(from, storage) => buf.extend_from_slice(bytes),
+        _ => {
+            let start = buf.len();
+            encode(buf);
+            let mut bytes = kept.take().map(|(_, bytes)| bytes).unwrap_or_default();
+            bytes.clear();
+            bytes.extend_from_slice(&buf[start..]);
+            *kept = Some((storage.clone(), bytes));
+        }
+    }
 }
 
 codec_record! {
@@ -150,161 +231,277 @@ impl Codec for MachineState {
 /// the number of bytes consumed (so concatenated records — spill segments —
 /// decode back one at a time).
 ///
-/// The decoded state re-derives every rolling fingerprint cache from the
+/// The decoded state derives every rolling fingerprint cache from the
 /// decoded content, so `decoded.fingerprint() ==
 /// decoded.fingerprint_from_scratch()` holds by construction, and a
-/// round-trip preserves full [`Eq`] with the original. A caller decoding a
-/// stream of states keeps one [`StateDecoder`] instead, so the states share
-/// their input.
+/// round-trip preserves full [`Eq`] with the original. Builds nothing to
+/// keep: a caller decoding a stream of states keeps one [`StateDecoder`]
+/// instead, so the states share what they have in common.
 ///
 /// # Errors
 ///
 /// Any [`CodecError`] when the buffer is truncated, carries an unknown
 /// version or tag, or a count overflows the platform's `usize`.
 pub fn decode_state(bytes: &[u8]) -> Result<(MachineState, usize), CodecError> {
-    StateDecoder::default().decode(bytes)
+    decode_record(bytes, None)
 }
 
-/// The decoding context of a stream of states: the last input stream
-/// decoded, its digest, and a scratch buffer to read the next one into.
-/// A state whose input equals the last one by content gets the same
-/// allocation and digest instead of a fresh copy and a re-digest.
+/// The decoding context of a stream of states: for each section of the
+/// record after the header (registers, memory image, input stream, output
+/// stream, constraint map), the bytes of the last one decoded and the
+/// component they decoded to, with its fold.
+///
+/// A record whose bytes at a section start with the kept bytes gets the
+/// kept component, shared, without reading the cells: the format is
+/// deterministic and self-delimiting, so those bytes decode to exactly that
+/// component and end where the kept ones end. The encoder writes equal
+/// components as equal bytes, so that is also how an equal component is
+/// shared. Any other section is decoded; its register and output folds are
+/// moved from the kept ones over the cells that differ.
 #[derive(Debug, Default)]
 pub struct StateDecoder {
-    input: Option<(Arc<[i64]>, u128)>,
-    scratch: Vec<i64>,
+    regs: Kept<(Arc<RegFile>, ZobristComponent)>,
+    mem: Kept<CowMemory>,
+    input: Kept<(Arc<[i64]>, u128)>,
+    output: Kept<(Arc<Vec<OutItem>>, ZobristComponent, u32)>,
+    constraints: Kept<ConstraintMap>,
 }
 
+/// One section of the last record a [`StateDecoder`] read: its bytes and
+/// what they decoded to.
+type Kept<T> = Option<(Vec<u8>, T)>;
+
 impl StateDecoder {
-    /// [`decode_state`] through this context: the same result, with the
-    /// input shared with the previous state decoded here when it is equal.
+    /// [`decode_state`] through this context: the same result, sharing
+    /// with the states decoded here before what they have in common.
     ///
     /// # Errors
     ///
-    /// As [`decode_state`].
+    /// As [`decode_state`]. A record that fails leaves the context valid.
     pub fn decode(&mut self, bytes: &[u8]) -> Result<(MachineState, usize), CodecError> {
-        let mut pos = 0usize;
-        let version = u8::decode(bytes, &mut pos)?;
-        if version != VERSION {
-            return Err(CodecError::BadVersion(version));
+        decode_record(bytes, Some(self))
+    }
+}
+
+/// The one decoder body: [`decode_state`] passes no context, a
+/// [`StateDecoder`] itself.
+fn decode_record(
+    bytes: &[u8],
+    mut cache: Option<&mut StateDecoder>,
+) -> Result<(MachineState, usize), CodecError> {
+    let mut pos = 0usize;
+    let version = u8::decode(bytes, &mut pos)?;
+    if version != VERSION {
+        return Err(CodecError::BadVersion(version));
+    }
+    let pc = usize::decode(bytes, &mut pos)?;
+    let steps = decode_u64(bytes, &mut pos)?;
+    let status = match u8::decode(bytes, &mut pos)? {
+        STATUS_RUNNING => Status::Running,
+        STATUS_HALTED => Status::Halted,
+        STATUS_EXC_ILLEGAL_INSTR => Status::Exception(Exception::IllegalInstruction),
+        STATUS_EXC_ILLEGAL_ADDR => Status::Exception(Exception::IllegalAddress),
+        STATUS_EXC_DIV_ZERO => Status::Exception(Exception::DivByZero),
+        STATUS_DETECTED => {
+            let id = decode_u64(bytes, &mut pos)?;
+            Status::Detected(u32::try_from(id).map_err(|_| CodecError::Overflow)?)
         }
-        let pc = usize::decode(bytes, &mut pos)?;
-        let steps = decode_u64(bytes, &mut pos)?;
-        let status = match u8::decode(bytes, &mut pos)? {
-            STATUS_RUNNING => Status::Running,
-            STATUS_HALTED => Status::Halted,
-            STATUS_EXC_ILLEGAL_INSTR => Status::Exception(Exception::IllegalInstruction),
-            STATUS_EXC_ILLEGAL_ADDR => Status::Exception(Exception::IllegalAddress),
-            STATUS_EXC_DIV_ZERO => Status::Exception(Exception::DivByZero),
-            STATUS_DETECTED => {
-                let id = decode_u64(bytes, &mut pos)?;
-                Status::Detected(u32::try_from(id).map_err(|_| CodecError::Overflow)?)
+        STATUS_TIMED_OUT => Status::TimedOut,
+        tag => {
+            return Err(CodecError::BadTag {
+                what: "status",
+                tag,
+            })
+        }
+    };
+
+    let (regs, reg_digest) = decode_section(
+        bytes,
+        &mut pos,
+        cache.as_mut().map(|c| &mut c.regs),
+        decode_regs,
+    )?;
+    let mem = decode_section(
+        bytes,
+        &mut pos,
+        cache.as_mut().map(|c| &mut c.mem),
+        |bytes, pos, _| decode_memory(bytes, pos),
+    )?;
+    let (input, input_digest) = decode_section(
+        bytes,
+        &mut pos,
+        cache.as_mut().map(|c| &mut c.input),
+        |bytes, pos, _| decode_input(bytes, pos),
+    )?;
+    let input_pos = usize::decode(bytes, &mut pos)?;
+    let (output, out_digest, out_errs) = decode_section(
+        bytes,
+        &mut pos,
+        cache.as_mut().map(|c| &mut c.output),
+        decode_output,
+    )?;
+    let constraints = decode_section(
+        bytes,
+        &mut pos,
+        cache.as_mut().map(|c| &mut c.constraints),
+        |bytes, pos, _| decode_constraint_map(bytes, pos),
+    )?;
+
+    let state = MachineState::from_decoded(DecodedState {
+        pc,
+        regs,
+        reg_digest,
+        mem,
+        input,
+        input_digest,
+        input_pos,
+        output,
+        out_digest,
+        out_errs,
+        constraints,
+        steps,
+        status,
+    });
+    Ok((state, pos))
+}
+
+/// Reads one section at `*pos` with `decode`, which is handed the kept
+/// component to build on. With a context `kept`, a section whose bytes
+/// start with the kept bytes is the kept component, and any other that
+/// decodes replaces it.
+fn decode_section<T: Clone>(
+    bytes: &[u8],
+    pos: &mut usize,
+    kept: Option<&mut Kept<T>>,
+    decode: impl FnOnce(&[u8], &mut usize, Option<&T>) -> Result<T, CodecError>,
+) -> Result<T, CodecError> {
+    let Some(kept) = kept else {
+        return decode(bytes, pos, None);
+    };
+    let rest = bytes.get(*pos..).ok_or(CodecError::UnexpectedEnd)?;
+    if let Some((section, value)) = kept {
+        if rest.starts_with(section) {
+            *pos += section.len();
+            return Ok(value.clone());
+        }
+    }
+    let start = *pos;
+    let value = decode(bytes, pos, kept.as_ref().map(|(_, value)| value))?;
+    let mut section = kept.take().map(|(section, _)| section).unwrap_or_default();
+    section.clear();
+    section.extend_from_slice(&bytes[start..*pos]);
+    *kept = Some((section, value.clone()));
+    Ok(value)
+}
+
+/// The most elements to reserve for a count of `n` whose elements take at
+/// least `least` bytes each: no more than the bytes after `pos` can hold.
+fn presize(n: usize, bytes: &[u8], pos: usize, least: usize) -> usize {
+    n.min(bytes.len().saturating_sub(pos) / least)
+}
+
+/// The register section, with its fold moved from `base`'s where given.
+fn decode_regs(
+    bytes: &[u8],
+    pos: &mut usize,
+    base: Option<&(Arc<RegFile>, ZobristComponent)>,
+) -> Result<(Arc<RegFile>, ZobristComponent), CodecError> {
+    let mut regs = RegFile::ZERO;
+    let n_regs = usize::decode(bytes, pos)?;
+    for _ in 0..n_regs {
+        let idx = u8::decode(bytes, pos)?;
+        // `$0` is hard-wired: the encoder never writes it, and a cell
+        // for it would make a state that reads `$0 = 0` yet differs
+        // from its own re-encoding.
+        if idx == 0 || usize::from(idx) >= NUM_REGS {
+            return Err(CodecError::BadTag {
+                what: "register index",
+                tag: idx,
+            });
+        }
+        regs.set(usize::from(idx), decode_value(bytes, pos)?);
+    }
+    let fold = match base {
+        Some((base, fold)) => regs.fold_from(base, *fold),
+        None => regs.fold(),
+    };
+    Ok((Arc::new(regs), fold))
+}
+
+/// The memory section, folded in one pass.
+fn decode_memory(bytes: &[u8], pos: &mut usize) -> Result<CowMemory, CodecError> {
+    let n_mem = usize::decode(bytes, pos)?;
+    // A cell is at least an address byte and a value byte.
+    let mut mem = Vec::with_capacity(presize(n_mem, bytes, *pos, 2));
+    let mut addr = 0u64;
+    for i in 0..n_mem {
+        let delta = decode_u64(bytes, pos)?;
+        addr = if i == 0 {
+            delta
+        } else {
+            addr.wrapping_add(delta)
+        };
+        mem.push((addr, decode_value(bytes, pos)?));
+    }
+    Ok(CowMemory::from_cells(mem))
+}
+
+/// The input section, with its digest.
+fn decode_input(bytes: &[u8], pos: &mut usize) -> Result<(Arc<[i64]>, u128), CodecError> {
+    let n_input = usize::decode(bytes, pos)?;
+    let mut input = Vec::with_capacity(presize(n_input, bytes, *pos, 1));
+    for _ in 0..n_input {
+        input.push(decode_i64(bytes, pos)?);
+    }
+    let digest = MachineState::fold_input(&input);
+    Ok((input.into(), digest))
+}
+
+/// The output section, with its fold moved from `base`'s where given and
+/// its `err` count.
+fn decode_output(
+    bytes: &[u8],
+    pos: &mut usize,
+    base: Option<&(Arc<Vec<OutItem>>, ZobristComponent, u32)>,
+) -> Result<(Arc<Vec<OutItem>>, ZobristComponent, u32), CodecError> {
+    let n_out = usize::decode(bytes, pos)?;
+    // An item is at least a tag byte and a value or length byte.
+    let mut output = Vec::with_capacity(presize(n_out, bytes, *pos, 2));
+    for _ in 0..n_out {
+        match u8::decode(bytes, pos)? {
+            OUT_VAL => output.push(OutItem::Val(decode_value(bytes, pos)?)),
+            OUT_STR => {
+                let len = usize::decode(bytes, pos)?;
+                let end = pos.checked_add(len).ok_or(CodecError::Overflow)?;
+                let slice = bytes.get(*pos..end).ok_or(CodecError::UnexpectedEnd)?;
+                let s = std::str::from_utf8(slice).map_err(|_| CodecError::BadUtf8)?;
+                output.push(OutItem::Str(s.into()));
+                *pos = end;
             }
-            STATUS_TIMED_OUT => Status::TimedOut,
             tag => {
                 return Err(CodecError::BadTag {
-                    what: "status",
+                    what: "output item",
                     tag,
                 })
             }
-        };
-
-        let mut regs = RegFile::ZERO;
-        let n_regs = usize::decode(bytes, &mut pos)?;
-        for _ in 0..n_regs {
-            let idx = u8::decode(bytes, &mut pos)?;
-            // `$0` is hard-wired: the encoder never writes it, and a cell
-            // for it would make a state that reads `$0 = 0` yet differs
-            // from its own re-encoding.
-            if idx == 0 || usize::from(idx) >= NUM_REGS {
-                return Err(CodecError::BadTag {
-                    what: "register index",
-                    tag: idx,
-                });
-            }
-            regs.set(usize::from(idx), decode_value(bytes, &mut pos)?);
         }
-
-        let n_mem = usize::decode(bytes, &mut pos)?;
-        let mut mem = Vec::with_capacity(n_mem.min(1 << 16));
-        let mut addr = 0u64;
-        for i in 0..n_mem {
-            let delta = decode_u64(bytes, &mut pos)?;
-            addr = if i == 0 {
-                delta
-            } else {
-                addr.wrapping_add(delta)
-            };
-            mem.push((addr, decode_value(bytes, &mut pos)?));
-        }
-
-        let n_input = usize::decode(bytes, &mut pos)?;
-        self.scratch.clear();
-        self.scratch.reserve(n_input.min(1 << 16));
-        for _ in 0..n_input {
-            self.scratch.push(decode_i64(bytes, &mut pos)?);
-        }
-        let (input, input_digest) = self.shared_input();
-        let input_pos = usize::decode(bytes, &mut pos)?;
-
-        let n_out = usize::decode(bytes, &mut pos)?;
-        let mut output = Vec::with_capacity(n_out.min(1 << 16));
-        for _ in 0..n_out {
-            match u8::decode(bytes, &mut pos)? {
-                OUT_VAL => output.push(OutItem::Val(decode_value(bytes, &mut pos)?)),
-                OUT_STR => {
-                    let len = usize::decode(bytes, &mut pos)?;
-                    let end = pos.checked_add(len).ok_or(CodecError::Overflow)?;
-                    let slice = bytes.get(pos..end).ok_or(CodecError::UnexpectedEnd)?;
-                    let s = std::str::from_utf8(slice).map_err(|_| CodecError::BadUtf8)?;
-                    output.push(OutItem::Str(s.into()));
-                    pos = end;
-                }
-                tag => {
-                    return Err(CodecError::BadTag {
-                        what: "output item",
-                        tag,
-                    })
-                }
-            }
-        }
-
-        let constraints = decode_constraint_map(bytes, &mut pos)?;
-
-        let state = MachineState::from_decoded(DecodedState {
-            pc,
-            regs,
-            mem,
-            input,
-            input_digest,
-            input_pos,
-            output,
-            constraints,
-            steps,
-            status,
+    }
+    let (base_items, base_fold): (&[OutItem], _) = base
+        .map_or((&[], ZobristComponent::new()), |(items, fold, _)| {
+            (items, *fold)
         });
-        Ok((state, pos))
-    }
-
-    /// The input just read into `scratch` and its digest: the last state's
-    /// when the content is equal, else a fresh allocation that becomes the
-    /// one later states share.
-    fn shared_input(&mut self) -> (Arc<[i64]>, u128) {
-        match &self.input {
-            Some((input, digest)) if **input == *self.scratch => (Arc::clone(input), *digest),
-            _ => {
-                let input: Arc<[i64]> = self.scratch.as_slice().into();
-                let digest = MachineState::fold_input(&input);
-                self.input = Some((Arc::clone(&input), digest));
-                (input, digest)
-            }
-        }
-    }
+    let digest = fold_output_from(&output, base_items, base_fold);
+    let errs = output
+        .iter()
+        .filter(|o| matches!(o, OutItem::Val(Value::Err)))
+        .count() as u32;
+    Ok((Arc::new(output), digest, errs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sympl_asm::Reg;
     use sympl_symbolic::{Constraint, Location};
 
     /// A state exercising every encoded component.
@@ -563,6 +760,58 @@ mod tests {
             assert_eq!(d.input_stream(), s.input_stream());
             assert_eq!(d, s);
         }
+    }
+
+    #[test]
+    fn a_stream_shares_what_consecutive_records_repeat() {
+        let a = bulky_state();
+        let mut b = a.clone();
+        b.set_reg(Reg::r(31), Value::Int(5));
+        let mut c = b.clone();
+        c.set_mem(8, Value::Int(6));
+        let states = [a, b, c];
+
+        let mut encoder = StateEncoder::default();
+        let mut buf = Vec::new();
+        for s in &states {
+            encoder.encode(s, &mut buf);
+        }
+        assert_eq!(
+            buf,
+            encoded(&states),
+            "the stream writes the one-shot bytes"
+        );
+
+        let decoded = decode_stream(&mut StateDecoder::default(), &buf);
+        assert_eq!(decoded, states);
+        assert!(decoded[0].memory_shares_storage(&decoded[1]));
+        assert!(!decoded[1].memory_shares_storage(&decoded[2]));
+        for d in &decoded {
+            assert_eq!(d.fingerprint(), d.fingerprint_from_scratch());
+        }
+        // One-shot decodes share nothing.
+        let (x, used) = decode_state(&buf).unwrap();
+        let (y, _) = decode_state(&buf[used..]).unwrap();
+        assert!(!x.memory_shares_storage(&y));
+    }
+
+    #[test]
+    fn a_failed_record_leaves_the_stream_decoder_exact() {
+        let a = bulky_state();
+        let mut b = a.clone();
+        b.set_mem(4096, Value::Int(1));
+        let (ra, rb) = (
+            encoded(std::slice::from_ref(&a)),
+            encoded(std::slice::from_ref(&b)),
+        );
+        let mut decoder = StateDecoder::default();
+        assert_eq!(decoder.decode(&ra).unwrap().0, a);
+        for cut in 0..rb.len() {
+            assert!(decoder.decode(&rb[..cut]).is_err(), "cut at {cut}");
+        }
+        let (d, used) = decoder.decode(&rb).unwrap();
+        assert_eq!((d.clone(), used), (b, rb.len()));
+        assert_eq!(d.fingerprint(), d.fingerprint_from_scratch());
     }
 
     #[test]

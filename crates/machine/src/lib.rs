@@ -55,7 +55,7 @@ mod limits;
 mod state;
 mod step;
 
-pub use codec::{decode_state, encode_state, CodecError, StateDecoder};
+pub use codec::{decode_state, encode_state, CodecError, StateDecoder, StateEncoder};
 pub use concrete::{run_concrete, run_concrete_to_breakpoint, step_concrete, ConcreteError};
 pub use dispatch::SuccessorBuf;
 pub use fingerprint::{

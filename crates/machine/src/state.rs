@@ -172,6 +172,40 @@ impl RegFile {
         (0..NUM_REGS).map(|i| (i, self.get(i)))
     }
 
+    /// A mask whose bit `i` marks register `i` as non-zero (an `err`
+    /// register keeps 0 in its integer cell, so the mask checks both).
+    pub(crate) fn nonzero(&self) -> u32 {
+        let mut mask = self.errs;
+        for (i, &n) in self.ints.iter().enumerate() {
+            mask |= u32::from(n != 0) << i;
+        }
+        mask
+    }
+
+    /// The fold of every `(index, value)` cell, from scratch: the
+    /// reference the rolling `reg_digest` tracks write-by-write.
+    pub(crate) fn fold(&self) -> ZobristComponent {
+        ZobristComponent::refold(self.cells())
+    }
+
+    /// This file's fold, moved from `base`'s (`base_fold`) by the cells
+    /// that differ: equal to [`RegFile::fold`], at two cell hashes per
+    /// differing register instead of one per register.
+    pub(crate) fn fold_from(
+        &self,
+        base: &RegFile,
+        base_fold: ZobristComponent,
+    ) -> ZobristComponent {
+        let mut fold = base_fold;
+        for i in 0..NUM_REGS {
+            let (old, new) = (base.get(i), self.get(i));
+            if old != new {
+                fold.update(&i, &old, &new);
+            }
+        }
+        fold
+    }
+
     /// The registers as the tagged array this file stands for.
     fn values(&self) -> [Value; NUM_REGS] {
         std::array::from_fn(|i| self.get(i))
@@ -260,18 +294,12 @@ impl MachineState {
             constraints: ConstraintMap::new(),
             steps: 0,
             status: Status::Running,
-            reg_digest: Self::refold_regs(&RegFile::ZERO),
+            reg_digest: RegFile::ZERO.fold(),
             out_digest: ZobristComponent::new(),
             out_errs: 0,
             input_digest: Self::fold_input(&input),
             input,
         }
-    }
-
-    /// The register-file fold of `regs` — the reference the rolling
-    /// `reg_digest` tracks write-by-write.
-    fn refold_regs(regs: &RegFile) -> ZobristComponent {
-        ZobristComponent::refold(regs.cells())
     }
 
     /// FNV-128 of the input stream. The stream is immutable after
@@ -556,57 +584,86 @@ impl MachineState {
     }
 }
 
-/// The observable field set of a decoded state, produced by
-/// [`crate::codec::decode_state`] and turned into a live [`MachineState`]
-/// by [`MachineState::from_decoded`].
+/// The components of a decoded state, each built with its rolling fold by
+/// [`crate::codec`] (or shared with the previous state a `StateDecoder`
+/// decoded), assembled into a live [`MachineState`] by
+/// [`MachineState::from_decoded`].
 pub(crate) struct DecodedState {
     pub(crate) pc: usize,
-    pub(crate) regs: RegFile,
-    pub(crate) mem: Vec<(u64, Value)>,
+    pub(crate) regs: Arc<RegFile>,
+    pub(crate) reg_digest: ZobristComponent,
+    pub(crate) mem: CowMemory,
     pub(crate) input: Arc<[i64]>,
-    /// [`MachineState::fold_input`] of `input`, shared with the decoder's
-    /// cache rather than recomputed per state.
+    /// [`MachineState::fold_input`] of `input`.
     pub(crate) input_digest: u128,
     pub(crate) input_pos: usize,
-    pub(crate) output: Vec<OutItem>,
+    pub(crate) output: Arc<Vec<OutItem>>,
+    pub(crate) out_digest: ZobristComponent,
+    pub(crate) out_errs: u32,
     pub(crate) constraints: ConstraintMap,
     pub(crate) steps: u64,
     pub(crate) status: Status,
 }
 
+/// The fold of the output stream `items`, moved from `base`'s
+/// (`base_fold`) by the `(position, item)` cells that differ: equal to a
+/// refold of `items`, and exactly one when `base` is empty.
+pub(crate) fn fold_output_from(
+    items: &[OutItem],
+    base: &[OutItem],
+    base_fold: ZobristComponent,
+) -> ZobristComponent {
+    let mut fold = base_fold;
+    for i in 0..items.len().max(base.len()) {
+        match (base.get(i), items.get(i)) {
+            (Some(old), Some(new)) if old != new => fold.update(&i, old, new),
+            (Some(old), None) => fold.remove(&i, old),
+            (None, Some(new)) => fold.insert(&i, new),
+            _ => {}
+        }
+    }
+    fold
+}
+
 impl MachineState {
-    /// Rebuilds a live state from decoded observable content, **re-deriving
-    /// every rolling cache**: the register/output folds are refolded here,
-    /// the memory image and its fold are built in one pass by
-    /// `CowMemory::from_cells`, and the constraint map arrives from the
-    /// codec with its digest and unsat counter already rebuilt. The input
-    /// and its digest come from the decoder, which folded them when it
-    /// first met that input. A decoded state is therefore indistinguishable
-    /// from one built through the mutators — its `fingerprint()` equals
-    /// `fingerprint_from_scratch()` by construction, which the codec
-    /// round-trip property tests pin down.
+    /// Assembles a live state from decoded components. The codec built
+    /// every rolling cache from the decoded content — from scratch, or by
+    /// moving the previous decoded state's folds over the cells that
+    /// differ, or by sharing a component equal to the previous state's —
+    /// so a decoded state is indistinguishable from one built through the
+    /// mutators: its `fingerprint()` equals `fingerprint_from_scratch()`,
+    /// which the codec round-trip and stream property tests pin down.
     pub(crate) fn from_decoded(d: DecodedState) -> Self {
-        let mem = CowMemory::from_cells(d.mem);
-        let out_errs = d
-            .output
-            .iter()
-            .filter(|o| matches!(o, OutItem::Val(Value::Err)))
-            .count() as u32;
         MachineState {
             pc: d.pc,
-            reg_digest: Self::refold_regs(&d.regs),
-            regs: Arc::new(d.regs),
-            mem,
+            regs: d.regs,
+            mem: d.mem,
+            input: d.input,
             input_pos: d.input_pos,
-            out_digest: ZobristComponent::refold(d.output.iter().enumerate()),
-            out_errs,
-            output: Arc::new(d.output),
+            output: d.output,
             constraints: d.constraints,
             steps: d.steps,
             status: d.status,
+            reg_digest: d.reg_digest,
+            out_digest: d.out_digest,
+            out_errs: d.out_errs,
             input_digest: d.input_digest,
-            input: d.input,
         }
+    }
+
+    /// The register file, for the state encoder.
+    pub(crate) fn reg_file(&self) -> &RegFile {
+        &self.regs
+    }
+
+    /// The memory image, for the state encoder's pointer check.
+    pub(crate) fn memory_image(&self) -> &CowMemory {
+        &self.mem
+    }
+
+    /// The shared input allocation, for the state encoder's pointer check.
+    pub(crate) fn input_arc(&self) -> &Arc<[i64]> {
+        &self.input
     }
 
     /// The fixed per-state term of [`MachineState::approx_bytes`]: the
@@ -735,7 +792,7 @@ impl MachineState {
     #[must_use]
     pub fn fingerprint_from_scratch(&self) -> Fingerprint {
         self.mix_fingerprint(
-            Self::refold_regs(&self.regs),
+            self.regs.fold(),
             self.mem.refold_digest(),
             ZobristComponent::refold(self.output.iter().enumerate()),
             self.constraints.refold_digest(),

@@ -6,8 +6,9 @@
 //! (`SYCP`), a real memo store (`SYMO`), and every golden wire frame.
 //! A parse may fail with a typed error or return a prefix of what was
 //! written; it must never panic and never return a record that was not
-//! written. A frame whose count announces 2^40 findings must fail
-//! without reserving more than the codec's 64 KiB pre-size bound.
+//! written. A frame whose count announces 2^40 findings, or whose one
+//! finding's state claims 2^40 memory cells, input words or output items,
+//! must fail without reserving more than the codec's 64 KiB pre-size bound.
 //!
 //! ```text
 //! cargo test --release --test codec_sweep
@@ -18,8 +19,9 @@ use std::cell::Cell;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use symplfied::check::MemoStore;
+use symplfied::check::{MemoStore, Solution};
 use symplfied::cluster::{run_cluster_with_memo, Finding, TaskResult};
+use symplfied::machine::encode_state;
 use symplfied::prelude::*;
 use symplfied::symbolic::codec::{encode_u64, Codec};
 use symplfied::wire::{decode_message, parse_checkpoint, read_frame, CheckpointWriter, Message};
@@ -206,9 +208,8 @@ fn every_truncation_and_bit_flip_of_every_golden_frame_decodes_or_errs() {
     }
 }
 
-#[test]
-fn a_frame_announcing_two_to_the_forty_findings_fails_within_the_presize_bound() {
-    let result = TaskResult {
+fn small_result() -> TaskResult {
+    TaskResult {
         id: 1,
         points_examined: 1,
         points_total: 1,
@@ -225,10 +226,24 @@ fn a_frame_announcing_two_to_the_forty_findings_fails_within_the_presize_bound()
         memo_hits: 0,
         memo_states_skipped: 0,
         prefix_steps_saved: 0,
-    };
+    }
+}
+
+/// Decodes `payload` as a message, which must fail, and returns the
+/// largest single allocation the decode made.
+fn largest_allocation_of_a_failed_decode(payload: &[u8]) -> usize {
+    LARGEST.with(|largest| largest.set(0));
+    let decoded = decode_message(payload);
+    let largest = LARGEST.with(Cell::get);
+    assert!(decoded.is_err());
+    largest
+}
+
+#[test]
+fn a_frame_announcing_two_to_the_forty_findings_fails_within_the_presize_bound() {
     let mut payload = Vec::new();
     Message::TaskDone {
-        result,
+        result: small_result(),
         findings: Vec::new(),
     }
     .encode(&mut payload);
@@ -240,12 +255,69 @@ fn a_frame_announcing_two_to_the_forty_findings_fails_within_the_presize_bound()
     encode_u64(1 << 40, &mut payload);
     payload.extend_from_slice(&[0xFF; 8]);
 
-    LARGEST.with(|largest| largest.set(0));
-    let decoded = decode_message(&payload);
-    let largest = LARGEST.with(Cell::get);
-    assert!(decoded.is_err());
+    let largest = largest_allocation_of_a_failed_decode(&payload);
     assert!(
         largest <= 64 << 10,
         "decoding reserved {largest} bytes for findings it never read"
+    );
+}
+
+/// A `TaskDone` frame with one finding whose state record claims 2^40
+/// elements in the section whose count is byte `at` of a fresh state's
+/// record, followed by eight bytes of an unfinished varint.
+fn a_finding_claiming_two_to_the_forty(at: usize) -> Vec<u8> {
+    let mut fresh = Vec::new();
+    encode_state(&MachineState::new(), &mut fresh);
+    // The header (version, pc, steps, status), then one zero count each
+    // for the registers, the memory image, the input, the input cursor,
+    // the output and the constraint map.
+    assert_eq!(fresh.len(), 10);
+
+    let mut payload = Vec::new();
+    Message::TaskDone {
+        result: small_result(),
+        findings: vec![Finding {
+            task_id: 1,
+            point: InjectionPoint::new(0, InjectTarget::Register(Reg::r(4))),
+            solution: Solution {
+                state: MachineState::new(),
+                trace: Vec::new(),
+            },
+        }],
+    }
+    .encode(&mut payload);
+    // The finding's state is followed only by its empty trace's count.
+    assert!(payload.ends_with(&[&fresh[..], &[0]].concat()));
+    payload.truncate(payload.len() - fresh.len() - 1);
+    payload.extend_from_slice(&fresh[..at]);
+    encode_u64(1 << 40, &mut payload);
+    payload.extend_from_slice(&[0xFF; 8]);
+    payload
+}
+
+#[test]
+fn a_finding_whose_state_claims_two_to_the_forty_memory_cells_fails_within_the_presize_bound() {
+    let largest = largest_allocation_of_a_failed_decode(&a_finding_claiming_two_to_the_forty(5));
+    assert!(
+        largest <= 64 << 10,
+        "decoding reserved {largest} bytes for memory cells it never read"
+    );
+}
+
+#[test]
+fn a_finding_whose_state_claims_two_to_the_forty_input_words_fails_within_the_presize_bound() {
+    let largest = largest_allocation_of_a_failed_decode(&a_finding_claiming_two_to_the_forty(6));
+    assert!(
+        largest <= 64 << 10,
+        "decoding reserved {largest} bytes for input words it never read"
+    );
+}
+
+#[test]
+fn a_finding_whose_state_claims_two_to_the_forty_output_items_fails_within_the_presize_bound() {
+    let largest = largest_allocation_of_a_failed_decode(&a_finding_claiming_two_to_the_forty(8));
+    assert!(
+        largest <= 64 << 10,
+        "decoding reserved {largest} bytes for output items it never read"
     );
 }

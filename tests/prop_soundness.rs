@@ -454,6 +454,159 @@ mod codec_roundtrip {
 }
 
 // ---------------------------------------------------------------------
+// Codec stream: one `StateEncoder` and one `StateDecoder` over a sequence
+// of states must write the one-shot codec's bytes and decode, record by
+// record, exactly what a one-shot decode yields, even on damaged bytes —
+// the property the disk-spilling frontier's segments stand on.
+// ---------------------------------------------------------------------
+
+mod codec_stream {
+    use super::state_ops::{op_strategy, run_ops};
+    use super::*;
+    use symplfied::machine::{decode_state, encode_state, StateDecoder, StateEncoder};
+
+    /// A state sequence: the op pool, then forks of pool states (sharing
+    /// their memory image and input) with a register rewritten anywhere in
+    /// `$1..$31`, the range the pool's own ops leave `$30`/`$31` out of.
+    /// With `chunk > 0`, every run of `chunk` states is reversed, the way
+    /// a LIFO window hands the stream states out of push order.
+    fn sequence(
+        ops: &[super::state_ops::Op],
+        forks: &[(usize, u8, Value)],
+        chunk: usize,
+    ) -> Vec<MachineState> {
+        let mut states = run_ops(&[5, -8, 13], ops);
+        let pool = states.len();
+        for &(i, r, v) in forks {
+            let mut fork = states[i % pool].clone();
+            fork.set_reg(Reg::r(r), v);
+            states.push(fork);
+        }
+        if chunk > 0 {
+            for run in states.chunks_mut(chunk) {
+                run.reverse();
+            }
+        }
+        states
+    }
+
+    fn fork_strategy() -> impl Strategy<Value = (usize, u8, Value)> {
+        (
+            0usize..64,
+            1u8..32,
+            prop_oneof![4 => (-50i64..=50).prop_map(Value::Int), 1 => Just(Value::Err)],
+        )
+    }
+
+    /// The stream decoder's result on `bytes` is the one-shot decoder's,
+    /// in everything the search reads.
+    fn same_as_one_shot(
+        stream: &Result<(MachineState, usize), symplfied::machine::CodecError>,
+        bytes: &[u8],
+    ) -> Result<(), TestCaseError> {
+        let fresh = decode_state(bytes);
+        match (stream, &fresh) {
+            (Ok((s, used)), Ok((f, fresh_used))) => {
+                prop_assert_eq!(used, fresh_used);
+                prop_assert_eq!(s, f);
+                prop_assert_eq!(s.fingerprint(), f.fingerprint());
+                prop_assert_eq!(s.fingerprint(), s.fingerprint_from_scratch());
+                prop_assert_eq!(s.fingerprint_from_scratch(), f.fingerprint_from_scratch());
+                prop_assert_eq!(s.approx_bytes(), f.approx_bytes());
+            }
+            (Err(_), Err(_)) => {}
+            _ => prop_assert!(
+                false,
+                "stream {:?} vs one-shot {:?}",
+                stream.is_ok(),
+                fresh.is_ok()
+            ),
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// (a) The encoder's stream is the one-shot records concatenated;
+        /// (b) one decoder over it yields what a one-shot decode of each
+        /// record yields.
+        #[test]
+        fn stream_matches_one_shot_codec(
+            ops in prop::collection::vec(op_strategy(), 1..100),
+            forks in prop::collection::vec(fork_strategy(), 0..24),
+            chunk in 0usize..6,
+        ) {
+            let states = sequence(&ops, &forks, chunk);
+            let mut encoder = StateEncoder::default();
+            let mut stream = Vec::new();
+            let mut one_shot = Vec::new();
+            let mut ends = Vec::new();
+            for s in &states {
+                encoder.encode(s, &mut stream);
+                encode_state(s, &mut one_shot);
+                ends.push(one_shot.len());
+            }
+            prop_assert_eq!(&stream, &one_shot);
+
+            let mut decoder = StateDecoder::default();
+            let mut pos = 0;
+            for (s, &end) in states.iter().zip(&ends) {
+                let decoded = decoder.decode(&stream[pos..]);
+                same_as_one_shot(&decoded, &stream[pos..end])?;
+                let (decoded, used) = decoded.expect("a written record decodes");
+                prop_assert_eq!(pos + used, end);
+                prop_assert_eq!(&decoded, s);
+                prop_assert_eq!(decoded.fingerprint(), s.fingerprint());
+                pos = end;
+            }
+        }
+
+        /// (c) With the decoder primed on the records before it, every
+        /// truncation and single-bit flip of a record decodes to an error
+        /// or to exactly the one-shot decoder's state.
+        #[test]
+        fn damaged_records_decode_as_one_shot(
+            ops in prop::collection::vec(op_strategy(), 1..60),
+            forks in prop::collection::vec(fork_strategy(), 1..12),
+            chunk in 0usize..6,
+            at in 1usize..64,
+        ) {
+            // At least the pool's first state and one fork.
+            let states = sequence(&ops, &forks, chunk);
+            let at = at % (states.len() - 1) + 1;
+            let records: Vec<Vec<u8>> = states
+                .iter()
+                .map(|s| {
+                    let mut buf = Vec::new();
+                    encode_state(s, &mut buf);
+                    buf
+                })
+                .collect();
+            let mut decoder = StateDecoder::default();
+            for record in &records[..at] {
+                decoder.decode(record).expect("a written record decodes");
+            }
+            let next = &records[at];
+            let primer = &records[at - 1];
+            let damaged = (0..next.len())
+                .map(|cut| next[..cut].to_vec())
+                .chain((0..next.len() * 8).map(|bit| {
+                    let mut flipped = next.clone();
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    flipped
+                }));
+            for bytes in damaged {
+                // Re-primed before each one, so that every damaged record
+                // meets the sections of the record before it.
+                decoder.decode(primer).expect("a written record decodes");
+                same_as_one_shot(&decoder.decode(&bytes), &bytes)?;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Memory model: the copy-on-write memory image, driven through every
 // state-level memory writer plus forks and codec round-trips, against a
 // plain `BTreeMap<u64, Value>` reference.
