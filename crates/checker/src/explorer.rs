@@ -23,6 +23,14 @@
 //! * **Single insertion point.** A state's fingerprint enters the visited
 //!   set exactly once, when the state is enqueued (the old `search()`
 //!   redundantly re-inserted on dequeue as well).
+//! * **One move per successor.** The search's open set (visited set,
+//!   witness-trace arena and frontier) is the stepper's
+//!   [`SuccessorSink`]: `step_into` hands a step's one successor straight
+//!   through fingerprint, visited-set insert and trace node into
+//!   [`FrontierQueue::push`], with no buffer between. A fork rule's cases
+//!   are gathered first, in one buffer kept for the whole search, and then
+//!   taken in the order the rule made them, so successor order — and with
+//!   it every count, trace and digest — is the buffered engine's.
 //! * **Pluggable frontier.** The engine drives its frontier exclusively
 //!   through the [`FrontierQueue`] trait: FIFO/LIFO, best-first, iterative
 //!   deepening, and the disk-spilling window all plug in via
@@ -48,7 +56,7 @@ use std::time::Instant;
 
 use sympl_asm::Program;
 use sympl_detect::DetectorSet;
-use sympl_machine::{ExecLimits, MachineState, SuccessorBuf};
+use sympl_machine::{ExecLimits, MachineState, SuccessorSink};
 
 use crate::memo::{probe_digest, MemoStore, SubtreeSummary};
 use crate::visited::VisitedSet;
@@ -224,53 +232,37 @@ impl<'a> Explorer<'a> {
         let base_steps = seeds.iter().map(MachineState::steps).min().unwrap_or(0);
         let mut deepest = base_steps;
 
-        // Parent arena for witness traces: (parent index or ROOT, pc), one
-        // entry per state ever queued. 32-bit cells halve what is
-        // otherwise the search's largest allocation; 2^32 entries would
-        // take 32 GiB of arena alone.
-        // Survives iterative-deepening rounds: indices recorded in round 0
-        // stay valid as re-seed metadata.
-        let mut arena: Vec<(u32, u32)> = Vec::new();
         // The state cap doubles as the frontier's pop budget: a queue that
         // pops in push order need not store what it will never serve.
-        let mut frontier: Box<dyn FrontierQueue<usize>> = self
+        let frontier = self
             .policy()
             .build_budgeted(self.limits.max_frontier_bytes, self.limits.max_states);
-        // Fingerprints only (16 bytes per visited state), one table per
-        // step count; a queue that serves in push order lets it forget
-        // the layers below its step floor.
-        let mut visited = VisitedSet::new(frontier.serves_in_push_order());
+        let mut open = OpenSet::new(frontier);
 
         for s in seeds {
-            let pc = s.pc();
-            // The single insertion point: enqueue time.
-            if visited.insert(s.steps(), s.fingerprint()) {
-                let idx = push_trace_node(&mut arena, ROOT, pc);
-                frontier.seed(s, idx);
-            }
+            open.seed(s);
         }
         // Root entries occupy the arena prefix; iterative-deepening rounds
         // truncate back to here so dead trace nodes from earlier rounds
         // don't accumulate in the one mode sold as memory-minimal.
-        let root_arena_len = arena.len();
-        report.peak_frontier_len = frontier.len();
-        report.peak_frontier_bytes = frontier.approx_bytes();
+        let root_arena_len = open.arena.len();
+        report.peak_frontier_len = open.frontier.len();
+        report.peak_frontier_bytes = open.frontier.approx_bytes();
 
         // Check the time budget only every few expansions; Instant::now()
         // is cheap but not free, and tasks expand millions of states.
         const TIME_CHECK_MASK: usize = 0x3F;
 
-        // Decode once per search, then dispatch over the dense IR with one
-        // successor buffer reused for the whole sweep (no per-step Vec).
+        // Decode once per search, then dispatch over the dense IR straight
+        // into the open set.
         let decoded = self.program.decoded();
-        let mut successors = SuccessorBuf::new();
 
         // Whether the loop exited by sweeping the space (frontier drained
         // and no further round demanded), as opposed to a cap break.
         let mut swept = false;
         'rounds: loop {
-            while let Some((state, idx)) = frontier.pop() {
-                visited.served(|| frontier.len());
+            while let Some((state, idx)) = open.frontier.pop() {
+                open.visited.served(|| open.frontier.len());
                 if report.states_explored >= self.limits.max_states {
                     report.hit_state_cap = true;
                     break 'rounds;
@@ -288,7 +280,7 @@ impl<'a> Explorer<'a> {
                     deepest = deepest.max(state.steps());
                     if predicate.matches(&state) {
                         report.solutions.push(Solution {
-                            trace: reconstruct_trace(&arena, idx),
+                            trace: reconstruct_trace(&open.arena, idx),
                             state,
                         });
                         if report.solutions.len() >= self.limits.max_solutions {
@@ -299,25 +291,17 @@ impl<'a> Explorer<'a> {
                     continue;
                 }
 
-                state.step_into(decoded, self.detectors, &self.limits.exec, &mut successors);
-                let parent = trace_u32(idx, "arena index");
-                for succ in successors.drain() {
-                    if visited.insert(succ.steps(), succ.fingerprint()) {
-                        let succ_idx = push_trace_node(&mut arena, parent, succ.pc());
-                        frontier.push(succ, succ_idx);
-                    } else {
-                        report.duplicate_hits += 1;
-                    }
-                }
-                report.peak_frontier_len = report.peak_frontier_len.max(frontier.len());
+                open.parent = trace_u32(idx, "arena index");
+                state.step_into(decoded, self.detectors, &self.limits.exec, &mut open);
+                report.peak_frontier_len = report.peak_frontier_len.max(open.frontier.len());
                 report.peak_frontier_bytes =
-                    report.peak_frontier_bytes.max(frontier.approx_bytes());
+                    report.peak_frontier_bytes.max(open.frontier.approx_bytes());
             }
 
             // States still counted but not served lie beyond the pop
             // budget: this is where an unbudgeted queue would have handed
             // out the (cap+1)-th state.
-            if !frontier.is_empty() {
+            if !open.frontier.is_empty() {
                 report.hit_state_cap = true;
                 break 'rounds;
             }
@@ -329,15 +313,15 @@ impl<'a> Explorer<'a> {
             // once the round's solutions are cleared), then re-seed through
             // the normal dedup path. `None` means the space is swept within
             // the final bound — the loop's only complete exit.
-            match frontier.next_round() {
+            match open.frontier.next_round() {
                 Some(roots) => {
-                    visited.clear();
+                    open.visited.clear();
                     terminals = OutcomeCounts::default();
                     report.solutions.clear();
-                    arena.truncate(root_arena_len);
+                    open.arena.truncate(root_arena_len);
                     for (s, meta) in roots {
-                        if visited.insert(s.steps(), s.fingerprint()) {
-                            frontier.seed(s, meta);
+                        if open.visited.insert(s.steps(), s.fingerprint()) {
+                            open.frontier.seed(s, meta);
                         }
                     }
                 }
@@ -348,14 +332,83 @@ impl<'a> Explorer<'a> {
             }
         }
 
+        report.duplicate_hits = open.duplicate_hits;
         report.exhausted =
             swept && !report.hit_state_cap && !report.hit_solution_cap && !report.hit_time_cap;
-        report.spilled_states = frontier.spilled_states();
+        report.spilled_states = open.frontier.spilled_states();
         report.terminals = terminals;
         report.elapsed = start.elapsed();
         report.states_per_second = SearchReport::throughput(report.states_explored, report.elapsed);
         report.workers = 1;
-        (report, deepest - base_steps, visited.peak_live())
+        (report, deepest - base_steps, open.visited.peak_live())
+    }
+}
+
+/// One search's open set: what a state passes through on its way to being
+/// expanded. It is the stepper's successor sink, so a successor moves once,
+/// from `step_into` through its fingerprint, the visited set and the
+/// witness-trace arena into the frontier, with no buffer between.
+struct OpenSet {
+    /// Fingerprints only (16 bytes per visited state), one table per step
+    /// count; a queue that serves in push order lets it forget the layers
+    /// below its step floor.
+    visited: VisitedSet,
+    /// Parent arena for witness traces: (parent index or ROOT, pc), one
+    /// entry per state ever queued. 32-bit cells halve what is otherwise
+    /// the search's largest allocation; 2^32 entries would take 32 GiB of
+    /// arena alone. Survives iterative-deepening rounds: indices recorded
+    /// in round 0 stay valid as re-seed metadata.
+    arena: Vec<(u32, u32)>,
+    frontier: Box<dyn FrontierQueue<usize>>,
+    /// The arena index of the state being expanded.
+    parent: u32,
+    /// Successors that were already visited.
+    duplicate_hits: usize,
+    /// Where a fork rule gathers its cases before they are taken in order;
+    /// one buffer for the whole search.
+    forks: Vec<MachineState>,
+}
+
+impl OpenSet {
+    fn new(frontier: Box<dyn FrontierQueue<usize>>) -> Self {
+        OpenSet {
+            visited: VisitedSet::new(frontier.serves_in_push_order()),
+            arena: Vec::new(),
+            frontier,
+            parent: ROOT,
+            duplicate_hits: 0,
+            forks: Vec::new(),
+        }
+    }
+
+    /// Queues a root state unless an equal one is queued already.
+    fn seed(&mut self, s: MachineState) {
+        if self.visited.insert(s.steps(), s.fingerprint()) {
+            let idx = push_trace_node(&mut self.arena, ROOT, s.pc());
+            self.frontier.seed(s, idx);
+        }
+    }
+}
+
+impl SuccessorSink for OpenSet {
+    #[inline]
+    fn put(&mut self, succ: MachineState) {
+        // The single insertion point: enqueue time.
+        if self.visited.insert(succ.steps(), succ.fingerprint()) {
+            let idx = push_trace_node(&mut self.arena, self.parent, succ.pc());
+            self.frontier.push(succ, idx);
+        } else {
+            self.duplicate_hits += 1;
+        }
+    }
+
+    fn put_forks(&mut self, gather: impl FnOnce(&mut Vec<MachineState>)) {
+        let mut forks = std::mem::take(&mut self.forks);
+        gather(&mut forks);
+        for succ in forks.drain(..) {
+            self.put(succ);
+        }
+        self.forks = forks;
     }
 }
 
@@ -402,6 +455,142 @@ mod tests {
 
     fn dets() -> DetectorSet {
         DetectorSet::new()
+    }
+
+    /// Every decoded op kind, each reachable with concrete and `err`
+    /// operands: forking compares, a division by a symbolic divisor, an
+    /// erroneous indirect jump, loads and stores through an erroneous
+    /// pointer, and both detector ids.
+    const EVERY_OP: &str = "\
+        nop
+        mov $2, 8
+        mov $3, $1
+        addi $4, $1, 1
+        div $5, $2, $1
+        setgt $6, $1, 3
+        setlt $6, $1, $2
+        beq $1, 5, far
+        bne $1, $2, far
+        jmp far
+    far:
+        jal sub
+        ld $7, 0($1)
+        ld $7, 8($2)
+        st $1, 0($1)
+        st $3, 0($2)
+        read $8
+        print $1
+        prints \"x\"
+        check 1
+        check 2
+        halt
+    sub:
+        jr $1
+    ";
+
+    /// The open set is the stepper's sink: what it queues, records and
+    /// counts as duplicate must be what a loop that drains a
+    /// `SuccessorBuf` through its own visited set and arena gets, in the
+    /// same order, with rolling fingerprints equal to from-scratch ones.
+    #[test]
+    fn successor_path_open_set_takes_what_a_successor_buf_stores() {
+        use std::collections::{HashSet, VecDeque};
+        use std::mem::discriminant;
+        use sympl_detect::Detector;
+        use sympl_machine::{OutItem, SuccessorBuf};
+        use sympl_symbolic::{Constraint, Location};
+
+        let program = parse_program(EVERY_OP).unwrap();
+        let kinds: HashSet<_> = (program.decoded().ops().iter()).map(discriminant).collect();
+        assert_eq!(kinds.len(), 19, "every decoded op kind is in the program");
+        let mut dets = DetectorSet::new();
+        dets.insert(Detector::parse("det(1, $(2), >=, (3))").unwrap());
+        dets.insert(Detector::parse("det(2, $(3), ==, ($1))").unwrap());
+        let start = |regs: [Value; 3], constrained: bool| {
+            let mut s = MachineState::with_input(vec![7, -2]);
+            s.load_memory((0..8).map(|i| (i * 8, i as i64 - 3)));
+            s.push_output(OutItem::Val(Value::Int(1)));
+            for (i, v) in regs.into_iter().enumerate() {
+                s.set_reg(Reg::r(i as u8 + 1), v);
+            }
+            if constrained && regs[0].is_err() {
+                let _ = s
+                    .constraints_mut()
+                    .constrain(Location::reg(1), Constraint::Gt(0));
+            }
+            s
+        };
+        let (int, err) = (Value::Int(2), Value::Err);
+        let mut starts = Vec::new();
+        for regs in [
+            [int, int, int],
+            [err, int, int],
+            [err, err, err],
+            [int, err, err],
+        ] {
+            starts.push(start(regs, false));
+            starts.push(start(regs, true));
+        }
+
+        let mut open = OpenSet::new(FrontierPolicy::Bfs.build_budgeted(None, usize::MAX));
+        let mut buf = SuccessorBuf::new();
+        let mut visited = HashSet::new();
+        let mut arena = Vec::new();
+        let mut duplicate_hits = 0;
+        let (mut singles, mut forks) = (0usize, 0usize);
+        for track_constraints in [true, false] {
+            let mut exec = ExecLimits::with_max_steps(3);
+            exec.track_constraints = track_constraints;
+            for pc in 0..=program.instrs().len() {
+                for base in &starts {
+                    for steps in [0, exec.max_steps] {
+                        let mut s = base.clone();
+                        s.set_pc(pc);
+                        for _ in 0..steps {
+                            s.bump_steps();
+                        }
+                        // Step each state twice: the second pass is all
+                        // duplicates.
+                        for _ in 0..2 {
+                            let parent = trace_u32(arena.len() / 3, "parent");
+                            open.parent = parent;
+                            s.clone()
+                                .step_into(program.decoded(), &dets, &exec, &mut open);
+                            buf.clear();
+                            s.clone()
+                                .step_into(program.decoded(), &dets, &exec, &mut buf);
+                            match buf.len() {
+                                1 => singles += 1,
+                                _ => forks += 1,
+                            }
+                            let mut expected = VecDeque::new();
+                            for succ in buf.drain() {
+                                if visited.insert((succ.steps(), succ.fingerprint())) {
+                                    expected.push_back((succ.clone(), arena.len()));
+                                    arena.push((parent, trace_u32(succ.pc(), "pc")));
+                                } else {
+                                    duplicate_hits += 1;
+                                }
+                            }
+                            assert_eq!(open.arena, arena, "pc {pc}");
+                            assert_eq!(open.duplicate_hits, duplicate_hits, "pc {pc}");
+                            while let Some((succ, idx)) = open.frontier.pop() {
+                                let (want, want_idx) =
+                                    expected.pop_front().expect("no extra successor");
+                                assert_eq!((&succ, idx), (&want, want_idx), "pc {pc}");
+                                assert_eq!(succ.fingerprint(), want.fingerprint());
+                                assert_eq!(succ.fingerprint(), succ.fingerprint_from_scratch());
+                            }
+                            assert!(expected.is_empty(), "pc {pc}: a successor went missing");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            singles > 100 && forks > 100 && duplicate_hits > 100,
+            "{singles} single steps, {forks} forks, {duplicate_hits} duplicates"
+        );
     }
 
     #[test]

@@ -36,10 +36,18 @@
 //!
 //! [`SpillingFrontier`] wraps the FIFO/LIFO disciplines with a bounded
 //! in-RAM window: overflow is encoded through the compact state codec
-//! (`sympl_machine::codec`) and appended to sequential segment files in a
-//! private temp directory; when the window drains, the appropriate segment
-//! is replayed back (decoded states re-derive their rolling fingerprint
-//! folds, pinned to `fingerprint_from_scratch` by the codec tests). The
+//! (`sympl_machine::codec`) into segments; when the window drains, the
+//! appropriate segment is replayed back (decoded states re-derive their
+//! rolling fingerprint folds, pinned to `fingerprint_from_scratch` by the
+//! codec tests). Consecutive segments append to one shared file in a
+//! private temp directory until it holds a mebibyte, and each replay reads
+//! its segment's byte range; a file is deleted once it takes no more
+//! appends and every segment in it has been replayed. So a small window,
+//! whose segments hold a few states each, does not pay a file creation and
+//! deletion per segment. Only the file taking appends has a writer, and
+//! replays keep one read handle, so a spill of any size holds at most two
+//! descriptors. A LIFO replay truncates its segment off the end of its
+//! file, so a DFS keeps only live records on disk. The
 //! strata are arranged so FIFO and LIFO pop order are preserved **exactly**
 //! — a spilling search expands states in the same order as its unbounded
 //! twin, which is what lets exhaustive searches whose frontier exceeds RAM
@@ -105,8 +113,8 @@
 //! so this differs from fingerprint-only dedup only where two states with
 //! different counts share all 128 bits.
 
-use std::collections::{BinaryHeap, VecDeque};
-use std::io::Write as _;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -622,10 +630,10 @@ impl<M: Clone> FrontierQueue<M> for IddQueue<M> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpillOrder {
     /// Breadth-first: RAM holds the *oldest* states, newer overflow appends
-    /// to segment files, and segments replay oldest-first.
+    /// to segments on disk, and segments replay oldest-first.
     Fifo,
     /// Depth-first: RAM holds the *newest* states (the stack top), the
-    /// stack bottom spills to segment files, and segments replay
+    /// stack bottom spills to segments on disk, and segments replay
     /// newest-stratum-first.
     Lifo,
 }
@@ -634,10 +642,15 @@ pub enum SpillOrder {
 /// process.
 static SPILL_DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
+/// Encoded bytes a spill file takes before the next segment starts a new
+/// one. A segment never straddles files, so a file may end past this.
+const SPILL_FILE_BYTES: u64 = 1 << 20;
+
 struct Segment<M> {
-    /// The segment file, created with its first stored state: a segment
-    /// of unstored states only never touches the disk.
-    path: Option<PathBuf>,
+    /// Where the segment's stored states lie on disk, from its first
+    /// stored state: a segment of unstored states only never touches the
+    /// disk.
+    span: Option<Span>,
     metas: VecDeque<M>,
     /// States pushed past a FIFO pop budget: counted at the segment's
     /// tail, after every stored state, but never encoded.
@@ -649,15 +662,32 @@ struct Segment<M> {
     /// capped on this figure (not the much smaller encoded size) so a
     /// refill roughly half-fills, never floods, the budgeted window.
     approx_bytes: usize,
-    /// Open from the first stored state until a newer segment starts (or,
-    /// for LIFO, until the spill that filled it ends).
-    writer: Option<std::io::BufWriter<std::fs::File>>,
+}
+
+/// A segment's records: a byte range of one spill file.
+struct Span {
+    file: u64,
+    start: u64,
+    len: u64,
+}
+
+/// An append-only file shared by consecutive segments. Its handles live
+/// in [`SpillingFrontier`], which keeps at most one writer and one reader.
+struct SpillFile {
+    path: PathBuf,
+    /// Bytes appended, written through or still buffered, less what LIFO
+    /// replays truncated.
+    len: u64,
+    /// Segments with records here that have not been replayed. The file is
+    /// deleted once this reaches zero and it takes no more appends.
+    live: usize,
 }
 
 /// A disk-spilling wrapper around the FIFO/LIFO disciplines: a bounded
-/// in-RAM window plus sequential codec-encoded segment files in a private
-/// temp directory. Pop order is **exactly** the unbounded discipline's —
-/// see the [module docs](self) for the strata layout per order.
+/// in-RAM window plus sequential codec-encoded segments, appended to
+/// shared files in a private temp directory. Pop order is **exactly** the
+/// unbounded discipline's — see the [module docs](self) for the strata
+/// layout per order.
 ///
 /// Trace tokens (`M`) stay in RAM (they are pointer-sized; the hundreds of
 /// bytes per state are what spills), kept in per-segment queues zipped back
@@ -677,18 +707,29 @@ pub struct SpillingFrontier<M> {
     /// FIFO: front = oldest stratum (next to replay). LIFO: back = the
     /// stratum directly below the RAM stack top (next to replay).
     segments: VecDeque<Segment<M>>,
-    seg_counter: u64,
+    /// The spill files by id.
+    files: BTreeMap<u64, SpillFile>,
+    /// The file new segments append to, with the only writer open.
+    appending: Option<(u64, std::io::BufWriter<std::fs::File>)>,
+    /// The file replays last read, kept open for the next replay.
+    reading: Option<(u64, std::fs::File)>,
+    file_counter: u64,
+    /// Bytes a file takes before the next segment starts a new one.
+    file_cap: u64,
+    /// Every state counted in [`FrontierQueue::len`]: pushed, not popped.
+    queued: usize,
     spilled: usize,
     /// FIFO only: the most states the queue will ever serve, and how many
     /// it has stored so far.
     pop_budget: usize,
     kept: usize,
     encode_buf: Vec<u8>,
+    read_buf: Vec<u8>,
     /// One encoding and one decoding context for the search's lifetime,
     /// so consecutive spilled states pay only for what they change.
     encoder: StateEncoder,
     decoder: StateDecoder,
-    /// States encoded into segment files so far.
+    /// States encoded into spill files so far.
     #[cfg(test)]
     encoded: usize,
 }
@@ -722,7 +763,12 @@ impl<M> SpillingFrontier<M> {
             seg_cap: (budget / 2).max(4096),
             dir: None,
             segments: VecDeque::new(),
-            seg_counter: 0,
+            files: BTreeMap::new(),
+            appending: None,
+            reading: None,
+            file_counter: 0,
+            file_cap: SPILL_FILE_BYTES,
+            queued: 0,
             spilled: 0,
             pop_budget: match order {
                 SpillOrder::Fifo => pop_budget,
@@ -730,6 +776,7 @@ impl<M> SpillingFrontier<M> {
             },
             kept: 0,
             encode_buf: Vec::new(),
+            read_buf: Vec::new(),
             encoder: StateEncoder::default(),
             decoder: StateDecoder::default(),
             #[cfg(test)]
@@ -749,33 +796,21 @@ impl<M> SpillingFrontier<M> {
         })
     }
 
-    /// Closes the back segment's file for appending, if it is open.
-    fn seal_back_segment(&mut self) {
-        if let Some(seg) = self.segments.back_mut() {
-            if let Some(mut w) = seg.writer.take() {
-                w.flush().expect("failed to flush a frontier spill segment");
-            }
-        }
-    }
-
-    /// Starts a fresh segment at the back of the strata, sealing the
-    /// previous back segment. Its file is created with its first stored
-    /// state.
+    /// Starts a fresh segment at the back of the strata. It takes a span
+    /// of a spill file with its first stored state.
     fn start_segment(&mut self) {
-        self.seal_back_segment();
         self.segments.push_back(Segment {
-            path: None,
+            span: None,
             metas: VecDeque::new(),
             unstored: 0,
             unstored_bytes: 0,
             approx_bytes: 0,
-            writer: None,
         });
     }
 
     /// The back segment, after starting a new one if it is at the cap.
-    /// It is never a sealed one: a LIFO spill starts its own segment, and
-    /// only a newer segment seals a FIFO one.
+    /// Its span, if it has one, ends its file: a LIFO spill starts its own
+    /// segment, and a FIFO push only ever appends to the newest one.
     fn back_segment(&mut self) -> &mut Segment<M> {
         let seg_cap = self.seg_cap;
         if self
@@ -788,18 +823,84 @@ impl<M> SpillingFrontier<M> {
         self.segments.back_mut().expect("segment just ensured")
     }
 
+    /// The file a new segment appends to: the current one while it is
+    /// below `file_cap`, else a new one. The file left behind is flushed
+    /// and its writer closed, and it is deleted if it holds no live segment
+    /// any more.
+    fn file_for_new_segment(&mut self) -> u64 {
+        if let Some((id, _)) = self.appending {
+            if self.files[&id].len < self.file_cap {
+                return id;
+            }
+            self.close_writer();
+            if self.files[&id].live == 0 {
+                self.delete_file(id);
+            }
+        }
+        let id = self.file_counter;
+        self.file_counter += 1;
+        let path = self.spill_dir().join(format!("spill-{id}.bin"));
+        let file = std::fs::OpenOptions::new()
+            .append(true)
+            .create_new(true)
+            .open(&path)
+            .expect("failed to create a frontier spill file");
+        self.files.insert(
+            id,
+            SpillFile {
+                path,
+                len: 0,
+                live: 0,
+            },
+        );
+        self.appending = Some((id, std::io::BufWriter::new(file)));
+        id
+    }
+
+    /// Writes out what the appending file's writer buffers.
+    fn flush_writer(&mut self) {
+        if let Some((_, w)) = &mut self.appending {
+            w.flush().expect("failed to flush a frontier spill file");
+        }
+    }
+
+    /// Flushes and closes the appending file's writer; the file takes no
+    /// more appends.
+    fn close_writer(&mut self) {
+        self.flush_writer();
+        self.appending = None;
+    }
+
+    fn is_appending(&self, id: u64) -> bool {
+        self.appending.as_ref().is_some_and(|(a, _)| *a == id)
+    }
+
+    fn delete_file(&mut self, id: u64) {
+        debug_assert!(
+            !self.is_appending(id),
+            "the appending file is never deleted"
+        );
+        let file = self.files.remove(&id).expect("a spill file to delete");
+        if self.reading.as_ref().is_some_and(|(r, _)| *r == id) {
+            self.reading = None;
+        }
+        let _ = std::fs::remove_file(&file.path);
+    }
+
     /// Encodes one state onto the back segment (opening a new one at the
     /// cap), recording its meta in the segment's RAM-side queue.
     fn append_to_back_segment(&mut self, state: &MachineState, meta: M) {
-        if self.back_segment().path.is_none() {
-            let n = self.seg_counter;
-            self.seg_counter += 1;
-            let path = self.spill_dir().join(format!("seg-{n}.bin"));
-            let file =
-                std::fs::File::create(&path).expect("failed to create a frontier spill segment");
+        if self.back_segment().span.is_none() {
+            let id = self.file_for_new_segment();
+            let file = self.files.get_mut(&id).expect("the file just chosen");
+            file.live += 1;
+            let start = file.len;
             let seg = self.segments.back_mut().expect("segment just ensured");
-            seg.writer = Some(std::io::BufWriter::new(file));
-            seg.path = Some(path);
+            seg.span = Some(Span {
+                file: id,
+                start,
+                len: 0,
+            });
         }
         self.encode_buf.clear();
         self.encoder.encode(state, &mut self.encode_buf);
@@ -809,39 +910,88 @@ impl<M> SpillingFrontier<M> {
         }
         let seg = self.segments.back_mut().expect("segment just ensured");
         debug_assert_eq!(seg.unstored, 0, "stored states precede unstored ones");
-        seg.writer
+        let span = seg.span.as_mut().expect("span just ensured");
+        let (id, writer) = self
+            .appending
             .as_mut()
-            .expect("back segment writer open")
+            .expect("the back segment's file takes appends");
+        debug_assert_eq!(*id, span.file, "the back segment is in the appending file");
+        let file = self.files.get_mut(id).expect("a live segment's file");
+        debug_assert_eq!(span.start + span.len, file.len, "a segment ends its file");
+        writer
             .write_all(&self.encode_buf)
-            .expect("failed to append to a frontier spill segment");
+            .expect("failed to append to a frontier spill file");
+        let n = self.encode_buf.len() as u64;
+        file.len += n;
+        span.len += n;
         seg.approx_bytes += state.approx_bytes();
         seg.metas.push_back(meta);
         self.spilled += 1;
     }
 
+    /// Reads a segment's records back into `read_buf`. A LIFO segment ends
+    /// its file, so it is truncated away. A file is deleted once it holds
+    /// no live segment and takes no more appends.
+    fn read_span(&mut self, span: &Span) {
+        if self.is_appending(span.file) {
+            self.flush_writer();
+        }
+        if self.reading.as_ref().is_none_or(|(r, _)| *r != span.file) {
+            let reader = std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(&self.files[&span.file].path)
+                .expect("failed to open a frontier spill file");
+            self.reading = Some((span.file, reader));
+        }
+        let (_, reader) = self.reading.as_mut().expect("reader just ensured");
+        let len = usize::try_from(span.len).expect("a segment fits in memory");
+        self.read_buf.resize(len, 0);
+        reader
+            .seek(SeekFrom::Start(span.start))
+            .and_then(|_| reader.read_exact(&mut self.read_buf))
+            .expect("failed to read back a frontier spill segment");
+        let file = self
+            .files
+            .get_mut(&span.file)
+            .expect("a live segment's file");
+        file.live -= 1;
+        if self.order == SpillOrder::Lifo {
+            debug_assert_eq!(
+                span.start + span.len,
+                file.len,
+                "a LIFO replay ends its file"
+            );
+            // The writer appends, so its next record lands at the new end.
+            reader
+                .set_len(span.start)
+                .expect("failed to truncate a frontier spill file");
+            file.len = span.start;
+        }
+        if file.live == 0 && !self.is_appending(span.file) {
+            self.delete_file(span.file);
+        }
+    }
+
     /// Decodes a whole segment back into the (empty) RAM window, in file
-    /// order, and deletes the file; its unstored tail moves to the
-    /// window's. The search's one decoder hands each state the components
-    /// its record repeats from the state decoded before it, with their
-    /// folds, and moves the register and output folds over the cells that
-    /// differ; the codec stream property tests pin every decoded state to
-    /// a one-shot decode and its `fingerprint_from_scratch`, and so does
-    /// the debug assertion below.
+    /// order; its unstored tail moves to the window's. The search's one
+    /// decoder hands each state the components its record repeats from the
+    /// state decoded before it, with their folds, and moves the register
+    /// and output folds over the cells that differ; the codec stream
+    /// property tests pin every decoded state to a one-shot decode and its
+    /// `fingerprint_from_scratch`, and so does the debug assertion below.
     fn replay(&mut self, mut seg: Segment<M>) {
         debug_assert!(
             self.ram.is_empty() && self.ram_unstored == 0,
             "replay only refills a drained window"
         );
-        if let Some(mut w) = seg.writer.take() {
-            w.flush().expect("failed to flush a frontier spill segment");
-        }
-        let path = seg.path.expect("a replayed segment holds stored states");
-        let bytes = std::fs::read(&path).expect("failed to read back a frontier spill segment");
+        let span = seg.span.expect("a replayed segment holds stored states");
+        self.read_span(&span);
         let mut pos = 0usize;
-        while pos < bytes.len() {
+        while pos < self.read_buf.len() {
             let (state, consumed) = self
                 .decoder
-                .decode(&bytes[pos..])
+                .decode(&self.read_buf[pos..])
                 .expect("corrupt frontier spill segment");
             pos += consumed;
             debug_assert_eq!(state.fingerprint(), state.fingerprint_from_scratch());
@@ -850,7 +1000,6 @@ impl<M> SpillingFrontier<M> {
             self.ram.push_back((state, meta));
         }
         debug_assert!(seg.metas.is_empty(), "one spilled state per meta");
-        let _ = std::fs::remove_file(&path);
         self.ram_unstored = seg.unstored;
         self.ram_bytes += seg.unstored_bytes;
     }
@@ -894,6 +1043,7 @@ impl<M> SpillingFrontier<M> {
 
 impl<M> FrontierQueue<M> for SpillingFrontier<M> {
     fn push(&mut self, state: MachineState, meta: M) {
+        self.queued += 1;
         match self.order {
             SpillOrder::Fifo => {
                 let stored = self.kept < self.pop_budget;
@@ -930,7 +1080,9 @@ impl<M> FrontierQueue<M> for SpillingFrontier<M> {
                         let (s, m) = self.ram_pop_front().expect("counted above");
                         self.append_to_back_segment(&s, m);
                     }
-                    self.seal_back_segment();
+                    // A spill is a whole segment: write it out now rather
+                    // than hold its tail in the writer's buffer.
+                    self.flush_writer();
                 }
             }
         }
@@ -941,20 +1093,17 @@ impl<M> FrontierQueue<M> for SpillingFrontier<M> {
             SpillOrder::Fifo => Self::ram_pop_front,
             SpillOrder::Lifo => Self::ram_pop_back,
         };
-        match pop_end(self) {
+        let item = match pop_end(self) {
             Some(item) => Some(item),
             None if self.refill() => pop_end(self),
             None => None,
-        }
+        };
+        self.queued -= usize::from(item.is_some());
+        item
     }
 
     fn len(&self) -> usize {
-        let spilled: usize = self
-            .segments
-            .iter()
-            .map(|s| s.metas.len() + s.unstored)
-            .sum();
-        self.ram.len() + self.ram_unstored + spilled
+        self.queued
     }
 
     fn approx_bytes(&self) -> usize {
@@ -972,11 +1121,10 @@ impl<M> FrontierQueue<M> for SpillingFrontier<M> {
 
 impl<M> Drop for SpillingFrontier<M> {
     fn drop(&mut self) {
-        for seg in &mut self.segments {
-            drop(seg.writer.take());
-            if let Some(path) = &seg.path {
-                let _ = std::fs::remove_file(path);
-            }
+        self.appending = None;
+        self.reading = None;
+        for file in self.files.values() {
+            let _ = std::fs::remove_file(&file.path);
         }
         if let Some(dir) = &self.dir {
             let _ = std::fs::remove_dir(dir);
@@ -1214,7 +1362,7 @@ mod tests {
                     );
                     for seg in &budgeted.segments {
                         if seg.unstored > 0 && seg.metas.is_empty() {
-                            assert!(seg.path.is_none(), "{label}: no file for unstored states");
+                            assert!(seg.span.is_none(), "{label}: no file for unstored states");
                             unstored_only_segments += 1;
                         } else if seg.unstored > 0 {
                             mixed_segments += 1;
@@ -1379,6 +1527,149 @@ mod tests {
         assert!(dir.exists());
         drop(q);
         assert!(!dir.exists(), "drop removes segments and the directory");
+    }
+
+    #[test]
+    fn consecutive_segments_share_a_file_until_it_is_replayed() {
+        let files_on_disk = |q: &SpillingFrontier<u64>| {
+            let dir = q.dir.as_ref().expect("spilling created a directory");
+            std::fs::read_dir(dir).expect("spill directory").count()
+        };
+        let mut q: SpillingFrontier<u64> = SpillingFrontier::new(SpillOrder::Fifo, 4096);
+        let mut pushed = 0u64;
+        while q.files.len() < 2 {
+            q.push(state(pushed % 64), pushed);
+            pushed += 1;
+        }
+        // A 4 KiB window's segments hold a few states each, and every one
+        // of them so far went into the first file.
+        assert!(q.segments.len() > 100, "{} segments", q.segments.len());
+        assert_eq!(files_on_disk(&q), 2);
+        assert_eq!(q.len(), pushed as usize);
+        for want in 0..pushed {
+            let (s, m) = q.pop().expect("a queued state");
+            assert_eq!((m, s), (want, state(want % 64)));
+            assert_eq!(q.len(), (pushed - want - 1) as usize);
+        }
+        // The full file went once its last segment replayed; the one new
+        // segments append to stays until the queue is dropped.
+        assert_eq!(files_on_disk(&q), 1);
+        assert!(q.pop().is_none());
+    }
+
+    /// Descriptors this process holds open on files in `dir`.
+    #[cfg(target_os = "linux")]
+    fn descriptors_open_in(dir: &std::path::Path) -> usize {
+        std::fs::read_dir("/proc/self/fd")
+            .expect("the process's descriptor table")
+            .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+            .filter(|target| target.starts_with(dir))
+            .count()
+    }
+
+    /// Total bytes of the files in a spill directory.
+    fn bytes_on_disk<M>(q: &SpillingFrontier<M>) -> u64 {
+        let dir = q.dir.as_ref().expect("spilling created a directory");
+        std::fs::read_dir(dir)
+            .expect("spill directory")
+            .map(|e| e.expect("a spill file").metadata().expect("its size").len())
+            .sum()
+    }
+
+    /// Encoded bytes of the segments not yet replayed.
+    fn live_span_bytes<M>(q: &SpillingFrontier<M>) -> u64 {
+        q.segments
+            .iter()
+            .filter_map(|seg| seg.span.as_ref())
+            .map(|span| span.len)
+            .sum()
+    }
+
+    #[test]
+    fn a_spill_across_many_files_holds_one_writer_and_one_reader() {
+        let mut q: SpillingFrontier<u64> = SpillingFrontier::new(SpillOrder::Fifo, 4096);
+        q.file_cap = 4096;
+        let (mut pushed, mut popped) = (0u64, 0u64);
+        let check = |q: &SpillingFrontier<u64>| {
+            assert!(q.reading.is_none() || q.files.contains_key(&q.reading.as_ref().unwrap().0));
+            #[cfg(target_os = "linux")]
+            if let Some(dir) = &q.dir {
+                let open = descriptors_open_in(dir);
+                assert!(
+                    open <= 2,
+                    "{open} descriptors open on {} files",
+                    q.files.len()
+                );
+            }
+        };
+        // Pushes outrun pops, so the spill grows across many files while
+        // replays read the oldest ones.
+        let mut most_files = 0;
+        while pushed < 6000 {
+            for _ in 0..3 {
+                q.push(state(pushed % 64), pushed);
+                pushed += 1;
+                check(&q);
+            }
+            let (s, m) = q.pop().expect("a queued state");
+            assert_eq!((m, s), (popped, state(popped % 64)));
+            popped += 1;
+            check(&q);
+            most_files = most_files.max(q.files.len());
+        }
+        assert!(most_files > 20, "the spill spread over {most_files} files");
+        while let Some((s, m)) = q.pop() {
+            assert_eq!((m, s), (popped, state(popped % 64)));
+            popped += 1;
+            check(&q);
+        }
+        assert_eq!(popped, pushed);
+        assert_eq!(q.files.len(), 1, "only the appending file is left");
+    }
+
+    #[test]
+    fn a_lifo_spill_keeps_only_live_records_on_disk() {
+        let mut q: SpillingFrontier<u64> = SpillingFrontier::new(SpillOrder::Lifo, 4096);
+        q.file_cap = 8192;
+        let mut model: Vec<u64> = Vec::new();
+        let mut next = 0u64;
+        // A stack bottom that spills first and stays live throughout.
+        for _ in 0..200 {
+            q.push(state(next % 64), next);
+            model.push(next);
+            next += 1;
+        }
+        let bottom = q.spilled_states();
+        assert!(bottom > 100, "{bottom} states spilled");
+        // The stack rises and falls many times above it.
+        for round in 0..40u64 {
+            for _ in 0..(100 + round * 7 % 150) {
+                q.push(state(next % 64), next);
+                model.push(next);
+                next += 1;
+            }
+            assert_eq!(bytes_on_disk(&q), live_span_bytes(&q), "round {round} up");
+            for _ in 0..(100 + round * 7 % 150) {
+                let (s, m) = q.pop().expect("a queued state");
+                let want = model.pop().expect("the model agrees");
+                assert_eq!((m, s), (want, state(want % 64)));
+                assert_eq!(bytes_on_disk(&q), live_span_bytes(&q), "round {round} down");
+            }
+            // Every file but the appending one and the one replays last
+            // truncated is full.
+            let full_files = live_span_bytes(&q) / q.file_cap;
+            assert!(
+                q.files.len() as u64 <= full_files + 2,
+                "{} files for {full_files} files' worth of live records",
+                q.files.len()
+            );
+        }
+        while let Some((s, m)) = q.pop() {
+            let want = model.pop().expect("the model agrees");
+            assert_eq!((m, s), (want, state(want % 64)));
+        }
+        assert!(model.is_empty());
+        assert_eq!(bytes_on_disk(&q), 0, "a drained LIFO spill holds no bytes");
     }
 
     #[test]

@@ -48,8 +48,8 @@
 use std::sync::Arc;
 
 use crate::cow::CowMemory;
-use crate::state::{fold_output_from, DecodedState, RegFile};
-use crate::{Exception, ExecLimits, MachineState, OutItem, Status, ZobristComponent};
+use crate::state::{DecodedState, Input, Output, RegFile};
+use crate::{Exception, ExecLimits, MachineState, OutItem, Status};
 use sympl_asm::NUM_REGS;
 use sympl_symbolic::codec::{
     decode_constraint_map, decode_i64, decode_u64, decode_value, encode_constraint_map, encode_i64,
@@ -89,7 +89,7 @@ pub fn encode_state(state: &MachineState, buf: &mut Vec<u8>) {
 #[derive(Debug, Default)]
 pub struct StateEncoder {
     mem: Option<(CowMemory, Vec<u8>)>,
-    input: Option<(Arc<[i64]>, Vec<u8>)>,
+    input: Option<(Arc<Input>, Vec<u8>)>,
 }
 
 impl StateEncoder {
@@ -260,10 +260,10 @@ pub fn decode_state(bytes: &[u8]) -> Result<(MachineState, usize), CodecError> {
 /// moved from the kept ones over the cells that differ.
 #[derive(Debug, Default)]
 pub struct StateDecoder {
-    regs: Kept<(Arc<RegFile>, ZobristComponent)>,
+    regs: Kept<Arc<RegFile>>,
     mem: Kept<CowMemory>,
-    input: Kept<(Arc<[i64]>, u128)>,
-    output: Kept<(Arc<Vec<OutItem>>, ZobristComponent, u32)>,
+    input: Kept<Arc<Input>>,
+    output: Kept<Arc<Output>>,
     constraints: Kept<ConstraintMap>,
 }
 
@@ -315,7 +315,7 @@ fn decode_record(
         }
     };
 
-    let (regs, reg_digest) = decode_section(
+    let regs = decode_section(
         bytes,
         &mut pos,
         cache.as_mut().map(|c| &mut c.regs),
@@ -327,14 +327,14 @@ fn decode_record(
         cache.as_mut().map(|c| &mut c.mem),
         |bytes, pos, _| decode_memory(bytes, pos),
     )?;
-    let (input, input_digest) = decode_section(
+    let input = decode_section(
         bytes,
         &mut pos,
         cache.as_mut().map(|c| &mut c.input),
         |bytes, pos, _| decode_input(bytes, pos),
     )?;
     let input_pos = usize::decode(bytes, &mut pos)?;
-    let (output, out_digest, out_errs) = decode_section(
+    let output = decode_section(
         bytes,
         &mut pos,
         cache.as_mut().map(|c| &mut c.output),
@@ -350,14 +350,10 @@ fn decode_record(
     let state = MachineState::from_decoded(DecodedState {
         pc,
         regs,
-        reg_digest,
         mem,
         input,
-        input_digest,
         input_pos,
         output,
-        out_digest,
-        out_errs,
         constraints,
         steps,
         status,
@@ -400,13 +396,14 @@ fn presize(n: usize, bytes: &[u8], pos: usize, least: usize) -> usize {
     n.min(bytes.len().saturating_sub(pos) / least)
 }
 
-/// The register section, with its fold moved from `base`'s where given.
+/// The register section, with its fold moved from `base`'s (or the zero
+/// file's) over the registers that differ.
 fn decode_regs(
     bytes: &[u8],
     pos: &mut usize,
-    base: Option<&(Arc<RegFile>, ZobristComponent)>,
-) -> Result<(Arc<RegFile>, ZobristComponent), CodecError> {
-    let mut regs = RegFile::ZERO;
+    base: Option<&Arc<RegFile>>,
+) -> Result<Arc<RegFile>, CodecError> {
+    let mut cells = [Value::Int(0); NUM_REGS];
     let n_regs = usize::decode(bytes, pos)?;
     for _ in 0..n_regs {
         let idx = u8::decode(bytes, pos)?;
@@ -419,13 +416,15 @@ fn decode_regs(
                 tag: idx,
             });
         }
-        regs.set(usize::from(idx), decode_value(bytes, pos)?);
+        cells[usize::from(idx)] = decode_value(bytes, pos)?;
     }
-    let fold = match base {
-        Some((base, fold)) => regs.fold_from(base, *fold),
-        None => regs.fold(),
-    };
-    Ok((Arc::new(regs), fold))
+    // `set` skips a cell that already holds its value, so the fold moves
+    // by two cell hashes per register that differs from the base.
+    let mut regs = base.map_or_else(RegFile::zero, |base| RegFile::clone(base));
+    for (i, &v) in cells.iter().enumerate().skip(1) {
+        regs.set(i, v);
+    }
+    Ok(Arc::new(regs))
 }
 
 /// The memory section, folded in one pass.
@@ -447,14 +446,13 @@ fn decode_memory(bytes: &[u8], pos: &mut usize) -> Result<CowMemory, CodecError>
 }
 
 /// The input section, with its digest.
-fn decode_input(bytes: &[u8], pos: &mut usize) -> Result<(Arc<[i64]>, u128), CodecError> {
+fn decode_input(bytes: &[u8], pos: &mut usize) -> Result<Arc<Input>, CodecError> {
     let n_input = usize::decode(bytes, pos)?;
     let mut input = Vec::with_capacity(presize(n_input, bytes, *pos, 1));
     for _ in 0..n_input {
         input.push(decode_i64(bytes, pos)?);
     }
-    let digest = MachineState::fold_input(&input);
-    Ok((input.into(), digest))
+    Ok(Arc::new(Input::new(input)))
 }
 
 /// The output section, with its fold moved from `base`'s where given and
@@ -462,8 +460,8 @@ fn decode_input(bytes: &[u8], pos: &mut usize) -> Result<(Arc<[i64]>, u128), Cod
 fn decode_output(
     bytes: &[u8],
     pos: &mut usize,
-    base: Option<&(Arc<Vec<OutItem>>, ZobristComponent, u32)>,
-) -> Result<(Arc<Vec<OutItem>>, ZobristComponent, u32), CodecError> {
+    base: Option<&Arc<Output>>,
+) -> Result<Arc<Output>, CodecError> {
     let n_out = usize::decode(bytes, pos)?;
     // An item is at least a tag byte and a value or length byte.
     let mut output = Vec::with_capacity(presize(n_out, bytes, *pos, 2));
@@ -486,16 +484,8 @@ fn decode_output(
             }
         }
     }
-    let (base_items, base_fold): (&[OutItem], _) = base
-        .map_or((&[], ZobristComponent::new()), |(items, fold, _)| {
-            (items, *fold)
-        });
-    let digest = fold_output_from(&output, base_items, base_fold);
-    let errs = output
-        .iter()
-        .filter(|o| matches!(o, OutItem::Val(Value::Err)))
-        .count() as u32;
-    Ok((Arc::new(output), digest, errs))
+    let empty = Output::default();
+    Ok(Arc::new(Output::over(output, base.map_or(&empty, |b| b))))
 }
 
 #[cfg(test)]

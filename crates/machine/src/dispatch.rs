@@ -1,17 +1,21 @@
-//! The fast dispatch layer: stepping over the decoded IR into a reusable
+//! The fast dispatch layer: stepping over the decoded IR into the caller's
 //! successor sink.
 //!
 //! [`MachineState::step`] is the *reference* interpreter — it walks the
 //! [`sympl_asm::Instr`] AST and returns a fresh `Vec` of successors, which
 //! keeps it independent of the lowering and easy to audit against the
 //! paper. The search engines instead call [`MachineState::step_into`],
-//! which dispatches over [`DecodedProgram`] ops and appends successors to a
-//! caller-owned [`SuccessorBuf`]:
+//! which dispatches over [`DecodedProgram`] ops and hands successors to a
+//! caller-owned [`SuccessorSink`]:
 //!
-//! * **No per-step `Vec` allocation** — the engine reuses one buffer for
-//!   the whole sweep.
+//! * **The caller's sink; forks gather** — a step with one successor hands
+//!   it to [`SuccessorSink::put`], so a search engine moves it once, from
+//!   the stepper straight into its visited set and frontier. A fork rule
+//!   materialises all its cases through [`SuccessorSink::put_forks`]
+//!   first, into a buffer the sink owns, and the sink takes them in order.
+//!   [`SuccessorBuf`] is the storing sink, reused across steps.
 //! * **No per-step state clone** — `step_into` consumes the state, so the
-//!   common deterministic step mutates it in place and pushes it; only
+//!   common deterministic step mutates it in place and hands it on; only
 //!   genuine forks clone, and even then the last fork case takes the moved
 //!   state.
 //! * **No AST re-matching** — ops are dense `Copy` values with pre-split
@@ -29,15 +33,16 @@ use sympl_symbolic::{fork_compare, symbolic_binop, ArithOutcome, Location, Value
 
 use crate::step::{
     apply_fork_cases, fork_div_zero, fork_jump_targets, fork_load_targets, fork_store_targets,
-    step_check, SuccessorSink,
+    step_check,
 };
+use crate::SuccessorSink;
 use crate::{Exception, ExecLimits, MachineState, OutItem, Status};
 
-/// A reusable successor sink for [`MachineState::step_into`].
+/// A reusable, storing successor sink for [`MachineState::step_into`].
 ///
-/// Engines keep one per worker and drain it after each expansion; the
-/// backing storage (and its capacity) survives across steps, so the fork
-/// hot path stops round-tripping the global allocator.
+/// A caller keeps one and drains it after each expansion; the backing
+/// storage (and its capacity) survives across steps, so the fork hot path
+/// stops round-tripping the global allocator.
 #[derive(Debug, Default)]
 pub struct SuccessorBuf {
     items: Vec<MachineState>,
@@ -96,22 +101,29 @@ impl SuccessorSink for SuccessorBuf {
     fn put(&mut self, state: MachineState) {
         self.items.push(state);
     }
+
+    #[inline]
+    fn put_forks(&mut self, gather: impl FnOnce(&mut Vec<MachineState>)) {
+        gather(&mut self.items);
+    }
 }
 
 impl MachineState {
-    /// Executes one instruction symbolically over the decoded IR, appending
+    /// Executes one instruction symbolically over the decoded IR, handing
     /// every successor to `out`. Semantically identical to
     /// [`MachineState::step`] — same successors, same order — but consumes
-    /// the state (deterministic steps mutate in place, no clone) and sinks
-    /// into a reusable buffer (no per-step `Vec`).
+    /// the state (deterministic steps mutate in place, no clone) and hands
+    /// successors to the caller's sink (no per-step `Vec`): a lone
+    /// successor through [`SuccessorSink::put`], a fork rule's cases
+    /// through [`SuccessorSink::put_forks`].
     ///
-    /// Terminal states append nothing, mirroring `step`'s empty vector.
+    /// Terminal states hand on nothing, mirroring `step`'s empty vector.
     pub fn step_into(
         self,
         program: &DecodedProgram,
         detectors: &DetectorSet,
         limits: &ExecLimits,
-        out: &mut SuccessorBuf,
+        out: &mut impl SuccessorSink,
     ) {
         if self.status().is_terminal() {
             return;
@@ -120,14 +132,14 @@ impl MachineState {
         if self.steps() >= limits.max_steps {
             let mut s = self;
             s.set_status(Status::TimedOut);
-            out.push(s);
+            out.put(s);
             return;
         }
         let pc = self.pc();
         let Some(op) = program.op(pc) else {
             let mut s = self;
             s.set_status(Status::Exception(Exception::IllegalInstruction));
-            out.push(s);
+            out.put(s);
             return;
         };
 
@@ -137,22 +149,22 @@ impl MachineState {
         match op {
             DecodedOp::Nop => {
                 succ.set_pc(pc + 1);
-                out.push(succ);
+                out.put(succ);
             }
             DecodedOp::Halt => {
                 succ.set_status(Status::Halted);
-                out.push(succ);
+                out.put(succ);
             }
             DecodedOp::MovImm { rd, imm } => {
                 succ.set_reg(rd, Value::Int(imm));
                 succ.set_pc(pc + 1);
-                out.push(succ);
+                out.put(succ);
             }
             DecodedOp::MovReg { rd, rs } => {
                 let v = succ.reg(rs);
                 succ.copy_reg_with_constraints(rd, v, Location::Reg(rs));
                 succ.set_pc(pc + 1);
-                out.push(succ);
+                out.put(succ);
             }
             DecodedOp::BinImm { op, rd, rs, imm } => {
                 let a = succ.reg(rs);
@@ -169,7 +181,7 @@ impl MachineState {
                     // Concrete fast path: one case, no constraints learned.
                     succ.set_reg(rd, Value::Int(i64::from(cmp.eval(x, imm))));
                     succ.set_pc(pc + 1);
-                    out.push(succ);
+                    out.put(succ);
                 } else {
                     let cases = fork_compare(cmp, a, aloc, Value::Int(imm), None);
                     apply_fork_cases(
@@ -190,7 +202,7 @@ impl MachineState {
                 if let (Value::Int(x), Value::Int(y)) = (a, b) {
                     succ.set_reg(rd, Value::Int(i64::from(cmp.eval(x, y))));
                     succ.set_pc(pc + 1);
-                    out.push(succ);
+                    out.put(succ);
                 } else {
                     let cases = fork_compare(cmp, a, aloc, b, bloc);
                     apply_fork_cases(
@@ -218,7 +230,7 @@ impl MachineState {
                     } else {
                         pc + 1
                     });
-                    out.push(succ);
+                    out.put(succ);
                 } else {
                     let cases = fork_compare(cmp, a, aloc, Value::Int(imm), None);
                     apply_fork_cases(
@@ -246,7 +258,7 @@ impl MachineState {
                     } else {
                         pc + 1
                     });
-                    out.push(succ);
+                    out.put(succ);
                 } else {
                     let cases = fork_compare(cmp, a, aloc, b, bloc);
                     apply_fork_cases(
@@ -262,12 +274,12 @@ impl MachineState {
             }
             DecodedOp::Jmp { target } => {
                 succ.set_pc(target as usize);
-                out.push(succ);
+                out.put(succ);
             }
             DecodedOp::Jal { target } => {
                 succ.set_reg(sympl_asm::LINK_REG, Value::Int(pc as i64 + 1));
                 succ.set_pc(target as usize);
-                out.push(succ);
+                out.put(succ);
             }
             DecodedOp::Jr { rs } => match succ.reg(rs) {
                 Value::Int(v) => {
@@ -276,7 +288,7 @@ impl MachineState {
                     } else {
                         succ.set_status(Status::Exception(Exception::IllegalInstruction));
                     }
-                    out.push(succ);
+                    out.put(succ);
                 }
                 Value::Err => fork_jump_targets(succ, rs, program.len(), limits, out),
             },
@@ -295,7 +307,7 @@ impl MachineState {
                             succ.set_status(Status::Exception(Exception::IllegalAddress));
                         }
                     }
-                    out.push(succ);
+                    out.put(succ);
                 }
                 Value::Err => fork_load_targets(succ, rt, rs, offset, limits, out),
             },
@@ -312,7 +324,7 @@ impl MachineState {
                             succ.set_status(Status::Exception(Exception::IllegalAddress));
                         }
                     }
-                    out.push(succ);
+                    out.put(succ);
                 }
                 Value::Err => fork_store_targets(succ, rt, rs, offset, limits, out),
             },
@@ -320,17 +332,17 @@ impl MachineState {
                 let v = succ.read_input();
                 succ.set_reg(rd, Value::Int(v));
                 succ.set_pc(pc + 1);
-                out.push(succ);
+                out.put(succ);
             }
             DecodedOp::Print { rs } => {
                 succ.push_output(OutItem::Val(succ.reg(rs)));
                 succ.set_pc(pc + 1);
-                out.push(succ);
+                out.put(succ);
             }
             DecodedOp::PrintS { text } => {
                 succ.push_output(OutItem::Str(program.text(text).clone()));
                 succ.set_pc(pc + 1);
-                out.push(succ);
+                out.put(succ);
             }
             DecodedOp::Check { id } => {
                 step_check(succ, id, detectors, limits.track_constraints, out);
@@ -351,17 +363,17 @@ fn step_bin(
     b: Value,
     bloc: Option<Location>,
     limits: &ExecLimits,
-    out: &mut SuccessorBuf,
+    out: &mut impl SuccessorSink,
 ) {
     match symbolic_binop(op, a, b) {
         ArithOutcome::Value(v) => {
             succ.set_reg(rd, v);
             succ.set_pc(pc + 1);
-            out.push(succ);
+            out.put(succ);
         }
         ArithOutcome::DivByZero => {
             succ.set_status(Status::Exception(Exception::DivByZero));
-            out.push(succ);
+            out.put(succ);
         }
         ArithOutcome::ForkOnDivisorZero => {
             fork_div_zero(succ, rd, bloc, limits.track_constraints, out);

@@ -17,9 +17,11 @@
 //!   code location, and loads/stores through an erroneous pointer fork over
 //!   every defined memory word plus the illegal-address case.
 //! * [`MachineState::step_into`] — the same symbolic semantics dispatched
-//!   over the pre-decoded IR ([`sympl_asm::DecodedProgram`]) into a
-//!   reusable [`SuccessorBuf`]; this is the allocation-free hot path the
-//!   search engines drive (see the `dispatch` module docs in the source).
+//!   over the pre-decoded IR ([`sympl_asm::DecodedProgram`]) into the
+//!   caller's [`SuccessorSink`] (the reusable [`SuccessorBuf`], or a search
+//!   engine that takes each successor straight into its frontier); this is
+//!   the allocation-free hot path the search engines drive (see the
+//!   `dispatch` module docs in the source).
 //! * [`run_concrete`] / [`step_concrete`] — a fast in-place executor for
 //!   fully concrete states (also dispatched over the decoded IR, with
 //!   superinstruction fusion in [`run_concrete`]), used by the
@@ -64,3 +66,4 @@ pub use fingerprint::{
 };
 pub use limits::ExecLimits;
 pub use state::{Exception, MachineState, OutItem, Status};
+pub use step::SuccessorSink;

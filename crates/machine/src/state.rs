@@ -4,7 +4,7 @@
 //!
 //! A [`MachineState`] is a value type: the symbolic executor clones it at
 //! every fork and the model checker fingerprints it for deduplication.
-//! Four representation choices keep those hot paths cheap:
+//! Five representation choices keep those hot paths cheap:
 //!
 //! * **Copy-on-write memory.** The memory image is a [`cow::CowMemory`]:
 //!   one exact-size, address-sorted slice of cells behind an `Arc`. Cloning
@@ -16,15 +16,30 @@
 //!   pointer-identity tests.
 //! * **A compact register file.** The registers are one `RegFile`:
 //!   32 plain `i64` cells plus a 32-bit `err` mask, 264 bytes where an
-//!   array of tagged [`Value`]s takes 512. It sits behind an `Arc` shared
-//!   with the state's forks, so a fork copies it once, on its first
-//!   register write, and a queued state that never writes shares it. Its
-//!   `Hash` and `Debug` are those of the `[Value; 32]` it stands for, so
-//!   no digest or rendering depends on the layout.
+//!   array of tagged [`Value`]s takes 512, with the file's rolling
+//!   fingerprint fold beside them. It sits behind an `Arc` shared with the
+//!   state's forks, so a fork copies it once, on its first register write,
+//!   and a queued state that never writes shares it. Its `Hash` and
+//!   `Debug` are those of the `[Value; 32]` it stands for, so no digest or
+//!   rendering depends on the layout.
 //! * **A flat constraint map.** The [`ConstraintMap`] keeps its
-//!   `(location, constraint set)` entries in one vector sorted by location
-//!   and found by binary search. A forked state carries about one entry,
-//!   so a fork clones one small allocation instead of a B-tree leaf.
+//!   `(location, constraint set)` entries in one list sorted by location
+//!   and found by binary search, behind one pointer that is null for an
+//!   empty map and shared between forks until one writes; a one-entry
+//!   map (the common case after a fork) holds its entry inline, so it is
+//!   one allocation.
+//! * **A small term: each cache behind the pointer it describes.** A
+//!   successor moves by value from the stepper into the visited set and
+//!   the frontier, so the term's size is paid on every move; it is 96
+//!   bytes. Inline are `pc`, the input cursor, `steps`, `status` and the
+//!   memory image (its slice pointer and its fold). Every other component
+//!   is one pointer, and its derived caches live in the `Arc` payload
+//!   with it:
+//!   - `regs` → the `RegFile`: cells, `err` mask and register fold;
+//!   - `input` → the input words and their digest;
+//!   - `output` → the items, their fold and the count of `err` values;
+//!   - `constraints` → null when empty, else the entries, their fold and
+//!     the count of unsatisfiable locations.
 //! * **Rolling 128-bit fingerprints.** [`MachineState::fingerprint`]
 //!   digests the full state term (everything `Eq`/`Hash` observe) into a
 //!   16-byte [`Fingerprint`], which is what the `sympl-check` engines store
@@ -41,7 +56,7 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use crate::cow::CowMemory;
 use crate::fingerprint::{Fingerprint, Fnv128Hasher, ZobristComponent};
@@ -126,20 +141,31 @@ impl fmt::Display for OutItem {
 
 /// The register file: one integer per register plus a mask whose bit `i`
 /// marks register `i` as `err`. An `err` register keeps 0 in its integer
-/// cell, so the derived `Eq` compares content exactly, and `$0` is never
-/// written, so it reads 0 by construction.
-#[derive(Clone, PartialEq, Eq)]
+/// cell, so comparing the cells and the mask compares content exactly, and
+/// `$0` is never written, so it reads 0 by construction. The file carries
+/// its own rolling fingerprint fold, rolled by [`RegFile::set`].
+#[derive(Clone)]
 pub(crate) struct RegFile {
     ints: [i64; NUM_REGS],
     errs: u32,
+    /// The XOR-fold of every `(index, value)` cell: a function of the
+    /// cells, so it is left out of `Eq` and `Hash`.
+    fold: ZobristComponent,
 }
+
+/// The fold of the all-zero register file, hashed once per process.
+static ZERO_FOLD: LazyLock<ZobristComponent> =
+    LazyLock::new(|| ZobristComponent::refold((0..NUM_REGS).map(|i| (i, Value::Int(0)))));
 
 impl RegFile {
     /// Every register 0.
-    pub(crate) const ZERO: RegFile = RegFile {
-        ints: [0; NUM_REGS],
-        errs: 0,
-    };
+    pub(crate) fn zero() -> RegFile {
+        RegFile {
+            ints: [0; NUM_REGS],
+            errs: 0,
+            fold: *ZERO_FOLD,
+        }
+    }
 
     /// The value of register `i`.
     #[inline]
@@ -151,10 +177,16 @@ impl RegFile {
         }
     }
 
-    /// Writes register `i`, which is never `$0`.
+    /// Writes register `i`, which is never `$0`, and rolls the fold: the
+    /// old `(index, value)` cell XORs out, the new one XORs in.
     #[inline]
     pub(crate) fn set(&mut self, i: usize, v: Value) {
         debug_assert_ne!(i, 0, "$0 is hard-wired to zero");
+        let old = self.get(i);
+        if old == v {
+            return;
+        }
+        self.fold.update(&i, &old, &v);
         match v {
             Value::Int(n) => {
                 self.ints[i] = n;
@@ -182,28 +214,15 @@ impl RegFile {
         mask
     }
 
-    /// The fold of every `(index, value)` cell, from scratch: the
-    /// reference the rolling `reg_digest` tracks write-by-write.
+    /// The rolling fold over every `(index, value)` cell. O(1).
     pub(crate) fn fold(&self) -> ZobristComponent {
-        ZobristComponent::refold(self.cells())
+        self.fold
     }
 
-    /// This file's fold, moved from `base`'s (`base_fold`) by the cells
-    /// that differ: equal to [`RegFile::fold`], at two cell hashes per
-    /// differing register instead of one per register.
-    pub(crate) fn fold_from(
-        &self,
-        base: &RegFile,
-        base_fold: ZobristComponent,
-    ) -> ZobristComponent {
-        let mut fold = base_fold;
-        for i in 0..NUM_REGS {
-            let (old, new) = (base.get(i), self.get(i));
-            if old != new {
-                fold.update(&i, &old, &new);
-            }
-        }
-        fold
+    /// The fold of every cell, from scratch: the reference the rolling
+    /// fold tracks write-by-write.
+    pub(crate) fn refold(&self) -> ZobristComponent {
+        ZobristComponent::refold(self.cells())
     }
 
     /// The registers as the tagged array this file stands for.
@@ -211,6 +230,14 @@ impl RegFile {
         std::array::from_fn(|i| self.get(i))
     }
 }
+
+impl PartialEq for RegFile {
+    fn eq(&self, other: &Self) -> bool {
+        self.ints == other.ints && self.errs == other.errs
+    }
+}
+
+impl Eq for RegFile {}
 
 /// The byte stream of the `[Value; 32]` array: `Hash for MachineState`,
 /// and with it `outcome_digest`, must not move with the layout.
@@ -223,6 +250,83 @@ impl Hash for RegFile {
 impl fmt::Debug for RegFile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.values().fmt(f)
+    }
+}
+
+/// The output stream with its derived caches: the rolling fold over the
+/// `(position, item)` cells and the number of `err` values printed. The
+/// stream is append-only, so [`Output::push`] only ever inserts a cell and
+/// increments the count.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Output {
+    items: Vec<OutItem>,
+    fold: ZobristComponent,
+    errs: u32,
+}
+
+impl Output {
+    /// The stream `items`, with its fold moved from `base`'s over the
+    /// `(position, item)` cells that differ (exactly a refold when `base`
+    /// is empty).
+    pub(crate) fn over(items: Vec<OutItem>, base: &Output) -> Output {
+        let mut fold = base.fold;
+        for i in 0..items.len().max(base.items.len()) {
+            match (base.items.get(i), items.get(i)) {
+                (Some(old), Some(new)) if old != new => fold.update(&i, old, new),
+                (Some(old), None) => fold.remove(&i, old),
+                (None, Some(new)) => fold.insert(&i, new),
+                _ => {}
+            }
+        }
+        let errs = items.iter().filter(|o| o.is_err()).count() as u32;
+        Output { items, fold, errs }
+    }
+
+    fn push(&mut self, item: OutItem) {
+        self.fold.insert(&self.items.len(), &item);
+        self.errs += u32::from(item.is_err());
+        self.items.push(item);
+    }
+}
+
+impl PartialEq for Output {
+    fn eq(&self, other: &Self) -> bool {
+        self.items == other.items
+    }
+}
+
+impl Eq for Output {}
+
+impl OutItem {
+    /// Whether this is a printed `err` value.
+    fn is_err(&self) -> bool {
+        matches!(self, OutItem::Val(Value::Err))
+    }
+}
+
+/// The input stream with its digest ([`MachineState::fold_input`]). The
+/// stream never changes after construction; only a state's cursor moves.
+#[derive(Debug)]
+pub(crate) struct Input {
+    words: Box<[i64]>,
+    digest: u128,
+}
+
+impl PartialEq for Input {
+    fn eq(&self, other: &Self) -> bool {
+        self.words == other.words
+    }
+}
+
+impl Eq for Input {}
+
+impl Input {
+    pub(crate) fn new(words: Vec<i64>) -> Input {
+        let digest = MachineState::fold_input(&words);
+        Input {
+            words: words.into_boxed_slice(),
+            digest,
+        }
     }
 }
 
@@ -243,34 +347,19 @@ impl fmt::Debug for RegFile {
 #[derive(Debug, Clone)]
 pub struct MachineState {
     pc: usize,
-    // The compact register file is Arc-shared between a state and its
-    // forks (copy-on-write, like the memory image): a clone bumps a
-    // refcount instead of copying 264 bytes, the state term stays small
-    // enough to move cheaply through successor buffers and frontier
-    // queues, and the first post-fork write of each branch pays the one
-    // unsharing copy.
+    // Every collection sits behind one pointer shared between a state and
+    // its forks (copy-on-write), with the caches derived from it: a clone
+    // bumps refcounts, the first post-fork write of each branch pays the
+    // one unsharing copy, and the term stays small enough to move cheaply
+    // from the stepper into the visited set and the frontier.
     regs: Arc<RegFile>,
     mem: CowMemory,
-    input: Arc<[i64]>,
+    input: Arc<Input>,
     input_pos: usize,
-    // The output stream is Arc-shared like the register file: forks of a
-    // state that has already printed share one backing vector until the
-    // next `push_output` unshares it, so cloning a deep-in-the-run state
-    // never re-copies (or re-allocates) its print history.
-    output: Arc<Vec<OutItem>>,
+    output: Arc<Output>,
     constraints: ConstraintMap,
     steps: u64,
     status: Status,
-    // Rolling-fingerprint caches, maintained by the write paths below (the
-    // memory and constraint-map folds live inside CowMemory/ConstraintMap,
-    // whose mutators are the only code that sees those writes). All four
-    // are pure functions of the observable fields, so they are excluded
-    // from the manual Eq/Hash impls and can never make equal states
-    // compare unequal.
-    reg_digest: ZobristComponent,
-    out_digest: ZobristComponent,
-    out_errs: u32,
-    input_digest: u128,
 }
 
 impl MachineState {
@@ -284,33 +373,29 @@ impl MachineState {
     /// A fresh state with the given input stream.
     #[must_use]
     pub fn with_input(input: Vec<i64>) -> Self {
-        let input: Arc<[i64]> = input.into();
         MachineState {
             pc: 0,
-            regs: Arc::new(RegFile::ZERO),
+            regs: Arc::new(RegFile::zero()),
             mem: CowMemory::new(),
+            input: Arc::new(Input::new(input)),
             input_pos: 0,
-            output: Arc::new(Vec::new()),
+            output: Arc::default(),
             constraints: ConstraintMap::new(),
             steps: 0,
             status: Status::Running,
-            reg_digest: RegFile::ZERO.fold(),
-            out_digest: ZobristComponent::new(),
-            out_errs: 0,
-            input_digest: Self::fold_input(&input),
-            input,
         }
     }
 
     /// FNV-128 of the input stream. The stream is immutable after
-    /// construction (only the cursor moves), so this is computed once here
-    /// and copied on clone; a `StateDecoder` computes it once per distinct
-    /// input it meets. `Hash for [i64]` writes the length as one word and
-    /// then the elements as native-endian bytes, which the hasher absorbs
-    /// one FNV round per byte: 129 rounds for a 16-word input. Hashing the
-    /// elements a word at a time would be cheaper, but it moves every
-    /// state fingerprint and with it every pinned digest, so it belongs
-    /// with the fingerprint fix (ROADMAP item 2b).
+    /// construction (only the cursor moves), so this is computed once, when
+    /// the stream is built, and shared with it; a `StateDecoder` computes
+    /// it once per distinct input it meets. `Hash for [i64]` writes the
+    /// length as one word and then the elements as native-endian bytes,
+    /// which the hasher absorbs one FNV round per byte: 129 rounds for a
+    /// 16-word input. Hashing the elements a word at a time would be
+    /// cheaper, but it moves every state fingerprint and with it every
+    /// pinned digest, so it belongs with the fingerprint fix (ROADMAP
+    /// item 2b).
     pub(crate) fn fold_input(input: &[i64]) -> u128 {
         let mut h = Fnv128Hasher::new();
         input.hash(&mut h);
@@ -335,13 +420,11 @@ impl MachineState {
         self.regs.get(r.index())
     }
 
-    /// Writes the register cell and rolls the register-file fold: the old
-    /// `(index, value)` cell XORs out, the new one XORs in.
+    /// Writes the register cell; the file rolls its own fold. A
+    /// same-value write leaves a shared file shared.
     fn write_reg_cell(&mut self, r: Reg, v: Value) {
         let i = r.index();
-        let old = self.regs.get(i);
-        if old != v {
-            self.reg_digest.update(&i, &old, &v);
+        if self.regs.get(i) != v {
             // Unshares the register file on the first write after a fork;
             // a no-op atomic check when this state already owns it.
             Arc::make_mut(&mut self.regs).set(i, v);
@@ -426,7 +509,7 @@ impl MachineState {
     /// Reads the next input value (the `read` instruction). Reading past
     /// the end of the stream yields 0, so programs are total in the input.
     pub fn read_input(&mut self) -> i64 {
-        let v = self.input.get(self.input_pos).copied().unwrap_or(0);
+        let v = self.input.words.get(self.input_pos).copied().unwrap_or(0);
         self.input_pos += 1;
         v
     }
@@ -435,7 +518,7 @@ impl MachineState {
     /// after construction; only the cursor moves).
     #[must_use]
     pub fn input_stream(&self) -> &[i64] {
-        &self.input
+        &self.input.words
     }
 
     /// The input-cursor position: how many values `read` has consumed.
@@ -472,10 +555,6 @@ impl MachineState {
     /// rolling output fold only ever inserts the new `(position, item)`
     /// cell, and the err-count cache only ever increments.
     pub fn push_output(&mut self, item: OutItem) {
-        self.out_digest.insert(&self.output.len(), &item);
-        if matches!(item, OutItem::Val(Value::Err)) {
-            self.out_errs += 1;
-        }
         // Unshares the stream on the first post-fork print; a no-op
         // refcount check when this state already owns it.
         Arc::make_mut(&mut self.output).push(item);
@@ -484,14 +563,14 @@ impl MachineState {
     /// The output stream so far.
     #[must_use]
     pub fn output(&self) -> &[OutItem] {
-        &self.output
+        &self.output.items
     }
 
     /// The printed *values* (ignoring string literals), for outcome checks.
     /// Allocation-free: terminal predicates run this on every solution
     /// candidate.
     pub fn output_values(&self) -> impl Iterator<Item = Value> + '_ {
-        self.output.iter().filter_map(|o| match o {
+        self.output.items.iter().filter_map(|o| match o {
             OutItem::Val(v) => Some(*v),
             OutItem::Str(_) => None,
         })
@@ -518,7 +597,7 @@ impl MachineState {
     /// forward with every `push_output`.
     #[must_use]
     pub fn output_contains_err(&self) -> bool {
-        self.out_errs > 0
+        self.output.errs > 0
     }
 
     /// The constraint map of the current path.
@@ -580,7 +659,7 @@ impl MachineState {
     /// Renders the output stream as a single line.
     #[must_use]
     pub fn rendered_output(&self) -> String {
-        self.output.iter().map(ToString::to_string).collect()
+        self.output.items.iter().map(ToString::to_string).collect()
     }
 }
 
@@ -591,38 +670,13 @@ impl MachineState {
 pub(crate) struct DecodedState {
     pub(crate) pc: usize,
     pub(crate) regs: Arc<RegFile>,
-    pub(crate) reg_digest: ZobristComponent,
     pub(crate) mem: CowMemory,
-    pub(crate) input: Arc<[i64]>,
-    /// [`MachineState::fold_input`] of `input`.
-    pub(crate) input_digest: u128,
+    pub(crate) input: Arc<Input>,
     pub(crate) input_pos: usize,
-    pub(crate) output: Arc<Vec<OutItem>>,
-    pub(crate) out_digest: ZobristComponent,
-    pub(crate) out_errs: u32,
+    pub(crate) output: Arc<Output>,
     pub(crate) constraints: ConstraintMap,
     pub(crate) steps: u64,
     pub(crate) status: Status,
-}
-
-/// The fold of the output stream `items`, moved from `base`'s
-/// (`base_fold`) by the `(position, item)` cells that differ: equal to a
-/// refold of `items`, and exactly one when `base` is empty.
-pub(crate) fn fold_output_from(
-    items: &[OutItem],
-    base: &[OutItem],
-    base_fold: ZobristComponent,
-) -> ZobristComponent {
-    let mut fold = base_fold;
-    for i in 0..items.len().max(base.len()) {
-        match (base.get(i), items.get(i)) {
-            (Some(old), Some(new)) if old != new => fold.update(&i, old, new),
-            (Some(old), None) => fold.remove(&i, old),
-            (None, Some(new)) => fold.insert(&i, new),
-            _ => {}
-        }
-    }
-    fold
 }
 
 impl MachineState {
@@ -644,10 +698,6 @@ impl MachineState {
             constraints: d.constraints,
             steps: d.steps,
             status: d.status,
-            reg_digest: d.reg_digest,
-            out_digest: d.out_digest,
-            out_errs: d.out_errs,
-            input_digest: d.input_digest,
         }
     }
 
@@ -662,7 +712,7 @@ impl MachineState {
     }
 
     /// The shared input allocation, for the state encoder's pointer check.
-    pub(crate) fn input_arc(&self) -> &Arc<[i64]> {
+    pub(crate) fn input_arc(&self) -> &Arc<Input> {
         &self.input
     }
 
@@ -706,8 +756,8 @@ impl MachineState {
             // The Arc-shared register file, counted unshared (see above).
             + Self::APPROX_REGS_BYTES
             + self.mem.len() * (size_of::<u64>() + size_of::<Value>() + 16)
-            + self.output.len() * size_of::<OutItem>()
-            + self.input.len() * size_of::<i64>()
+            + self.output.items.len() * size_of::<OutItem>()
+            + self.input.words.len() * size_of::<i64>()
             + self.constraints.len() * Self::APPROX_CONSTRAINT_BYTES
     }
 }
@@ -732,15 +782,7 @@ const _: () = {
 impl PartialEq for MachineState {
     fn eq(&self, other: &Self) -> bool {
         // `steps` included: see the type-level docs on hang soundness.
-        self.steps == other.steps
-            && self.pc == other.pc
-            && self.regs == other.regs
-            && self.mem == other.mem
-            && self.input == other.input
-            && self.input_pos == other.input_pos
-            && self.output == other.output
-            && self.constraints == other.constraints
-            && self.status == other.status
+        self.steps == other.steps && self.same_configuration(other)
     }
 }
 
@@ -752,9 +794,9 @@ impl Hash for MachineState {
         self.pc.hash(state);
         self.regs.hash(state);
         self.mem.hash(state);
-        self.input.hash(state);
+        self.input.words.hash(state);
         self.input_pos.hash(state);
-        self.output.hash(state);
+        self.output.items.hash(state);
         self.constraints.hash(state);
         self.status.hash(state);
     }
@@ -775,11 +817,11 @@ impl MachineState {
     #[must_use]
     pub fn fingerprint(&self) -> Fingerprint {
         self.mix_fingerprint(
-            self.reg_digest,
+            self.regs.fold(),
             self.mem.digest(),
-            self.out_digest,
+            self.output.fold,
             self.constraints.digest(),
-            self.input_digest,
+            self.input.digest,
             self.mem.len(),
         )
     }
@@ -792,11 +834,11 @@ impl MachineState {
     #[must_use]
     pub fn fingerprint_from_scratch(&self) -> Fingerprint {
         self.mix_fingerprint(
-            self.regs.fold(),
+            self.regs.refold(),
             self.mem.refold_digest(),
-            ZobristComponent::refold(self.output.iter().enumerate()),
+            ZobristComponent::refold(self.output.items.iter().enumerate()),
             self.constraints.refold_digest(),
-            Self::fold_input(&self.input),
+            Self::fold_input(&self.input.words),
             // Recounted, not the cached counter: the reference path must
             // catch a desynced length cache, not launder it.
             self.mem.iter().count(),
@@ -823,7 +865,7 @@ impl MachineState {
         h.write_u128(mem.value());
         h.write_usize(mem_len);
         h.write_u128(out.value());
-        h.write_usize(self.output.len());
+        h.write_usize(self.output.items.len());
         h.write_u128(constraints.value());
         h.write_usize(self.constraints.len());
         h.write_u128(input_digest);
@@ -890,7 +932,7 @@ impl fmt::Display for MachineState {
             }
             writeln!(f)?;
         }
-        if !self.output.is_empty() {
+        if !self.output.items.is_empty() {
             writeln!(f, "output: {}", self.rendered_output())?;
         }
         if !self.constraints.is_empty() {
@@ -903,6 +945,17 @@ impl fmt::Display for MachineState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The engine moves every successor as a value, so the state term's
+    /// size is paid on each move: it must stay small.
+    #[test]
+    fn the_state_term_stays_small() {
+        assert!(
+            std::mem::size_of::<MachineState>() <= 104,
+            "MachineState is {} bytes",
+            std::mem::size_of::<MachineState>()
+        );
+    }
 
     #[test]
     fn zero_register_semantics() {

@@ -253,20 +253,35 @@ impl MachineState {
 // dispatchers fork identically.
 // ---------------------------------------------------------------------------
 
-/// A successor sink: where the shared fork rules append the states they
-/// materialise. Implemented by `Vec<MachineState>` (the reference
-/// interpreter's return value) and by [`crate::SuccessorBuf`] (the engine's
-/// reusable buffer), so each fork case lands directly in the caller's
-/// storage instead of round-tripping through an intermediate `Vec`.
-pub(crate) trait SuccessorSink {
-    /// Appends one successor.
+/// Where [`MachineState::step_into`] hands the successors it makes, in
+/// order. The caller owns the sink, so it decides what a successor costs:
+/// [`crate::SuccessorBuf`] and `Vec<MachineState>` (the reference
+/// interpreter's return value) store them, and a search engine can take
+/// each one straight into its visited set and frontier.
+///
+/// A step makes one successor, handed to [`SuccessorSink::put`], unless a
+/// fork rule runs: those materialise all their cases first, through
+/// [`SuccessorSink::put_forks`], so a sink may gather them in a buffer of
+/// its own before taking them.
+pub trait SuccessorSink {
+    /// Takes the one successor of a step.
     fn put(&mut self, state: MachineState);
+
+    /// Takes the cases of one fork rule: `gather` appends them to the
+    /// vector it is given, in order, and the sink takes them in that
+    /// order. The vector may already hold states; `gather` only appends.
+    fn put_forks(&mut self, gather: impl FnOnce(&mut Vec<MachineState>));
 }
 
 impl SuccessorSink for Vec<MachineState> {
     #[inline]
     fn put(&mut self, state: MachineState) {
         self.push(state);
+    }
+
+    #[inline]
+    fn put_forks(&mut self, gather: impl FnOnce(&mut Vec<MachineState>)) {
+        gather(self);
     }
 }
 
@@ -279,36 +294,38 @@ pub(crate) fn fork_div_zero(
     track_constraints: bool,
     out: &mut impl SuccessorSink,
 ) {
-    let next = succ.pc() + 1;
-    // Case 1: divisor == 0 -> div-zero exception.
-    let mut trap = succ.clone();
-    let feasible = match bloc {
-        Some(loc) if track_constraints => {
-            let zero_ok = trap.constraints().get(loc).is_none_or(|set| set.allows(0));
-            if zero_ok {
-                trap.set_location(loc, Value::Int(0));
+    out.put_forks(|out| {
+        let next = succ.pc() + 1;
+        // Case 1: divisor == 0 -> div-zero exception.
+        let mut trap = succ.clone();
+        let feasible = match bloc {
+            Some(loc) if track_constraints => {
+                let zero_ok = trap.constraints().get(loc).is_none_or(|set| set.allows(0));
+                if zero_ok {
+                    trap.set_location(loc, Value::Int(0));
+                }
+                zero_ok
             }
-            zero_ok
+            _ => true,
+        };
+        if feasible {
+            trap.set_status(Status::Exception(Exception::DivByZero));
+            out.push(trap);
         }
-        _ => true,
-    };
-    if feasible {
-        trap.set_status(Status::Exception(Exception::DivByZero));
-        out.put(trap);
-    }
-    // Case 2: divisor != 0 -> err result.
-    let mut go = succ;
-    let feasible = match bloc {
-        Some(loc) if track_constraints => go
-            .constraints_mut()
-            .constrain(loc, sympl_symbolic::Constraint::Ne(0)),
-        _ => true,
-    };
-    if feasible {
-        go.set_reg(rd, Value::Err);
-        go.set_pc(next);
-        out.put(go);
-    }
+        // Case 2: divisor != 0 -> err result.
+        let mut go = succ;
+        let feasible = match bloc {
+            Some(loc) if track_constraints => go
+                .constraints_mut()
+                .constrain(loc, sympl_symbolic::Constraint::Ne(0)),
+            _ => true,
+        };
+        if feasible {
+            go.set_reg(rd, Value::Err);
+            go.set_pc(next);
+            out.push(go);
+        }
+    });
 }
 
 /// Materialises comparison fork cases in order, pruning infeasible ones.
@@ -320,22 +337,24 @@ pub(crate) fn apply_fork_cases(
     mut finish: impl FnMut(&mut MachineState, bool),
     out: &mut impl SuccessorSink,
 ) {
-    let last = cases.len() - 1;
-    let mut succ = Some(succ);
-    for (i, case) in cases.iter().enumerate() {
-        let mut s = if i == last {
-            succ.take().expect("state consumed only by the last case")
-        } else {
-            succ.as_ref()
-                .expect("state present before last case")
-                .clone()
-        };
-        if !apply_case(&mut s, case, track_constraints) {
-            continue;
+    out.put_forks(|out| {
+        let last = cases.len() - 1;
+        let mut succ = Some(succ);
+        for (i, case) in cases.iter().enumerate() {
+            let mut s = if i == last {
+                succ.take().expect("state consumed only by the last case")
+            } else {
+                succ.as_ref()
+                    .expect("state present before last case")
+                    .clone()
+            };
+            if !apply_case(&mut s, case, track_constraints) {
+                continue;
+            }
+            finish(&mut s, case.result);
+            out.push(s);
         }
-        finish(&mut s, case.result);
-        out.put(s);
-    }
+    });
 }
 
 /// `jr` through an erroneous register: "the program either jumps to an
@@ -348,18 +367,20 @@ pub(crate) fn fork_jump_targets(
     limits: &ExecLimits,
     out: &mut impl SuccessorSink,
 ) {
-    for t in ExecLimits::spread(limits.fork_jump_targets, code_len) {
-        let mut s = succ.clone();
-        // The landed-on address is the concrete value the corrupted
-        // register must have held.
-        s.set_reg(rs, Value::Int(t as i64));
-        s.set_pc(t);
-        out.put(s);
-    }
-    // The register held an out-of-range value.
-    let mut trap = succ;
-    trap.set_status(Status::Exception(Exception::IllegalInstruction));
-    out.put(trap);
+    out.put_forks(|out| {
+        for t in ExecLimits::spread(limits.fork_jump_targets, code_len) {
+            let mut s = succ.clone();
+            // The landed-on address is the concrete value the corrupted
+            // register must have held.
+            s.set_reg(rs, Value::Int(t as i64));
+            s.set_pc(t);
+            out.push(s);
+        }
+        // The register held an out-of-range value.
+        let mut trap = succ;
+        trap.set_status(Status::Exception(Exception::IllegalInstruction));
+        out.push(trap);
+    });
 }
 
 /// Load through an erroneous pointer: fork over every defined word or
@@ -374,19 +395,21 @@ pub(crate) fn fork_load_targets(
 ) {
     let next = succ.pc() + 1;
     let addrs: Vec<u64> = succ.defined_addresses().collect();
-    for i in ExecLimits::spread(limits.fork_mem_targets, addrs.len()) {
-        let a = addrs[i];
-        let mut s = succ.clone();
-        let v = succ.mem(a).expect("address enumerated from defined set");
-        // Reading from `a` pins the base register to `a - offset`.
-        s.set_reg(rs, Value::Int((a as i64).wrapping_sub(offset)));
-        s.copy_reg_with_constraints(rt, v, Location::Mem(a));
-        s.set_pc(next);
-        out.put(s);
-    }
-    let mut trap = succ;
-    trap.set_status(Status::Exception(Exception::IllegalAddress));
-    out.put(trap);
+    out.put_forks(|out| {
+        for i in ExecLimits::spread(limits.fork_mem_targets, addrs.len()) {
+            let a = addrs[i];
+            let mut s = succ.clone();
+            let v = succ.mem(a).expect("address enumerated from defined set");
+            // Reading from `a` pins the base register to `a - offset`.
+            s.set_reg(rs, Value::Int((a as i64).wrapping_sub(offset)));
+            s.copy_reg_with_constraints(rt, v, Location::Mem(a));
+            s.set_pc(next);
+            out.push(s);
+        }
+        let mut trap = succ;
+        trap.set_status(Status::Exception(Exception::IllegalAddress));
+        out.push(trap);
+    });
 }
 
 /// Store through an erroneous pointer: overwrite any defined word, or
@@ -403,22 +426,24 @@ pub(crate) fn fork_store_targets(
     let next = succ.pc() + 1;
     let addrs: Vec<u64> = succ.defined_addresses().collect();
     let value = succ.reg(rt);
-    for i in ExecLimits::spread(limits.fork_mem_targets, addrs.len()) {
-        let a = addrs[i];
-        let mut s = succ.clone();
-        s.set_reg(rs, Value::Int((a as i64).wrapping_sub(offset)));
-        s.copy_mem_with_constraints(a, value, Location::Reg(rt));
-        s.set_pc(next);
-        out.put(s);
-    }
-    // "Creates a new value in memory": a store to a previously
-    // undefined address.
-    let mut fresh = succ;
-    let a = fresh.fresh_address();
-    fresh.set_reg(rs, Value::Int((a as i64).wrapping_sub(offset)));
-    fresh.copy_mem_with_constraints(a, value, Location::Reg(rt));
-    fresh.set_pc(next);
-    out.put(fresh);
+    out.put_forks(|out| {
+        for i in ExecLimits::spread(limits.fork_mem_targets, addrs.len()) {
+            let a = addrs[i];
+            let mut s = succ.clone();
+            s.set_reg(rs, Value::Int((a as i64).wrapping_sub(offset)));
+            s.copy_mem_with_constraints(a, value, Location::Reg(rt));
+            s.set_pc(next);
+            out.push(s);
+        }
+        // "Creates a new value in memory": a store to a previously
+        // undefined address.
+        let mut fresh = succ;
+        let a = fresh.fresh_address();
+        fresh.set_reg(rs, Value::Int((a as i64).wrapping_sub(offset)));
+        fresh.copy_mem_with_constraints(a, value, Location::Reg(rt));
+        fresh.set_pc(next);
+        out.push(fresh);
+    });
 }
 
 /// Executes a `check` instruction (§5.3): evaluate the detector, fork

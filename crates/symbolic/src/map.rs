@@ -1,6 +1,8 @@
 //! The ConstraintMap carried inside the machine state (paper §5.2).
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::{Constraint, ConstraintSet, Location, ZobristComponent};
 
@@ -12,41 +14,98 @@ use crate::{Constraint, ConstraintSet, Location, ZobristComponent};
 /// search "remembers" the outcome of earlier comparisons and keeps later
 /// comparisons on unmodified locations consistent.
 ///
-/// The entries are a flat vector sorted by location and searched by binary
-/// search: a forked state's map holds about one entry, and a one-entry
-/// vector clones as one small allocation where a B-tree clones a whole
-/// leaf node. Iteration order, `Eq` and the `Hash` stream are those of a
-/// `BTreeMap<Location, ConstraintSet>` with the same content (the derived
-/// `Hash` of a sorted slice of pairs writes the length and then each key
-/// and value in order, exactly as the map's does).
-#[derive(Debug, Default, PartialEq, Eq, Hash)]
+/// The entries are a flat list sorted by location and searched by binary
+/// search, behind one `Arc` that is absent for an empty map: an empty map
+/// (the common case) costs a null pointer, a one-entry map (the common
+/// case after a fork) is one allocation, and a clone shares the entries
+/// until either side writes, when the writer copies them once. Iteration
+/// order, `Eq` and the `Hash` stream are those of a
+/// `BTreeMap<Location, ConstraintSet>` with the same content (a sorted
+/// slice of pairs hashes its length and then each key and value in order,
+/// exactly as the map does), followed by the two derived caches, as the
+/// map's fields were hashed when they were held inline.
+#[derive(Debug, Clone, Default)]
 pub struct ConstraintMap {
-    entries: Vec<(Location, ConstraintSet)>,
+    inner: Option<Arc<Entries>>,
+}
+
+type Entry = (Location, ConstraintSet);
+
+/// A non-empty map's content and the caches derived from it.
+#[derive(Debug, Clone, Default)]
+struct Entries {
+    list: List,
     // Locations whose constraint set is unsatisfiable, maintained by
     // `constrain`/`clear`/`copy` so `is_satisfiable` is O(1) on the fork
-    // hot path instead of a scan over every constrained location. Always
-    // derivable from `entries`, so the derived Eq/Hash stay consistent.
+    // hot path instead of a scan over every constrained location.
     unsat: usize,
     // Rolling XOR-fold over `(location, constraint set)` cells, maintained
     // by the same three mutators so the machine state's fingerprint never
-    // re-walks the map. Derivable from `entries` like `unsat`, keeping the
-    // derived Eq/Hash consistent.
+    // re-walks the map.
     digest: ZobristComponent,
 }
 
-impl Clone for ConstraintMap {
-    fn clone(&self) -> Self {
-        ConstraintMap {
-            // Most forked states carry no constraints, and `Vec::clone`
-            // of an empty vector still walks its allocation path (about
-            // 7 ns per fork, a few percent of a tcas step).
-            entries: if self.entries.is_empty() {
-                Vec::new()
-            } else {
-                self.entries.clone()
-            },
-            unsat: self.unsat,
-            digest: self.digest,
+/// Entries sorted by location. One entry is held inline, so a map that
+/// holds one costs one allocation, not two.
+#[derive(Debug, Clone)]
+enum List {
+    One([Entry; 1]),
+    Many(Vec<Entry>),
+}
+
+impl Default for List {
+    fn default() -> Self {
+        List::Many(Vec::new())
+    }
+}
+
+impl List {
+    fn from_vec(entries: Vec<Entry>) -> Self {
+        match <[Entry; 1]>::try_from(entries) {
+            Ok(one) => List::One(one),
+            Err(many) => List::Many(many),
+        }
+    }
+
+    fn as_slice(&self) -> &[Entry] {
+        match self {
+            List::One(one) => one,
+            List::Many(many) => many,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Entry] {
+        match self {
+            List::One(one) => one,
+            List::Many(many) => many,
+        }
+    }
+
+    fn insert(&mut self, i: usize, entry: Entry) {
+        *self = match std::mem::take(self) {
+            List::Many(many) if many.is_empty() => List::One([entry]),
+            List::Many(mut many) => {
+                many.insert(i, entry);
+                List::Many(many)
+            }
+            List::One([only]) => {
+                let mut many = Vec::with_capacity(4);
+                many.push(only);
+                many.insert(i, entry);
+                List::Many(many)
+            }
+        };
+    }
+
+    /// Removes entry `i`; a one-entry list becomes the empty one.
+    fn remove(&mut self, i: usize) -> Entry {
+        match std::mem::take(self) {
+            List::One([only]) => only,
+            List::Many(mut many) => {
+                let entry = many.remove(i);
+                *self = List::Many(many);
+                entry
+            }
         }
     }
 }
@@ -58,9 +117,30 @@ impl ConstraintMap {
         Self::default()
     }
 
+    fn entries(&self) -> &[Entry] {
+        self.inner.as_deref().map_or(&[], |e| e.list.as_slice())
+    }
+
+    fn unsat(&self) -> usize {
+        self.inner.as_deref().map_or(0, |e| e.unsat)
+    }
+
+    /// The content for writing: shared entries are copied first, and an
+    /// empty map gets an allocation.
+    fn entries_mut(&mut self) -> &mut Entries {
+        Arc::make_mut(self.inner.get_or_insert_with(Arc::default))
+    }
+
+    /// Drops the allocation of a map that became empty.
+    fn release_if_empty(&mut self) {
+        if self.entries().is_empty() {
+            self.inner = None;
+        }
+    }
+
     /// The index of `loc`'s entry, or the index it would be inserted at.
     fn search(&self, loc: Location) -> Result<usize, usize> {
-        self.entries.binary_search_by(|(l, _)| l.cmp(&loc))
+        self.entries().binary_search_by(|(l, _)| l.cmp(&loc))
     }
 
     /// Records `constraint` on `loc`, returning whether the location's
@@ -70,18 +150,20 @@ impl ConstraintMap {
     /// false-positive candidate); callers prune it from the search.
     #[must_use = "an unsatisfiable result must prune the path"]
     pub fn constrain(&mut self, loc: Location, constraint: Constraint) -> bool {
-        match self.search(loc) {
+        let found = self.search(loc);
+        let map = self.entries_mut();
+        match found {
             Ok(i) => {
-                let set = &mut self.entries[i].1;
+                let set = &mut map.list.as_mut_slice()[i].1;
                 // Constraint sets only ever tighten, so satisfiability
                 // transitions at most once, satisfiable → unsatisfiable.
                 let was_satisfiable = set.is_satisfiable();
-                self.digest.remove(&loc, &*set);
+                map.digest.remove(&loc, &*set);
                 set.add(constraint);
-                self.digest.insert(&loc, &*set);
+                map.digest.insert(&loc, &*set);
                 let now_satisfiable = set.is_satisfiable();
                 if was_satisfiable && !now_satisfiable {
-                    self.unsat += 1;
+                    map.unsat += 1;
                 }
                 now_satisfiable
             }
@@ -90,10 +172,10 @@ impl ConstraintMap {
                 set.add(constraint);
                 let now_satisfiable = set.is_satisfiable();
                 if !now_satisfiable {
-                    self.unsat += 1;
+                    map.unsat += 1;
                 }
-                self.digest.insert(&loc, &set);
-                self.entries.insert(i, (loc, set));
+                map.digest.insert(&loc, &set);
+                map.list.insert(i, (loc, set));
                 now_satisfiable
             }
         }
@@ -104,11 +186,13 @@ impl ConstraintMap {
     /// old constraints described the previous occupant.
     pub fn clear(&mut self, loc: Location) {
         if let Ok(i) = self.search(loc) {
-            let (_, set) = self.entries.remove(i);
-            self.digest.remove(&loc, &set);
+            let map = self.entries_mut();
+            let (_, set) = map.list.remove(i);
+            map.digest.remove(&loc, &set);
             if !set.is_satisfiable() {
-                self.unsat -= 1;
+                map.unsat -= 1;
             }
+            self.release_if_empty();
         }
     }
 
@@ -128,14 +212,19 @@ impl ConstraintMap {
     /// location, with the digest and unsatisfiable-location caches folded
     /// in one pass. The decoder (`crate::codec`) builds through here, so
     /// decoded maps carry live caches exactly like incrementally-built ones.
-    pub(crate) fn from_sorted(entries: Vec<(Location, ConstraintSet)>) -> Self {
+    pub(crate) fn from_sorted(entries: Vec<Entry>) -> Self {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        if entries.is_empty() {
+            return Self::new();
+        }
         let unsat = entries.iter().filter(|(_, s)| !s.is_satisfiable()).count();
         let digest = ZobristComponent::refold(entries.iter().map(|(l, s)| (*l, s)));
         ConstraintMap {
-            entries,
-            unsat,
-            digest,
+            inner: Some(Arc::new(Entries {
+                list: List::from_vec(entries),
+                unsat,
+                digest,
+            })),
         }
     }
 
@@ -143,26 +232,28 @@ impl ConstraintMap {
     /// recorded, while maintaining the rolling digest and the
     /// unsatisfiable-location counter.
     fn insert_set(&mut self, loc: Location, set: ConstraintSet) {
+        let found = self.search(loc);
+        let map = self.entries_mut();
         if !set.is_satisfiable() {
-            self.unsat += 1;
+            map.unsat += 1;
         }
-        self.digest.insert(&loc, &set);
-        match self.search(loc) {
+        map.digest.insert(&loc, &set);
+        match found {
             Ok(i) => {
-                let old = std::mem::replace(&mut self.entries[i].1, set);
-                self.digest.remove(&loc, &old);
+                let old = std::mem::replace(&mut map.list.as_mut_slice()[i].1, set);
+                map.digest.remove(&loc, &old);
                 if !old.is_satisfiable() {
-                    self.unsat -= 1;
+                    map.unsat -= 1;
                 }
             }
-            Err(i) => self.entries.insert(i, (loc, set)),
+            Err(i) => map.list.insert(i, (loc, set)),
         }
     }
 
     /// The constraint set for a location, if any constraints are recorded.
     #[must_use]
     pub fn get(&self, loc: Location) -> Option<&ConstraintSet> {
-        self.search(loc).ok().map(|i| &self.entries[i].1)
+        self.search(loc).ok().map(|i| &self.entries()[i].1)
     }
 
     /// Whether every recorded constraint set is satisfiable.
@@ -173,7 +264,7 @@ impl ConstraintMap {
     /// map.
     #[must_use]
     pub fn is_satisfiable(&self) -> bool {
-        self.unsat == 0
+        self.unsat() == 0
     }
 
     /// A concrete witness for a location (used for replay); `None` if the
@@ -187,18 +278,18 @@ impl ConstraintMap {
     /// Number of constrained locations.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries().len()
     }
 
     /// Whether no constraints are recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.inner.is_none()
     }
 
     /// Iterates over `(location, constraint set)` pairs in location order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (Location, &ConstraintSet)> {
-        self.entries.iter().map(|(l, s)| (*l, s))
+        self.entries().iter().map(|(l, s)| (*l, s))
     }
 
     /// The rolling XOR-fold over the map's `(location, constraint set)`
@@ -207,7 +298,9 @@ impl ConstraintMap {
     /// re-hashing every entry.
     #[must_use]
     pub fn digest(&self) -> ZobristComponent {
-        self.digest
+        self.inner
+            .as_deref()
+            .map_or(ZobristComponent::new(), |e| e.digest)
     }
 
     /// A from-scratch recompute of [`ConstraintMap::digest`] — O(|map|),
@@ -219,9 +312,25 @@ impl ConstraintMap {
     }
 }
 
+impl PartialEq for ConstraintMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries() == other.entries()
+    }
+}
+
+impl Eq for ConstraintMap {}
+
+impl Hash for ConstraintMap {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.entries().hash(state);
+        self.unsat().hash(state);
+        self.digest().hash(state);
+    }
+}
+
 impl fmt::Display for ConstraintMap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.entries.is_empty() {
+        if self.is_empty() {
             return f.write_str("{}");
         }
         writeln!(f, "{{")?;
