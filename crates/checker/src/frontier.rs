@@ -52,13 +52,21 @@
 //! — a spilling search expands states in the same order as its unbounded
 //! twin, which is what lets exhaustive searches whose frontier exceeds RAM
 //! reproduce the unbounded run's outcome counts and solution sets verbatim.
-//! Each record is written flat, whatever the state shared in RAM; that
-//! trade is the point — RAM is the scarce resource. The frontier keeps one
-//! `StateEncoder` and one `StateDecoder` for the search's lifetime, so a
-//! spill pays only for what consecutive states change: the encoder copies
-//! the bytes of a memory image or input it has just written, and replayed
-//! states share a memory image, input, register file or output stream with
-//! the state decoded before them while their records repeat it.
+//! A segment is written as a keyframe plus delta records
+//! (`sympl_machine::codec`): its first state is a one-shot record that
+//! decodes alone, and each later one holds only what differs from the
+//! state written before it — the header, the registers that changed, and
+//! each of the memory image, input, output and constraint map that is not
+//! the previous state's — with a check that refuses a damaged record. The
+//! encoding context belongs to the segment being written and the decoding
+//! context to the one being replayed: the frontier resets the encoder at a
+//! segment's first stored state and the decoder at the start of its
+//! replay, so each segment decodes alone and FIFO order, LIFO's reversed
+//! segment order and LIFO truncation need nothing from their neighbours.
+//! A fork rule's siblings differ in a register or two, so most records
+//! take a few dozen bytes, and replayed states share one memory image,
+//! input, output stream and constraint map for as long as their records
+//! say so.
 //!
 //! The spill budget rides in `SearchLimits::max_frontier_bytes`; the
 //! priority and iterative-deepening policies ignore it (a heap spill would
@@ -646,6 +654,10 @@ static SPILL_DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// one. A segment never straddles files, so a file may end past this.
 const SPILL_FILE_BYTES: u64 = 1 << 20;
 
+/// The appending file's write buffer. Delta records take a few dozen
+/// bytes, so a buffer this size turns thousands of them into one write.
+const SPILL_WRITE_BUFFER: usize = 64 << 10;
+
 struct Segment<M> {
     /// Where the segment's stored states lie on disk, from its first
     /// stored state: a segment of unstored states only never touches the
@@ -725,8 +737,8 @@ pub struct SpillingFrontier<M> {
     kept: usize,
     encode_buf: Vec<u8>,
     read_buf: Vec<u8>,
-    /// One encoding and one decoding context for the search's lifetime,
-    /// so consecutive spilled states pay only for what they change.
+    /// The encoding and decoding contexts of the segment being written and
+    /// the one being replayed, each reset at a segment's start.
     encoder: StateEncoder,
     decoder: StateDecoder,
     /// States encoded into spill files so far.
@@ -784,15 +796,21 @@ impl<M> SpillingFrontier<M> {
         }
     }
 
+    /// The search's private spill directory, created on first use. A
+    /// directory that already exists — left by a dead process whose pid
+    /// this one reuses — is never adopted: the next counter is taken.
     fn spill_dir(&mut self) -> &PathBuf {
-        self.dir.get_or_insert_with(|| {
+        self.dir.get_or_insert_with(|| loop {
             let dir = std::env::temp_dir().join(format!(
                 "symplfied-spill-{}-{}",
                 std::process::id(),
                 SPILL_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
             ));
-            std::fs::create_dir_all(&dir).expect("failed to create the frontier spill directory");
-            dir
+            match std::fs::create_dir(&dir) {
+                Ok(()) => break dir,
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
+                Err(e) => panic!("failed to create the frontier spill directory: {e}"),
+            }
         })
     }
 
@@ -853,7 +871,10 @@ impl<M> SpillingFrontier<M> {
                 live: 0,
             },
         );
-        self.appending = Some((id, std::io::BufWriter::new(file)));
+        self.appending = Some((
+            id,
+            std::io::BufWriter::with_capacity(SPILL_WRITE_BUFFER, file),
+        ));
         id
     }
 
@@ -888,9 +909,11 @@ impl<M> SpillingFrontier<M> {
     }
 
     /// Encodes one state onto the back segment (opening a new one at the
-    /// cap), recording its meta in the segment's RAM-side queue.
-    fn append_to_back_segment(&mut self, state: &MachineState, meta: M) {
+    /// cap), recording its meta in the segment's RAM-side queue. A
+    /// segment's first record is a keyframe, so its replay decodes alone.
+    fn append_to_back_segment(&mut self, state: MachineState, meta: M) {
         if self.back_segment().span.is_none() {
+            self.encoder.reset();
             let id = self.file_for_new_segment();
             let file = self.files.get_mut(&id).expect("the file just chosen");
             file.live += 1;
@@ -902,6 +925,7 @@ impl<M> SpillingFrontier<M> {
                 len: 0,
             });
         }
+        let approx_bytes = state.approx_bytes();
         self.encode_buf.clear();
         self.encoder.encode(state, &mut self.encode_buf);
         #[cfg(test)]
@@ -924,7 +948,7 @@ impl<M> SpillingFrontier<M> {
         let n = self.encode_buf.len() as u64;
         file.len += n;
         span.len += n;
-        seg.approx_bytes += state.approx_bytes();
+        seg.approx_bytes += approx_bytes;
         seg.metas.push_back(meta);
         self.spilled += 1;
     }
@@ -974,11 +998,10 @@ impl<M> SpillingFrontier<M> {
     }
 
     /// Decodes a whole segment back into the (empty) RAM window, in file
-    /// order; its unstored tail moves to the window's. The search's one
-    /// decoder hands each state the components its record repeats from the
-    /// state decoded before it, with their folds, and moves the register
-    /// and output folds over the cells that differ; the codec stream
-    /// property tests pin every decoded state to a one-shot decode and its
+    /// order; its unstored tail moves to the window's. The decoder starts
+    /// at the segment's keyframe and hands each later state the components
+    /// its delta record marks unchanged, with their folds; the codec stream
+    /// property tests pin every decoded state to the written one and its
     /// `fingerprint_from_scratch`, and so does the debug assertion below.
     fn replay(&mut self, mut seg: Segment<M>) {
         debug_assert!(
@@ -987,6 +1010,7 @@ impl<M> SpillingFrontier<M> {
         );
         let span = seg.span.expect("a replayed segment holds stored states");
         self.read_span(&span);
+        self.decoder.reset();
         let mut pos = 0usize;
         while pos < self.read_buf.len() {
             let (state, consumed) = self
@@ -1054,7 +1078,7 @@ impl<M> FrontierQueue<M> for SpillingFrontier<M> {
                 let to_ram = self.segments.is_empty() && self.ram_bytes < self.budget;
                 match (to_ram, stored) {
                     (true, true) => self.ram_push(state, meta),
-                    (false, true) => self.append_to_back_segment(&state, meta),
+                    (false, true) => self.append_to_back_segment(state, meta),
                     (true, false) => {
                         self.ram_bytes += state.approx_bytes();
                         self.ram_unstored += 1;
@@ -1078,7 +1102,7 @@ impl<M> FrontierQueue<M> for SpillingFrontier<M> {
                     self.start_segment();
                     for _ in 0..spill_count {
                         let (s, m) = self.ram_pop_front().expect("counted above");
-                        self.append_to_back_segment(&s, m);
+                        self.append_to_back_segment(s, m);
                     }
                     // A spill is a whole segment: write it out now rather
                     // than hold its tail in the writer's buffer.
@@ -1530,6 +1554,37 @@ mod tests {
     }
 
     #[test]
+    fn a_stale_spill_directory_is_never_adopted() {
+        // Directories a dead process with this pid could have left under
+        // the next names the counter hands out, each with a file in it.
+        let next = SPILL_DIR_COUNTER.load(Ordering::Relaxed);
+        let stale: Vec<PathBuf> = (next..next + 64)
+            .map(|n| {
+                std::env::temp_dir().join(format!("symplfied-spill-{}-{n}", std::process::id()))
+            })
+            .collect();
+        for dir in &stale {
+            std::fs::create_dir(dir).expect("a stale directory");
+            std::fs::write(dir.join("spill-0.bin"), b"stale").expect("a stale file");
+        }
+        let mut q: SpillingFrontier<u64> = SpillingFrontier::new(SpillOrder::Fifo, 4096);
+        for i in 0..200 {
+            q.push(state(i), i);
+        }
+        let dir = q.dir.clone().expect("spilling created a directory");
+        assert!(!stale.contains(&dir), "{} adopted", dir.display());
+        while let Some((s, m)) = q.pop() {
+            assert_eq!(s, state(m));
+        }
+        drop(q);
+        for dir in &stale {
+            let left = std::fs::read(dir.join("spill-0.bin")).expect("untouched");
+            assert_eq!(left, b"stale");
+            std::fs::remove_dir_all(dir).expect("remove a stale directory");
+        }
+    }
+
+    #[test]
     fn consecutive_segments_share_a_file_until_it_is_replayed() {
         let files_on_disk = |q: &SpillingFrontier<u64>| {
             let dir = q.dir.as_ref().expect("spilling created a directory");
@@ -1670,6 +1725,43 @@ mod tests {
         }
         assert!(model.is_empty());
         assert_eq!(bytes_on_disk(&q), 0, "a drained LIFO spill holds no bytes");
+    }
+
+    #[test]
+    fn spilled_fork_siblings_take_a_few_bytes_a_record() {
+        // A fork rule's siblings: one parent, one register apiece.
+        let parent = sized_state(0, 64);
+        let sibling = |i: u64| {
+            let mut s = parent.clone();
+            s.set_reg(Reg::r(27), Value::Int(i as i64 * 8));
+            s.bump_steps();
+            s
+        };
+        let mut q: SpillingFrontier<u64> = SpillingFrontier::new(SpillOrder::Fifo, 256 << 10);
+        for i in 0..2000 {
+            q.push(sibling(i), i);
+        }
+        let records = q.spilled_states();
+        let keyframes: Vec<u64> = q.segments.iter().map(|seg| seg.metas[0]).collect();
+        assert!(
+            records > 1500 && keyframes.len() > 10,
+            "{records} records in {} segments",
+            keyframes.len()
+        );
+        let keyframe_bytes: usize = keyframes
+            .iter()
+            .map(|&i| {
+                let mut buf = Vec::new();
+                sympl_machine::encode_state(&sibling(i), &mut buf);
+                buf.len()
+            })
+            .sum();
+        let deltas = (live_span_bytes(&q) as usize - keyframe_bytes) / (records - keyframes.len());
+        assert!(deltas < 40, "{deltas} B a delta record");
+        for i in 0..2000 {
+            let (s, m) = q.pop().expect("a queued state");
+            assert_eq!((m, s), (i, sibling(i)));
+        }
     }
 
     #[test]

@@ -22,28 +22,48 @@
 //! ```
 //!
 //! Every record is length-free and self-delimiting, so states can be
-//! concatenated into segment files and decoded back one at a time —
-//! exactly what the disk-spilling frontier does ([`decode_state`] returns
-//! the bytes consumed).
-//!
-//! The one-shot [`encode_state`] and [`decode_state`] share nothing: each
-//! state decoded by them owns its register file, memory image, input,
-//! output stream and constraint map. A stream of states goes through one
-//! [`StateEncoder`] and one [`StateDecoder`] instead, which write and read
-//! the same bytes but pay only for what consecutive states change. The
-//! encoder copies the bytes of the last memory image and input it wrote
-//! while the next state still shares that storage. The decoder hands the
-//! last decoded register file, memory image, input, output stream and
-//! constraint map, with their folds, to the next state whose record
-//! repeats that section's bytes, and otherwise moves the register and
-//! output folds over the cells that differ. So the states a spilling
-//! frontier decodes share one memory image and one input allocation for
-//! as long as their records repeat them, and a register file or output
-//! stream with the state before them when it is equal.
-//!
-//! The same bytes are [`MachineState`]'s [`Codec`] record, which is how a
-//! state rides inside wire frames and files; [`ExecLimits`] is declared
+//! concatenated and decoded back one at a time ([`decode_state`] returns
+//! the bytes consumed). The one-shot [`encode_state`] and
+//! [`decode_state`] keep no context: each record stands alone, and each
+//! state decoded from one owns its register file, memory image, input,
+//! output stream and constraint map. The same bytes are
+//! [`MachineState`]'s [`Codec`] record, which is how a state rides inside
+//! wire frames, checkpoints and memo stores; [`ExecLimits`] is declared
 //! here as a record too.
+//!
+//! # Spill streams
+//!
+//! A disk-spilling frontier writes a segment of states through a
+//! [`StateEncoder`] and reads it back through a [`StateDecoder`]. A
+//! segment is a *keyframe* — the one-shot record above, which decodes
+//! alone — followed by *delta records*, each written against the record
+//! before it:
+//!
+//! ```text
+//! pc:varint  steps:varint  status:tag[payload]  cursor:varint
+//! same:u8   — bit 0 memory, 1 input, 2 output, 3 constraints: equal to the previous record's
+//! regs:     count, (index:u8, value)*  — the registers that differ from the previous record's, ascending
+//! mem, input (without its cursor), output, constraints — each whose bit is clear, as in the one-shot record
+//! check:u32 — FNV-1a over the record's bytes before it, little-endian
+//! ```
+//!
+//! A component is the previous record's when it is the same allocation or
+//! has equal content (unequal folds tell them apart in O(1)); the decoder
+//! then hands the state its kept component, shared, with its fold. A
+//! differing register or output cell moves the kept fold. Consecutive
+//! forks of one parent — what a frontier spills — differ in a register or
+//! two, so their delta records take a few bytes each. The check refuses a
+//! damaged delta record: it takes one FNV-1a round per 4-byte word (then
+//! per trailing byte), each a bijection on its 32 bits, so every
+//! single-bit flip of the record's bytes changes it.
+//!
+//! **Reset contract.** Both sides keep the previous record's state, so a
+//! delta record decodes only after every record before it in its segment,
+//! in write order. The frontier calls [`StateEncoder::reset`] before it
+//! writes a segment's first record and [`StateDecoder::reset`] before it
+//! reads one back: each segment then starts with a keyframe and decodes
+//! alone, whatever order segments are written, replayed or truncated in.
+//! A decode that fails leaves the decoder's context as it was.
 
 use std::sync::Arc;
 
@@ -56,7 +76,7 @@ use sympl_symbolic::codec::{
     encode_u64, encode_value, Codec,
 };
 use sympl_symbolic::codec_record;
-use sympl_symbolic::{ConstraintMap, Value};
+use sympl_symbolic::ConstraintMap;
 
 pub use sympl_symbolic::CodecError;
 
@@ -74,35 +94,113 @@ const STATUS_TIMED_OUT: u8 = 6;
 const OUT_VAL: u8 = 0;
 const OUT_STR: u8 = 1;
 
-/// Appends the full observable content of `state` to `buf`. Builds
-/// nothing to keep: a caller writing a stream of states keeps one
-/// [`StateEncoder`] instead, which writes the same bytes.
+/// A delta record's `same` bits: the component is the previous record's.
+const SAME_MEM: u8 = 1;
+const SAME_INPUT: u8 = 1 << 1;
+const SAME_OUTPUT: u8 = 1 << 2;
+const SAME_CONSTRAINTS: u8 = 1 << 3;
+
+/// Appends the full observable content of `state` to `buf`: one record
+/// that decodes alone.
 pub fn encode_state(state: &MachineState, buf: &mut Vec<u8>) {
-    encode_record(state, buf, None);
+    buf.push(VERSION);
+    encode_header(state, buf);
+    // Non-zero register cells only ($0 is hard-wired and most registers in
+    // a forked state are untouched defaults), in register order.
+    encode_reg_cells(state, state.reg_file().nonzero(), buf);
+    encode_memory(state, buf);
+    encode_input(state, buf);
+    encode_u64(state.input_cursor() as u64, buf);
+    encode_output(state, buf);
+    encode_constraint_map(state.constraints(), buf);
 }
 
-/// The encoding context of a stream of states: the bytes of the last
-/// memory image and input stream written, with the storage they were
-/// written from. A state that still shares that storage (a fork, or a
-/// state decoded by a stream [`StateDecoder`]) gets the bytes copied
-/// instead of its cells re-encoded. The bytes are [`encode_state`]'s.
+/// The encoding context of a spill segment: the state the last record was
+/// written from, which the next delta record is written against. Keeping
+/// the state, not its address, means none of its allocations can be freed
+/// and reused by a different component while it is the base.
 #[derive(Debug, Default)]
 pub struct StateEncoder {
-    mem: Option<(CowMemory, Vec<u8>)>,
-    input: Option<(Arc<Input>, Vec<u8>)>,
+    prev: Option<MachineState>,
 }
 
 impl StateEncoder {
-    /// [`encode_state`] through this context.
-    pub fn encode(&mut self, state: &MachineState, buf: &mut Vec<u8>) {
-        encode_record(state, buf, Some(self));
+    /// Starts a segment: the next record is a keyframe.
+    pub fn reset(&mut self) {
+        self.prev = None;
+    }
+
+    /// Appends `state`'s record to `buf` — after a [`reset`](Self::reset)
+    /// the keyframe, [`encode_state`]'s bytes, and otherwise a delta
+    /// record against the state written before — and keeps `state` as the
+    /// next record's base.
+    pub fn encode(&mut self, state: MachineState, buf: &mut Vec<u8>) {
+        match &self.prev {
+            None => encode_state(&state, buf),
+            Some(prev) => encode_delta(prev, &state, buf),
+        }
+        self.prev = Some(state);
     }
 }
 
-/// The one encoder body: [`encode_state`] passes no context, a
-/// [`StateEncoder`] itself.
-fn encode_record(state: &MachineState, buf: &mut Vec<u8>, mut cache: Option<&mut StateEncoder>) {
-    buf.push(VERSION);
+/// Appends `state`'s delta record against `prev` (see the module docs).
+fn encode_delta(prev: &MachineState, state: &MachineState, buf: &mut Vec<u8>) {
+    let start = buf.len();
+    encode_header(state, buf);
+    encode_u64(state.input_cursor() as u64, buf);
+    let (mem, prev_mem) = (state.memory_image(), prev.memory_image());
+    let (map, prev_map) = (state.constraints(), prev.constraints());
+    let mut same = 0;
+    if mem.digest() == prev_mem.digest() && mem == prev_mem {
+        same |= SAME_MEM;
+    }
+    // `Arc`'s `==` checks the pointer before the content.
+    if state.input_arc() == prev.input_arc() {
+        same |= SAME_INPUT;
+    }
+    if state.output_arc() == prev.output_arc() {
+        same |= SAME_OUTPUT;
+    }
+    if map.digest() == prev_map.digest() && map == prev_map {
+        same |= SAME_CONSTRAINTS;
+    }
+    buf.push(same);
+    let differ = state.reg_file().differs_from(prev.reg_file());
+    encode_reg_cells(state, differ, buf);
+    if same & SAME_MEM == 0 {
+        encode_memory(state, buf);
+    }
+    if same & SAME_INPUT == 0 {
+        encode_input(state, buf);
+    }
+    if same & SAME_OUTPUT == 0 {
+        encode_output(state, buf);
+    }
+    if same & SAME_CONSTRAINTS == 0 {
+        encode_constraint_map(map, buf);
+    }
+    let check = fnv1a32(&buf[start..]);
+    buf.extend_from_slice(&check.to_le_bytes());
+}
+
+/// A delta record's check: 32-bit FNV-1a over `bytes`, one round per
+/// little-endian 4-byte word and then one per trailing byte. Each round is
+/// a bijection on the 32-bit state (xor, then a multiply by an odd prime),
+/// so any single-bit flip of the bytes changes the check.
+fn fnv1a32(bytes: &[u8]) -> u32 {
+    let round = |h: u32, word: u32| (h ^ word).wrapping_mul(0x0100_0193);
+    let mut words = bytes.chunks_exact(4);
+    let h = (&mut words).fold(0x811c_9dc5, |h, w| {
+        round(h, u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+    });
+    words
+        .remainder()
+        .iter()
+        .fold(h, |h, &b| round(h, u32::from(b)))
+}
+
+/// `pc`, `steps` and the status.
+fn encode_header(state: &MachineState, buf: &mut Vec<u8>) {
     encode_u64(state.pc() as u64, buf);
     encode_u64(state.steps(), buf);
     match state.status() {
@@ -117,55 +215,46 @@ fn encode_record(state: &MachineState, buf: &mut Vec<u8>, mut cache: Option<&mut
         }
         Status::TimedOut => buf.push(STATUS_TIMED_OUT),
     }
+}
 
-    // Non-zero register cells only ($0 is hard-wired and most registers in
-    // a forked state are untouched defaults), in register order.
+/// The count and `(index, value)` cells of the registers in `mask`, in
+/// register order.
+fn encode_reg_cells(state: &MachineState, mut mask: u32, buf: &mut Vec<u8>) {
     let regs = state.reg_file();
-    let mut nonzero = regs.nonzero();
-    encode_u64(u64::from(nonzero.count_ones()), buf);
-    while nonzero != 0 {
-        let i = nonzero.trailing_zeros() as usize;
+    encode_u64(u64::from(mask.count_ones()), buf);
+    while mask != 0 {
+        let i = mask.trailing_zeros() as usize;
         buf.push(i as u8);
         encode_value(regs.get(i), buf);
-        nonzero &= nonzero - 1;
+        mask &= mask - 1;
     }
+}
 
-    // Memory image, ascending addresses delta-coded.
-    encode_section(
-        buf,
-        cache.as_mut().map(|c| &mut c.mem),
-        state.memory_image(),
-        CowMemory::shares_storage_with,
-        |buf| {
-            encode_u64(state.memory_len() as u64, buf);
-            let mut prev = 0u64;
-            for (i, (addr, value)) in state.memory_cells().enumerate() {
-                if i == 0 {
-                    encode_u64(addr, buf);
-                } else {
-                    encode_u64(addr - prev, buf);
-                }
-                prev = addr;
-                encode_value(value, buf);
-            }
-        },
-    );
+/// The memory image, ascending addresses delta-coded.
+fn encode_memory(state: &MachineState, buf: &mut Vec<u8>) {
+    encode_u64(state.memory_len() as u64, buf);
+    let mut prev = 0u64;
+    for (i, (addr, value)) in state.memory_cells().enumerate() {
+        if i == 0 {
+            encode_u64(addr, buf);
+        } else {
+            encode_u64(addr - prev, buf);
+        }
+        prev = addr;
+        encode_value(value, buf);
+    }
+}
 
-    encode_section(
-        buf,
-        cache.as_mut().map(|c| &mut c.input),
-        state.input_arc(),
-        Arc::ptr_eq,
-        |buf| {
-            let input = state.input_stream();
-            encode_u64(input.len() as u64, buf);
-            for &v in input {
-                encode_i64(v, buf);
-            }
-        },
-    );
-    encode_u64(state.input_cursor() as u64, buf);
+/// The input stream's words (its cursor is written apart).
+fn encode_input(state: &MachineState, buf: &mut Vec<u8>) {
+    let input = state.input_stream();
+    encode_u64(input.len() as u64, buf);
+    for &v in input {
+        encode_i64(v, buf);
+    }
+}
 
+fn encode_output(state: &MachineState, buf: &mut Vec<u8>) {
     encode_u64(state.output().len() as u64, buf);
     for item in state.output() {
         match item {
@@ -178,34 +267,6 @@ fn encode_record(state: &MachineState, buf: &mut Vec<u8>, mut cache: Option<&mut
                 encode_u64(s.len() as u64, buf);
                 buf.extend_from_slice(s.as_bytes());
             }
-        }
-    }
-
-    encode_constraint_map(state.constraints(), buf);
-}
-
-/// Appends one section written by `encode`. With a context `kept`, the
-/// section's bytes are copied from it when they were written from storage
-/// `same` as `storage`, else written and kept with `storage`.
-fn encode_section<K: Clone>(
-    buf: &mut Vec<u8>,
-    kept: Option<&mut Option<(K, Vec<u8>)>>,
-    storage: &K,
-    same: fn(&K, &K) -> bool,
-    encode: impl FnOnce(&mut Vec<u8>),
-) {
-    let Some(kept) = kept else {
-        return encode(buf);
-    };
-    match kept {
-        Some((from, bytes)) if same(from, storage) => buf.extend_from_slice(bytes),
-        _ => {
-            let start = buf.len();
-            encode(buf);
-            let mut bytes = kept.take().map(|(_, bytes)| bytes).unwrap_or_default();
-            bytes.clear();
-            bytes.extend_from_slice(&buf[start..]);
-            *kept = Some((storage.clone(), bytes));
         }
     }
 }
@@ -228,82 +289,173 @@ impl Codec for MachineState {
 }
 
 /// Decodes one state from the front of `bytes`, returning it together with
-/// the number of bytes consumed (so concatenated records — spill segments —
-/// decode back one at a time).
+/// the number of bytes consumed (so concatenated records decode back one at
+/// a time).
 ///
 /// The decoded state derives every rolling fingerprint cache from the
 /// decoded content, so `decoded.fingerprint() ==
 /// decoded.fingerprint_from_scratch()` holds by construction, and a
-/// round-trip preserves full [`Eq`] with the original. Builds nothing to
-/// keep: a caller decoding a stream of states keeps one [`StateDecoder`]
-/// instead, so the states share what they have in common.
+/// round-trip preserves full [`Eq`] with the original.
 ///
 /// # Errors
 ///
 /// Any [`CodecError`] when the buffer is truncated, carries an unknown
 /// version or tag, or a count overflows the platform's `usize`.
 pub fn decode_state(bytes: &[u8]) -> Result<(MachineState, usize), CodecError> {
-    decode_record(bytes, None)
-}
-
-/// The decoding context of a stream of states: for each section of the
-/// record after the header (registers, memory image, input stream, output
-/// stream, constraint map), the bytes of the last one decoded and the
-/// component they decoded to, with its fold.
-///
-/// A record whose bytes at a section start with the kept bytes gets the
-/// kept component, shared, without reading the cells: the format is
-/// deterministic and self-delimiting, so those bytes decode to exactly that
-/// component and end where the kept ones end. The encoder writes equal
-/// components as equal bytes, so that is also how an equal component is
-/// shared. Any other section is decoded; its register and output folds are
-/// moved from the kept ones over the cells that differ.
-#[derive(Debug, Default)]
-pub struct StateDecoder {
-    regs: Kept<Arc<RegFile>>,
-    mem: Kept<CowMemory>,
-    input: Kept<Arc<Input>>,
-    output: Kept<Arc<Output>>,
-    constraints: Kept<ConstraintMap>,
-}
-
-/// One section of the last record a [`StateDecoder`] read: its bytes and
-/// what they decoded to.
-type Kept<T> = Option<(Vec<u8>, T)>;
-
-impl StateDecoder {
-    /// [`decode_state`] through this context: the same result, sharing
-    /// with the states decoded here before what they have in common.
-    ///
-    /// # Errors
-    ///
-    /// As [`decode_state`]. A record that fails leaves the context valid.
-    pub fn decode(&mut self, bytes: &[u8]) -> Result<(MachineState, usize), CodecError> {
-        decode_record(bytes, Some(self))
-    }
-}
-
-/// The one decoder body: [`decode_state`] passes no context, a
-/// [`StateDecoder`] itself.
-fn decode_record(
-    bytes: &[u8],
-    mut cache: Option<&mut StateDecoder>,
-) -> Result<(MachineState, usize), CodecError> {
     let mut pos = 0usize;
     let version = u8::decode(bytes, &mut pos)?;
     if version != VERSION {
         return Err(CodecError::BadVersion(version));
     }
-    let pc = usize::decode(bytes, &mut pos)?;
-    let steps = decode_u64(bytes, &mut pos)?;
-    let status = match u8::decode(bytes, &mut pos)? {
+    let (pc, steps, status) = decode_header(bytes, &mut pos)?;
+    let n_regs = usize::decode(bytes, &mut pos)?;
+    let regs = decode_reg_cells(bytes, &mut pos, n_regs, RegFile::zero())?;
+    let mem = decode_memory(bytes, &mut pos)?;
+    let input = decode_input(bytes, &mut pos)?;
+    let input_pos = usize::decode(bytes, &mut pos)?;
+    let output = decode_output(bytes, &mut pos, &Output::default())?;
+    let constraints = decode_constraint_map(bytes, &mut pos)?;
+    let state = MachineState::from_decoded(DecodedState {
+        pc,
+        regs: Arc::new(regs),
+        mem,
+        input: Arc::new(input),
+        input_pos,
+        output: Arc::new(output),
+        constraints,
+        steps,
+        status,
+    });
+    Ok((state, pos))
+}
+
+/// The decoding context of a spill segment: the components of the state
+/// decoded last, which the next delta record shares or builds on.
+#[derive(Debug, Default, Clone)]
+pub struct StateDecoder {
+    prev: Option<Components>,
+}
+
+/// The shared components of a decoded state, each with its fold.
+#[derive(Debug, Clone)]
+struct Components {
+    regs: Arc<RegFile>,
+    mem: CowMemory,
+    input: Arc<Input>,
+    output: Arc<Output>,
+    constraints: ConstraintMap,
+}
+
+impl StateDecoder {
+    /// Starts a segment: the next record is a keyframe.
+    pub fn reset(&mut self) {
+        self.prev = None;
+    }
+
+    /// Decodes the record at the front of `bytes`, returning the state and
+    /// the bytes consumed: after a [`reset`](Self::reset) a keyframe,
+    /// exactly as [`decode_state`] does, and otherwise a delta record
+    /// against the state decoded before, with which the new state shares
+    /// every component the record marks unchanged.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode_state`], and [`CodecError::BadCheck`] for a delta
+    /// record whose check does not match. A record that fails leaves the
+    /// context as it was.
+    pub fn decode(&mut self, bytes: &[u8]) -> Result<(MachineState, usize), CodecError> {
+        let Some(prev) = &mut self.prev else {
+            let (state, used) = decode_state(bytes)?;
+            self.prev = Some(Components {
+                regs: Arc::clone(state.reg_file()),
+                mem: state.memory_image().clone(),
+                input: Arc::clone(state.input_arc()),
+                output: Arc::clone(state.output_arc()),
+                constraints: state.constraints().clone(),
+            });
+            return Ok((state, used));
+        };
+        decode_delta(bytes, prev)
+    }
+}
+
+/// Decodes one delta record against `prev`, and on success makes the
+/// decoded state's components the next record's base.
+fn decode_delta(bytes: &[u8], prev: &mut Components) -> Result<(MachineState, usize), CodecError> {
+    let mut pos = 0usize;
+    let (pc, steps, status) = decode_header(bytes, &mut pos)?;
+    let input_pos = usize::decode(bytes, &mut pos)?;
+    let same = u8::decode(bytes, &mut pos)?;
+    if same & !(SAME_MEM | SAME_INPUT | SAME_OUTPUT | SAME_CONSTRAINTS) != 0 {
+        return Err(CodecError::BadTag {
+            what: "delta record flags",
+            tag: same,
+        });
+    }
+    let n_regs = usize::decode(bytes, &mut pos)?;
+    let regs = match n_regs {
+        0 => None,
+        n => Some(decode_reg_cells(
+            bytes,
+            &mut pos,
+            n,
+            RegFile::clone(&prev.regs),
+        )?),
+    };
+    let mem = (same & SAME_MEM == 0)
+        .then(|| decode_memory(bytes, &mut pos))
+        .transpose()?;
+    let input = (same & SAME_INPUT == 0)
+        .then(|| decode_input(bytes, &mut pos))
+        .transpose()?;
+    let output = (same & SAME_OUTPUT == 0)
+        .then(|| decode_output(bytes, &mut pos, &prev.output))
+        .transpose()?;
+    let constraints = (same & SAME_CONSTRAINTS == 0)
+        .then(|| decode_constraint_map(bytes, &mut pos))
+        .transpose()?;
+    let end = pos.checked_add(4).ok_or(CodecError::Overflow)?;
+    let check = bytes.get(pos..end).ok_or(CodecError::UnexpectedEnd)?;
+    if check != fnv1a32(&bytes[..pos]).to_le_bytes() {
+        return Err(CodecError::BadCheck);
+    }
+
+    // The record is whole: from here nothing fails.
+    let state = MachineState::from_decoded(DecodedState {
+        pc,
+        regs: kept(&mut prev.regs, regs.map(Arc::new)),
+        mem: kept(&mut prev.mem, mem),
+        input: kept(&mut prev.input, input.map(Arc::new)),
+        input_pos,
+        output: kept(&mut prev.output, output.map(Arc::new)),
+        constraints: kept(&mut prev.constraints, constraints),
+        steps,
+        status,
+    });
+    Ok((state, end))
+}
+
+/// The component for a decoded state: `new` when the record held one,
+/// which then becomes the kept one, else the kept one, shared.
+fn kept<T: Clone>(kept: &mut T, new: Option<T>) -> T {
+    if let Some(new) = new {
+        *kept = new;
+    }
+    kept.clone()
+}
+
+/// `pc`, `steps` and the status.
+fn decode_header(bytes: &[u8], pos: &mut usize) -> Result<(usize, u64, Status), CodecError> {
+    let pc = usize::decode(bytes, pos)?;
+    let steps = decode_u64(bytes, pos)?;
+    let status = match u8::decode(bytes, pos)? {
         STATUS_RUNNING => Status::Running,
         STATUS_HALTED => Status::Halted,
         STATUS_EXC_ILLEGAL_INSTR => Status::Exception(Exception::IllegalInstruction),
         STATUS_EXC_ILLEGAL_ADDR => Status::Exception(Exception::IllegalAddress),
         STATUS_EXC_DIV_ZERO => Status::Exception(Exception::DivByZero),
         STATUS_DETECTED => {
-            let id = decode_u64(bytes, &mut pos)?;
+            let id = decode_u64(bytes, pos)?;
             Status::Detected(u32::try_from(id).map_err(|_| CodecError::Overflow)?)
         }
         STATUS_TIMED_OUT => Status::TimedOut,
@@ -314,80 +466,7 @@ fn decode_record(
             })
         }
     };
-
-    let regs = decode_section(
-        bytes,
-        &mut pos,
-        cache.as_mut().map(|c| &mut c.regs),
-        decode_regs,
-    )?;
-    let mem = decode_section(
-        bytes,
-        &mut pos,
-        cache.as_mut().map(|c| &mut c.mem),
-        |bytes, pos, _| decode_memory(bytes, pos),
-    )?;
-    let input = decode_section(
-        bytes,
-        &mut pos,
-        cache.as_mut().map(|c| &mut c.input),
-        |bytes, pos, _| decode_input(bytes, pos),
-    )?;
-    let input_pos = usize::decode(bytes, &mut pos)?;
-    let output = decode_section(
-        bytes,
-        &mut pos,
-        cache.as_mut().map(|c| &mut c.output),
-        decode_output,
-    )?;
-    let constraints = decode_section(
-        bytes,
-        &mut pos,
-        cache.as_mut().map(|c| &mut c.constraints),
-        |bytes, pos, _| decode_constraint_map(bytes, pos),
-    )?;
-
-    let state = MachineState::from_decoded(DecodedState {
-        pc,
-        regs,
-        mem,
-        input,
-        input_pos,
-        output,
-        constraints,
-        steps,
-        status,
-    });
-    Ok((state, pos))
-}
-
-/// Reads one section at `*pos` with `decode`, which is handed the kept
-/// component to build on. With a context `kept`, a section whose bytes
-/// start with the kept bytes is the kept component, and any other that
-/// decodes replaces it.
-fn decode_section<T: Clone>(
-    bytes: &[u8],
-    pos: &mut usize,
-    kept: Option<&mut Kept<T>>,
-    decode: impl FnOnce(&[u8], &mut usize, Option<&T>) -> Result<T, CodecError>,
-) -> Result<T, CodecError> {
-    let Some(kept) = kept else {
-        return decode(bytes, pos, None);
-    };
-    let rest = bytes.get(*pos..).ok_or(CodecError::UnexpectedEnd)?;
-    if let Some((section, value)) = kept {
-        if rest.starts_with(section) {
-            *pos += section.len();
-            return Ok(value.clone());
-        }
-    }
-    let start = *pos;
-    let value = decode(bytes, pos, kept.as_ref().map(|(_, value)| value))?;
-    let mut section = kept.take().map(|(section, _)| section).unwrap_or_default();
-    section.clear();
-    section.extend_from_slice(&bytes[start..*pos]);
-    *kept = Some((section, value.clone()));
-    Ok(value)
+    Ok((pc, steps, status))
 }
 
 /// The most elements to reserve for a count of `n` whose elements take at
@@ -396,16 +475,15 @@ fn presize(n: usize, bytes: &[u8], pos: usize, least: usize) -> usize {
     n.min(bytes.len().saturating_sub(pos) / least)
 }
 
-/// The register section, with its fold moved from `base`'s (or the zero
-/// file's) over the registers that differ.
-fn decode_regs(
+/// Writes `n` `(index, value)` register cells onto `regs`, each moving its
+/// fold by the two cell hashes of the value it replaces.
+fn decode_reg_cells(
     bytes: &[u8],
     pos: &mut usize,
-    base: Option<&Arc<RegFile>>,
-) -> Result<Arc<RegFile>, CodecError> {
-    let mut cells = [Value::Int(0); NUM_REGS];
-    let n_regs = usize::decode(bytes, pos)?;
-    for _ in 0..n_regs {
+    n: usize,
+    mut regs: RegFile,
+) -> Result<RegFile, CodecError> {
+    for _ in 0..n {
         let idx = u8::decode(bytes, pos)?;
         // `$0` is hard-wired: the encoder never writes it, and a cell
         // for it would make a state that reads `$0 = 0` yet differs
@@ -416,15 +494,9 @@ fn decode_regs(
                 tag: idx,
             });
         }
-        cells[usize::from(idx)] = decode_value(bytes, pos)?;
+        regs.set(usize::from(idx), decode_value(bytes, pos)?);
     }
-    // `set` skips a cell that already holds its value, so the fold moves
-    // by two cell hashes per register that differs from the base.
-    let mut regs = base.map_or_else(RegFile::zero, |base| RegFile::clone(base));
-    for (i, &v) in cells.iter().enumerate().skip(1) {
-        regs.set(i, v);
-    }
-    Ok(Arc::new(regs))
+    Ok(regs)
 }
 
 /// The memory section, folded in one pass.
@@ -445,23 +517,19 @@ fn decode_memory(bytes: &[u8], pos: &mut usize) -> Result<CowMemory, CodecError>
     Ok(CowMemory::from_cells(mem))
 }
 
-/// The input section, with its digest.
-fn decode_input(bytes: &[u8], pos: &mut usize) -> Result<Arc<Input>, CodecError> {
+/// The input section's words, with their digest.
+fn decode_input(bytes: &[u8], pos: &mut usize) -> Result<Input, CodecError> {
     let n_input = usize::decode(bytes, pos)?;
     let mut input = Vec::with_capacity(presize(n_input, bytes, *pos, 1));
     for _ in 0..n_input {
         input.push(decode_i64(bytes, pos)?);
     }
-    Ok(Arc::new(Input::new(input)))
+    Ok(Input::new(input))
 }
 
-/// The output section, with its fold moved from `base`'s where given and
-/// its `err` count.
-fn decode_output(
-    bytes: &[u8],
-    pos: &mut usize,
-    base: Option<&Arc<Output>>,
-) -> Result<Arc<Output>, CodecError> {
+/// The output section, with its fold moved from `base`'s and its `err`
+/// count.
+fn decode_output(bytes: &[u8], pos: &mut usize, base: &Output) -> Result<Output, CodecError> {
     let n_out = usize::decode(bytes, pos)?;
     // An item is at least a tag byte and a value or length byte.
     let mut output = Vec::with_capacity(presize(n_out, bytes, *pos, 2));
@@ -484,15 +552,14 @@ fn decode_output(
             }
         }
     }
-    let empty = Output::default();
-    Ok(Arc::new(Output::over(output, base.map_or(&empty, |b| b))))
+    Ok(Output::over(output, base))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sympl_asm::Reg;
-    use sympl_symbolic::{Constraint, Location};
+    use sympl_symbolic::{Constraint, Location, Value};
 
     /// A state exercising every encoded component.
     fn bulky_state() -> MachineState {
@@ -697,7 +764,6 @@ mod tests {
         // state's representation must not move it.
         assert_eq!(s.approx_bytes(), 1208);
     }
-
     fn encoded(states: &[MachineState]) -> Vec<u8> {
         let mut buf = Vec::new();
         for s in states {
@@ -706,8 +772,22 @@ mod tests {
         buf
     }
 
-    /// Decodes a whole stream through one decoder.
+    /// One segment of `states` through a fresh encoder, with the end of
+    /// each record.
+    fn segment(states: &[MachineState]) -> (Vec<u8>, Vec<usize>) {
+        let mut encoder = StateEncoder::default();
+        let mut buf = Vec::new();
+        let mut ends = Vec::new();
+        for s in states {
+            encoder.encode(s.clone(), &mut buf);
+            ends.push(buf.len());
+        }
+        (buf, ends)
+    }
+
+    /// Decodes a whole segment through one decoder.
     fn decode_stream(decoder: &mut StateDecoder, buf: &[u8]) -> Vec<MachineState> {
+        decoder.reset();
         let mut pos = 0;
         let mut decoded = Vec::new();
         while pos < buf.len() {
@@ -718,23 +798,142 @@ mod tests {
         decoded
     }
 
+    /// Forks of `bulky_state` that each rewrite one register, as a fork
+    /// rule's siblings do.
+    fn siblings(n: i64) -> Vec<MachineState> {
+        let base = bulky_state();
+        (0..n)
+            .map(|v| {
+                let mut s = base.clone();
+                s.set_reg(Reg::r(4), Value::Int(v));
+                s.bump_steps();
+                s
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_segment_is_a_keyframe_then_small_delta_records() {
+        let states = siblings(20);
+        let (buf, ends) = segment(&states);
+        assert_eq!(
+            buf[..ends[0]],
+            encoded(&states[..1])[..],
+            "the keyframe is the one-shot record"
+        );
+        let keyframe = ends[0];
+        let deltas = (buf.len() - keyframe) / (states.len() - 1);
+        assert!(
+            deltas * 4 < keyframe,
+            "{deltas} B a delta record against a {keyframe} B keyframe"
+        );
+        let decoded = decode_stream(&mut StateDecoder::default(), &buf);
+        assert_eq!(decoded, states);
+        for d in &decoded {
+            assert_eq!(d.fingerprint(), d.fingerprint_from_scratch());
+            assert!(d.memory_shares_storage(&decoded[0]), "one shared image");
+            assert_eq!(
+                d.input_stream().as_ptr(),
+                decoded[0].input_stream().as_ptr()
+            );
+        }
+    }
+
+    #[test]
+    fn a_stream_shares_what_consecutive_records_repeat() {
+        let a = bulky_state();
+        let mut b = a.clone();
+        b.set_reg(Reg::r(31), Value::Err);
+        b.set_reg(Reg::r(7), Value::Int(0));
+        let mut c = b.clone();
+        c.set_mem(8, Value::Int(6));
+        c.push_output(OutItem::Val(Value::Int(3)));
+        let _ = c
+            .constraints_mut()
+            .constrain(Location::reg(2), Constraint::Lt(9));
+        let _ = c.read_input();
+        c.set_status(Status::Detected(7));
+        // Content-equal to `c`, built apart: nothing is shared by pointer.
+        let d = roundtrip(&c);
+        let e = MachineState::with_input(vec![1]);
+        let states = [a, b, c, d, e.clone(), e];
+        let (buf, ends) = segment(&states);
+        let decoded = decode_stream(&mut StateDecoder::default(), &buf);
+        assert_eq!(decoded, states);
+        for d in &decoded {
+            assert_eq!(d.fingerprint(), d.fingerprint_from_scratch());
+        }
+        assert!(decoded[0].memory_shares_storage(&decoded[1]));
+        assert!(!decoded[1].memory_shares_storage(&decoded[2]));
+        assert!(
+            decoded[2].memory_shares_storage(&decoded[3]),
+            "equal content is shared too"
+        );
+        // The repeat of `c` holds its header, cursor, flags, an empty
+        // register section and the check.
+        assert!(ends[3] - ends[2] <= 16, "{} B", ends[3] - ends[2]);
+    }
+
+    #[test]
+    fn a_failed_record_leaves_the_stream_decoder_exact() {
+        let states = siblings(3);
+        let (buf, ends) = segment(&states);
+        let mut decoder = StateDecoder::default();
+        decoder.decode(&buf[..ends[0]]).unwrap();
+        decoder.decode(&buf[ends[0]..ends[1]]).unwrap();
+        let record = &buf[ends[1]..];
+        for cut in 0..record.len() {
+            assert!(decoder.decode(&record[..cut]).is_err(), "cut at {cut}");
+        }
+        for bit in 0..record.len() * 8 {
+            let mut flipped = record.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(decoder.decode(&flipped).is_err(), "bit {bit} flipped");
+        }
+        let (d, used) = decoder.decode(record).unwrap();
+        assert_eq!((&d, used), (&states[2], record.len()));
+        assert_eq!(d.fingerprint(), d.fingerprint_from_scratch());
+    }
+
+    #[test]
+    fn a_reset_starts_a_segment_that_decodes_alone() {
+        let states = siblings(4);
+        let mut encoder = StateEncoder::default();
+        let (mut first, mut second) = (Vec::new(), Vec::new());
+        for s in &states[..2] {
+            encoder.encode(s.clone(), &mut first);
+        }
+        encoder.reset();
+        for s in &states[2..] {
+            encoder.encode(s.clone(), &mut second);
+        }
+        assert!(second.starts_with(&encoded(&states[2..3])));
+        // Read back in the other order, as a LIFO replay does.
+        let mut decoder = StateDecoder::default();
+        assert_eq!(decode_stream(&mut decoder, &second), states[2..]);
+        assert_eq!(decode_stream(&mut decoder, &first), states[..2]);
+    }
+
     #[test]
     fn one_decoder_shares_one_input_allocation() {
         let mut a = bulky_state();
         let mut b = a.clone();
         b.set_reg(Reg::r(9), Value::Int(5));
         a.set_pc(3);
-        let buf = encoded(&[a.clone(), b.clone(), a.clone()]);
+        let states = [a.clone(), b, a];
+        let (buf, ends) = segment(&states);
         let decoded = decode_stream(&mut StateDecoder::default(), &buf);
-        assert_eq!(decoded, [a.clone(), b, a]);
+        assert_eq!(decoded, states);
         let ptr = decoded[0].input_stream().as_ptr();
         for s in &decoded {
             assert_eq!(s.input_stream().as_ptr(), ptr, "one shared input");
         }
-        // Separate free-function decodes each own their input.
-        let (x, used) = decode_state(&buf).unwrap();
-        let (y, _) = decode_state(&buf[used..]).unwrap();
+        // One-shot decodes each own their input.
+        let one_shot = encoded(&states);
+        let (x, used) = decode_state(&one_shot).unwrap();
+        let (y, _) = decode_state(&one_shot[used..]).unwrap();
         assert_ne!(x.input_stream().as_ptr(), y.input_stream().as_ptr());
+        assert_eq!(used, ends[0], "the keyframe is the one-shot record");
     }
 
     #[test]
@@ -744,64 +943,12 @@ mod tests {
         let longer = MachineState::with_input(vec![3, -1, 0, i64::MAX, 8]);
         let empty = MachineState::new();
         let states = [first.clone(), other, longer, empty, first];
-        let mut decoder = StateDecoder::default();
-        let decoded = decode_stream(&mut decoder, &encoded(&states));
+        let (buf, _) = segment(&states);
+        let decoded = decode_stream(&mut StateDecoder::default(), &buf);
         for (d, s) in decoded.iter().zip(&states) {
             assert_eq!(d.input_stream(), s.input_stream());
             assert_eq!(d, s);
         }
-    }
-
-    #[test]
-    fn a_stream_shares_what_consecutive_records_repeat() {
-        let a = bulky_state();
-        let mut b = a.clone();
-        b.set_reg(Reg::r(31), Value::Int(5));
-        let mut c = b.clone();
-        c.set_mem(8, Value::Int(6));
-        let states = [a, b, c];
-
-        let mut encoder = StateEncoder::default();
-        let mut buf = Vec::new();
-        for s in &states {
-            encoder.encode(s, &mut buf);
-        }
-        assert_eq!(
-            buf,
-            encoded(&states),
-            "the stream writes the one-shot bytes"
-        );
-
-        let decoded = decode_stream(&mut StateDecoder::default(), &buf);
-        assert_eq!(decoded, states);
-        assert!(decoded[0].memory_shares_storage(&decoded[1]));
-        assert!(!decoded[1].memory_shares_storage(&decoded[2]));
-        for d in &decoded {
-            assert_eq!(d.fingerprint(), d.fingerprint_from_scratch());
-        }
-        // One-shot decodes share nothing.
-        let (x, used) = decode_state(&buf).unwrap();
-        let (y, _) = decode_state(&buf[used..]).unwrap();
-        assert!(!x.memory_shares_storage(&y));
-    }
-
-    #[test]
-    fn a_failed_record_leaves_the_stream_decoder_exact() {
-        let a = bulky_state();
-        let mut b = a.clone();
-        b.set_mem(4096, Value::Int(1));
-        let (ra, rb) = (
-            encoded(std::slice::from_ref(&a)),
-            encoded(std::slice::from_ref(&b)),
-        );
-        let mut decoder = StateDecoder::default();
-        assert_eq!(decoder.decode(&ra).unwrap().0, a);
-        for cut in 0..rb.len() {
-            assert!(decoder.decode(&rb[..cut]).is_err(), "cut at {cut}");
-        }
-        let (d, used) = decoder.decode(&rb).unwrap();
-        assert_eq!((d.clone(), used), (b, rb.len()));
-        assert_eq!(d.fingerprint(), d.fingerprint_from_scratch());
     }
 
     #[test]
@@ -815,11 +962,9 @@ mod tests {
         states.push(fork);
         states.push(MachineState::with_input(vec![1, 2]));
         states.push(bulky_state());
+        let (buf, _) = segment(&states);
         let mut decoder = StateDecoder::default();
-        for (d, s) in decode_stream(&mut decoder, &encoded(&states))
-            .iter()
-            .zip(&states)
-        {
+        for (d, s) in decode_stream(&mut decoder, &buf).iter().zip(&states) {
             assert_eq!(d.fingerprint(), d.fingerprint_from_scratch());
             assert_eq!(d.fingerprint(), s.fingerprint());
         }

@@ -214,6 +214,16 @@ impl RegFile {
         mask
     }
 
+    /// A mask whose bit `i` marks register `i` as holding a different
+    /// value in `self` and `other`.
+    pub(crate) fn differs_from(&self, other: &RegFile) -> u32 {
+        let mut mask = self.errs ^ other.errs;
+        for (i, (a, b)) in self.ints.iter().zip(&other.ints).enumerate() {
+            mask |= u32::from(a != b) << i;
+        }
+        mask
+    }
+
     /// The rolling fold over every `(index, value)` cell. O(1).
     pub(crate) fn fold(&self) -> ZobristComponent {
         self.fold
@@ -389,7 +399,7 @@ impl MachineState {
     /// FNV-128 of the input stream. The stream is immutable after
     /// construction (only the cursor moves), so this is computed once, when
     /// the stream is built, and shared with it; a `StateDecoder` computes
-    /// it once per distinct input it meets. `Hash for [i64]` writes the
+    /// it once per segment, and again only for a record whose input differs. `Hash for [i64]` writes the
     /// length as one word and then the elements as native-endian bytes,
     /// which the hasher absorbs one FNV round per byte: 129 rounds for a
     /// 16-word input. Hashing the elements a word at a time would be
@@ -701,19 +711,24 @@ impl MachineState {
         }
     }
 
-    /// The register file, for the state encoder.
-    pub(crate) fn reg_file(&self) -> &RegFile {
+    /// The register file, for the state codec.
+    pub(crate) fn reg_file(&self) -> &Arc<RegFile> {
         &self.regs
     }
 
-    /// The memory image, for the state encoder's pointer check.
+    /// The memory image, for the state codec.
     pub(crate) fn memory_image(&self) -> &CowMemory {
         &self.mem
     }
 
-    /// The shared input allocation, for the state encoder's pointer check.
+    /// The shared input allocation, for the state codec.
     pub(crate) fn input_arc(&self) -> &Arc<Input> {
         &self.input
+    }
+
+    /// The shared output stream, for the state codec.
+    pub(crate) fn output_arc(&self) -> &Arc<Output> {
+        &self.output
     }
 
     /// The fixed per-state term of [`MachineState::approx_bytes`]: the

@@ -87,6 +87,8 @@ pub enum CodecError {
     BadVersion(u8),
     /// The value has no wire representation (a closure-backed predicate).
     Unsupported(&'static str),
+    /// A record's check does not match its bytes.
+    BadCheck,
 }
 
 impl fmt::Display for CodecError {
@@ -98,6 +100,7 @@ impl fmt::Display for CodecError {
             CodecError::BadUtf8 => f.write_str("string field is not valid UTF-8"),
             CodecError::BadVersion(v) => write!(f, "unknown codec version {v}"),
             CodecError::Unsupported(what) => write!(f, "{what} has no wire representation"),
+            CodecError::BadCheck => f.write_str("record check does not match its bytes"),
         }
     }
 }
@@ -471,9 +474,9 @@ pub fn read_sealed_records<T: Codec>(
 // The varint, zigzag, value and location leaves below are the state
 // codec's per-cell work, called from another crate in a build without LTO,
 // so each is `#[inline]`. The decode leaves are `#[inline(always)]`:
-// `StateDecoder::decode` is one large function, and with the plain hint
-// some of its per-cell calls stayed out of line, which made a replace
-// state decode about 1.3x slower.
+// the state decoders are large functions, and with the plain hint some
+// of their per-cell calls stayed out of line, which made a replace state
+// decode about 1.3x slower.
 
 /// Appends `v` as an LEB128 varint (7 bits per byte, high bit = continue).
 #[inline]

@@ -8,7 +8,10 @@
 //! written; it must never panic and never return a record that was not
 //! written. A frame whose count announces 2^40 findings, or whose one
 //! finding's state claims 2^40 memory cells, input words or output items,
-//! must fail without reserving more than the codec's 64 KiB pre-size bound.
+//! must fail without reserving more than the codec's 64 KiB pre-size bound,
+//! and so must every damaged checkpoint and memo store. Random byte strings
+//! put to the state decoders — one-shot, a fresh spill-segment decoder and
+//! one primed with a keyframe — never panic and stay within that bound.
 //!
 //! ```text
 //! cargo test --release --test codec_sweep
@@ -21,7 +24,7 @@ use std::time::Duration;
 
 use symplfied::check::{MemoStore, Solution};
 use symplfied::cluster::{run_cluster_with_memo, Finding, TaskResult};
-use symplfied::machine::encode_state;
+use symplfied::machine::{decode_state, encode_state, StateDecoder, StateEncoder};
 use symplfied::prelude::*;
 use symplfied::symbolic::codec::{encode_u64, Codec};
 use symplfied::wire::{decode_message, parse_checkpoint, read_frame, CheckpointWriter, Message};
@@ -115,6 +118,23 @@ fn real_campaign() -> (Vec<(TaskResult, Vec<Finding>)>, MemoStore) {
     (entries, store)
 }
 
+/// The codec's pre-size bound: no decode of damaged or random bytes may
+/// reserve more in one allocation.
+const PRESIZE_BOUND: usize = 64 << 10;
+
+/// Runs `parse` and asserts that no single allocation it made exceeded
+/// [`PRESIZE_BOUND`].
+fn within_presize_bound<T>(what: &str, parse: impl FnOnce() -> T) -> T {
+    LARGEST.with(|largest| largest.set(0));
+    let parsed = parse();
+    let largest = LARGEST.with(Cell::get);
+    assert!(
+        largest <= PRESIZE_BOUND,
+        "{what}: one allocation of {largest} bytes"
+    );
+    parsed
+}
+
 fn checkpoint_bytes(entries: &[(TaskResult, Vec<Finding>)]) -> Vec<u8> {
     let path = std::env::temp_dir().join(format!("sympl-sweep-sycp-{}", std::process::id()));
     let mut writer = CheckpointWriter::create(&path, 0xC0FF_EE00_1234, 3).expect("create");
@@ -140,7 +160,7 @@ fn every_truncation_and_bit_flip_of_a_checkpoint_parses_to_a_prefix_or_a_typed_e
     assert_eq!(full.entries, entries);
 
     let check = |damaged: &[u8]| {
-        if let Ok(file) = parse_checkpoint(damaged) {
+        if let Ok(file) = within_presize_bound("checkpoint", || parse_checkpoint(damaged)) {
             assert_eq!(file.entries[..], entries[..file.entries.len()]);
         }
     };
@@ -162,7 +182,9 @@ fn every_truncation_and_bit_flip_of_a_memo_store_parses_to_a_prefix_or_a_typed_e
     // Records are written sorted by probe digest, so a store holding a
     // prefix of the records re-serializes to a prefix of the file.
     let check = |damaged: &[u8]| {
-        if let Ok((loaded, _)) = MemoStore::parse(damaged, None) {
+        if let Ok((loaded, _)) =
+            within_presize_bound("memo store", || MemoStore::parse(damaged, None))
+        {
             assert!(bytes.starts_with(&loaded.to_bytes()));
         }
     };
@@ -320,4 +342,71 @@ fn a_finding_whose_state_claims_two_to_the_forty_output_items_fails_within_the_p
         largest <= 64 << 10,
         "decoding reserved {largest} bytes for output items it never read"
     );
+}
+
+/// A state with every encoded component, as a segment's keyframe.
+fn keyframe_state() -> MachineState {
+    let mut s = MachineState::with_input(vec![4, -2, 9]);
+    let _ = s.read_input();
+    s.set_pc(12);
+    s.set_reg(Reg::r(3), Value::Err);
+    s.set_reg(Reg::r(27), Value::Int(-77));
+    s.load_memory((0..48).map(|i| (i * 8, i as i64 - 20)));
+    let _ = s
+        .constraints_mut()
+        .constrain(Location::reg(3), Constraint::Gt(1));
+    s.push_output(OutItem::Val(Value::Int(5)));
+    s.push_output(OutItem::Str("ok".into()));
+    s
+}
+
+#[test]
+fn random_bytes_never_panic_a_state_decoder_or_reserve_past_the_presize_bound() {
+    // A segment of two records: the keyframe, then a delta record that
+    // rewrites every component, so its sections are all present.
+    let first = keyframe_state();
+    let mut second = first.clone();
+    second.set_reg(Reg::r(5), Value::Int(1));
+    second.set_mem(4096, Value::Err);
+    let _ = second.read_input();
+    second.push_output(OutItem::Val(Value::Err));
+    let _ = second
+        .constraints_mut()
+        .constrain(Location::Mem(0), Constraint::Ne(3));
+    let mut encoder = StateEncoder::default();
+    let (mut keyframe, mut delta) = (Vec::new(), Vec::new());
+    encoder.encode(first, &mut keyframe);
+    encoder.encode(second, &mut delta);
+    let mut primed = StateDecoder::default();
+    primed.decode(&keyframe).expect("a keyframe decodes");
+    assert!(
+        primed.clone().decode(&delta).is_ok(),
+        "a delta record decodes"
+    );
+
+    // splitmix64: a fixed, dependency-free byte source.
+    let mut seed = 0x5EED_u64;
+    let mut next = || {
+        seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    for i in 0..6000 {
+        // Random bytes, alone or after a prefix of a real keyframe or
+        // delta record, so the decoders reach every section's count.
+        let prefix: &[u8] = match i % 3 {
+            0 => &[],
+            1 => &keyframe[..(next() as usize) % keyframe.len()],
+            _ => &delta[..(next() as usize) % delta.len()],
+        };
+        let len = (next() % 1024) as usize;
+        let mut bytes = prefix.to_vec();
+        bytes.extend((prefix.len()..len).map(|_| next() as u8));
+        let _ = within_presize_bound("decode_state", || decode_state(&bytes));
+        let _ = within_presize_bound("a fresh decoder", || StateDecoder::default().decode(&bytes));
+        let mut decoder = primed.clone();
+        let _ = within_presize_bound("a primed decoder", || decoder.decode(&bytes));
+    }
 }

@@ -454,16 +454,18 @@ mod codec_roundtrip {
 }
 
 // ---------------------------------------------------------------------
-// Codec stream: one `StateEncoder` and one `StateDecoder` over a sequence
-// of states must write the one-shot codec's bytes and decode, record by
-// record, exactly what a one-shot decode yields, even on damaged bytes —
-// the property the disk-spilling frontier's segments stand on.
+// Codec stream: a spill segment is a keyframe (the one-shot record) plus
+// delta records, written through one `StateEncoder` and read back through
+// one `StateDecoder`, each reset at every segment start. Every written
+// state must come back exactly, a keyframe must be the one-shot record
+// even when damaged, and every damaged delta record must be refused — the
+// property the disk-spilling frontier's segments stand on.
 // ---------------------------------------------------------------------
 
 mod codec_stream {
     use super::state_ops::{op_strategy, run_ops};
     use super::*;
-    use symplfied::machine::{decode_state, encode_state, StateDecoder, StateEncoder};
+    use symplfied::machine::{decode_state, encode_state, CodecError, StateDecoder, StateEncoder};
 
     /// A state sequence: the op pool, then forks of pool states (sharing
     /// their memory image and input) with a register rewritten anywhere in
@@ -498,24 +500,46 @@ mod codec_stream {
         )
     }
 
-    /// The stream decoder's result on `bytes` is the one-shot decoder's,
-    /// in everything the search reads.
+    /// `states` written as spill segments through one encoder, reset at
+    /// state 0 and at every index in `resets`: each segment's records.
+    fn segments(states: &[MachineState], resets: &[usize]) -> Vec<Vec<Vec<u8>>> {
+        let mut encoder = StateEncoder::default();
+        let mut segments: Vec<Vec<Vec<u8>>> = Vec::new();
+        for (i, s) in states.iter().enumerate() {
+            if i == 0 || resets.iter().any(|&r| r % states.len() == i) {
+                encoder.reset();
+                segments.push(Vec::new());
+            }
+            let mut record = Vec::new();
+            encoder.encode(s.clone(), &mut record);
+            segments.last_mut().expect("a segment").push(record);
+        }
+        segments
+    }
+
+    /// A decoded state is the written one in everything the search reads.
+    fn same_state(decoded: &MachineState, written: &MachineState) -> Result<(), TestCaseError> {
+        prop_assert_eq!(decoded, written);
+        prop_assert_eq!(decoded.fingerprint(), written.fingerprint());
+        prop_assert_eq!(decoded.fingerprint(), decoded.fingerprint_from_scratch());
+        prop_assert_eq!(decoded.approx_bytes(), written.approx_bytes());
+        Ok(())
+    }
+
+    /// The stream decoder's result on a keyframe's `bytes` is the one-shot
+    /// decoder's, in everything the search reads.
     fn same_as_one_shot(
-        stream: &Result<(MachineState, usize), symplfied::machine::CodecError>,
+        stream: &Result<(MachineState, usize), CodecError>,
         bytes: &[u8],
     ) -> Result<(), TestCaseError> {
-        let fresh = decode_state(bytes);
-        match (stream, &fresh) {
+        match (stream, &decode_state(bytes)) {
             (Ok((s, used)), Ok((f, fresh_used))) => {
                 prop_assert_eq!(used, fresh_used);
-                prop_assert_eq!(s, f);
-                prop_assert_eq!(s.fingerprint(), f.fingerprint());
-                prop_assert_eq!(s.fingerprint(), s.fingerprint_from_scratch());
+                same_state(s, f)?;
                 prop_assert_eq!(s.fingerprint_from_scratch(), f.fingerprint_from_scratch());
-                prop_assert_eq!(s.approx_bytes(), f.approx_bytes());
             }
             (Err(_), Err(_)) => {}
-            _ => prop_assert!(
+            (stream, fresh) => prop_assert!(
                 false,
                 "stream {:?} vs one-shot {:?}",
                 stream.is_ok(),
@@ -528,43 +552,58 @@ mod codec_stream {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// (a) The encoder's stream is the one-shot records concatenated;
-        /// (b) one decoder over it yields what a one-shot decode of each
-        /// record yields.
+        /// (a) A round trip returns every written state, each record
+        /// consuming exactly its bytes, whatever order the segments are
+        /// replayed in; (b) a segment's first record is the one-shot
+        /// record and decodes as the one-shot decoder does.
         #[test]
-        fn stream_matches_one_shot_codec(
+        fn stream_roundtrips_every_state(
             ops in prop::collection::vec(op_strategy(), 1..100),
             forks in prop::collection::vec(fork_strategy(), 0..24),
             chunk in 0usize..6,
+            resets in prop::collection::vec(0usize..128, 0..6),
+            reversed in any::<bool>(),
         ) {
             let states = sequence(&ops, &forks, chunk);
-            let mut encoder = StateEncoder::default();
-            let mut stream = Vec::new();
-            let mut one_shot = Vec::new();
-            let mut ends = Vec::new();
-            for s in &states {
-                encoder.encode(s, &mut stream);
-                encode_state(s, &mut one_shot);
-                ends.push(one_shot.len());
+            let segments = segments(&states, &resets);
+            let mut written = Vec::new();
+            let mut firsts = 0;
+            for segment in &segments {
+                let keyframe = &states[firsts];
+                let mut one_shot = Vec::new();
+                encode_state(keyframe, &mut one_shot);
+                prop_assert_eq!(&segment[0], &one_shot, "the keyframe is the one-shot record");
+                written.push(&states[firsts..firsts + segment.len()]);
+                firsts += segment.len();
             }
-            prop_assert_eq!(&stream, &one_shot);
+            prop_assert_eq!(firsts, states.len());
 
+            let mut order: Vec<usize> = (0..segments.len()).collect();
+            if reversed {
+                order.reverse();
+            }
             let mut decoder = StateDecoder::default();
-            let mut pos = 0;
-            for (s, &end) in states.iter().zip(&ends) {
-                let decoded = decoder.decode(&stream[pos..]);
-                same_as_one_shot(&decoded, &stream[pos..end])?;
-                let (decoded, used) = decoded.expect("a written record decodes");
-                prop_assert_eq!(pos + used, end);
-                prop_assert_eq!(&decoded, s);
-                prop_assert_eq!(decoded.fingerprint(), s.fingerprint());
-                pos = end;
+            for i in order {
+                decoder.reset();
+                let bytes = segments[i].concat();
+                let mut pos = 0;
+                for (k, (record, state)) in segments[i].iter().zip(written[i]).enumerate() {
+                    let decoded = decoder.decode(&bytes[pos..]);
+                    if k == 0 {
+                        same_as_one_shot(&decoded, record)?;
+                    }
+                    let (decoded, used) = decoded.expect("a written record decodes");
+                    prop_assert_eq!(used, record.len(), "a record consumes exactly its bytes");
+                    same_state(&decoded, state)?;
+                    pos += used;
+                }
+                prop_assert_eq!(pos, bytes.len());
             }
         }
 
-        /// (c) With the decoder primed on the records before it, every
-        /// truncation and single-bit flip of a record decodes to an error
-        /// or to exactly the one-shot decoder's state.
+        /// (b) Every truncation and single-bit flip of a keyframe, met by
+        /// a decoder reset after decoding another segment, decodes to an
+        /// error or to exactly the one-shot decoder's state.
         #[test]
         fn damaged_records_decode_as_one_shot(
             ops in prop::collection::vec(op_strategy(), 1..60),
@@ -575,20 +614,47 @@ mod codec_stream {
             // At least the pool's first state and one fork.
             let states = sequence(&ops, &forks, chunk);
             let at = at % (states.len() - 1) + 1;
-            let records: Vec<Vec<u8>> = states
-                .iter()
-                .map(|s| {
-                    let mut buf = Vec::new();
-                    encode_state(s, &mut buf);
-                    buf
-                })
-                .collect();
+            let segments = segments(&states, &[at]);
+            let (before, keyframe) = (&segments[0], &segments[1][0]);
+            let damaged = (0..keyframe.len())
+                .map(|cut| keyframe[..cut].to_vec())
+                .chain((0..keyframe.len() * 8).map(|bit| {
+                    let mut flipped = keyframe.clone();
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    flipped
+                }));
             let mut decoder = StateDecoder::default();
+            for bytes in damaged {
+                // The segment before leaves the decoder holding its
+                // states' components, which the reset must forget.
+                decoder.reset();
+                for record in before {
+                    decoder.decode(record).expect("a written record decodes");
+                }
+                decoder.reset();
+                same_as_one_shot(&decoder.decode(&bytes), &bytes)?;
+            }
+        }
+
+        /// (c) With the decoder primed on the records before it, every
+        /// truncation and single-bit flip of a delta record is refused,
+        /// and the refused decode leaves the decoder exact: the undamaged
+        /// record still decodes to the written state.
+        #[test]
+        fn damaged_delta_records_are_refused(
+            ops in prop::collection::vec(op_strategy(), 1..60),
+            forks in prop::collection::vec(fork_strategy(), 1..12),
+            chunk in 0usize..6,
+            at in 1usize..64,
+        ) {
+            let states = sequence(&ops, &forks, chunk);
+            let at = at % (states.len() - 1) + 1;
+            let records = segments(&states, &[]).remove(0);
+            let mut primed = StateDecoder::default();
             for record in &records[..at] {
-                decoder.decode(record).expect("a written record decodes");
+                primed.decode(record).expect("a written record decodes");
             }
             let next = &records[at];
-            let primer = &records[at - 1];
             let damaged = (0..next.len())
                 .map(|cut| next[..cut].to_vec())
                 .chain((0..next.len() * 8).map(|bit| {
@@ -597,10 +663,11 @@ mod codec_stream {
                     flipped
                 }));
             for bytes in damaged {
-                // Re-primed before each one, so that every damaged record
-                // meets the sections of the record before it.
-                decoder.decode(primer).expect("a written record decodes");
-                same_as_one_shot(&decoder.decode(&bytes), &bytes)?;
+                let mut decoder = primed.clone();
+                prop_assert!(decoder.decode(&bytes).is_err(), "a damaged delta record decoded");
+                let (decoded, used) = decoder.decode(next).expect("the undamaged record decodes");
+                prop_assert_eq!(used, next.len());
+                same_state(&decoded, &states[at])?;
             }
         }
     }
